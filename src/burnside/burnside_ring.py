@@ -3,19 +3,22 @@
 A ghost vector assigns one integer to each subgroup conjugacy class. It
 comes from an actual virtual G-set exactly when it satisfies the Dress
 congruences; independently, the triangular table of marks can be solved
-exactly over the rationals and membership read off from integrality of
-the coefficients. Both routes are implemented in full and are expected
-to agree on every input; that agreement is part of the test suite.
+for the coefficients c, and membership read off from their integrality.
+Every entry of |G| times the inverse table of marks is an integer, so the
+solve runs on y = |G|*c in plain ints, with every division checked to be
+exact; x is a member exactly when |G| divides every y_i. Both routes are
+implemented in full and are expected to agree on every input; that
+agreement is part of the test suite.
 
-All arithmetic is exact (Python ints and fractions); nothing here uses
-floating point.
+All arithmetic is exact (Python ints, with fractions only to present the
+coefficients); nothing here uses floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arith import prime_power
@@ -321,7 +324,9 @@ def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCert
     values = x.values
     violations = []
     for cong in dress_congruences(lattice):
-        total = sum(count * values[cls] for cls, count in cong.terms)
+        total = 0
+        for cls, count in cong.terms:
+            total += count * values[cls]
         residue = total % cong.index
         if residue:
             violations.append(
@@ -336,26 +341,48 @@ def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCert
     return CongruenceCertificate(holds=not violations, violations=tuple(violations))
 
 
+def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:
+    """The integer vector y = |G|*c with marks * c = x, by back-substitution.
+
+    Each step divides by a diagonal mark; the quotient is an integer
+    because |G| times the inverse table of marks is integral, and a
+    nonzero remainder raises instead of being assumed away.
+    """
+    rows = _solver_rows(lattice)
+    order = lattice.group.order
+    values = x.values
+    y = [0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        diag, tail = rows[i]
+        acc = order * values[i]
+        for j, m in tail:
+            acc -= m * y[j]
+        q, r = divmod(acc, diag)
+        if r:
+            raise RuntimeError(
+                f"inexact division by the mark {diag} of class {i}: remainder {r}"
+            )
+        y[i] = q
+    return tuple(y)
+
+
 def marks_membership(
     lattice: SubgroupLattice, x: GhostVector
 ) -> tuple[bool, tuple[Fraction, ...]]:
-    """Decide membership by exact triangular solve of marks * c = x.
+    """Decide membership by the integer triangular solve of marks * c = x.
 
     Returns (is_member, coefficients); the vector is a member exactly
-    when every coefficient is an integer. The matrix is always
-    invertible because the diagonal is positive.
+    when every coefficient is an integer, that is when |G| divides every
+    entry of y = |G|*c. The matrix is always invertible because the
+    diagonal is positive.
     """
     _check_vector(lattice, x)
-    rows = _solver_rows(lattice)
-    n = len(rows)
-    coeffs: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        diag, tail = rows[i]
-        acc = Fraction(x.values[i])
-        for j, m in tail:
-            acc -= m * coeffs[j]
-        coeffs[i] = acc / diag
-    return all(c.denominator == 1 for c in coeffs), tuple(coeffs)
+    y = _scaled_solve(lattice, x)
+    order = lattice.group.order
+    return (
+        all(v % order == 0 for v in y),
+        tuple(Fraction(v, order) for v in y),
+    )
 
 
 def _cyclic_census(lattice: SubgroupLattice) -> tuple[int, ...]:
@@ -388,11 +415,12 @@ def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
 def minimal_multiplier(lattice: SubgroupLattice, x: GhostVector) -> int:
     """Least n >= 1 with n*x in the Burnside ring.
 
-    Read off as the least common multiple of the coefficient denominators
-    from the exact marks solve. Rejects the zero vector.
+    With y = |G|*c from the integer marks solve, n*c is integral exactly
+    when |G| / gcd(y_i, |G|) divides n for every i, so n is the lcm of
+    those quotients. Rejects the zero vector.
     """
     _check_vector(lattice, x)
     if not any(x.values):
         raise ValueError("minimal multiplier of the zero vector is not defined")
-    _, coeffs = marks_membership(lattice, x)
-    return lcm(*(c.denominator for c in coeffs))
+    order = lattice.group.order
+    return lcm(*(order // gcd(v, order) for v in _scaled_solve(lattice, x)))

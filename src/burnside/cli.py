@@ -4,8 +4,8 @@ verify-main-theorem.
 Output is deterministic: JSON payloads use sorted keys and the canonical
 class order, so running a subcommand twice on the same input is
 byte-identical. Exit codes: 0 success, 1 domain error (bad spec, cap
-exceeded), 2 usage error, 3 when verify-main-theorem finds at least one
-disagreement row.
+exceeded) or closed output pipe, 2 usage error, 3 when verify-main-theorem
+finds at least one disagreement row, 130 on interrupt.
 """
 
 from __future__ import annotations
@@ -344,7 +344,21 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Console entry point. A closed output pipe (``burnside ... | head``)
+    exits 1 and an interrupt exits 130, both without a traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Interpreter shutdown flushes stdout again; point it at /dev/null
+        # so that flush cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    except KeyboardInterrupt:
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
-ring element. It is computed from the exact marks solve and, in
-verification mode, re-derived by an ascending divisor search through the
-Dress congruences; the two must agree. A closed-form table (abelian
+ring element. It is computed from the integer marks solve and, in
+verification mode, re-derived in one pass over the Dress congruences,
+where each congruence of index q and indicator sum s needs q / gcd(s, q)
+to divide n; the two must agree. A closed-form table (abelian
 index formula, the quaternion/dihedral/semidihedral special values, and
 the order-over-p fallback) is implemented separately so brute force can
 be compared against it group by group.
@@ -20,7 +21,6 @@ from .burnside_ring import (
     CongruenceViolation,
     GhostVector,
     dress_congruences,
-    dress_membership,
     minimal_multiplier,
 )
 from .catalog import (
@@ -72,11 +72,14 @@ def artin_exponent(
 ) -> ExponentResult:
     """Least n with n times the family indicator inside the Burnside ring.
 
-    The marks route gives the exponent directly as the lcm of coefficient
-    denominators. With ``verify`` (the default) an ascending search over
-    the divisors of |G| re-derives it through the Dress congruences and
-    collects one violated congruence per proper divisor of the exponent;
-    any disagreement between the routes raises.
+    The marks route gives the exponent directly, as ``minimal_multiplier``
+    of the indicator. With ``verify`` (the default) one pass over the
+    Dress congruences re-derives it: a congruence of index q whose
+    indicator sum is s holds for n times the indicator exactly when
+    q / gcd(s, q) divides n, so the congruence route's exponent is the lcm
+    of those quotients. The same pass records, for every proper divisor d
+    of the exponent, the first congruence that d times the indicator
+    violates. Any disagreement between the routes raises.
     """
     b = indicator_vector(lattice, family)
     exponent = minimal_multiplier(lattice, b)
@@ -88,19 +91,35 @@ def artin_exponent(
     method = "marks"
     witnesses: list[DivisorWitness] = []
     if verify:
-        confirmed = None
-        for d in divisors(order):
-            certificate = dress_membership(lattice, d * b)
-            if certificate.holds:
-                confirmed = d
-                break
-            if d < exponent and exponent % d == 0:
-                witnesses.append(DivisorWitness(d, certificate.violations[0]))
+        values = b.values
+        confirmed = 1
+        pending = divisors(exponent)[:-1]
+        for cong in dress_congruences(lattice):
+            total = 0
+            for cls, count in cong.terms:
+                total += count * values[cls]
+            index = cong.index
+            need = index // gcd(total, index)
+            if need == 1:
+                continue
+            confirmed = lcm(confirmed, need)
+            for d in pending:
+                if d % need:
+                    violation = CongruenceViolation(
+                        u_class=cong.u_class,
+                        v_class=cong.v_class,
+                        index=index,
+                        lhs_sum=d * total,
+                        residue=d * total % index,
+                    )
+                    witnesses.append(DivisorWitness(d, violation))
+            pending = [d for d in pending if d % need == 0]
         if confirmed != exponent:
             raise RuntimeError(
                 f"membership routes disagree: marks give {exponent}, "
                 f"congruences give {confirmed}"
             )
+        witnesses.sort(key=lambda w: w.divisor)
         method = "marks+dress"
     return ExponentResult(
         exponent=exponent,

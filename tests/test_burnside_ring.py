@@ -8,17 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import fraction_marks_solve, fraction_minimal_multiplier
 from burnside import (
     BurnsideElement,
     GhostVector,
+    build_group,
     cfb_check,
     dress_congruences,
     dress_membership,
+    enumerate_subgroups,
     fixed_coset_count,
     ghost_of,
     mark,
     marks_membership,
     minimal_multiplier,
+    parse_group_spec,
     table_of_marks,
 )
 
@@ -224,6 +228,39 @@ def test_minimal_multiplier_agrees_with_ascending_search(lattice_of):
                 if dress_membership(lattice, d * vector).holds
             )
             assert expected == found
+
+
+def _oracle_test_vectors(lattice, rng):
+    """Members, perturbed members, uniform random vectors and unit vectors."""
+    n = lattice.class_count
+    vectors = []
+    for _ in range(20):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        member = list(ghost_of(lattice, BurnsideElement(lattice, coeffs)).values)
+        vectors.append(member)
+        perturbed = list(member)
+        perturbed[rng.randrange(n)] += rng.choice((-1, 1))
+        vectors.append(perturbed)
+        vectors.append([rng.randint(-5, 5) for _ in range(n)])
+    vectors.extend([1 if i == k else 0 for i in range(n)] for k in range(n))
+    return [GhostVector(lattice, v) for v in vectors if any(v)]
+
+
+@pytest.mark.parametrize("text", ["C2", "Q8", "D8", "EA(2,4)", "C8xC4", "S5"])
+def test_integer_solve_matches_fraction_oracle(text, lattice_of, tmp_path):
+    if text == "S5":
+        perm = tmp_path / "s5.perm"
+        perm.write_text("degree 5\n(0 1 2 3 4)\n(0 1)\n")
+        lattice = enumerate_subgroups(build_group(parse_group_spec(f"perm:{perm}")))
+        assert lattice.group.order == 120
+    else:
+        lattice = lattice_of(text)
+    rng = random.Random(2024)
+    for vector in _oracle_test_vectors(lattice, rng):
+        assert marks_membership(lattice, vector) == fraction_marks_solve(lattice, vector)
+        assert minimal_multiplier(lattice, vector) == fraction_minimal_multiplier(
+            lattice, vector
+        )
 
 
 def test_unit_vector_multipliers_reach_group_order(lattice_of):

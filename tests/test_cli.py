@@ -1,16 +1,44 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from burnside import cli
 from burnside.cli import ENUM_CAP_ENV, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# argv and the file under tests/golden holding its exact stdout
+GOLDEN_RUNS = [
+    (("exponent", "C(2^5)", "--certify"), "exponent-C32-certify.txt"),
+    (("exponent", "C(2^5)", "--certify", "--json"), "exponent-C32-certify.json"),
+    (("exponent", "Q(16)", "--certify"), "exponent-Q16-certify.txt"),
+    (("exponent", "Q(16)", "--certify", "--json"), "exponent-Q16-certify.json"),
+    (("exponent", "SD(16)", "--certify"), "exponent-SD16-certify.txt"),
+    (("exponent", "SD(16)", "--certify", "--json"), "exponent-SD16-certify.json"),
+    (("exponent", "ES+(3)", "--certify"), "exponent-ESplus3-certify.txt"),
+    (("exponent", "ES+(3)", "--certify", "--json"), "exponent-ESplus3-certify.json"),
+    (("member", "C2", "--vector", "1,0"), "member-C2-1-0.txt"),
+]
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_RUNS, ids=[g for _, g in GOLDEN_RUNS])
+def test_output_matches_golden_file(argv, golden, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_exponent_elementary_abelian(capsys):
@@ -198,3 +226,32 @@ def test_enumeration_cap_env_override(capsys, monkeypatch):
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the read end is closed before the child starts, so its first write fails
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "lattice", "EA(2,4)"],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_interrupt_exits_130(monkeypatch):
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 130

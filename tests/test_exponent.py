@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from _oracles import divisor_search_exponent
 from burnside import (
     GhostVector,
     SubgroupFamily,
@@ -15,6 +16,7 @@ from burnside import (
     indicator_vector,
     parse_group_spec,
     select_family,
+    standard_catalog,
     verify_main_theorem,
 )
 
@@ -97,9 +99,17 @@ def test_certificate_covers_proper_divisors(lattice_of):
     assert trivial.certificate == ()
 
 
-def test_exponent_one_iff_family_covers_everything(lattice_of):
-    from burnside import standard_catalog
+@pytest.mark.parametrize("family", list(SubgroupFamily), ids=lambda f: f.name.lower())
+def test_one_pass_exponent_matches_divisor_search(family, lattice_of):
+    for spec in standard_catalog(64):
+        lattice = lattice_of(spec.text())
+        result = artin_exponent(lattice, family)
+        assert (result.exponent, result.certificate) == divisor_search_exponent(
+            lattice, family
+        ), spec.text()
 
+
+def test_exponent_one_iff_family_covers_everything(lattice_of):
     for spec in standard_catalog(32):
         lattice = lattice_of(spec.text())
         result = artin_exponent(lattice, EA, verify=False)
