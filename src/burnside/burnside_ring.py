@@ -16,14 +16,21 @@ coefficients); nothing here uses floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .arith import prime_power
-from .groups import FiniteGroup, Subgroup, generated_subgroup
-from .lattice import SubgroupLattice, normalizer
+from .groups import FiniteGroup, Subgroup
+from .lattice import (
+    SubgroupLattice,
+    conjugate_mask,
+    entries_at,
+    left_cosets,
+    normalizer,
+)
 
 
 class GhostVector:
@@ -99,7 +106,7 @@ class TableOfMarks:
 
     def __init__(self, lattice: SubgroupLattice, entries: Sequence[Sequence[int]]) -> None:
         self.lattice = lattice
-        self.entries = tuple(tuple(int(v) for v in row) for row in entries)
+        self.entries = tuple(tuple(map(int, row)) for row in entries)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
@@ -180,6 +187,8 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     Equivalent to coset-by-coset fixed point counting: the cosets of G/V
     fall into groups of |N(V)|/|V| sharing the same conjugate of V, so
     each conjugate containing U_i contributes that many fixed cosets.
+    Only classes of smaller order can be properly contained, and the
+    containment tests run on the lattice's subgroup bitmasks.
     """
     if lattice._marks is not None:
         return lattice._marks
@@ -187,16 +196,16 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     n = len(classes)
     order = lattice.group.order
     entries = [[0] * n for _ in range(n)]
-    reps = [c.representative.member_set for c in classes]
+    reps = [masks[0] for masks in lattice.class_masks]
+    smaller = 0  # classes[:smaller] are the classes of order below the current one
     for j, cls_j in enumerate(classes):
+        while classes[smaller].order < cls_j.order:
+            smaller += 1
         per_conjugate = order // (len(cls_j.members) * cls_j.order)
-        for member in cls_j.members:
-            mset = member.member_set
-            for i in range(j + 1):
-                if classes[i].order > cls_j.order:
-                    break
-                if reps[i] <= mset:
-                    entries[i][j] += per_conjugate
+        entries[j][j] = per_conjugate
+        for mask in lattice.class_masks[j]:
+            for i in [i for i, r in enumerate(reps[:smaller]) if r & mask == r]:
+                entries[i][j] += per_conjugate
     result = TableOfMarks(lattice, entries)
     lattice._marks = result
     return result
@@ -233,80 +242,96 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
-def _class_of_join(lattice: SubgroupLattice, base: Subgroup, rep: int) -> int:
-    """Class index of <rep, base>, memoized per (base, coset) on the lattice."""
-    key = (base.member_set, rep)
-    cached = lattice._join_cache.get(key)
-    if cached is None:
-        joined = generated_subgroup(lattice.group, base.elements + (rep,))
-        cached = lattice.class_index_of(joined)
-        lattice._join_cache[key] = cached
-    return cached
-
-
 def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """All Dress congruences for the lattice, one per conjugacy class of pairs.
 
     Pairs (U, V) with U normal in V and (V : U) a prime power above 1 are
     enumerated with V running over class representatives and U over the
-    subgroups of V, deduplicated by conjugacy under the normalizer of V;
+    smaller subgroups contained in V (bitmask tests over the order-sorted
+    subgroup list), deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences.
+
+    No join is closed from generators: U is normal in V, so <U, v> is the
+    union of the cosets v^k U up to the first power of v inside U. If vU
+    has order m in V/U, the phi(m) cosets v^k U with gcd(k, m) = 1 all
+    generate that same subgroup, so one power walk counts all of them.
     """
     if lattice._congruences is not None:
         return lattice._congruences
     group = lattice.group
     table = group.mul_table
-    inv = group.inv_table
+    columns = tuple(zip(*table))
     abelian = group.is_abelian()
+    bits = [1 << x for x in range(group.order)]
+    subgroups = lattice.all_subgroups
+    sub_masks = lattice.subgroup_masks
+    class_of = lattice._class_by_mask
+    sub_orders = [sub.order for sub in subgroups]
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
-        if v_rep.order == 1:
+        v_order = v_rep.order
+        if v_order == 1:
             continue
-        vset = v_rep.member_set
+        v_mask = lattice.class_masks[cls.class_index][0]
         velems = v_rep.elements
-        nv_elems = () if abelian else normalizer(group, v_rep).elements
-        seen_orbit: set[frozenset[int]] = set()
-        for sub in lattice.all_subgroups:
-            if sub.order >= v_rep.order:
+        # g and gv conjugate a subgroup normal in V alike, so one g per
+        # left coset of V in N(V) sweeps each orbit
+        conjugators = () if abelian else [
+            g for g, _ in left_cosets(group, normalizer(group, v_rep).elements, velems)
+        ]
+        seen_orbit: set[int] = set()
+        below = bisect_left(sub_orders, v_order)
+        for k in [k for k, m in enumerate(sub_masks[:below]) if m & v_mask == m]:
+            sub = subgroups[k]
+            index = v_order // sub.order
+            u_mask = sub_masks[k]
+            if prime_power(index) is None or u_mask in seen_orbit:
                 continue
-            if prime_power(v_rep.order // sub.order) is None:
-                continue
-            sset = sub.member_set
-            if not sset <= vset:
-                continue
-            if sset in seen_orbit:
-                continue
-            if not abelian:
-                normal_in_v = True
-                for v in velems:
-                    vrow = table[v]
-                    vi = inv[v]
-                    if any(table[vrow[s]][vi] not in sset for s in sub.elements):
-                        normal_in_v = False
-                        break
-                if not normal_in_v:
-                    continue
-                for g in nv_elems:
-                    grow = table[g]
-                    gi = inv[g]
-                    seen_orbit.add(frozenset(table[grow[s]][gi] for s in sub.elements))
-            else:
-                seen_orbit.add(sset)
+            uelems = sub.elements
+            coset_of = entries_at(uelems)  # row x of the table -> xU
+            u_class = class_of[u_mask]
             counts: dict[int, int] = {}
-            covered = set()
+            covered: set[int] = set()
+            normal = True
             for v in velems:
                 if v in covered:
                     continue
-                coset = [table[v][s] for s in sub.elements]
-                covered.update(coset)
-                cls_idx = _class_of_join(lattice, sub, min(coset))
-                counts[cls_idx] = counts.get(cls_idx, 0) + 1
+                if u_mask >> v & 1:  # the coset U itself
+                    covered.update(uelems)
+                    counts[u_class] = counts.get(u_class, 0) + 1
+                    continue
+                left = coset_of(table[v])
+                # every element of V lies in a coset x^k U of some x tested
+                # here, so V normalizes U iff each such x does
+                if not abelian and set(left) != set(coset_of(columns[v])):
+                    normal = False
+                    break
+                powers = [v]
+                y = table[v][v]
+                while not u_mask >> y & 1:
+                    powers.append(y)
+                    y = table[y][v]
+                m = len(powers) + 1
+                joined = u_mask
+                generators = 0
+                for e, p in enumerate(powers, 1):
+                    coset = left if e == 1 else coset_of(table[p])
+                    joined += sum(map(bits.__getitem__, coset))
+                    if gcd(e, m) == 1:
+                        generators += 1
+                        covered.update(coset)
+                cls_idx = class_of[joined]
+                counts[cls_idx] = counts.get(cls_idx, 0) + generators
+            if not normal:
+                continue
+            for g in conjugators:
+                seen_orbit.add(conjugate_mask(group, uelems, g))
             out.append(
                 Congruence(
-                    u_class=lattice.class_index_of(sub),
+                    u_class=u_class,
                     v_class=cls.class_index,
-                    index=v_rep.order // sub.order,
+                    index=index,
                     terms=tuple(sorted(counts.items())),
                 )
             )

@@ -1,9 +1,12 @@
 """Concrete finite groups backed by full multiplication tables.
 
 Elements are integer ids in ``range(order)`` and id 0 is always the
-identity. Groups, subgroups, and everything derived from them are
-immutable after construction, so instances can be shared freely between
-threads.
+identity. Groups and subgroups do not change after construction, apart
+from the group's lazily computed abelian flag. A ``SubgroupLattice``
+built from a group is not immutable: it fills lazy caches (table of
+marks, solver rows, Dress congruences, cyclic census) on first use. The
+cached values are deterministic, so threads sharing a lattice see the
+same results, but concurrent first calls may each compute them.
 """
 
 from __future__ import annotations

@@ -10,15 +10,14 @@ is the whole group.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .arith import prime_power
 from .groups import (
     CapExceededError,
     FiniteGroup,
     Subgroup,
-    conjugate_subgroup,
-    generated_subgroup,
 )
 
 DEFAULT_ENUMERATION_CAP = 256
@@ -69,45 +68,62 @@ class SubgroupClass:
 
 
 class SubgroupLattice:
-    """All subgroups of a group, partitioned into conjugacy classes."""
+    """All subgroups of a group, partitioned into conjugacy classes.
+
+    Besides the Subgroup objects, the lattice keeps each subgroup's
+    bitmask (bit x set iff element x is a member), computed once here, so
+    that the marks and congruence kernels test containment with one
+    integer AND instead of a set comparison.
+    """
 
     __slots__ = (
         "group",
         "all_subgroups",
         "classes",
-        "_class_by_set",
+        "subgroup_masks",
+        "class_masks",
+        "_class_by_mask",
         "_marks",
         "_solver_rows",
         "_congruences",
         "_cyclic_census",
-        "_join_cache",
     )
 
     def __init__(self, group: FiniteGroup, classes: tuple[SubgroupClass, ...]) -> None:
         self.group = group
         self.classes = classes
-        subs: list[Subgroup] = []
-        by_set: dict[frozenset[int], int] = {}
+        order = group.order
+        by_mask: dict[int, int] = {}
+        class_masks = []
         for cls in classes:
-            for member in cls.members:
-                subs.append(member)
-                by_set[member.member_set] = cls.class_index
-        self.all_subgroups = tuple(sorted(subs))
-        self._class_by_set = by_set
+            masks = tuple(subgroup_mask(order, m.elements) for m in cls.members)
+            class_masks.append(masks)
+            for mask in masks:
+                by_mask[mask] = cls.class_index
+        subs = sorted(
+            (sub.order, sub.elements, mask, sub)
+            for cls, masks in zip(classes, class_masks)
+            for sub, mask in zip(cls.members, masks)
+        )
+        self.all_subgroups = tuple(item[3] for item in subs)
+        self.subgroup_masks = tuple(item[2] for item in subs)
+        self.class_masks = tuple(class_masks)
+        self._class_by_mask = by_mask
         self._marks = None
         self._solver_rows = None
         self._congruences = None
         self._cyclic_census = None
-        self._join_cache: dict = {}
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
     def class_index_of(self, sub: Subgroup | Iterable[int]) -> int:
-        key = sub.member_set if isinstance(sub, Subgroup) else frozenset(sub)
+        elements = sub.elements if isinstance(sub, Subgroup) else tuple(sub)
+        if not all(0 <= x < self.group.order for x in elements):
+            raise ValueError("subgroup does not belong to this lattice")
         try:
-            return self._class_by_set[key]
+            return self._class_by_mask[subgroup_mask(self.group.order, elements)]
         except KeyError:
             raise ValueError("subgroup does not belong to this lattice") from None
 
@@ -118,26 +134,81 @@ class SubgroupLattice:
         )
 
 
-def _cyclic_subgroup_sets(group: FiniteGroup) -> list[tuple[frozenset[int], int]]:
-    """Distinct cyclic subgroups as (element set, canonical generator) pairs."""
+# bytes.translate table turning 0/1 flags into the binary digits "0"/"1"
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def subgroup_mask(order: int, elements: Iterable[int]) -> int:
+    """The bitmask of a set of element ids: bit x is set iff x is in the set.
+
+    The set is written as 0/1 flags, which are parsed as one binary
+    numeral in C; that is several times faster than or-ing in one
+    shifted bit per element.
+    """
+    flags = bytearray(order)
+    for x in elements:
+        flags[x] = 1
+    return int(flags.translate(_BIT_DIGITS)[::-1], 2)
+
+
+def conjugate_mask(group: FiniteGroup, elements: Iterable[int], g: int) -> int:
+    """Bitmask of g*U*g^-1 for the subgroup U with the given elements."""
     table = group.mul_table
-    seen: set[frozenset[int]] = set()
-    out: list[tuple[frozenset[int], int]] = []
+    grow = table[g]
+    gi = group.inv_table[g]
+    return subgroup_mask(group.order, (table[grow[u]][gi] for u in elements))
+
+
+def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A C-speed callable taking a table row to the tuple of its entries at
+    ``positions``; with a subgroup's elements as positions, row x of the
+    multiplication table gives the left coset xU, column y the right coset Uy."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return itemgetter(*positions)
+
+
+def _powers(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """For every element x, the elements of <x>: the identity, x, x^2, ..."""
+    table = group.mul_table
+    out = []
     for g in group.elements():
-        elems = {0}
+        elems = [0]
         y = g
-        while y != 0:
-            elems.add(y)
+        while y:
+            elems.append(y)
             y = table[y][g]
-        fs = frozenset(elems)
-        if fs not in seen:
-            seen.add(fs)
-            out.append((fs, g))
+        out.append(tuple(elems))
     return out
 
 
-def _closure_of_generators(group: FiniteGroup, gens: tuple[int, ...]) -> frozenset[int]:
-    return generated_subgroup(group, gens).member_set
+def _coset_join(
+    columns: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]],
+    elements: Sequence[int],
+    gens: tuple[int, ...],
+) -> frozenset[int]:
+    """The element set of <H, gens> for a subgroup H given by its elements.
+
+    Dimino's coset-wise closure: the join is a union of right cosets Hx,
+    and right multiplication by the generators permutes those cosets, so
+    it suffices to add each newly reached coset whole and follow every
+    coset representative times every generator. ``gens`` must generate
+    the join together with H, and should include a generating set of H.
+    ``columns`` is the transposed multiplication table.
+    """
+    right_coset = entries_at(elements)
+    seen = set(elements)
+    reps = [0]
+    for r in reps:
+        row = rows[r]
+        for s in gens:
+            y = row[s]
+            if y not in seen:
+                reps.append(y)
+                seen.update(right_coset(columns[y]))
+    return frozenset(seen)
 
 
 def enumerate_subgroups(
@@ -145,68 +216,93 @@ def enumerate_subgroups(
 ) -> SubgroupLattice:
     """Enumerate every subgroup of the group and classify up to conjugacy.
 
-    Layered construction: all cyclic subgroups first, then repeated joins
-    of known subgroups with cyclic subgroups until nothing new appears.
-    Every subgroup is the join of its own cyclic subgroups, so the layers
-    exhaust the lattice. Groups larger than the cap are rejected.
+    Layered construction: starting from the cyclic subgroups, each new
+    subgroup H is joined with one generator of every cyclic subgroup not
+    in H, until nothing new appears. Every subgroup is the join of its
+    own cyclic subgroups, so the layers exhaust the lattice. Since
+    <H, g> = <H, hgh'> for all h, h' in H, only one candidate g per double
+    coset HgH is tried, replaced by an element y of largest order in Hg.
+    The join <H, y> is built coset-wise (see ``_coset_join``) from the
+    elements of H or of <y>, whichever is larger, never from scratch.
+    Groups larger than the cap are rejected.
     """
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if group.order > limit:
         raise CapExceededError(
             f"group order {group.order} exceeds the enumeration cap {limit}"
         )
-    cyclics = _cyclic_subgroup_sets(group)
-    # Track a small generating set per subgroup; joins then only need to
-    # close over generators instead of whole element sets.
-    gens_of: dict[frozenset[int], tuple[int, ...]] = {}
-    for fs, g in cyclics:
-        gens_of.setdefault(fs, (g,) if len(fs) > 1 else ())
-    trivial = frozenset({0})
-    gens_of.setdefault(trivial, ())
-    frontier = list(gens_of)
+    table = group.mul_table
+    columns = tuple(zip(*table))
+    powers = _powers(group)
+    element_order = [len(p) for p in powers]
+    exponent = max(element_order)  # the largest element order
+    # each cyclic subgroup's element set -> its least generator
+    cyclics: dict[frozenset[int], int] = {}
+    for g, p in enumerate(powers):
+        cyclics.setdefault(frozenset(p), g)
+    candidates = [g for g in cyclics.values() if g]
+    # element set -> (sorted elements, a generating set) of every subgroup found
+    found: dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...]]] = {
+        fs: (tuple(sorted(fs)), (g,) if g else ()) for fs, g in cyclics.items()
+    }
+    frontier = [fs for fs in found if len(fs) > 1]
     while frontier:
-        fresh: list[frozenset[int]] = []
+        fresh = []
         for current in frontier:
-            base_gens = gens_of[current]
-            for cyc_set, cyc_gen in cyclics:
-                if cyc_set <= current:
+            elements, gens = found[current]
+            left_coset = entries_at(elements)
+            # H itself, then every double coset HgH already joined
+            done = set(elements)
+            for g in candidates:
+                if g in done:
                     continue
-                joined = _closure_of_generators(group, base_gens + (cyc_gen,))
-                if joined not in gens_of:
-                    gens_of[joined] = base_gens + (cyc_gen,)
+                # mark HgH, the union of the left cosets xH over x in Hg
+                right = left_coset(columns[g])
+                for x in right:
+                    if x not in done:
+                        done.update(left_coset(table[x]))
+                # <H, y> = <H, g> for every y in Hg; a y of larger order
+                # leaves fewer cosets to add to H, or to <y> when larger
+                y = g
+                if element_order[g] < exponent:
+                    y = max(right, key=element_order.__getitem__)
+                base = max(elements, powers[y], key=len)
+                joined = _coset_join(columns, table, base, gens + (y,))
+                if joined not in found:
+                    found[joined] = (tuple(sorted(joined)), gens + (y,))
                     fresh.append(joined)
         frontier = fresh
 
     abelian = group.is_abelian()
-    remaining = set(gens_of)
-    orbits: list[list[frozenset[int]]] = []
-    for fs in sorted(remaining, key=lambda s: (len(s), sorted(s))):
+    inv = group.inv_table
+    remaining = set(found)
+    orbits: list[list[tuple[int, ...]]] = []
+    for fs, (elements, _) in found.items():
         if fs not in remaining:
             continue
         if abelian:
             orbit = {fs}
         else:
-            sub = Subgroup(fs)
-            orbit = {
-                conjugate_subgroup(group, sub, g).member_set for g in group.elements()
-            }
+            # gHg^-1 depends only on the left coset gH
+            orbit = set()
+            for g, _ in left_cosets(group, group.elements(), elements):
+                grow = table[g]
+                conj_row = columns[inv[g]]  # x -> x * g^-1
+                orbit.add(frozenset(conj_row[grow[u]] for u in elements))
         remaining -= orbit
-        orbits.append(sorted(orbit, key=sorted))
+        orbits.append(sorted(found[m][0] for m in orbit))
 
     staged = []
     for orbit in orbits:
-        members = tuple(Subgroup(fs) for fs in orbit)
+        members = tuple(map(Subgroup, orbit))
         rep = members[0]
-        is_cyclic = any(
-            group.element_order(x) == rep.order for x in rep.elements
-        )
         staged.append(
             (
                 rep.order,
                 -len(members),
                 rep.elements,
                 members,
-                is_cyclic,
+                rep.member_set in cyclics,
                 is_elementary_abelian(group, rep),
             )
         )
@@ -225,17 +321,38 @@ def enumerate_subgroups(
     return SubgroupLattice(group, classes)
 
 
+def left_cosets(
+    group: FiniteGroup, within: Iterable[int], sub_elements: Sequence[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The left cosets xU of U inside ``within`` (a union of such cosets),
+    as (representative, coset elements) pairs in order of first element."""
+    table = group.mul_table
+    coset_of = entries_at(sub_elements)
+    seen: set[int] = set()
+    out = []
+    for x in within:
+        if x not in seen:
+            coset = coset_of(table[x])
+            seen.update(coset)
+            out.append((x, coset))
+    return out
+
+
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
-    """The largest subgroup in which ``sub`` is normal; always contains ``sub``."""
+    """The largest subgroup in which ``sub`` is normal; always contains ``sub``.
+
+    Whether g normalizes U depends only on the coset gU, so one
+    representative per left coset is tested.
+    """
     target = sub.member_set
     table = group.mul_table
     inv = group.inv_table
-    members = []
-    for g in group.elements():
+    members: list[int] = []
+    for g, coset in left_cosets(group, group.elements(), sub.elements):
         grow = table[g]
         gi = inv[g]
         if all(table[grow[u]][gi] in target for u in sub.elements):
-            members.append(g)
+            members.extend(coset)
     return Subgroup(members)
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: subgroups are
 found by testing every subset of suitable size for closure, class
 structure by conjugating whole element sets, the marks solve by rational
 back-substitution, and Artin exponents by an ascending divisor search
-through the Dress congruences.
+through the Dress congruences. The closure-based lattice enumeration and
+Dress congruence system below are the library's earlier implementations,
+which rebuild every join from its generators from scratch.
 """
 
 from __future__ import annotations
@@ -14,16 +16,24 @@ from itertools import combinations
 from math import lcm
 
 from burnside import (
+    CapExceededError,
+    Congruence,
     DivisorWitness,
     FiniteGroup,
     GhostVector,
+    Subgroup,
     SubgroupFamily,
     SubgroupLattice,
+    conjugate_subgroup,
     dress_membership,
+    generated_subgroup,
     indicator_vector,
+    is_elementary_abelian,
+    normalizer,
     table_of_marks,
 )
-from burnside.arith import divisors
+from burnside.arith import divisors, prime_power
+from burnside.lattice import DEFAULT_ENUMERATION_CAP, SubgroupClass
 
 
 def subset_closure_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
@@ -119,3 +129,145 @@ def divisor_search_exponent(
             return d, tuple(witnesses)
         failed.append((d, certificate.violations[0]))
     raise AssertionError("|G| times any indicator is a Burnside ring element")
+
+
+def closure_enumerate_subgroups(
+    group: FiniteGroup, *, cap: int | None = None
+) -> SubgroupLattice:
+    """Every subgroup by repeated joins with cyclic subgroups, each join
+    closed from its generators from scratch; classes in canonical order."""
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if group.order > limit:
+        raise CapExceededError(
+            f"group order {group.order} exceeds the enumeration cap {limit}"
+        )
+    table = group.mul_table
+    cyclics: list[tuple[frozenset[int], int]] = []
+    seen_cyclic: set[frozenset[int]] = set()
+    for g in group.elements():
+        elems = {0}
+        y = g
+        while y != 0:
+            elems.add(y)
+            y = table[y][g]
+        fs = frozenset(elems)
+        if fs not in seen_cyclic:
+            seen_cyclic.add(fs)
+            cyclics.append((fs, g))
+    gens_of: dict[frozenset[int], tuple[int, ...]] = {}
+    for fs, g in cyclics:
+        gens_of.setdefault(fs, (g,) if len(fs) > 1 else ())
+    gens_of.setdefault(frozenset({0}), ())
+    frontier = list(gens_of)
+    while frontier:
+        fresh: list[frozenset[int]] = []
+        for current in frontier:
+            base_gens = gens_of[current]
+            for cyc_set, cyc_gen in cyclics:
+                if cyc_set <= current:
+                    continue
+                joined = generated_subgroup(group, base_gens + (cyc_gen,)).member_set
+                if joined not in gens_of:
+                    gens_of[joined] = base_gens + (cyc_gen,)
+                    fresh.append(joined)
+        frontier = fresh
+
+    abelian = group.is_abelian()
+    remaining = set(gens_of)
+    orbits: list[list[frozenset[int]]] = []
+    for fs in sorted(remaining, key=lambda s: (len(s), sorted(s))):
+        if fs not in remaining:
+            continue
+        if abelian:
+            orbit = {fs}
+        else:
+            sub = Subgroup(fs)
+            orbit = {
+                conjugate_subgroup(group, sub, g).member_set for g in group.elements()
+            }
+        remaining -= orbit
+        orbits.append(sorted(orbit, key=sorted))
+
+    staged = []
+    for orbit in orbits:
+        members = tuple(Subgroup(fs) for fs in orbit)
+        rep = members[0]
+        is_cyclic = any(group.element_order(x) == rep.order for x in rep.elements)
+        staged.append(
+            (
+                rep.order,
+                -len(members),
+                rep.elements,
+                members,
+                is_cyclic,
+                is_elementary_abelian(group, rep),
+            )
+        )
+    staged.sort(key=lambda item: item[:3])
+    classes = tuple(
+        SubgroupClass(idx, members, is_cyclic=is_cyc, is_elementary_abelian=is_ea)
+        for idx, (_, _, _, members, is_cyc, is_ea) in enumerate(staged)
+    )
+    return SubgroupLattice(group, classes)
+
+
+def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
+    """The Dress congruences by scanning every subgroup for each class of V
+    and closing <U, v> from U's elements for every coset vU."""
+    group = lattice.group
+    table = group.mul_table
+    inv = group.inv_table
+    abelian = group.is_abelian()
+    joins: dict[tuple[frozenset[int], int], int] = {}
+    out: list[Congruence] = []
+    for cls in lattice.classes:
+        v_rep = cls.representative
+        if v_rep.order == 1:
+            continue
+        vset = v_rep.member_set
+        velems = v_rep.elements
+        nv_elems = () if abelian else normalizer(group, v_rep).elements
+        seen_orbit: set[frozenset[int]] = set()
+        for sub in lattice.all_subgroups:
+            if sub.order >= v_rep.order:
+                continue
+            if prime_power(v_rep.order // sub.order) is None:
+                continue
+            sset = sub.member_set
+            if not sset <= vset or sset in seen_orbit:
+                continue
+            if not abelian:
+                if any(
+                    table[table[v][s]][inv[v]] not in sset
+                    for v in velems
+                    for s in sub.elements
+                ):
+                    continue
+                for g in nv_elems:
+                    seen_orbit.add(
+                        frozenset(table[table[g][s]][inv[g]] for s in sub.elements)
+                    )
+            else:
+                seen_orbit.add(sset)
+            counts: dict[int, int] = {}
+            covered: set[int] = set()
+            for v in velems:
+                if v in covered:
+                    continue
+                coset = [table[v][s] for s in sub.elements]
+                covered.update(coset)
+                key = (sset, min(coset))
+                if key not in joins:
+                    joined = generated_subgroup(group, sub.elements + (min(coset),))
+                    joins[key] = lattice.class_index_of(joined)
+                cls_idx = joins[key]
+                counts[cls_idx] = counts.get(cls_idx, 0) + 1
+            out.append(
+                Congruence(
+                    u_class=lattice.class_index_of(sub),
+                    v_class=cls.class_index,
+                    index=v_rep.order // sub.order,
+                    terms=tuple(sorted(counts.items())),
+                )
+            )
+    return tuple(out)

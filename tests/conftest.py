@@ -9,9 +9,8 @@ from burnside import build_group, enumerate_subgroups, parse_group_spec
 def lattice_of():
     """Session-wide lattice cache keyed by group-spec text.
 
-    Lattices are immutable and carry their own derived caches (marks,
-    congruence system), so sharing them across tests saves most of the
-    suite's runtime.
+    Lattices carry their own derived caches (marks, congruence system),
+    so sharing them across tests saves most of the suite's runtime.
     """
     cache = {}
 

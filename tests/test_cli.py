@@ -14,17 +14,23 @@ from burnside.cli import ENUM_CAP_ENV, run
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# argv and the file under tests/golden holding its exact stdout
+# argv, the file under tests/golden holding its exact stdout, and the exit code
 GOLDEN_RUNS = [
-    (("exponent", "C(2^5)", "--certify"), "exponent-C32-certify.txt"),
-    (("exponent", "C(2^5)", "--certify", "--json"), "exponent-C32-certify.json"),
-    (("exponent", "Q(16)", "--certify"), "exponent-Q16-certify.txt"),
-    (("exponent", "Q(16)", "--certify", "--json"), "exponent-Q16-certify.json"),
-    (("exponent", "SD(16)", "--certify"), "exponent-SD16-certify.txt"),
-    (("exponent", "SD(16)", "--certify", "--json"), "exponent-SD16-certify.json"),
-    (("exponent", "ES+(3)", "--certify"), "exponent-ESplus3-certify.txt"),
-    (("exponent", "ES+(3)", "--certify", "--json"), "exponent-ESplus3-certify.json"),
-    (("member", "C2", "--vector", "1,0"), "member-C2-1-0.txt"),
+    (("exponent", "C(2^5)", "--certify"), "exponent-C32-certify.txt", 0),
+    (("exponent", "C(2^5)", "--certify", "--json"), "exponent-C32-certify.json", 0),
+    (("exponent", "Q(16)", "--certify"), "exponent-Q16-certify.txt", 0),
+    (("exponent", "Q(16)", "--certify", "--json"), "exponent-Q16-certify.json", 0),
+    (("exponent", "SD(16)", "--certify"), "exponent-SD16-certify.txt", 0),
+    (("exponent", "SD(16)", "--certify", "--json"), "exponent-SD16-certify.json", 0),
+    (("exponent", "ES+(3)", "--certify"), "exponent-ESplus3-certify.txt", 0),
+    (("exponent", "ES+(3)", "--certify", "--json"), "exponent-ESplus3-certify.json", 0),
+    (("member", "C2", "--vector", "1,0"), "member-C2-1-0.txt", 0),
+    (("lattice", "SD(32)"), "lattice-SD32.txt", 0),
+    (("lattice", "SD(32)", "--json"), "lattice-SD32.json", 0),
+    (("lattice", "C4xC2xC2"), "lattice-C4xC2xC2.txt", 0),
+    (("lattice", "C4xC2xC2", "--json"), "lattice-C4xC2xC2.json", 0),
+    (("marks", "D(16)"), "marks-D16.txt", 0),
+    (("verify-main-theorem", "--max-order", "64"), "verify-main-theorem-64.txt", 3),
 ]
 
 
@@ -34,10 +40,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv, golden", GOLDEN_RUNS, ids=[g for _, g in GOLDEN_RUNS])
-def test_output_matches_golden_file(argv, golden, capsys):
+@pytest.mark.parametrize(
+    "argv, golden, exit_code", GOLDEN_RUNS, ids=[g for _, g, _ in GOLDEN_RUNS]
+)
+def test_output_matches_golden_file(argv, golden, exit_code, capsys):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and err == ""
+    assert code == exit_code and err == ""
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 

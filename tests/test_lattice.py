@@ -218,3 +218,15 @@ def test_symmetric_group_lattices():
     assert lattice.class_count == 11
     # one non-normal class of each order except 1 and 24 has size > 1
     assert sum(1 for c in lattice.classes if not c.is_normal) == 7
+
+
+def test_subgroup_masks_and_class_lookup(lattice_of):
+    lattice = lattice_of("D8")
+    for sub, mask in zip(lattice.all_subgroups, lattice.subgroup_masks):
+        assert [x for x in range(lattice.group.order) if mask >> x & 1] == list(sub.elements)
+        assert lattice.class_index_of(sub) == lattice.class_index_of(iter(sub.elements))
+    for cls, masks in zip(lattice.classes, lattice.class_masks):
+        assert [lattice.class_index_of(m) for m in cls.members] == [cls.class_index] * len(masks)
+    for bad in ([0, 1, 2], [0, 8], [-1, 0]):
+        with pytest.raises(ValueError):
+            lattice.class_index_of(bad)
