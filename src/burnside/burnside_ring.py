@@ -10,6 +10,12 @@ exact; x is a member exactly when |G| divides every y_i. Both routes are
 implemented in full and are expected to agree on every input; that
 agreement is part of the test suite.
 
+Congruences and their violations are named tuples, so they compare equal
+to plain tuples of the same fields. Both routes through the congruences
+(membership here, the Artin exponent in ``exponent``) share one loop
+that sums them and keeps only the congruences with a nonzero residue, as
+plain tuples; a violation record is built straight from such a tuple.
+
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
 """
@@ -19,11 +25,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import prime_power
-from .groups import FiniteGroup, Subgroup
 from .lattice import (
     SubgroupLattice,
     conjugate_mask,
@@ -106,7 +112,8 @@ class TableOfMarks:
 
     def __init__(self, lattice: SubgroupLattice, entries: Sequence[Sequence[int]]) -> None:
         self.lattice = lattice
-        self.entries = tuple(tuple(map(int, row)) for row in entries)
+        # tuple() hands a row that already is a tuple back without copying it
+        self.entries = tuple(map(tuple, entries))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
@@ -115,15 +122,22 @@ class TableOfMarks:
         return f"TableOfMarks({len(self.entries)}x{len(self.entries)})"
 
 
-@dataclass(frozen=True)
-class CongruenceViolation:
-    """One failed Dress congruence: the coset sum for (U, V) misses divisibility."""
+class CongruenceViolation(NamedTuple):
+    """One failed Dress congruence: the coset sum for (U, V) misses divisibility.
+
+    A named tuple: it equals the plain tuple
+    (u_class, v_class, index, lhs_sum, residue).
+    """
 
     u_class: int
     v_class: int
     index: int
     lhs_sum: int
     residue: int
+
+
+# builds a violation from a plain 5-tuple without a Python-level call
+_violation_from_row = partial(tuple.__new__, CongruenceViolation)
 
 
 @dataclass(frozen=True)
@@ -134,51 +148,18 @@ class CongruenceCertificate:
     violations: tuple[CongruenceViolation, ...]
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """One congruence: sum over cosets vU in V/U of x(class of <v, U>) mod (V:U).
 
     ``terms`` aggregates the cosets by the class of the generated
-    subgroup, as (class_index, coset_count) pairs.
+    subgroup, as (class_index, coset_count) pairs. A named tuple: it
+    equals the plain tuple (u_class, v_class, index, terms).
     """
 
     u_class: int
     v_class: int
     index: int
     terms: tuple[tuple[int, int], ...]
-
-
-def fixed_coset_count(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int:
-    """Number of cosets gV in G/V with U contained in g V g^-1, by direct scan."""
-    table = group.mul_table
-    inv = group.inv_table
-    uset = u.member_set
-    seen = bytearray(group.order)
-    count = 0
-    for g in group.elements():
-        if seen[g]:
-            continue
-        grow = table[g]
-        coset = [grow[x] for x in v.elements]
-        for c in coset:
-            seen[c] = 1
-        gi = inv[g]
-        conj = frozenset(table[grow[x]][gi] for x in v.elements)
-        if uset <= conj:
-            count += 1
-    return count
-
-
-def mark(lattice: SubgroupLattice, i: int, j: int) -> int:
-    """The mark of class i on the transitive set of class j.
-
-    Counts cosets fixed by the class-i representative; the count does not
-    depend on which representative is used.
-    """
-    classes = lattice.classes
-    return fixed_coset_count(
-        lattice.group, classes[i].representative, classes[j].representative
-    )
 
 
 def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
@@ -206,6 +187,9 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
         for mask in lattice.class_masks[j]:
             for i in [i for i, r in enumerate(reps[:smaller]) if r & mask == r]:
                 entries[i][j] += per_conjugate
+    # freeze row by row, so no second full copy of the table is ever alive
+    for i, row in enumerate(entries):
+        entries[i] = tuple(row)
     result = TableOfMarks(lattice, entries)
     lattice._marks = result
     return result
@@ -339,6 +323,26 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     return lattice._congruences
 
 
+def violation_rows(
+    lattice: SubgroupLattice, values: Sequence[int]
+) -> list[tuple[int, int, int, int, int]]:
+    """Every Dress congruence the ghost values violate, in enumeration order.
+
+    Each is a plain tuple (u_class, v_class, index, sum, residue) with a
+    nonzero residue = sum % index; congruences that hold leave no row.
+    """
+    rows = []
+    append = rows.append
+    for u_class, v_class, index, terms in dress_congruences(lattice):
+        total = 0
+        for cls, count in terms:
+            total += count * values[cls]
+        residue = total % index
+        if residue:
+            append((u_class, v_class, index, total, residue))
+    return rows
+
+
 def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCertificate:
     """Decide membership by checking every Dress congruence.
 
@@ -346,24 +350,8 @@ def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCert
     enumeration order; it holds exactly when the list is empty.
     """
     _check_vector(lattice, x)
-    values = x.values
-    violations = []
-    for cong in dress_congruences(lattice):
-        total = 0
-        for cls, count in cong.terms:
-            total += count * values[cls]
-        residue = total % cong.index
-        if residue:
-            violations.append(
-                CongruenceViolation(
-                    u_class=cong.u_class,
-                    v_class=cong.v_class,
-                    index=cong.index,
-                    lhs_sum=total,
-                    residue=residue,
-                )
-            )
-    return CongruenceCertificate(holds=not violations, violations=tuple(violations))
+    violations = tuple(map(_violation_from_row, violation_rows(lattice, x.values)))
+    return CongruenceCertificate(holds=not violations, violations=violations)
 
 
 def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from .burnside_ring import (
     GhostVector,
     dress_congruences,
     minimal_multiplier,
+    violation_rows,
 )
 from .catalog import (
     MaximalCyclicType,
@@ -77,7 +78,8 @@ def artin_exponent(
     Dress congruences re-derives it: a congruence of index q whose
     indicator sum is s holds for n times the indicator exactly when
     q / gcd(s, q) divides n, so the congruence route's exponent is the lcm
-    of those quotients. The same pass records, for every proper divisor d
+    of those quotients over the congruences the indicator itself violates
+    (the others give 1). The same pass records, for every proper divisor d
     of the exponent, the first congruence that d times the indicator
     violates. Any disagreement between the routes raises.
     """
@@ -91,26 +93,15 @@ def artin_exponent(
     method = "marks"
     witnesses: list[DivisorWitness] = []
     if verify:
-        values = b.values
         confirmed = 1
         pending = divisors(exponent)[:-1]
-        for cong in dress_congruences(lattice):
-            total = 0
-            for cls, count in cong.terms:
-                total += count * values[cls]
-            index = cong.index
+        for u_class, v_class, index, total, _ in violation_rows(lattice, b.values):
             need = index // gcd(total, index)
-            if need == 1:
-                continue
             confirmed = lcm(confirmed, need)
             for d in pending:
                 if d % need:
                     violation = CongruenceViolation(
-                        u_class=cong.u_class,
-                        v_class=cong.v_class,
-                        index=index,
-                        lhs_sum=d * total,
-                        residue=d * total % index,
+                        u_class, v_class, index, d * total, d * total % index
                     )
                     witnesses.append(DivisorWitness(d, violation))
             pending = [d for d in pending if d % need == 0]

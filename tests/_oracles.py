@@ -3,21 +3,26 @@
 These deliberately avoid the library's own algorithms: subgroups are
 found by testing every subset of suitable size for closure, class
 structure by conjugating whole element sets, the marks solve by rational
-back-substitution, and Artin exponents by an ascending divisor search
-through the Dress congruences. The closure-based lattice enumeration and
-Dress congruence system below are the library's earlier implementations,
-which rebuild every join from its generators from scratch.
+back-substitution, Artin exponents by an ascending divisor search
+through the Dress congruences, and marks by counting fixed cosets one at
+a time. The closure-based lattice enumeration and Dress congruence
+system below are the library's earlier implementations, which rebuild
+every join from its generators from scratch; the per-congruence loops
+are the earlier Dress route, which reads each congruence's fields and
+builds every violation record by keyword.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from burnside import (
     CapExceededError,
     Congruence,
+    CongruenceCertificate,
+    CongruenceViolation,
     DivisorWitness,
     FiniteGroup,
     GhostVector,
@@ -25,10 +30,12 @@ from burnside import (
     SubgroupFamily,
     SubgroupLattice,
     conjugate_subgroup,
+    dress_congruences,
     dress_membership,
     generated_subgroup,
     indicator_vector,
     is_elementary_abelian,
+    minimal_multiplier,
     normalizer,
     table_of_marks,
 )
@@ -83,6 +90,39 @@ def conjugacy_partition(
     return orbits
 
 
+def fixed_coset_count(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int:
+    """Number of cosets gV in G/V with U contained in g V g^-1, by direct scan."""
+    table = group.mul_table
+    inv = group.inv_table
+    uset = u.member_set
+    seen = bytearray(group.order)
+    count = 0
+    for g in group.elements():
+        if seen[g]:
+            continue
+        grow = table[g]
+        coset = [grow[x] for x in v.elements]
+        for c in coset:
+            seen[c] = 1
+        gi = inv[g]
+        conj = frozenset(table[grow[x]][gi] for x in v.elements)
+        if uset <= conj:
+            count += 1
+    return count
+
+
+def mark(lattice: SubgroupLattice, i: int, j: int) -> int:
+    """The mark of class i on the transitive set of class j.
+
+    Counts cosets fixed by the class-i representative; the count does not
+    depend on which representative is used.
+    """
+    classes = lattice.classes
+    return fixed_coset_count(
+        lattice.group, classes[i].representative, classes[j].representative
+    )
+
+
 def fraction_marks_solve(
     lattice: SubgroupLattice, x: GhostVector
 ) -> tuple[bool, tuple[Fraction, ...]]:
@@ -129,6 +169,70 @@ def divisor_search_exponent(
             return d, tuple(witnesses)
         failed.append((d, certificate.violations[0]))
     raise AssertionError("|G| times any indicator is a Burnside ring element")
+
+
+def loop_dress_membership(
+    lattice: SubgroupLattice, x: GhostVector
+) -> CongruenceCertificate:
+    """Every Dress congruence checked in its own loop, with one
+    keyword-built record per violated congruence."""
+    values = x.values
+    violations = []
+    for cong in dress_congruences(lattice):
+        total = 0
+        for cls, count in cong.terms:
+            total += count * values[cls]
+        residue = total % cong.index
+        if residue:
+            violations.append(
+                CongruenceViolation(
+                    u_class=cong.u_class,
+                    v_class=cong.v_class,
+                    index=cong.index,
+                    lhs_sum=total,
+                    residue=residue,
+                )
+            )
+    return CongruenceCertificate(holds=not violations, violations=tuple(violations))
+
+
+def loop_dress_exponent(
+    lattice: SubgroupLattice, family: SubgroupFamily
+) -> tuple[int, tuple[DivisorWitness, ...]]:
+    """Congruence-route exponent and certificate by a per-congruence loop.
+
+    Each congruence of index q and indicator sum s needs q / gcd(s, q) to
+    divide the exponent; for every proper divisor d of the marks-route
+    exponent, the witness is the first congruence that d times the
+    indicator violates.
+    """
+    b = indicator_vector(lattice, family)
+    values = b.values
+    confirmed = 1
+    pending = divisors(minimal_multiplier(lattice, b))[:-1]
+    witnesses = []
+    for cong in dress_congruences(lattice):
+        total = 0
+        for cls, count in cong.terms:
+            total += count * values[cls]
+        index = cong.index
+        need = index // gcd(total, index)
+        if need == 1:
+            continue
+        confirmed = lcm(confirmed, need)
+        for d in pending:
+            if d % need:
+                violation = CongruenceViolation(
+                    u_class=cong.u_class,
+                    v_class=cong.v_class,
+                    index=index,
+                    lhs_sum=d * total,
+                    residue=d * total % index,
+                )
+                witnesses.append(DivisorWitness(d, violation))
+        pending = [d for d in pending if d % need == 0]
+    witnesses.sort(key=lambda w: w.divisor)
+    return confirmed, tuple(witnesses)
 
 
 def closure_enumerate_subgroups(

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import fraction_marks_solve, fraction_minimal_multiplier
+from _oracles import (
+    fixed_coset_count,
+    fraction_marks_solve,
+    fraction_minimal_multiplier,
+    mark,
+)
 from burnside import (
     BurnsideElement,
     GhostVector,
@@ -17,9 +22,7 @@ from burnside import (
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
-    fixed_coset_count,
     ghost_of,
-    mark,
     marks_membership,
     minimal_multiplier,
     parse_group_spec,

@@ -14,6 +14,8 @@ from burnside.cli import ENUM_CAP_ENV, run
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+EA23_NONMEMBER = "5,1,2,0,3,1,1,0,2,1,0,1,1,0,1,1"
+
 # argv, the file under tests/golden holding its exact stdout, and the exit code
 GOLDEN_RUNS = [
     (("exponent", "C(2^5)", "--certify"), "exponent-C32-certify.txt", 0),
@@ -25,6 +27,14 @@ GOLDEN_RUNS = [
     (("exponent", "ES+(3)", "--certify"), "exponent-ESplus3-certify.txt", 0),
     (("exponent", "ES+(3)", "--certify", "--json"), "exponent-ESplus3-certify.json", 0),
     (("member", "C2", "--vector", "1,0"), "member-C2-1-0.txt", 0),
+    (("member", "EA(2,3)", "--vector", EA23_NONMEMBER), "member-EA23-nonmember.txt", 0),
+    (
+        ("member", "EA(2,3)", "--vector", EA23_NONMEMBER, "--json"),
+        "member-EA23-nonmember.json",
+        0,
+    ),
+    (("member", "Q8", "--vector", "6,2,0,2,0,1"), "member-Q8-nonmember.txt", 0),
+    (("member", "Q8", "--vector", "6,2,0,2,0,1", "--json"), "member-Q8-nonmember.json", 0),
     (("lattice", "SD(32)"), "lattice-SD32.txt", 0),
     (("lattice", "SD(32)", "--json"), "lattice-SD32.json", 0),
     (("lattice", "C4xC2xC2"), "lattice-C4xC2xC2.txt", 0),

@@ -3,7 +3,10 @@ closure-based implementations kept in ``_oracles``.
 
 The coset-wise enumeration must give the same classes (same order, same
 members, same flags) and the power-walk Dress system the same congruences
-(same order, same terms) as joins closed from scratch.
+(same order, same terms) as joins closed from scratch. The shared
+congruence-sum loop must give the same membership certificates and
+Artin-exponent witnesses (every violation, in order, every field) as the
+per-congruence loops.
 """
 
 from __future__ import annotations
@@ -12,12 +15,25 @@ import random
 
 import pytest
 
-from _oracles import closure_dress_congruences, closure_enumerate_subgroups
+from _oracles import (
+    closure_dress_congruences,
+    closure_enumerate_subgroups,
+    loop_dress_exponent,
+    loop_dress_membership,
+)
 from burnside import (
+    BurnsideElement,
+    CongruenceViolation,
+    GhostVector,
+    SubgroupFamily,
+    artin_exponent,
     build_group,
     dress_congruences,
+    dress_membership,
     enumerate_subgroups,
+    ghost_of,
     group_from_perm_generators,
+    indicator_vector,
     parse_group_spec,
     standard_catalog,
     table_of_marks,
@@ -83,3 +99,90 @@ def test_random_two_generator_group_matches_closure_oracles(seed):
     degree = rng.randint(2, 5)
     gens = [_random_permutation(rng, degree) for _ in range(2)]
     _assert_matches_oracles(group_from_perm_generators(degree, gens))
+
+
+def _fields(violation):
+    return (
+        violation.u_class,
+        violation.v_class,
+        violation.index,
+        violation.lhs_sum,
+        violation.residue,
+    )
+
+
+def _seeded_vectors(lattice, rng, count):
+    """Members, members with one entry moved by one, uniform random
+    vectors, and small multiples of every family indicator."""
+    n = lattice.class_count
+    vectors = []
+    for _ in range(count):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        member = list(ghost_of(lattice, BurnsideElement(lattice, coeffs)).values)
+        vectors.append(member)
+        perturbed = list(member)
+        perturbed[rng.randrange(n)] += rng.choice((-1, 1))
+        vectors.append(perturbed)
+        vectors.append([rng.randint(-5, 5) for _ in range(n)])
+    for family in SubgroupFamily:
+        indicator = indicator_vector(lattice, family)
+        vectors.extend((d * indicator).values for d in (1, 2, 3))
+    return [GhostVector(lattice, v) for v in vectors]
+
+
+def _assert_dress_route_matches_loops(lattice, vectors):
+    for vector in vectors:
+        certificate = dress_membership(lattice, vector)
+        oracle = loop_dress_membership(lattice, vector)
+        assert certificate.holds == oracle.holds
+        assert all(type(v) is CongruenceViolation for v in certificate.violations)
+        assert list(map(_fields, certificate.violations)) == list(
+            map(_fields, oracle.violations)
+        )
+    for family in SubgroupFamily:
+        result = artin_exponent(lattice, family)
+        exponent, witnesses = loop_dress_exponent(lattice, family)
+        assert result.exponent == exponent
+        assert [(w.divisor, _fields(w.violation)) for w in result.certificate] == [
+            (w.divisor, _fields(w.violation)) for w in witnesses
+        ]
+
+
+def test_congruence_records_are_tuples(lattice_of):
+    lattice = lattice_of("C2")
+    violation = dress_membership(lattice, GhostVector(lattice, (1, 0))).violations[0]
+    assert violation == (0, 1, 2, 1, 1)
+    assert repr(violation) == (
+        "CongruenceViolation(u_class=0, v_class=1, index=2, lhs_sum=1, residue=1)"
+    )
+    assert hash(violation) == hash((0, 1, 2, 1, 1))
+    with pytest.raises(AttributeError):
+        violation.residue = 0
+    congruence = dress_congruences(lattice)[0]
+    assert congruence == (0, 1, 2, ((0, 1), (1, 1)))
+    assert repr(congruence) == (
+        "Congruence(u_class=0, v_class=1, index=2, terms=((0, 1), (1, 1)))"
+    )
+
+
+@pytest.mark.parametrize("text", CATALOG_UP_TO_64)
+def test_catalog_dress_route_matches_loops(text, lattice_of):
+    lattice = lattice_of(text)
+    _assert_dress_route_matches_loops(lattice, _seeded_vectors(lattice, random.Random(5), 3))
+
+
+def test_perm_file_dress_route_matches_loops(tmp_path):
+    path = tmp_path / "S5.perm"
+    path.write_text(PERM_FILES["S5"], encoding="utf-8")
+    lattice = enumerate_subgroups(build_group(parse_group_spec(f"perm:{path}")))
+    assert lattice.group.order == 120
+    _assert_dress_route_matches_loops(lattice, _seeded_vectors(lattice, random.Random(6), 4))
+
+
+def test_random_vectors_with_thousands_of_violations_match_loops(lattice_of):
+    lattice = lattice_of("EA(2,5)")
+    rng = random.Random(7)
+    n = lattice.class_count
+    vectors = [GhostVector(lattice, [rng.randint(-5, 5) for _ in range(n)]) for _ in range(4)]
+    assert all(len(dress_membership(lattice, v).violations) > 2000 for v in vectors)
+    _assert_dress_route_matches_loops(lattice, vectors)
