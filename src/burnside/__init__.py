@@ -10,7 +10,6 @@ closed-form exponent table.
 __version__ = "0.1.0"
 
 from .burnside_ring import (
-    BurnsideElement,
     Congruence,
     CongruenceCertificate,
     CongruenceViolation,
@@ -19,7 +18,6 @@ from .burnside_ring import (
     cfb_check,
     dress_congruences,
     dress_membership,
-    ghost_of,
     marks_membership,
     minimal_multiplier,
     table_of_marks,
@@ -40,9 +38,7 @@ from .exponent import (
     TheoremRow,
     abelian_closed_form_exponent,
     artin_exponent,
-    check_family_closure,
     closed_form_exponent,
-    cyclic_closed_form_exponent,
     indicator_vector,
     verify_main_theorem,
 )
@@ -75,7 +71,6 @@ from .lattice import (
 
 __all__ = [
     "__version__",
-    "BurnsideElement",
     "CapExceededError",
     "Congruence",
     "CongruenceCertificate",
@@ -99,17 +94,14 @@ __all__ = [
     "artin_exponent",
     "build_group",
     "cfb_check",
-    "check_family_closure",
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
     "conjugate_subgroup",
-    "cyclic_closed_form_exponent",
     "direct_product",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",
     "generated_subgroup",
-    "ghost_of",
     "group_from_perm_generators",
     "indicator_vector",
     "is_closed_subset",

@@ -10,6 +10,11 @@ exact; x is a member exactly when |G| divides every y_i. Both routes are
 implemented in full and are expected to agree on every input; that
 agreement is part of the test suite.
 
+The table of marks is almost all zeros, so it is stored once per lattice
+as sparse rows, which the solve reads directly; the dense matrix is only
+built when asked for (the ``marks`` command). The table and the
+congruences are cached on the lattice through ``lattice_cached``.
+
 Congruences and their violations are named tuples, so they compare equal
 to plain tuples of the same fields. Both routes through the congruences
 (membership here, the Artin exponent in ``exponent``) share one loop
@@ -23,17 +28,19 @@ coefficients); nothing here uses floating point.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import prime_power
+from .arith import prime_power, totient
 from .lattice import (
     SubgroupLattice,
     conjugate_mask,
     entries_at,
+    lattice_cached,
     left_cosets,
     normalizer,
 )
@@ -72,54 +79,37 @@ class GhostVector:
         return f"GhostVector({self.values})"
 
 
-class BurnsideElement:
-    """Integer coordinates in the transitive-set basis, one per subgroup class."""
-
-    __slots__ = ("lattice", "coefficients")
-
-    def __init__(self, lattice: SubgroupLattice, coefficients: Iterable[int]) -> None:
-        coeffs = tuple(int(c) for c in coefficients)
-        if len(coeffs) != lattice.class_count:
-            raise ValueError(
-                f"expected {lattice.class_count} coefficients, got {len(coeffs)}"
-            )
-        self.lattice = lattice
-        self.coefficients = coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BurnsideElement)
-            and other.lattice is self.lattice
-            and other.coefficients == self.coefficients
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.lattice), self.coefficients))
-
-    def __repr__(self) -> str:
-        return f"BurnsideElement({self.coefficients})"
-
-
 class TableOfMarks:
-    """Square matrix entries[i][j] = number of cosets in G/U_j fixed by U_i.
+    """The table of marks, kept as its nonzero entries row by row.
 
-    Nonzero entries need U_i conjugate into U_j, so under the canonical
+    Entry (i, j) is the number of cosets in G/U_j fixed by U_i. It is
+    nonzero only when U_i is conjugate into U_j, so under the canonical
     class order an entry survives only when i <= j; row 0 holds the
-    indices |G : U_j| and the diagonal holds |N(U_j) : U_j|.
+    indices |G : U_j| and the diagonal holds |N(U_j) : U_j|. ``rows[i]``
+    is (diagonal mark, ((j, mark), ...)) with the nonzero marks right of
+    the diagonal in ascending j, the form the triangular solve reads.
     """
 
-    __slots__ = ("lattice", "entries")
+    __slots__ = ("rows",)
 
-    def __init__(self, lattice: SubgroupLattice, entries: Sequence[Sequence[int]]) -> None:
-        self.lattice = lattice
-        # tuple() hands a row that already is a tuple back without copying it
-        self.entries = tuple(map(tuple, entries))
+    def __init__(self, rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]) -> None:
+        self.rows = rows
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense square matrix, zeros included, built anew on each access."""
+        n = len(self.rows)
+        dense = []
+        for i, (diag, tail) in enumerate(self.rows):
+            row = [0] * n
+            row[i] = diag
+            for j, m in tail:
+                row[j] = m
+            dense.append(tuple(row))
+        return tuple(dense)
 
     def __repr__(self) -> str:
-        return f"TableOfMarks({len(self.entries)}x{len(self.entries)})"
+        return f"TableOfMarks({len(self.rows)}x{len(self.rows)})"
 
 
 class CongruenceViolation(NamedTuple):
@@ -162,63 +152,34 @@ class Congruence(NamedTuple):
     terms: tuple[tuple[int, int], ...]
 
 
+@lattice_cached
 def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
-    """The full table of marks, computed once per lattice and cached.
+    """The table of marks, computed once per lattice and cached.
 
     Equivalent to coset-by-coset fixed point counting: the cosets of G/V
     fall into groups of |N(V)|/|V| sharing the same conjugate of V, so
     each conjugate containing U_i contributes that many fixed cosets.
     Only classes of smaller order can be properly contained, and the
-    containment tests run on the lattice's subgroup bitmasks.
+    containment tests run on the lattice's subgroup bitmasks. Columns
+    are filled in ascending order, so every row's nonzero marks come out
+    sorted without a dense row ever existing.
     """
-    if lattice._marks is not None:
-        return lattice._marks
     classes = lattice.classes
-    n = len(classes)
     order = lattice.group.order
-    entries = [[0] * n for _ in range(n)]
     reps = [masks[0] for masks in lattice.class_masks]
+    tails: list[list[tuple[int, int]]] = [[] for _ in classes]
+    diagonal = []
     smaller = 0  # classes[:smaller] are the classes of order below the current one
-    for j, cls_j in enumerate(classes):
+    for j, (cls_j, masks) in enumerate(zip(classes, lattice.class_masks)):
         while classes[smaller].order < cls_j.order:
             smaller += 1
-        per_conjugate = order // (len(cls_j.members) * cls_j.order)
-        entries[j][j] = per_conjugate
-        for mask in lattice.class_masks[j]:
-            for i in [i for i, r in enumerate(reps[:smaller]) if r & mask == r]:
-                entries[i][j] += per_conjugate
-    # freeze row by row, so no second full copy of the table is ever alive
-    for i, row in enumerate(entries):
-        entries[i] = tuple(row)
-    result = TableOfMarks(lattice, entries)
-    lattice._marks = result
-    return result
-
-
-def _solver_rows(lattice: SubgroupLattice):
-    """Sparse row view of the marks matrix for exact triangular solving."""
-    if lattice._solver_rows is not None:
-        return lattice._solver_rows
-    entries = table_of_marks(lattice).entries
-    n = len(entries)
-    rows = []
-    for i in range(n):
-        row = entries[i]
-        rows.append((row[i], tuple((j, row[j]) for j in range(i + 1, n) if row[j])))
-    lattice._solver_rows = tuple(rows)
-    return lattice._solver_rows
-
-
-def ghost_of(lattice: SubgroupLattice, element: BurnsideElement) -> GhostVector:
-    """Image of a Burnside element under the mark homomorphisms."""
-    if element.lattice is not lattice:
-        raise ValueError("element is indexed by a different lattice")
-    entries = table_of_marks(lattice).entries
-    coeffs = element.coefficients
-    return GhostVector(
-        lattice,
-        (sum(row[j] * coeffs[j] for j in range(len(coeffs))) for row in entries),
-    )
+        per_conjugate = order // (len(masks) * cls_j.order)
+        diagonal.append(per_conjugate)
+        below = reps[:smaller]
+        contained = [i for mask in masks for i, r in enumerate(below) if r & mask == r]
+        for i, conjugates in Counter(contained).items():
+            tails[i].append((j, conjugates * per_conjugate))
+    return TableOfMarks(tuple(zip(diagonal, map(tuple, tails))))
 
 
 def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
@@ -226,6 +187,7 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
+@lattice_cached
 def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """All Dress congruences for the lattice, one per conjugacy class of pairs.
 
@@ -240,8 +202,6 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     has order m in V/U, the phi(m) cosets v^k U with gcd(k, m) = 1 all
     generate that same subgroup, so one power walk counts all of them.
     """
-    if lattice._congruences is not None:
-        return lattice._congruences
     group = lattice.group
     table = group.mul_table
     columns = tuple(zip(*table))
@@ -319,8 +279,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                     terms=tuple(sorted(counts.items())),
                 )
             )
-    lattice._congruences = tuple(out)
-    return lattice._congruences
+    return tuple(out)
 
 
 def violation_rows(
@@ -361,7 +320,7 @@ def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:
     because |G| times the inverse table of marks is integral, and a
     nonzero remainder raises instead of being assumed away.
     """
-    rows = _solver_rows(lattice)
+    rows = table_of_marks(lattice).rows
     order = lattice.group.order
     values = x.values
     y = [0] * len(rows)
@@ -398,30 +357,24 @@ def marks_membership(
     )
 
 
-def _cyclic_census(lattice: SubgroupLattice) -> tuple[int, ...]:
-    """counts[k] = number of group elements generating a class-k cyclic subgroup."""
-    if lattice._cyclic_census is not None:
-        return lattice._cyclic_census
-    group = lattice.group
-    table = group.mul_table
-    counts = [0] * lattice.class_count
-    for g in group.elements():
-        elems = {0}
-        y = g
-        while y != 0:
-            elems.add(y)
-            y = table[y][g]
-        counts[lattice.class_index_of(elems)] += 1
-    lattice._cyclic_census = tuple(counts)
-    return lattice._cyclic_census
+def cyclic_census(lattice: SubgroupLattice) -> tuple[int, ...]:
+    """census[k] = number of group elements g with <g> in class k.
+
+    Read off the class data: a cyclic subgroup of order m has phi(m)
+    generators, so a cyclic class k is hit by |class k| * phi(|U_k|)
+    elements and a non-cyclic class by none.
+    """
+    return tuple(
+        len(c.members) * totient(c.order) if c.is_cyclic else 0
+        for c in lattice.classes
+    )
 
 
 def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
-    """Cauchy-Frobenius-Burnside relation: the cyclic-subgroup sum over all
-    group elements must vanish mod |G|. Necessary for membership, not sufficient."""
+    """Cauchy-Frobenius-Burnside relation: the sum of x(<g>) over all group
+    elements g must vanish mod |G|. Necessary for membership, not sufficient."""
     _check_vector(lattice, x)
-    census = _cyclic_census(lattice)
-    total = sum(c * v for c, v in zip(census, x.values))
+    total = sum(c * v for c, v in zip(cyclic_census(lattice), x.values))
     return total % lattice.group.order == 0
 
 

@@ -146,17 +146,17 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 def cmd_marks(args: argparse.Namespace) -> int:
     lattice = _lattice_for(args.group)
-    marks = table_of_marks(lattice)
+    entries = table_of_marks(lattice).entries
     if args.json:
         payload = {
             "group": lattice.group.name,
             "class_orders": [c.order for c in lattice.classes],
-            "matrix": [list(row) for row in marks.entries],
+            "matrix": [list(row) for row in entries],
         }
         _emit_json("marks", args.group, payload)
     else:
-        width = max(len(str(v)) for row in marks.entries for v in row)
-        for row in marks.entries:
+        width = max(len(str(v)) for row in entries for v in row)
+        for row in entries:
             print(" ".join(f"{v:>{width}}" for v in row))
     return 0
 

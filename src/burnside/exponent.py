@@ -2,13 +2,13 @@
 
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
-ring element. It is computed from the integer marks solve and, in
-verification mode, re-derived in one pass over the Dress congruences,
-where each congruence of index q and indicator sum s needs q / gcd(s, q)
-to divide n; the two must agree. A closed-form table (abelian
-index formula, the quaternion/dihedral/semidihedral special values, and
-the order-over-p fallback) is implemented separately so brute force can
-be compared against it group by group.
+ring element. It is computed from the integer marks solve and always
+re-derived in one pass over the Dress congruences, where each congruence
+of index q and indicator sum s needs q / gcd(s, q) to divide n; the two
+must agree. A closed-form table (abelian index formula, the
+quaternion/dihedral/semidihedral special values, and the order-over-p
+fallback) is implemented separately so brute force can be compared
+against it group by group.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .arith import divisors, prime_power
 from .burnside_ring import (
     CongruenceViolation,
     GhostVector,
-    dress_congruences,
     minimal_multiplier,
     violation_rows,
 )
@@ -68,18 +67,15 @@ def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostV
 def artin_exponent(
     lattice: SubgroupLattice,
     family: SubgroupFamily = SubgroupFamily.ELEMENTARY_ABELIAN,
-    *,
-    verify: bool = True,
 ) -> ExponentResult:
     """Least n with n times the family indicator inside the Burnside ring.
 
     The marks route gives the exponent directly, as ``minimal_multiplier``
-    of the indicator. With ``verify`` (the default) one pass over the
-    Dress congruences re-derives it: a congruence of index q whose
-    indicator sum is s holds for n times the indicator exactly when
-    q / gcd(s, q) divides n, so the congruence route's exponent is the lcm
-    of those quotients over the congruences the indicator itself violates
-    (the others give 1). The same pass records, for every proper divisor d
+    of the indicator. One pass over the Dress congruences re-derives it:
+    a congruence of index q whose indicator sum is s holds for n times the
+    indicator exactly when q / gcd(s, q) divides n, so the congruence
+    route's exponent is the lcm of those quotients over the congruences
+    the indicator itself violates (the others give 1). The same pass records, for every proper divisor d
     of the exponent, the first congruence that d times the indicator
     violates. Any disagreement between the routes raises.
     """
@@ -90,65 +86,32 @@ def artin_exponent(
         raise RuntimeError(
             f"computed exponent {exponent} does not divide the group order {order}"
         )
-    method = "marks"
     witnesses: list[DivisorWitness] = []
-    if verify:
-        confirmed = 1
-        pending = divisors(exponent)[:-1]
-        for u_class, v_class, index, total, _ in violation_rows(lattice, b.values):
-            need = index // gcd(total, index)
-            confirmed = lcm(confirmed, need)
-            for d in pending:
-                if d % need:
-                    violation = CongruenceViolation(
-                        u_class, v_class, index, d * total, d * total % index
-                    )
-                    witnesses.append(DivisorWitness(d, violation))
-            pending = [d for d in pending if d % need == 0]
-        if confirmed != exponent:
-            raise RuntimeError(
-                f"membership routes disagree: marks give {exponent}, "
-                f"congruences give {confirmed}"
-            )
-        witnesses.sort(key=lambda w: w.divisor)
-        method = "marks+dress"
+    confirmed = 1
+    pending = divisors(exponent)[:-1]
+    for u_class, v_class, index, total, _ in violation_rows(lattice, b.values):
+        need = index // gcd(total, index)
+        confirmed = lcm(confirmed, need)
+        for d in pending:
+            if d % need:
+                violation = CongruenceViolation(
+                    u_class, v_class, index, d * total, d * total % index
+                )
+                witnesses.append(DivisorWitness(d, violation))
+        pending = [d for d in pending if d % need == 0]
+    if confirmed != exponent:
+        raise RuntimeError(
+            f"membership routes disagree: marks give {exponent}, "
+            f"congruences give {confirmed}"
+        )
+    witnesses.sort(key=lambda w: w.divisor)
     return ExponentResult(
         exponent=exponent,
         family=family,
         family_classes=select_family(lattice, family),
-        method=method,
+        method="marks+dress",
         certificate=tuple(witnesses),
     )
-
-
-def cyclic_closed_form_exponent(group: FiniteGroup) -> int:
-    """Exponent of a cyclic p-group from its chain congruence system.
-
-    For the chain of subgroups U_0 < ... < U_n of a cyclic group of order
-    p^n, scaling the elementary abelian indicator by e must satisfy, for
-    every i, e * (p^i b_i + sum_{j>i} (p^j - p^{j-1}) b_j) = 0 mod p^n
-    where b_j is 1 for j <= 1 and 0 above. The minimal solution is
-    returned; it works out to p^(n-1) for n >= 1 and 1 for the trivial
-    group.
-    """
-    pp = prime_power(group.order)
-    if group.order != 1 and pp is None:
-        raise ValueError(f"group order {group.order} is not a prime power")
-    if group.order == 1:
-        return 1
-    p, n = pp
-    if not any(group.element_order(x) == group.order for x in group.elements()):
-        raise ValueError("group is not cyclic")
-    modulus = p ** n
-    result = 1
-    for i in range(n + 1):
-        coeff = (p ** i if i <= 1 else 0) + sum(
-            (p ** j - p ** (j - 1)) if j <= 1 else 0 for j in range(i + 1, n + 1)
-        )
-        if coeff == 0:
-            continue
-        result = lcm(result, modulus // gcd(modulus, coeff))
-    return result
 
 
 def abelian_closed_form_exponent(group: FiniteGroup) -> int:
@@ -242,17 +205,3 @@ def verify_main_theorem(
         )
     return TheoremReport(max_order=max_order, rows=tuple(rows))
 
-
-def check_family_closure(
-    lattice: SubgroupLattice, family: SubgroupFamily
-) -> bool:
-    """When the exponent is 1, family membership must be constant across every
-    normal pair of prime-power index; returns True vacuously otherwise."""
-    result = artin_exponent(lattice, family, verify=False)
-    if result.exponent != 1:
-        return True
-    selected = result.family_classes
-    return all(
-        (c.u_class in selected) == (c.v_class in selected)
-        for c in dress_congruences(lattice)
-    )

@@ -3,10 +3,10 @@
 Elements are integer ids in ``range(order)`` and id 0 is always the
 identity. Groups and subgroups do not change after construction, apart
 from the group's lazily computed abelian flag. A ``SubgroupLattice``
-built from a group is not immutable: it fills lazy caches (table of
-marks, solver rows, Dress congruences, cyclic census) on first use. The
-cached values are deterministic, so threads sharing a lattice see the
-same results, but concurrent first calls may each compute them.
+built from a group is not immutable: it fills one lazy cache (table of
+marks, Dress congruences) on first use. The cached values are
+deterministic, so threads sharing a lattice see the same results, but
+concurrent first calls may each compute them.
 """
 
 from __future__ import annotations
@@ -130,9 +130,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def issubset(self, other: "Subgroup") -> bool:
-        return self.member_set <= other.member_set
 
     def __len__(self) -> int:
         return len(self.elements)

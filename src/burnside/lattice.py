@@ -10,8 +10,9 @@ is the whole group.
 from __future__ import annotations
 
 from enum import Enum
+from functools import wraps
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .arith import prime_power
 from .groups import (
@@ -21,6 +22,8 @@ from .groups import (
 )
 
 DEFAULT_ENUMERATION_CAP = 256
+
+T = TypeVar("T")
 
 
 class SubgroupFamily(Enum):
@@ -73,7 +76,9 @@ class SubgroupLattice:
     Besides the Subgroup objects, the lattice keeps each subgroup's
     bitmask (bit x set iff element x is a member), computed once here, so
     that the marks and congruence kernels test containment with one
-    integer AND instead of a set comparison.
+    integer AND instead of a set comparison. Data derived from the whole
+    lattice (the table of marks, the Dress congruences) is built on first
+    use and kept in one cache, filled only through ``lattice_cached``.
     """
 
     __slots__ = (
@@ -83,10 +88,7 @@ class SubgroupLattice:
         "subgroup_masks",
         "class_masks",
         "_class_by_mask",
-        "_marks",
-        "_solver_rows",
-        "_congruences",
-        "_cyclic_census",
+        "_derived",
     )
 
     def __init__(self, group: FiniteGroup, classes: tuple[SubgroupClass, ...]) -> None:
@@ -109,10 +111,7 @@ class SubgroupLattice:
         self.subgroup_masks = tuple(item[2] for item in subs)
         self.class_masks = tuple(class_masks)
         self._class_by_mask = by_mask
-        self._marks = None
-        self._solver_rows = None
-        self._congruences = None
-        self._cyclic_census = None
+        self._derived: dict[Callable, object] = {}
 
     @property
     def class_count(self) -> int:
@@ -132,6 +131,23 @@ class SubgroupLattice:
             f"SubgroupLattice({self.group.name!r}, subgroups={len(self.all_subgroups)}, "
             f"classes={self.class_count})"
         )
+
+
+def lattice_cached(
+    build: Callable[[SubgroupLattice], T]
+) -> Callable[[SubgroupLattice], T]:
+    """Make a function of a lattice alone compute once per lattice: its
+    value is kept in the lattice's cache, keyed by the function."""
+
+    @wraps(build)
+    def get(lattice: SubgroupLattice) -> T:
+        try:
+            return lattice._derived[build]
+        except KeyError:
+            value = lattice._derived[build] = build(lattice)
+            return value
+
+    return get
 
 
 # bytes.translate table turning 0/1 flags into the binary digits "0"/"1"

@@ -9,7 +9,10 @@ a time. The closure-based lattice enumeration and Dress congruence
 system below are the library's earlier implementations, which rebuild
 every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
-builds every violation record by keyword.
+builds every violation record by keyword. The cyclic census is counted
+by walking the powers of every group element. ``BurnsideElement``,
+``ghost_of`` and ``check_family_closure`` are test helpers that the
+library itself never needs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from typing import Iterable
 
 from burnside import (
     CapExceededError,
@@ -29,6 +33,7 @@ from burnside import (
     Subgroup,
     SubgroupFamily,
     SubgroupLattice,
+    artin_exponent,
     conjugate_subgroup,
     dress_congruences,
     dress_membership,
@@ -41,6 +46,62 @@ from burnside import (
 )
 from burnside.arith import divisors, prime_power
 from burnside.lattice import DEFAULT_ENUMERATION_CAP, SubgroupClass
+
+
+class BurnsideElement:
+    """Integer coordinates in the transitive-set basis, one per subgroup class."""
+
+    __slots__ = ("lattice", "coefficients")
+
+    def __init__(self, lattice: SubgroupLattice, coefficients: Iterable[int]) -> None:
+        coeffs = tuple(int(c) for c in coefficients)
+        if len(coeffs) != lattice.class_count:
+            raise ValueError(
+                f"expected {lattice.class_count} coefficients, got {len(coeffs)}"
+            )
+        self.lattice = lattice
+        self.coefficients = coeffs
+
+
+def ghost_of(lattice: SubgroupLattice, element: BurnsideElement) -> GhostVector:
+    """Image of a Burnside element under the mark homomorphisms, from the
+    dense table of marks."""
+    if element.lattice is not lattice:
+        raise ValueError("element is indexed by a different lattice")
+    coeffs = element.coefficients
+    return GhostVector(
+        lattice,
+        (sum(m * c for m, c in zip(row, coeffs)) for row in table_of_marks(lattice).entries),
+    )
+
+
+def check_family_closure(lattice: SubgroupLattice, family: SubgroupFamily) -> bool:
+    """When the exponent is 1, family membership must be constant across every
+    normal pair of prime-power index; returns True vacuously otherwise."""
+    result = artin_exponent(lattice, family)
+    if result.exponent != 1:
+        return True
+    selected = result.family_classes
+    return all(
+        (c.u_class in selected) == (c.v_class in selected)
+        for c in dress_congruences(lattice)
+    )
+
+
+def element_walk_census(lattice: SubgroupLattice) -> tuple[int, ...]:
+    """counts[k] = number of group elements generating a class-k cyclic
+    subgroup, by walking the powers of every element."""
+    group = lattice.group
+    table = group.mul_table
+    counts = [0] * lattice.class_count
+    for g in group.elements():
+        elems = {0}
+        y = g
+        while y != 0:
+            elems.add(y)
+            y = table[y][g]
+        counts[lattice.class_index_of(elems)] += 1
+    return tuple(counts)
 
 
 def subset_closure_subgroups(group: FiniteGroup) -> set[frozenset[int]]:

@@ -9,20 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    BurnsideElement,
     fixed_coset_count,
     fraction_marks_solve,
     fraction_minimal_multiplier,
+    ghost_of,
     mark,
 )
 from burnside import (
-    BurnsideElement,
     GhostVector,
     build_group,
     cfb_check,
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
-    ghost_of,
     marks_membership,
     minimal_multiplier,
     parse_group_spec,

@@ -40,6 +40,8 @@ GOLDEN_RUNS = [
     (("lattice", "C4xC2xC2"), "lattice-C4xC2xC2.txt", 0),
     (("lattice", "C4xC2xC2", "--json"), "lattice-C4xC2xC2.json", 0),
     (("marks", "D(16)"), "marks-D16.txt", 0),
+    (("marks", "Q8", "--json"), "marks-Q8.json", 0),
+    (("marks", "C4xC2xC2"), "marks-C4xC2xC2.txt", 0),
     (("verify-main-theorem", "--max-order", "64"), "verify-main-theorem-64.txt", 3),
 ]
 

@@ -2,16 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from _oracles import divisor_search_exponent
+from _oracles import check_family_closure, divisor_search_exponent
 from burnside import (
     GhostVector,
     SubgroupFamily,
     abelian_closed_form_exponent,
     artin_exponent,
     build_group,
-    check_family_closure,
     closed_form_exponent,
-    cyclic_closed_form_exponent,
     dress_membership,
     indicator_vector,
     parse_group_spec,
@@ -112,7 +110,7 @@ def test_one_pass_exponent_matches_divisor_search(family, lattice_of):
 def test_exponent_one_iff_family_covers_everything(lattice_of):
     for spec in standard_catalog(32):
         lattice = lattice_of(spec.text())
-        result = artin_exponent(lattice, EA, verify=False)
+        result = artin_exponent(lattice, EA)
         covers = result.family_classes == frozenset(range(lattice.class_count))
         assert (result.exponent == 1) == covers
 
@@ -140,26 +138,14 @@ def test_non_p_group_is_supported(lattice_of):
         closed_form_exponent(lattice_of("C12").group)
 
 
-def test_cyclic_closed_form(lattice_of):
-    assert cyclic_closed_form_exponent(build_group(parse_group_spec("C1"))) == 1
-    assert cyclic_closed_form_exponent(build_group(parse_group_spec("C3"))) == 1
-    assert cyclic_closed_form_exponent(build_group(parse_group_spec("C(3^2)"))) == 3
-    assert cyclic_closed_form_exponent(build_group(parse_group_spec("C(2^4)"))) == 8
-    with pytest.raises(ValueError):
-        cyclic_closed_form_exponent(build_group(parse_group_spec("D8")))
-    with pytest.raises(ValueError):
-        cyclic_closed_form_exponent(build_group(parse_group_spec("C12")))
-
-
 @pytest.mark.parametrize(
     "p,n",
     [(p, n) for p in (2, 3, 5) for n in range(1, 5) if p**n <= 256],
 )
 def test_cyclic_closed_form_matches_brute_force(p, n, lattice_of):
-    text = f"C({p}^{n})"
-    assert cyclic_closed_form_exponent(
-        lattice_of(text).group
-    ) == artin_exponent(lattice_of(text), EA).exponent
+    lattice = lattice_of(f"C({p}^{n})")
+    assert abelian_closed_form_exponent(lattice.group) == p ** (n - 1)
+    assert artin_exponent(lattice, EA).exponent == p ** (n - 1)
 
 
 def test_abelian_closed_form(lattice_of):

@@ -1,9 +1,11 @@
-"""Cross-checks of the lattice and congruence kernels against the
-closure-based implementations kept in ``_oracles``.
+"""Cross-checks of the lattice, marks and congruence kernels against the
+independent implementations kept in ``_oracles``.
 
 The coset-wise enumeration must give the same classes (same order, same
 members, same flags) and the power-walk Dress system the same congruences
-(same order, same terms) as joins closed from scratch. The shared
+(same order, same terms) as joins closed from scratch. Every stored mark
+must equal the count of fixed cosets, and the cyclic census read off the
+class data must equal the one counted by walking every element's powers. The shared
 congruence-sum loop must give the same membership certificates and
 Artin-exponent witnesses (every violation, in order, every field) as the
 per-congruence loops.
@@ -16,13 +18,16 @@ import random
 import pytest
 
 from _oracles import (
+    BurnsideElement,
     closure_dress_congruences,
     closure_enumerate_subgroups,
+    element_walk_census,
+    ghost_of,
     loop_dress_exponent,
     loop_dress_membership,
+    mark,
 )
 from burnside import (
-    BurnsideElement,
     CongruenceViolation,
     GhostVector,
     SubgroupFamily,
@@ -31,15 +36,16 @@ from burnside import (
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
-    ghost_of,
     group_from_perm_generators,
     indicator_vector,
     parse_group_spec,
     standard_catalog,
     table_of_marks,
 )
+from burnside.burnside_ring import cyclic_census
 
 CATALOG_UP_TO_64 = [spec.text() for spec in standard_catalog(64)]
+CATALOG_UP_TO_32 = [spec.text() for spec in standard_catalog(32)]
 
 PERM_FILES = {
     "S5": "degree 5\n(0 1 2 3 4)\n(0 1)\n",
@@ -67,7 +73,31 @@ def _assert_matches_oracles(group):
     assert _class_census(lattice) == _class_census(oracle)
     assert lattice.all_subgroups == oracle.all_subgroups
     assert dress_congruences(lattice) == closure_dress_congruences(oracle)
-    assert table_of_marks(lattice).entries == table_of_marks(oracle).entries
+    assert table_of_marks(lattice).rows == table_of_marks(oracle).rows
+    assert cyclic_census(lattice) == element_walk_census(lattice)
+
+
+def _perm_file_group(name, tmp_path):
+    path = tmp_path / f"{name}.perm"
+    path.write_text(PERM_FILES[name], encoding="utf-8")
+    return build_group(parse_group_spec(f"perm:{path}"))
+
+
+def _assert_marks_rows_match_fixed_cosets(lattice):
+    """Every mark (i, j) with i <= j, stored or left out as zero, against a
+    coset-by-coset count; the stored marks right of the diagonal must be
+    nonzero and in ascending column order."""
+    n = lattice.class_count
+    rows = table_of_marks(lattice).rows
+    assert len(rows) == n
+    for i, (diag, tail) in enumerate(rows):
+        columns = [j for j, _ in tail]
+        assert columns == sorted(set(columns)) and all(j > i and m for j, m in tail)
+        assert diag == mark(lattice, i, i)
+        stored = dict(tail)
+        assert [stored.get(j, 0) for j in range(i + 1, n)] == [
+            mark(lattice, i, j) for j in range(i + 1, n)
+        ]
 
 
 def _random_permutation(rng: random.Random, degree: int) -> tuple[int, ...]:
@@ -88,9 +118,18 @@ def test_catalog_group_matches_closure_oracles(text):
 
 @pytest.mark.parametrize("name", sorted(PERM_FILES))
 def test_perm_file_group_matches_closure_oracles(name, tmp_path):
-    path = tmp_path / f"{name}.perm"
-    path.write_text(PERM_FILES[name], encoding="utf-8")
-    _assert_matches_oracles(build_group(parse_group_spec(f"perm:{path}")))
+    _assert_matches_oracles(_perm_file_group(name, tmp_path))
+
+
+@pytest.mark.parametrize("text", CATALOG_UP_TO_32)
+def test_catalog_marks_rows_match_fixed_cosets(text, lattice_of):
+    _assert_marks_rows_match_fixed_cosets(lattice_of(text))
+
+
+@pytest.mark.parametrize("name", sorted(PERM_FILES))
+def test_perm_file_marks_rows_match_fixed_cosets(name, tmp_path):
+    lattice = enumerate_subgroups(_perm_file_group(name, tmp_path))
+    _assert_marks_rows_match_fixed_cosets(lattice)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -172,9 +211,7 @@ def test_catalog_dress_route_matches_loops(text, lattice_of):
 
 
 def test_perm_file_dress_route_matches_loops(tmp_path):
-    path = tmp_path / "S5.perm"
-    path.write_text(PERM_FILES["S5"], encoding="utf-8")
-    lattice = enumerate_subgroups(build_group(parse_group_spec(f"perm:{path}")))
+    lattice = enumerate_subgroups(_perm_file_group("S5", tmp_path))
     assert lattice.group.order == 120
     _assert_dress_route_matches_loops(lattice, _seeded_vectors(lattice, random.Random(6), 4))
 
