@@ -5,6 +5,11 @@ two-generator 2-groups: g^a h^b with the defining relations applied as
 rewrite rules), then materialized as a multiplication table. A small
 grammar turns CLI text such as ``C(2^3)``, ``Q8`` or ``C4xC2`` into
 :class:`GroupSpec` values.
+
+Every kind of spec is one ``_Kind`` entry in ``_KINDS``: its parameter
+check, nominal order, canonical text and builder. A new kind adds its
+entry there, plus a (pattern, kind) pair in ``_ATOMS`` if the grammar
+should spell it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from math import prod
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
 from .groups import (
@@ -27,175 +34,38 @@ class SpecParseError(ValueError):
     """A group-spec string could not be parsed or has invalid parameters."""
 
 
-KINDS = frozenset(
-    {
-        "cyclic",
-        "elementary_abelian",
-        "abelian_product",
-        "dihedral",
-        "quaternion",
-        "semidihedral",
-        "modular",
-        "extraspecial_plus",
-        "extraspecial_minus",
-        "direct_product",
-        "perm",
-    }
-)
-
-
 @dataclass(frozen=True)
 class GroupSpec:
-    """Symbolic description of a catalog group; build with :func:`build_group`."""
+    """Symbolic description of a catalog group; build with :func:`build_group`.
+
+    ``kind`` names an entry of ``_KINDS`` and ``params`` are its
+    parameters, e.g. ``GroupSpec("cyclic", (2, 3))`` for C(2^3),
+    ``GroupSpec("dihedral", (16,))`` or ``GroupSpec("direct_product", (a, b))``.
+    """
 
     kind: str
     params: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        entry = _KINDS.get(self.kind)
+        if entry is None:
             raise SpecParseError(f"unknown group kind {self.kind!r}")
-        self._validate()
-
-    def _validate(self) -> None:
-        kind, params = self.kind, self.params
-        if kind == "cyclic":
-            p, n = params
-            if not is_prime(p) or n < 0:
-                raise SpecParseError(f"cyclic group needs a prime base, got C({p}^{n})")
-        elif kind == "elementary_abelian":
-            p, k = params
-            if not is_prime(p) or k < 1:
-                raise SpecParseError(f"invalid elementary abelian parameters ({p},{k})")
-        elif kind == "abelian_product":
-            for m in params:
-                if m < 2 or prime_power(m) is None:
-                    raise SpecParseError(
-                        f"abelian product factors must be prime powers, got {m}"
-                    )
-        elif kind in ("dihedral", "quaternion"):
-            pp = prime_power(params[0])
-            if pp is None or pp[0] != 2 or pp[1] < 3:
-                raise SpecParseError(
-                    f"{kind} groups are defined for orders 2^n with n >= 3, got {params[0]}"
-                )
-        elif kind in ("semidihedral", "modular"):
-            pp = prime_power(params[0])
-            if pp is None or pp[0] != 2 or pp[1] < 4:
-                raise SpecParseError(
-                    f"{kind} groups are defined for orders 2^n with n >= 4, got {params[0]}"
-                )
-        elif kind in ("extraspecial_plus", "extraspecial_minus"):
-            p = params[0]
-            if not is_prime(p) or p == 2:
-                raise SpecParseError(
-                    f"extraspecial kinds need an odd prime, got {p}; "
-                    "the order-8 cases are D(8) and Q(8)"
-                )
-        elif kind == "direct_product":
-            a, b = params
-            if not isinstance(a, GroupSpec) or not isinstance(b, GroupSpec):
-                raise SpecParseError("direct product factors must be GroupSpecs")
-        elif kind == "perm":
-            if not params or not params[0]:
-                raise SpecParseError("perm spec needs a file path")
-
-    # convenience constructors
-
-    @classmethod
-    def cyclic(cls, p: int, n: int) -> "GroupSpec":
-        return cls("cyclic", (p, n))
-
-    @classmethod
-    def trivial(cls) -> "GroupSpec":
-        return cls("cyclic", (2, 0))
-
-    @classmethod
-    def elementary_abelian(cls, p: int, k: int) -> "GroupSpec":
-        return cls("elementary_abelian", (p, k))
-
-    @classmethod
-    def abelian_product(cls, orders: Sequence[int]) -> "GroupSpec":
-        return cls("abelian_product", tuple(int(m) for m in orders))
-
-    @classmethod
-    def dihedral(cls, order: int) -> "GroupSpec":
-        return cls("dihedral", (order,))
-
-    @classmethod
-    def quaternion(cls, order: int) -> "GroupSpec":
-        return cls("quaternion", (order,))
-
-    @classmethod
-    def semidihedral(cls, order: int) -> "GroupSpec":
-        return cls("semidihedral", (order,))
-
-    @classmethod
-    def modular(cls, order: int) -> "GroupSpec":
-        return cls("modular", (order,))
-
-    @classmethod
-    def extraspecial_plus(cls, p: int) -> "GroupSpec":
-        return cls("extraspecial_plus", (p,))
-
-    @classmethod
-    def extraspecial_minus(cls, p: int) -> "GroupSpec":
-        return cls("extraspecial_minus", (p,))
-
-    @classmethod
-    def direct(cls, a: "GroupSpec", b: "GroupSpec") -> "GroupSpec":
-        return cls("direct_product", (a, b))
-
-    @classmethod
-    def perm_file(cls, path: str) -> "GroupSpec":
-        return cls("perm", (path,))
+        # A check's signature is its kind's arity, so a wrong parameter
+        # count (or type) fails here as a TypeError.
+        try:
+            problem = entry.check(*self.params)
+        except TypeError:
+            problem = f"{self.kind} spec cannot take parameters {self.params!r}"
+        if problem:
+            raise SpecParseError(problem)
 
     def order(self) -> int | None:
         """Nominal order, or None for perm-file specs (unknown before closure)."""
-        kind, params = self.kind, self.params
-        if kind == "cyclic":
-            return params[0] ** params[1]
-        if kind == "elementary_abelian":
-            return params[0] ** params[1]
-        if kind == "abelian_product":
-            n = 1
-            for m in params:
-                n *= m
-            return n
-        if kind in ("dihedral", "quaternion", "semidihedral", "modular"):
-            return params[0]
-        if kind in ("extraspecial_plus", "extraspecial_minus"):
-            return params[0] ** 3
-        if kind == "direct_product":
-            a = params[0].order()
-            b = params[1].order()
-            return None if a is None or b is None else a * b
-        return None
+        return _KINDS[self.kind].order(*self.params)
 
     def text(self) -> str:
         """Canonical spelling in the CLI grammar."""
-        kind, params = self.kind, self.params
-        if kind == "cyclic":
-            p, n = params
-            return "C1" if n == 0 else f"C({p}^{n})"
-        if kind == "elementary_abelian":
-            return f"EA({params[0]},{params[1]})"
-        if kind == "abelian_product":
-            return "x".join(f"C{m}" for m in params) if params else "C1"
-        if kind == "dihedral":
-            return f"D({params[0]})"
-        if kind == "quaternion":
-            return f"Q({params[0]})"
-        if kind == "semidihedral":
-            return f"SD({params[0]})"
-        if kind == "modular":
-            return f"M({params[0]})"
-        if kind == "extraspecial_plus":
-            return f"ES+({params[0]})"
-        if kind == "extraspecial_minus":
-            return f"ES-({params[0]})"
-        if kind == "direct_product":
-            return f"{params[0].text()}x{params[1].text()}"
-        return f"perm:{params[0]}"
+        return _KINDS[self.kind].text(*self.params)
 
 
 def _cyclic_group(m: int, name: str) -> FiniteGroup:
@@ -213,20 +83,12 @@ def _abelian_product_group(orders: Sequence[int], name: str) -> FiniteGroup:
     return group
 
 
-def _two_generator_2group(kind: str, order: int, name: str) -> FiniteGroup:
+def _two_generator_2group(order: int, r: int, quaternion: bool, name: str) -> FiniteGroup:
     # Normal form g^a h^b with a mod M, b mod 2, where M = order/2.
     # The conjugation relation h g h^-1 = g^r folds into (a,b)(c,d) =
     # (a + r^b c [+ M/2 for the quaternion h^2 correction], b + d).
     m = order // 2
-    if kind in ("dihedral", "quaternion"):
-        r = m - 1
-    elif kind == "modular":
-        r = m // 2 + 1
-    else:  # semidihedral
-        r = m // 2 - 1
-    quaternion = kind == "quaternion"
-    n = order
-    table = [[0] * n for _ in range(n)]
+    table = [[0] * order for _ in range(order)]
     for a in range(m):
         for b in range(2):
             row = table[a + m * b]
@@ -281,29 +143,105 @@ def _extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
     return FiniteGroup(name, table, generators=[1, p2])
 
 
+class _Kind(NamedTuple):
+    """One kind of spec. Each callable takes the spec's params unpacked;
+    ``build`` takes the group's name and the perm order cap first."""
+
+    check: Callable[..., str | None]  # the error message, or None if valid
+    order: Callable[..., int | None]
+    text: Callable[..., str]
+    build: Callable[..., FiniteGroup]
+    # cyclic factor orders, for the kinds that products like C4xC1 fold into
+    factors: Callable[..., tuple[int, ...]] | None = None
+
+
+def _two_generator_kind(
+    kind: str, letter: str, least: int, twist: Callable[[int], int], quaternion: bool = False
+) -> _Kind:
+    """D, Q, SD or M: order 2^n with n >= least, spelled ``letter(order)``;
+    h g h^-1 = g^twist(m) for the generator g of order m = order/2."""
+    return _Kind(
+        lambda order: None
+        if order >= 1 << least and order & (order - 1) == 0
+        else f"{kind} groups are defined for orders 2^n with n >= {least}, got {order}",
+        lambda order: order,
+        lambda order: f"{letter}({order})",
+        lambda name, cap, order: _two_generator_2group(order, twist(order // 2), quaternion, name),
+    )
+
+
+def _extraspecial_kind(sign: str, builder: Callable[[int, str], FiniteGroup]) -> _Kind:
+    """ES+ or ES-: order p^3 for an odd prime p, spelled ``ES±(p)``."""
+    return _Kind(
+        lambda p: None
+        if is_prime(p) and p != 2
+        else (
+            f"extraspecial kinds need an odd prime, got {p}; "
+            "the order-8 cases are D(8) and Q(8)"
+        ),
+        lambda p: p ** 3,
+        lambda p: f"ES{sign}({p})",
+        lambda name, cap, p: builder(p, name),
+    )
+
+
+_KINDS: dict[str, _Kind] = {
+    "cyclic": _Kind(
+        lambda p, n: None
+        if is_prime(p) and n >= 0
+        else f"cyclic group needs a prime base, got C({p}^{n})",
+        lambda p, n: p ** n,
+        lambda p, n: f"C({p}^{n})" if n else "C1",
+        lambda name, cap, p, n: _cyclic_group(p ** n, name),
+        factors=lambda p, n: (p ** n,) if n else (),
+    ),
+    "elementary_abelian": _Kind(
+        lambda p, k: None
+        if is_prime(p) and k >= 1
+        else f"invalid elementary abelian parameters ({p},{k})",
+        lambda p, k: p ** k,
+        lambda p, k: f"EA({p},{k})",
+        lambda name, cap, p, k: _abelian_product_group([p] * k, name),
+    ),
+    "abelian_product": _Kind(
+        lambda *ms: next(
+            (f"abelian product factors must be prime powers, got {m}"
+             for m in ms if prime_power(m) is None),
+            None,
+        ),
+        lambda *ms: prod(ms),
+        lambda *ms: "x".join(f"C{m}" for m in ms) if ms else "C1",
+        lambda name, cap, *ms: _abelian_product_group(ms, name),
+        factors=lambda *ms: ms,
+    ),
+    "dihedral": _two_generator_kind("dihedral", "D", 3, lambda m: m - 1),
+    "quaternion": _two_generator_kind("quaternion", "Q", 3, lambda m: m - 1, quaternion=True),
+    "semidihedral": _two_generator_kind("semidihedral", "SD", 4, lambda m: m // 2 - 1),
+    "modular": _two_generator_kind("modular", "M", 4, lambda m: m // 2 + 1),
+    "extraspecial_plus": _extraspecial_kind("+", _extraspecial_plus_group),
+    "extraspecial_minus": _extraspecial_kind("-", _extraspecial_minus_group),
+    "direct_product": _Kind(
+        lambda a, b: None
+        if isinstance(a, GroupSpec) and isinstance(b, GroupSpec)
+        else "direct product factors must be GroupSpecs",
+        lambda a, b: None if None in (orders := (a.order(), b.order())) else prod(orders),
+        lambda a, b: f"{a.text()}x{b.text()}",
+        lambda name, cap, a, b: direct_product(
+            build_group(a, perm_order_cap=cap), build_group(b, perm_order_cap=cap), name=name
+        ),
+    ),
+    "perm": _Kind(
+        lambda path: None if path else "perm spec needs a file path",
+        lambda path: None,
+        lambda path: f"perm:{path}",
+        lambda name, cap, path: load_permutation_group(path, order_cap=cap, name=name),
+    ),
+}
+
+
 def build_group(spec: GroupSpec, *, perm_order_cap: int = DEFAULT_PERM_ORDER_CAP) -> FiniteGroup:
     """Realize a GroupSpec as a FiniteGroup whose order equals the nominal order."""
-    kind, params = spec.kind, spec.params
-    name = spec.text()
-    if kind == "cyclic":
-        return _cyclic_group(params[0] ** params[1], name)
-    if kind == "elementary_abelian":
-        return _abelian_product_group([params[0]] * params[1], name)
-    if kind == "abelian_product":
-        return _abelian_product_group(params, name)
-    if kind in ("dihedral", "quaternion", "semidihedral", "modular"):
-        return _two_generator_2group(kind, params[0], name)
-    if kind == "extraspecial_plus":
-        return _extraspecial_plus_group(params[0], name)
-    if kind == "extraspecial_minus":
-        return _extraspecial_minus_group(params[0], name)
-    if kind == "direct_product":
-        return direct_product(
-            build_group(params[0], perm_order_cap=perm_order_cap),
-            build_group(params[1], perm_order_cap=perm_order_cap),
-            name=name,
-        )
-    return load_permutation_group(params[0], order_cap=perm_order_cap, name=name)
+    return _KINDS[spec.kind].build(spec.text(), perm_order_cap, *spec.params)
 
 
 class MaximalCyclicType(Enum):
@@ -370,62 +308,48 @@ def classify_maximal_cyclic_2group(group: FiniteGroup) -> MaximalCyclicType:
     return MaximalCyclicType.NOT_MAXIMAL_CYCLIC
 
 
-_ATOM_RES: tuple[tuple[re.Pattern[str], str], ...] = (
-    (re.compile(r"EA\((\d+),(\d+)\)$"), "ea"),
-    (re.compile(r"ES\+\((\d+)\)$"), "es+"),
-    (re.compile(r"ES-\((\d+)\)$"), "es-"),
-    (re.compile(r"C\((\d+)\^(\d+)\)$"), "cyclic_pow"),
-    (re.compile(r"C\((\d+)\)$"), "cyclic_order"),
-    (re.compile(r"C(\d+)$"), "cyclic_order"),
-    (re.compile(r"D\((\d+)\)$"), "dihedral"),
-    (re.compile(r"D(\d+)$"), "dihedral"),
-    (re.compile(r"Q\((\d+)\)$"), "quaternion"),
-    (re.compile(r"Q(\d+)$"), "quaternion"),
-    (re.compile(r"SD\((\d+)\)$"), "semidihedral"),
-    (re.compile(r"SD(\d+)$"), "semidihedral"),
-    (re.compile(r"M\((\d+)\)$"), "modular"),
-    (re.compile(r"M(\d+)$"), "modular"),
+# One (pattern, kind) pair per atom; "Xn" and "X(n)" share a pattern.
+# Kind None is a cyclic group named by its order, which may be composite.
+_ATOMS: tuple[tuple[re.Pattern[str], str | None], ...] = tuple(
+    (re.compile(pattern), kind)
+    for pattern, kind in (
+        (r"C\((\d+)\^(\d+)\)", "cyclic"),
+        (r"C(?:(\d+)|\((\d+)\))", None),
+        (r"EA\((\d+),(\d+)\)", "elementary_abelian"),
+        (r"D(?:(\d+)|\((\d+)\))", "dihedral"),
+        (r"Q(?:(\d+)|\((\d+)\))", "quaternion"),
+        (r"SD(?:(\d+)|\((\d+)\))", "semidihedral"),
+        (r"M(?:(\d+)|\((\d+)\))", "modular"),
+        (r"ES\+\((\d+)\)", "extraspecial_plus"),
+        (r"ES-\((\d+)\)", "extraspecial_minus"),
+    )
 )
 
 
-def _cyclic_factors(m: int) -> tuple[int, ...]:
+def _abelian(factors: Sequence[int]) -> GroupSpec:
+    """Canonical spec of a product of cyclic groups of these prime-power
+    orders: C1 or C(p^n) when at most one factor is left."""
+    if len(factors) > 1:
+        return GroupSpec("abelian_product", tuple(factors))
+    return GroupSpec("cyclic", prime_power(factors[0]) if factors else (2, 0))
+
+
+def _cyclic_of_order(m: int) -> GroupSpec:
     # Primary decomposition, largest prime power first, so C6 -> C3xC2.
-    if m == 1:
-        return ()
-    return tuple(sorted((p ** k for p, k in factorize(m)), reverse=True))
+    if m < 1:
+        raise SpecParseError(f"cyclic group order must be positive, got {m}")
+    return _abelian(sorted((p ** k for p, k in factorize(m)), reverse=True))
 
 
 def _parse_atom(atom: str, pos: int) -> GroupSpec:
-    for pattern, tag in _ATOM_RES:
-        m = pattern.match(atom)
+    for pattern, kind in _ATOMS:
+        m = pattern.fullmatch(atom)
         if not m:
             continue
         try:
-            if tag == "ea":
-                return GroupSpec.elementary_abelian(int(m.group(1)), int(m.group(2)))
-            if tag == "es+":
-                return GroupSpec.extraspecial_plus(int(m.group(1)))
-            if tag == "es-":
-                return GroupSpec.extraspecial_minus(int(m.group(1)))
-            if tag == "cyclic_pow":
-                return GroupSpec.cyclic(int(m.group(1)), int(m.group(2)))
-            if tag == "cyclic_order":
-                order = int(m.group(1))
-                if order == 1:
-                    return GroupSpec.trivial()
-                pp = prime_power(order)
-                if pp is not None:
-                    return GroupSpec.cyclic(*pp)
-                return GroupSpec.abelian_product(_cyclic_factors(order))
-            if tag == "dihedral":
-                return GroupSpec.dihedral(int(m.group(1)))
-            if tag == "quaternion":
-                return GroupSpec.quaternion(int(m.group(1)))
-            if tag == "semidihedral":
-                return GroupSpec.semidihedral(int(m.group(1)))
-            if tag == "modular":
-                return GroupSpec.modular(int(m.group(1)))
-        except SpecParseError as exc:
+            params = tuple(int(g) for g in m.groups() if g is not None)
+            return GroupSpec(kind, params) if kind else _cyclic_of_order(*params)
+        except ValueError as exc:  # SpecParseError, or an over-long number
             raise SpecParseError(f"at position {pos}: {exc}") from None
     raise SpecParseError(f"cannot parse group spec atom {atom!r} at position {pos}")
 
@@ -437,10 +361,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     if not stripped:
         raise SpecParseError("empty group spec")
     if stripped.lower().startswith("perm:"):
-        path = stripped[5:].strip()
-        if not path:
-            raise SpecParseError("perm spec needs a file path")
-        return GroupSpec.perm_file(path)
+        return GroupSpec("perm", (stripped[5:].strip(),))
     compact = re.sub(r"\s+", "", stripped)
     atoms: list[tuple[str, int]] = []
     pos = 0
@@ -450,22 +371,12 @@ def parse_group_spec(text: str) -> GroupSpec:
         atoms.append((part.upper(), pos))
         pos += len(part) + 1
     specs = [_parse_atom(atom, p) for atom, p in atoms]
-    cyclic_like = all(s.kind in ("cyclic", "abelian_product") for s in specs)
-    if cyclic_like:
-        factors: list[int] = []
-        for s in specs:
-            if s.kind == "cyclic":
-                if s.params[1] > 0:
-                    factors.append(s.params[0] ** s.params[1])
-            else:
-                factors.extend(s.params)
-        if len(specs) == 1:
-            return specs[0]
-        return GroupSpec.abelian_product(factors)
-    result = specs[0]
-    for s in specs[1:]:
-        result = GroupSpec.direct(result, s)
-    return result
+    if len(specs) == 1:
+        return specs[0]
+    folds = [_KINDS[s.kind].factors for s in specs]
+    if all(folds):
+        return _abelian([m for s, fold in zip(specs, folds) for m in fold(*s.params)])
+    return reduce(lambda a, b: GroupSpec("direct_product", (a, b)), specs)
 
 
 def standard_catalog(max_order: int = 64) -> tuple[GroupSpec, ...]:
@@ -479,11 +390,11 @@ def standard_catalog(max_order: int = 64) -> tuple[GroupSpec, ...]:
     """
     specs: list[GroupSpec] = []
     if max_order >= 1:
-        specs.append(GroupSpec.trivial())
+        specs.append(GroupSpec("cyclic", (2, 0)))
     for p in (2, 3, 5):
         n = 1
         while p ** n <= max_order:
-            specs.append(GroupSpec.cyclic(p, n))
+            specs.append(GroupSpec("cyclic", (p, n)))
             n += 1
         for n in range(2, 64):
             order = p ** n
@@ -495,19 +406,16 @@ def standard_catalog(max_order: int = 64) -> tuple[GroupSpec, ...]:
                 if order > 32 and len(shape) > 2:
                     continue
                 if all(part == 1 for part in shape):
-                    specs.append(GroupSpec.elementary_abelian(p, n))
+                    specs.append(GroupSpec("elementary_abelian", (p, n)))
                 else:
-                    specs.append(GroupSpec.abelian_product([p ** e for e in shape]))
+                    specs.append(GroupSpec("abelian_product", tuple(p ** e for e in shape)))
     for order in (8, 16, 32, 64, 128):
         if order > max_order:
             break
-        specs.append(GroupSpec.dihedral(order))
-        specs.append(GroupSpec.quaternion(order))
+        specs += [GroupSpec("dihedral", (order,)), GroupSpec("quaternion", (order,))]
         if order >= 16:
-            specs.append(GroupSpec.semidihedral(order))
-            specs.append(GroupSpec.modular(order))
+            specs += [GroupSpec("semidihedral", (order,)), GroupSpec("modular", (order,))]
     for p in (3, 5):
         if p ** 3 <= max_order:
-            specs.append(GroupSpec.extraspecial_plus(p))
-            specs.append(GroupSpec.extraspecial_minus(p))
+            specs += [GroupSpec("extraspecial_plus", (p,)), GroupSpec("extraspecial_minus", (p,))]
     return tuple(sorted(specs, key=lambda s: (s.order(), s.text())))

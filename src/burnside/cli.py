@@ -34,6 +34,7 @@ from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupFamily,
     SubgroupLattice,
+    check_enumeration_cap,
     enumerate_subgroups,
 )
 
@@ -60,8 +61,10 @@ def _enumeration_cap() -> int:
 
 
 def _lattice_for(spec_text: str) -> SubgroupLattice:
-    group = build_group(parse_group_spec(spec_text))
-    return enumerate_subgroups(group, cap=_enumeration_cap())
+    spec = parse_group_spec(spec_text)
+    cap = _enumeration_cap()
+    check_enumeration_cap(spec.order(), cap)
+    return enumerate_subgroups(build_group(spec), cap=cap)
 
 
 def _emit_json(command: str, group_spec: str | None, payload) -> None:

@@ -33,6 +33,7 @@ from .groups import FiniteGroup
 from .lattice import (
     SubgroupFamily,
     SubgroupLattice,
+    check_enumeration_cap,
     enumerate_subgroups,
     maximal_elementary_abelian,
     select_family,
@@ -75,9 +76,10 @@ def artin_exponent(
     a congruence of index q whose indicator sum is s holds for n times the
     indicator exactly when q / gcd(s, q) divides n, so the congruence
     route's exponent is the lcm of those quotients over the congruences
-    the indicator itself violates (the others give 1). The same pass records, for every proper divisor d
-    of the exponent, the first congruence that d times the indicator
-    violates. Any disagreement between the routes raises.
+    the indicator itself violates (the others give 1). The same pass
+    records, for every proper divisor d of the exponent, the first
+    congruence that d times the indicator violates. Any disagreement
+    between the routes raises.
     """
     b = indicator_vector(lattice, family)
     exponent = minimal_multiplier(lattice, b)
@@ -190,6 +192,7 @@ def verify_main_theorem(
         order = spec.order()
         if order is None or order > max_order:
             continue
+        check_enumeration_cap(order, enumeration_cap)
         group = build_group(spec)
         lattice = enumerate_subgroups(group, cap=enumeration_cap)
         brute = artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN).exponent

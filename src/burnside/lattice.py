@@ -227,6 +227,14 @@ def _coset_join(
     return frozenset(seen)
 
 
+def check_enumeration_cap(order: int | None, cap: int | None = None) -> None:
+    """Reject an order above the cap (default DEFAULT_ENUMERATION_CAP) before
+    any table is built; an unknown order (None) passes."""
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if order is not None and order > limit:
+        raise CapExceededError(f"group order {order} exceeds the enumeration cap {limit}")
+
+
 def enumerate_subgroups(
     group: FiniteGroup, *, cap: int | None = None
 ) -> SubgroupLattice:
@@ -242,11 +250,7 @@ def enumerate_subgroups(
     elements of H or of <y>, whichever is larger, never from scratch.
     Groups larger than the cap are rejected.
     """
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if group.order > limit:
-        raise CapExceededError(
-            f"group order {group.order} exceeds the enumeration cap {limit}"
-        )
+    check_enumeration_cap(group.order, cap)
     table = group.mul_table
     columns = tuple(zip(*table))
     powers = _powers(group)

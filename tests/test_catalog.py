@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside import (
     GroupSpec,
@@ -15,20 +17,20 @@ from burnside import (
 
 
 def test_cyclic_build_has_full_order_element():
-    g = build_group(GroupSpec.cyclic(2, 3))
+    g = build_group(GroupSpec("cyclic", (2, 3)))
     assert g.order == 8
     assert max(g.element_order(x) for x in g.elements()) == 8
 
 
 def test_quaternion8_has_unique_involution():
-    g = build_group(GroupSpec.quaternion(8))
+    g = build_group(GroupSpec("quaternion", (8,)))
     assert g.order == 8
     assert not g.is_abelian()
     assert sum(1 for x in g.elements() if g.element_order(x) == 2) == 1
 
 
 def test_semidihedral16_relation():
-    g = build_group(GroupSpec.semidihedral(16))
+    g = build_group(GroupSpec("semidihedral", (16,)))
     assert g.order == 16
     assert not g.is_abelian()
     a, h = g.generators
@@ -37,7 +39,7 @@ def test_semidihedral16_relation():
 
 
 def test_modular16_relation():
-    g = build_group(GroupSpec.modular(16))
+    g = build_group(GroupSpec("modular", (16,)))
     a, h = g.generators
     assert g.element_order(a) == 8
     assert g.element_order(h) == 2
@@ -45,7 +47,7 @@ def test_modular16_relation():
 
 
 def test_dihedral_relations():
-    g = build_group(GroupSpec.dihedral(16))
+    g = build_group(GroupSpec("dihedral", (16,)))
     a, h = g.generators
     assert g.element_order(a) == 8
     assert g.element_order(h) == 2
@@ -53,14 +55,14 @@ def test_dihedral_relations():
 
 
 def test_extraspecial_plus_is_exponent_p():
-    g = build_group(GroupSpec.extraspecial_plus(3))
+    g = build_group(GroupSpec("extraspecial_plus", (3,)))
     assert g.order == 27
     assert not g.is_abelian()
     assert all(g.power(x, 3) == 0 for x in g.elements())
 
 
 def test_extraspecial_minus_has_exponent_p_squared():
-    g = build_group(GroupSpec.extraspecial_minus(3))
+    g = build_group(GroupSpec("extraspecial_minus", (3,)))
     assert g.order == 27
     assert not g.is_abelian()
     assert max(g.element_order(x) for x in g.elements()) == 9
@@ -81,27 +83,29 @@ def test_axioms_exhaustively_on_small_builds():
 
 
 def test_direct_product_spec_order_and_commutativity():
-    spec = GroupSpec.direct(GroupSpec.quaternion(8), GroupSpec.cyclic(2, 1))
+    q8, c2 = GroupSpec("quaternion", (8,)), GroupSpec("cyclic", (2, 1))
+    spec = GroupSpec("direct_product", (q8, c2))
     g = build_group(spec)
     assert g.order == 16
     assert not g.is_abelian()
-    both = GroupSpec.direct(GroupSpec.cyclic(2, 2), GroupSpec.cyclic(3, 1))
+    c4, c3 = GroupSpec("cyclic", (2, 2)), GroupSpec("cyclic", (3, 1))
+    both = GroupSpec("direct_product", (c4, c3))
     assert build_group(both).is_abelian()
 
 
 @pytest.mark.parametrize(
     "builder,expected",
     [
-        (GroupSpec.quaternion(16), MaximalCyclicType.QUATERNION),
-        (GroupSpec.quaternion(8), MaximalCyclicType.QUATERNION),
-        (GroupSpec.dihedral(8), MaximalCyclicType.DIHEDRAL),
-        (GroupSpec.dihedral(32), MaximalCyclicType.DIHEDRAL),
-        (GroupSpec.semidihedral(16), MaximalCyclicType.SEMIDIHEDRAL),
-        (GroupSpec.semidihedral(64), MaximalCyclicType.SEMIDIHEDRAL),
-        (GroupSpec.modular(16), MaximalCyclicType.MODULAR),
-        (GroupSpec.modular(64), MaximalCyclicType.MODULAR),
-        (GroupSpec.cyclic(2, 4), MaximalCyclicType.CYCLIC),
-        (GroupSpec.elementary_abelian(2, 3), MaximalCyclicType.NOT_MAXIMAL_CYCLIC),
+        (GroupSpec("quaternion", (16,)), MaximalCyclicType.QUATERNION),
+        (GroupSpec("quaternion", (8,)), MaximalCyclicType.QUATERNION),
+        (GroupSpec("dihedral", (8,)), MaximalCyclicType.DIHEDRAL),
+        (GroupSpec("dihedral", (32,)), MaximalCyclicType.DIHEDRAL),
+        (GroupSpec("semidihedral", (16,)), MaximalCyclicType.SEMIDIHEDRAL),
+        (GroupSpec("semidihedral", (64,)), MaximalCyclicType.SEMIDIHEDRAL),
+        (GroupSpec("modular", (16,)), MaximalCyclicType.MODULAR),
+        (GroupSpec("modular", (64,)), MaximalCyclicType.MODULAR),
+        (GroupSpec("cyclic", (2, 4)), MaximalCyclicType.CYCLIC),
+        (GroupSpec("elementary_abelian", (2, 3)), MaximalCyclicType.NOT_MAXIMAL_CYCLIC),
     ],
 )
 def test_classification_of_two_groups(builder, expected):
@@ -116,33 +120,33 @@ def test_classification_abelian_with_large_cyclic_part():
 
 def test_classification_rejects_odd_order():
     with pytest.raises(ValueError):
-        classify_maximal_cyclic_2group(build_group(GroupSpec.cyclic(3, 2)))
+        classify_maximal_cyclic_2group(build_group(GroupSpec("cyclic", (3, 2))))
 
 
 def test_parse_examples():
-    assert parse_group_spec("C(2^3)") == GroupSpec.cyclic(2, 3)
-    assert parse_group_spec("C4xC2") == GroupSpec.abelian_product([4, 2])
-    assert parse_group_spec("SD(16)") == GroupSpec.semidihedral(16)
-    assert parse_group_spec("EA(3,2)") == GroupSpec.elementary_abelian(3, 2)
-    assert parse_group_spec("ES+(5)") == GroupSpec.extraspecial_plus(5)
-    assert parse_group_spec("ES-(3)") == GroupSpec.extraspecial_minus(3)
-    assert parse_group_spec("Q8") == GroupSpec.quaternion(8)
-    assert parse_group_spec("D8") == GroupSpec.dihedral(8)
-    assert parse_group_spec("M(32)") == GroupSpec.modular(32)
-    assert parse_group_spec("C1") == GroupSpec.trivial()
-    assert parse_group_spec("perm:/tmp/gens.txt") == GroupSpec.perm_file("/tmp/gens.txt")
+    assert parse_group_spec("C(2^3)") == GroupSpec("cyclic", (2, 3))
+    assert parse_group_spec("C4xC2") == GroupSpec("abelian_product", (4, 2))
+    assert parse_group_spec("SD(16)") == GroupSpec("semidihedral", (16,))
+    assert parse_group_spec("EA(3,2)") == GroupSpec("elementary_abelian", (3, 2))
+    assert parse_group_spec("ES+(5)") == GroupSpec("extraspecial_plus", (5,))
+    assert parse_group_spec("ES-(3)") == GroupSpec("extraspecial_minus", (3,))
+    assert parse_group_spec("Q8") == GroupSpec("quaternion", (8,))
+    assert parse_group_spec("D8") == GroupSpec("dihedral", (8,))
+    assert parse_group_spec("M(32)") == GroupSpec("modular", (32,))
+    assert parse_group_spec("C1") == GroupSpec("cyclic", (2, 0))
+    assert parse_group_spec("perm:/tmp/gens.txt") == GroupSpec("perm", ("/tmp/gens.txt",))
 
 
 def test_parse_is_whitespace_insensitive():
-    assert parse_group_spec("C4xC2x C2") == GroupSpec.abelian_product([4, 2, 2])
-    assert parse_group_spec(" C( 2 ^ 3 ) ") == GroupSpec.cyclic(2, 3)
+    assert parse_group_spec("C4xC2x C2") == GroupSpec("abelian_product", (4, 2, 2))
+    assert parse_group_spec(" C( 2 ^ 3 ) ") == GroupSpec("cyclic", (2, 3))
 
 
 def test_parse_mixed_product():
     spec = parse_group_spec("Q8xC2")
     assert spec.kind == "direct_product"
-    assert spec.params[0] == GroupSpec.quaternion(8)
-    assert spec.params[1] == GroupSpec.cyclic(2, 1)
+    assert spec.params[0] == GroupSpec("quaternion", (8,))
+    assert spec.params[1] == GroupSpec("cyclic", (2, 1))
 
 
 def test_parse_composite_cyclic_orders():
@@ -170,10 +174,64 @@ def test_parse_and_build_errors():
     with pytest.raises(SpecParseError) as err:
         parse_group_spec("C4xWAT")
     assert "position" in str(err.value)
+    for text in ("C0", "C(0)"):
+        with pytest.raises(SpecParseError, match=r"^at position 0: .* positive, got 0$"):
+            parse_group_spec(text)
+    for kind, params in (("dihedral", ()), ("cyclic", (2,)), ("perm", ("a", "b"))):
+        with pytest.raises(SpecParseError):
+            GroupSpec(kind, params)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (
+            lambda: parse_group_spec("SD(8)"),
+            "at position 0: semidihedral groups are defined for orders 2^n with n >= 4, got 8",
+        ),
+        (
+            lambda: parse_group_spec("D(12)"),
+            "at position 0: dihedral groups are defined for orders 2^n with n >= 3, got 12",
+        ),
+        (
+            lambda: parse_group_spec("C(4^2)"),
+            "at position 0: cyclic group needs a prime base, got C(4^2)",
+        ),
+        (
+            lambda: parse_group_spec("EA(2,0)"),
+            "at position 0: invalid elementary abelian parameters (2,0)",
+        ),
+        (
+            lambda: parse_group_spec("ES+(2)"),
+            "at position 0: extraspecial kinds need an odd prime, got 2; "
+            "the order-8 cases are D(8) and Q(8)",
+        ),
+        (lambda: parse_group_spec("perm:"), "perm spec needs a file path"),
+        (lambda: GroupSpec("bogus", ()), "unknown group kind 'bogus'"),
+        (
+            lambda: GroupSpec("abelian_product", (6,)),
+            "abelian product factors must be prime powers, got 6",
+        ),
+        (
+            lambda: GroupSpec("direct_product", (GroupSpec("cyclic", (2, 1)), 3)),
+            "direct product factors must be GroupSpecs",
+        ),
+    ],
+    ids=["SD8", "D12", "C4^2", "EA2-0", "ES+2", "perm", "kind", "abelian", "direct"],
+)
+def test_invalid_spec_messages(make, message):
+    with pytest.raises(SpecParseError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_spec_text_round_trip():
     for spec in standard_catalog(64):
+        assert parse_group_spec(spec.text()) == spec
+    # all-cyclic products left with at most one factor are that cyclic group
+    for text, same in (("C4xC1", "C4"), ("C4xC1xC1", "C4"), ("C1xC1", "C1")):
+        spec = parse_group_spec(text)
+        assert spec == parse_group_spec(same)
         assert parse_group_spec(spec.text()) == spec
 
 
@@ -199,3 +257,53 @@ def test_catalog_contents():
     orders = [s.order() for s in standard_catalog(64)]
     assert orders == sorted(orders)
     assert all(o <= 64 for o in orders)
+
+
+# Atoms of order <= 64 in every kind the grammar spells, plus the
+# degenerate spellings of abelian groups that the parser canonicalises.
+SMALL_ATOMS = (
+    *standard_catalog(64),
+    GroupSpec("cyclic", (3, 0)),
+    GroupSpec("cyclic", (7, 2)),
+    GroupSpec("elementary_abelian", (7, 2)),
+    GroupSpec("abelian_product", ()),
+    GroupSpec("abelian_product", (4,)),
+    GroupSpec("abelian_product", (3, 2)),
+    GroupSpec("abelian_product", (2, 3, 2)),
+)
+
+# Spec-shaped text: a family letter, then numbers bare, in parentheses,
+# or as p^n, in products with 'x'.
+GRAMMAR_ATOM = st.builds(
+    lambda head, numbers, sep, paren: head
+    + (f"({sep.join(numbers)})" if paren else "".join(numbers)),
+    st.sampled_from(["C", "D", "Q", "SD", "M", "EA", "ES+", "ES-", "Z"]),
+    st.lists(st.integers(0, 70).map(str), max_size=3),
+    st.sampled_from([",", "^"]),
+    st.booleans(),
+)
+GRAMMAR_TEXT = st.lists(GRAMMAR_ATOM, min_size=1, max_size=3).map("x".join)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(st.text(), GRAMMAR_TEXT))
+def test_parse_raises_only_spec_errors(text):
+    try:
+        spec = parse_group_spec(text)
+    except SpecParseError:
+        return
+    assert isinstance(spec, GroupSpec)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_text_round_trip_builds_the_same_group(data):
+    spec = data.draw(st.sampled_from(SMALL_ATOMS))
+    while spec.order() < 64 and data.draw(st.booleans()):
+        room = [a for a in SMALL_ATOMS if spec.order() * a.order() <= 64]
+        other = data.draw(st.sampled_from(room))
+        pair = (spec, other) if data.draw(st.booleans()) else (other, spec)
+        spec = GroupSpec("direct_product", pair)
+    parsed = parse_group_spec(spec.text())
+    assert parsed.order() == spec.order()
+    assert build_group(parsed).mul_table == build_group(spec).mul_table

@@ -43,6 +43,10 @@ GOLDEN_RUNS = [
     (("marks", "Q8", "--json"), "marks-Q8.json", 0),
     (("marks", "C4xC2xC2"), "marks-C4xC2xC2.txt", 0),
     (("verify-main-theorem", "--max-order", "64"), "verify-main-theorem-64.txt", 3),
+    (("catalog", "--max-order", "128"), "catalog-128.txt", 0),
+    (("catalog", "--max-order", "128", "--json"), "catalog-128.json", 0),
+    (("lattice", "Q8xC2"), "lattice-Q8xC2.txt", 0),
+    (("lattice", "C6"), "lattice-C6.txt", 0),
 ]
 
 
@@ -227,6 +231,16 @@ def test_cap_exceeded_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "lattice", "C(2^9)")
     assert code == 1
     assert "cap" in err
+
+
+def test_cap_is_checked_before_the_table_is_built(capsys, monkeypatch):
+    def refuse(spec, **_):
+        raise AssertionError(f"built {spec.text()} although it exceeds the cap")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    code, _, err = run_cli(capsys, "lattice", "C(2^20)")
+    assert code == 1
+    assert err == "error: group order 1048576 exceeds the enumeration cap 256\n"
 
 
 def test_enumeration_cap_env_override(capsys, monkeypatch):
