@@ -1,25 +1,40 @@
 """Marks, tables of marks, and exact membership tests for the Burnside ring.
 
-A ghost vector assigns one integer to each subgroup conjugacy class. It
-comes from an actual virtual G-set exactly when it satisfies the Dress
-congruences; independently, the triangular table of marks can be solved
-for the coefficients c, and membership read off from their integrality.
-Every entry of |G| times the inverse table of marks is an integer, so the
-solve runs on y = |G|*c in plain ints, with every division checked to be
-exact; x is a member exactly when |G| divides every y_i. Both routes are
-implemented in full and are expected to agree on every input; that
-agreement is part of the test suite.
+A ghost vector assigns one integer to each subgroup conjugacy class.
+Three independent routes decide whether it comes from an actual virtual
+G-set:
+
+* the pair congruences (``dress_congruences``): one per class of pairs
+  U normal in V with prime-power index, summing x over the subgroups
+  <v, U> for the cosets vU in V/U, modulo |V : U|;
+* the Weyl congruences (``weyl_congruences``): one per class U, summing
+  x over the subgroups <g, U> for the cosets gU in N(U)/U, modulo
+  |N(U) : U| (Dress's characterisation; the row for U = 1 is the
+  Cauchy-Frobenius-Burnside relation);
+* the marks solve: the triangular table of marks is solved for the
+  coefficients c, and membership read off from their integrality. Every
+  entry of |G| times the inverse table of marks is an integer, so the
+  solve runs on y = |G|*c in plain ints, with every division checked to
+  be exact; x is a member exactly when |G| divides every y_i.
+
+All three are implemented in full and are expected to agree on every
+input; that agreement is part of the test suite. The Weyl rows are far
+fewer than the pairs, so they verify the Artin exponent; the pair
+congruences give the violation certificates of ``dress_membership`` and
+the exponent's divisor witnesses. Both congruence systems count their
+terms with one power walk (``_coset_walker``).
 
 The table of marks is almost all zeros, so it is stored once per lattice
 as sparse rows, which the solve reads directly; the dense matrix is only
-built when asked for (the ``marks`` command). The table and the
-congruences are cached on the lattice through ``lattice_cached``.
+built when asked for (the ``marks`` command). The table and both
+congruence systems are cached on the lattice through ``lattice_cached``.
 
 Congruences and their violations are named tuples, so they compare equal
-to plain tuples of the same fields. Both routes through the congruences
-(membership here, the Artin exponent in ``exponent``) share one loop
-that sums them and keeps only the congruences with a nonzero residue, as
-plain tuples; a violation record is built straight from such a tuple.
+to plain tuples of the same fields. Both uses of the pair congruences
+(membership here, the exponent's certificate in ``exponent``) share one
+loop that sums them and keeps only the congruences with a nonzero
+residue, as plain tuples; a violation record is built straight from
+such a tuple.
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -33,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import prime_power, totient
 from .lattice import (
@@ -187,6 +202,67 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
+def _coset_walker(
+    lattice: SubgroupLattice,
+) -> Callable[..., tuple[tuple[int, int], ...] | None]:
+    """The power walk shared by the pair and the Weyl congruences.
+
+    The returned ``walk(u_mask, uelems, within)`` counts the left cosets
+    vU, v in ``within`` (a subgroup containing U), by the class of
+    <v, U>, as sorted (class_index, coset_count) pairs, or returns None
+    if ``within`` does not normalize U. No join is closed from
+    generators: U is normal, so <U, v> is the union of the cosets v^k U
+    up to the first power of v inside U. If vU has order m modulo U, the
+    phi(m) cosets v^k U with gcd(k, m) = 1 all generate that same
+    subgroup, so one power walk counts all of them. Normality is tested
+    on the way, as vU = Uv for every walk's starting element v.
+    """
+    group = lattice.group
+    table = group.mul_table
+    columns = None if group.is_abelian() else tuple(zip(*table))
+    bits = [1 << x for x in range(group.order)]
+    class_of = lattice._class_by_mask
+
+    def walk(
+        u_mask: int, uelems: tuple[int, ...], within: Iterable[int]
+    ) -> tuple[tuple[int, int], ...] | None:
+        coset_of = entries_at(uelems)  # row x of the table -> xU
+        u_class = class_of[u_mask]
+        counts: dict[int, int] = {}
+        covered: set[int] = set()
+        for v in within:
+            if v in covered:
+                continue
+            if u_mask >> v & 1:  # the coset U itself
+                covered.update(uelems)
+                counts[u_class] = counts.get(u_class, 0) + 1
+                continue
+            left = coset_of(table[v])
+            # every element lies in a coset x^k U of some x tested here,
+            # so ``within`` normalizes U iff each such x does
+            if columns is not None and set(left) != set(coset_of(columns[v])):
+                return None
+            powers = [v]
+            y = table[v][v]
+            while not u_mask >> y & 1:
+                powers.append(y)
+                y = table[y][v]
+            m = len(powers) + 1
+            joined = u_mask
+            generators = 0
+            for e, p in enumerate(powers, 1):
+                coset = left if e == 1 else coset_of(table[p])
+                joined += sum(map(bits.__getitem__, coset))
+                if gcd(e, m) == 1:
+                    generators += 1
+                    covered.update(coset)
+            cls_idx = class_of[joined]
+            counts[cls_idx] = counts.get(cls_idx, 0) + generators
+        return tuple(sorted(counts.items()))
+
+    return walk
+
+
 @lattice_cached
 def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """All Dress congruences for the lattice, one per conjugacy class of pairs.
@@ -195,22 +271,17 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     enumerated with V running over class representatives and U over the
     smaller subgroups contained in V (bitmask tests over the order-sorted
     subgroup list), deduplicated by conjugacy under the normalizer of V;
-    simultaneously conjugate pairs yield identical congruences.
-
-    No join is closed from generators: U is normal in V, so <U, v> is the
-    union of the cosets v^k U up to the first power of v inside U. If vU
-    has order m in V/U, the phi(m) cosets v^k U with gcd(k, m) = 1 all
-    generate that same subgroup, so one power walk counts all of them.
+    simultaneously conjugate pairs yield identical congruences. The terms
+    come from the power walk of ``_coset_walker``, which also tests that
+    U is normal in V.
     """
     group = lattice.group
-    table = group.mul_table
-    columns = tuple(zip(*table))
     abelian = group.is_abelian()
-    bits = [1 << x for x in range(group.order)]
     subgroups = lattice.all_subgroups
     sub_masks = lattice.subgroup_masks
     class_of = lattice._class_by_mask
     sub_orders = [sub.order for sub in subgroups]
+    walk = _coset_walker(lattice)
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
@@ -233,53 +304,49 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             if prime_power(index) is None or u_mask in seen_orbit:
                 continue
             uelems = sub.elements
-            coset_of = entries_at(uelems)  # row x of the table -> xU
-            u_class = class_of[u_mask]
-            counts: dict[int, int] = {}
-            covered: set[int] = set()
-            normal = True
-            for v in velems:
-                if v in covered:
-                    continue
-                if u_mask >> v & 1:  # the coset U itself
-                    covered.update(uelems)
-                    counts[u_class] = counts.get(u_class, 0) + 1
-                    continue
-                left = coset_of(table[v])
-                # every element of V lies in a coset x^k U of some x tested
-                # here, so V normalizes U iff each such x does
-                if not abelian and set(left) != set(coset_of(columns[v])):
-                    normal = False
-                    break
-                powers = [v]
-                y = table[v][v]
-                while not u_mask >> y & 1:
-                    powers.append(y)
-                    y = table[y][v]
-                m = len(powers) + 1
-                joined = u_mask
-                generators = 0
-                for e, p in enumerate(powers, 1):
-                    coset = left if e == 1 else coset_of(table[p])
-                    joined += sum(map(bits.__getitem__, coset))
-                    if gcd(e, m) == 1:
-                        generators += 1
-                        covered.update(coset)
-                cls_idx = class_of[joined]
-                counts[cls_idx] = counts.get(cls_idx, 0) + generators
-            if not normal:
+            terms = walk(u_mask, uelems, velems)
+            if terms is None:
                 continue
             for g in conjugators:
                 seen_orbit.add(conjugate_mask(group, uelems, g))
             out.append(
                 Congruence(
-                    u_class=u_class,
+                    u_class=class_of[u_mask],
                     v_class=cls.class_index,
                     index=index,
-                    terms=tuple(sorted(counts.items())),
+                    terms=terms,
                 )
             )
     return tuple(out)
+
+
+@lattice_cached
+def weyl_congruences(
+    lattice: SubgroupLattice,
+) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """Dress's characterisation by Weyl groups, one congruence per class.
+
+    x is in the Burnside ring iff, for every class U,
+    sum over gU in N(U)/U of x(<g, U>) is 0 mod |N(U) : U|. Each row is
+    (u_class, index, terms) with index = |N(U) : U| and terms the
+    (class_index, coset_count) pairs of the power walk over N(U) (see
+    ``_coset_walker``). The index is read off the class data as
+    |G| / (|class| * |U|); classes of index 1 give no row, and a normal
+    U has N(U) = G without a normalizer computation. The row for U = 1
+    is the Cauchy-Frobenius-Burnside relation.
+    """
+    group = lattice.group
+    order = group.order
+    walk = _coset_walker(lattice)
+    rows = []
+    for cls, masks in zip(lattice.classes, lattice.class_masks):
+        index = order // (len(masks) * cls.order)
+        if index == 1:
+            continue
+        rep = cls.representative
+        within = group.elements() if cls.is_normal else normalizer(group, rep).elements
+        rows.append((cls.class_index, index, walk(masks[0], rep.elements, within)))
+    return tuple(rows)
 
 
 def violation_rows(

@@ -371,8 +371,6 @@ def parse_group_spec(text: str) -> GroupSpec:
         atoms.append((part.upper(), pos))
         pos += len(part) + 1
     specs = [_parse_atom(atom, p) for atom, p in atoms]
-    if len(specs) == 1:
-        return specs[0]
     folds = [_KINDS[s.kind].factors for s in specs]
     if all(folds):
         return _abelian([m for s, fold in zip(specs, folds) for m in fold(*s.params)])

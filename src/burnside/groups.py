@@ -4,7 +4,7 @@ Elements are integer ids in ``range(order)`` and id 0 is always the
 identity. Groups and subgroups do not change after construction, apart
 from the group's lazily computed abelian flag. A ``SubgroupLattice``
 built from a group is not immutable: it fills one lazy cache (table of
-marks, Dress congruences) on first use. The cached values are
+marks, pair and Weyl congruences) on first use. The cached values are
 deterministic, so threads sharing a lattice see the same results, but
 concurrent first calls may each compute them.
 """
@@ -44,32 +44,29 @@ class FiniteGroup:
         order = len(mul_table)
         if order == 0:
             raise ValueError("multiplication table is empty")
-        table = tuple(tuple(int(v) for v in row) for row in mul_table)
+        table = tuple(tuple(map(int, row)) for row in mul_table)
         full = frozenset(range(order))
         for i, row in enumerate(table):
             if len(row) != order:
                 raise ValueError(f"row {i} has length {len(row)}, expected {order}")
             if frozenset(row) != full:
                 raise ValueError(f"row {i} is not a permutation of the elements")
-        for j in range(order):
-            if frozenset(row[j] for row in table) != full:
+        columns = tuple(zip(*table))
+        for j, column in enumerate(columns):
+            if frozenset(column) != full:
                 raise ValueError(f"column {j} is not a permutation of the elements")
-        for x in range(order):
-            if table[0][x] != x or table[x][0] != x:
-                raise ValueError("element 0 does not act as the identity")
-        inv = [0] * order
-        for x in range(order):
-            for y in range(order):
-                if table[x][y] == IDENTITY:
-                    inv[x] = y
-                    break
-        for x in range(order):
-            if table[inv[x]][x] != IDENTITY:
+        ids = tuple(range(order))
+        if table[IDENTITY] != ids or columns[IDENTITY] != ids:
+            raise ValueError("element 0 does not act as the identity")
+        # row x holds the right inverse of x, column x its left inverse
+        inv = tuple(row.index(IDENTITY) for row in table)
+        for x, column in enumerate(columns):
+            if column[inv[x]] != IDENTITY:
                 raise ValueError(f"element {x} has no two-sided inverse")
         self.name = str(name)
         self.order = order
         self.mul_table = table
-        self.inv_table = tuple(inv)
+        self.inv_table = inv
         self.generators = None if generators is None else tuple(int(g) for g in generators)
         self._abelian: bool | None = None
 

@@ -77,8 +77,9 @@ class SubgroupLattice:
     bitmask (bit x set iff element x is a member), computed once here, so
     that the marks and congruence kernels test containment with one
     integer AND instead of a set comparison. Data derived from the whole
-    lattice (the table of marks, the Dress congruences) is built on first
-    use and kept in one cache, filled only through ``lattice_cached``.
+    lattice (the table of marks, the pair and the Weyl congruences) is
+    built on first use and kept in one cache, filled only through
+    ``lattice_cached``.
     """
 
     __slots__ = (

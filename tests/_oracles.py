@@ -9,10 +9,11 @@ a time. The closure-based lattice enumeration and Dress congruence
 system below are the library's earlier implementations, which rebuild
 every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
-builds every violation record by keyword. The cyclic census is counted
-by walking the powers of every group element. ``BurnsideElement``,
-``ghost_of`` and ``check_family_closure`` are test helpers that the
-library itself never needs.
+builds every violation record by keyword. The Weyl-group congruences
+are built from explicit normalizers, one closure per coset. The cyclic
+census is counted by walking the powers of every group element.
+``BurnsideElement``, ``ghost_of`` and ``check_family_closure`` are test
+helpers that the library itself never needs.
 """
 
 from __future__ import annotations
@@ -435,4 +436,30 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
                     terms=tuple(sorted(counts.items())),
                 )
             )
+    return tuple(out)
+
+
+def closure_weyl_congruences(
+    lattice: SubgroupLattice,
+) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """The Weyl-group congruences by computing every normalizer and closing
+    <g, U> from U's elements for every coset gU in N(U)/U, one at a time."""
+    group = lattice.group
+    out = []
+    for cls in lattice.classes:
+        rep = cls.representative
+        norm = normalizer(group, rep)
+        index = norm.order // rep.order
+        if index == 1:
+            continue
+        counts: dict[int, int] = {}
+        covered: set[int] = set()
+        for g in norm.elements:
+            if g in covered:
+                continue
+            covered.update(group.mul_table[g][u] for u in rep.elements)
+            joined = generated_subgroup(group, rep.elements + (g,))
+            cls_idx = lattice.class_index_of(joined)
+            counts[cls_idx] = counts.get(cls_idx, 0) + 1
+        out.append((cls.class_index, index, tuple(sorted(counts.items()))))
     return tuple(out)

@@ -62,6 +62,7 @@ EXPORTS = [
     "table_of_marks",
     "verify_group_axioms",
     "verify_main_theorem",
+    "weyl_congruences",
 ]
 
 

@@ -235,6 +235,14 @@ def test_spec_text_round_trip():
         assert parse_group_spec(spec.text()) == spec
 
 
+def test_single_cyclic_atom_is_canonical():
+    # a lone atom takes the same fold as a product: C(p^0) is C1 for any p
+    for text in ("C(3^0)", "C(5^0)", "C(2^0)", "C(3^0)xC1"):
+        assert parse_group_spec(text) == parse_group_spec("C1") == GroupSpec("cyclic", (2, 0))
+    assert parse_group_spec("C(3^2)") == GroupSpec("cyclic", (3, 2))
+    assert parse_group_spec("C6") == GroupSpec("abelian_product", (3, 2))
+
+
 def test_catalog_contents():
     specs = {s.text() for s in standard_catalog(64)}
     for expected in (

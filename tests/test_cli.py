@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from burnside import cli
+from burnside import burnside_ring, cli, verify_main_theorem
 from burnside.cli import ENUM_CAP_ENV, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,6 +47,22 @@ GOLDEN_RUNS = [
     (("catalog", "--max-order", "128", "--json"), "catalog-128.json", 0),
     (("lattice", "Q8xC2"), "lattice-Q8xC2.txt", 0),
     (("lattice", "C6"), "lattice-C6.txt", 0),
+    (("verify-main-theorem", "--max-order", "128"), "verify-main-theorem-128.txt", 3),
+    (
+        ("verify-main-theorem", "--max-order", "128", "--json"),
+        "verify-main-theorem-128.json",
+        3,
+    ),
+    (
+        ("exponent", "M(16)", "--family", "cyclic", "--certify"),
+        "exponent-M16-cyclic-certify.txt",
+        0,
+    ),
+    (
+        ("exponent", "M(16)", "--family", "cyclic", "--certify", "--json"),
+        "exponent-M16-cyclic-certify.json",
+        0,
+    ),
 ]
 
 
@@ -63,6 +79,28 @@ def test_output_matches_golden_file(argv, golden, exit_code, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == exit_code and err == ""
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_exponent_without_certify_never_builds_the_pair_system(monkeypatch, capsys):
+    def refuse(lattice):
+        raise AssertionError("the pair congruences were built")
+
+    golden = (GOLDEN / "exponent-Q16-certify.txt").read_text(encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(burnside_ring, "dress_congruences", refuse)
+        assert len(verify_main_theorem(64).rows) == 48
+        code, out, err = run_cli(capsys, "verify-main-theorem", "--max-order", "64")
+        assert (code, err) == (3, "")
+        assert out == (GOLDEN / "verify-main-theorem-64.txt").read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "exponent", "Q(16)")
+        assert (code, err) == (0, "")
+        witnesses = [ln for ln in golden.splitlines() if ln.startswith("d = ")]
+        assert out.splitlines() == golden.splitlines()[: -len(witnesses)]
+        with pytest.raises(AssertionError, match="pair congruences"):
+            run_cli(capsys, "exponent", "Q(16)", "--certify")
+        capsys.readouterr()  # the header printed before the certificate was read
+    code, out, err = run_cli(capsys, "exponent", "Q(16)", "--certify")
+    assert (code, err, out) == (0, "", golden)
 
 
 def test_exponent_elementary_abelian(capsys):

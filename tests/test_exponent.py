@@ -16,7 +16,9 @@ from burnside import (
     select_family,
     standard_catalog,
     verify_main_theorem,
+    weyl_congruences,
 )
+from burnside import exponent
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
 
@@ -229,3 +231,14 @@ def test_indicator_vector_values_are_zero_one(lattice_of):
     vector = indicator_vector(lattice, EA)
     for idx, value in enumerate(vector.values):
         assert value == (1 if idx in selected else 0)
+
+
+def test_exponent_raises_when_the_weyl_route_disagrees(lattice_of, monkeypatch):
+    lattice = lattice_of("Q8")
+    rows = weyl_congruences(lattice)
+    # the U = 1 row with every coset moved onto the whole group
+    _, index, _ = rows[0]
+    skewed = ((0, index, ((lattice.class_count - 1, index - 1), (0, 1))),) + rows[1:]
+    monkeypatch.setattr(exponent, "weyl_congruences", lambda _: skewed)
+    with pytest.raises(RuntimeError, match="marks give 4, Weyl congruences give"):
+        artin_exponent(lattice, EA)

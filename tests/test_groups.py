@@ -187,3 +187,30 @@ def test_parse_permutation_file(tmp_path):
     path.write_text(text, encoding="utf-8")
     g = build_group(parse_group_spec(f"perm:{path}"))
     assert g.order == 6
+
+
+# a Latin square with identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
+NO_TWO_SIDED_INVERSE = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "multiplication table is empty"),
+        ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+        ([[0, 1], [1, 1]], "row 1 is not a permutation of the elements"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation of the elements"),
+        ([[1, 0], [0, 1]], "element 0 does not act as the identity"),
+        (NO_TWO_SIDED_INVERSE, "element 2 has no two-sided inverse"),
+    ],
+)
+def test_invalid_table_messages(table, message):
+    with pytest.raises(ValueError) as info:
+        FiniteGroup("bad", table)
+    assert str(info.value) == message

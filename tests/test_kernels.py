@@ -8,12 +8,15 @@ must equal the count of fixed cosets, and the cyclic census read off the
 class data must equal the one counted by walking every element's powers. The shared
 congruence-sum loop must give the same membership certificates and
 Artin-exponent witnesses (every violation, in order, every field) as the
-per-congruence loops.
+per-congruence loops. The Weyl rows must equal those built from explicit
+normalizers, and the three membership routes (Weyl rows, pair
+congruences, marks solve) must agree on every vector tried.
 """
 
 from __future__ import annotations
 
 import random
+from math import gcd, lcm
 
 import pytest
 
@@ -21,6 +24,7 @@ from _oracles import (
     BurnsideElement,
     closure_dress_congruences,
     closure_enumerate_subgroups,
+    closure_weyl_congruences,
     element_walk_census,
     ghost_of,
     loop_dress_exponent,
@@ -38,9 +42,12 @@ from burnside import (
     enumerate_subgroups,
     group_from_perm_generators,
     indicator_vector,
+    marks_membership,
+    minimal_multiplier,
     parse_group_spec,
     standard_catalog,
     table_of_marks,
+    weyl_congruences,
 )
 from burnside.burnside_ring import cyclic_census
 
@@ -73,6 +80,7 @@ def _assert_matches_oracles(group):
     assert _class_census(lattice) == _class_census(oracle)
     assert lattice.all_subgroups == oracle.all_subgroups
     assert dress_congruences(lattice) == closure_dress_congruences(oracle)
+    assert weyl_congruences(lattice) == closure_weyl_congruences(oracle)
     assert table_of_marks(lattice).rows == table_of_marks(oracle).rows
     assert cyclic_census(lattice) == element_walk_census(lattice)
 
@@ -106,6 +114,13 @@ def _random_permutation(rng: random.Random, degree: int) -> tuple[int, ...]:
     return tuple(points)
 
 
+def _random_two_generator_group(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(2, 5)
+    gens = [_random_permutation(rng, degree) for _ in range(2)]
+    return group_from_perm_generators(degree, gens)
+
+
 def test_catalog_sweep_covers_orders_up_to_64():
     assert len(CATALOG_UP_TO_64) > 30
     assert max(build_group(parse_group_spec(t)).order for t in CATALOG_UP_TO_64) == 64
@@ -134,10 +149,7 @@ def test_perm_file_marks_rows_match_fixed_cosets(name, tmp_path):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_two_generator_group_matches_closure_oracles(seed):
-    rng = random.Random(seed)
-    degree = rng.randint(2, 5)
-    gens = [_random_permutation(rng, degree) for _ in range(2)]
-    _assert_matches_oracles(group_from_perm_generators(degree, gens))
+    _assert_matches_oracles(_random_two_generator_group(seed))
 
 
 def _fields(violation):
@@ -223,3 +235,42 @@ def test_random_vectors_with_thousands_of_violations_match_loops(lattice_of):
     vectors = [GhostVector(lattice, [rng.randint(-5, 5) for _ in range(n)]) for _ in range(4)]
     assert all(len(dress_membership(lattice, v).violations) > 2000 for v in vectors)
     _assert_dress_route_matches_loops(lattice, vectors)
+
+
+def _assert_three_routes_agree(lattice, vectors):
+    """The Weyl rows, the pair congruences and the marks solve give the same
+    verdict on every vector, and the Weyl rows the same least multiplier."""
+    rows = weyl_congruences(lattice)
+    order = lattice.group.order
+    assert all(sum(count for _, count in terms) == index for _, index, terms in rows)
+    if order > 1:
+        # the row for U = 1 is the Cauchy-Frobenius-Burnside relation
+        census = cyclic_census(lattice)
+        assert rows[0] == (0, order, tuple((k, c) for k, c in enumerate(census) if c))
+    for vector in vectors:
+        values = vector.values
+        sums = [(q, sum(c * values[k] for k, c in terms)) for _, q, terms in rows]
+        weyl = all(s % q == 0 for q, s in sums)
+        assert weyl == dress_membership(lattice, vector).holds
+        assert weyl == marks_membership(lattice, vector)[0]
+        if any(values):
+            weyl_multiplier = lcm(*(q // gcd(s, q) for q, s in sums))
+            assert weyl_multiplier == minimal_multiplier(lattice, vector)
+
+
+@pytest.mark.parametrize("text", CATALOG_UP_TO_64)
+def test_catalog_three_routes_agree(text, lattice_of):
+    lattice = lattice_of(text)
+    _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(8), 2))
+
+
+@pytest.mark.parametrize("name", sorted(PERM_FILES))
+def test_perm_file_three_routes_agree(name, tmp_path):
+    lattice = enumerate_subgroups(_perm_file_group(name, tmp_path))
+    _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(9), 2))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_two_generator_group_three_routes_agree(seed):
+    lattice = enumerate_subgroups(_random_two_generator_group(seed))
+    _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(seed), 2))
