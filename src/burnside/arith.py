@@ -2,37 +2,35 @@
 
 from __future__ import annotations
 
+from math import log
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+
+def _least_prime_factor(n: int, start: int = 3) -> int:
+    """The least prime dividing n >= 2 (n itself if prime); odd trial divisors
+    start at ``start``, which must not exceed the least odd prime factor of n."""
     if n % 2 == 0:
-        return False
-    d = 3
+        return 2
+    d = start
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k and k >= 1, or None if n is not a prime power."""
+    """Return (p, k) with n = p**k and k >= 1, or None if n is not a prime power.
+
+    k is read off the size of n, as the integer nearest log_p(n), and checked."""
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (n, 1)
+    p = _least_prime_factor(n)
+    k = round(log(n, p))
+    return (p, k) if p**k == n else None
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -40,18 +38,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: list[tuple[int, int]] = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out.append((p, k))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
+    p = 3
+    while n > 1:
+        p = _least_prime_factor(n, max(p, 3))
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        out.append((p, k))
     return out
 
 

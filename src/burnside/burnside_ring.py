@@ -175,19 +175,20 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     fall into groups of |N(V)|/|V| sharing the same conjugate of V, so
     each conjugate containing U_i contributes that many fixed cosets.
     Only classes of smaller order can be properly contained, and the
-    containment tests run on the lattice's subgroup bitmasks. Columns
+    containment tests run on the subgroups' bitmasks. Columns
     are filled in ascending order, so every row's nonzero marks come out
     sorted without a dense row ever existing.
     """
     classes = lattice.classes
     order = lattice.group.order
-    reps = [masks[0] for masks in lattice.class_masks]
+    reps = [cls.representative.mask for cls in classes]
     tails: list[list[tuple[int, int]]] = [[] for _ in classes]
     diagonal = []
     smaller = 0  # classes[:smaller] are the classes of order below the current one
-    for j, (cls_j, masks) in enumerate(zip(classes, lattice.class_masks)):
+    for j, cls_j in enumerate(classes):
         while classes[smaller].order < cls_j.order:
             smaller += 1
+        masks = [m.mask for m in cls_j.members]
         per_conjugate = order // (len(masks) * cls_j.order)
         diagonal.append(per_conjugate)
         below = reps[:smaller]
@@ -278,7 +279,6 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     group = lattice.group
     abelian = group.is_abelian()
     subgroups = lattice.all_subgroups
-    sub_masks = lattice.subgroup_masks
     class_of = lattice._class_by_mask
     sub_orders = [sub.order for sub in subgroups]
     walk = _coset_walker(lattice)
@@ -288,7 +288,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         v_order = v_rep.order
         if v_order == 1:
             continue
-        v_mask = lattice.class_masks[cls.class_index][0]
+        v_mask = v_rep.mask
         velems = v_rep.elements
         # g and gv conjugate a subgroup normal in V alike, so one g per
         # left coset of V in N(V) sweeps each orbit
@@ -297,10 +297,9 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         ]
         seen_orbit: set[int] = set()
         below = bisect_left(sub_orders, v_order)
-        for k in [k for k, m in enumerate(sub_masks[:below]) if m & v_mask == m]:
-            sub = subgroups[k]
+        for sub in [s for s in subgroups[:below] if s.mask & v_mask == s.mask]:
             index = v_order // sub.order
-            u_mask = sub_masks[k]
+            u_mask = sub.mask
             if prime_power(index) is None or u_mask in seen_orbit:
                 continue
             uelems = sub.elements
@@ -339,13 +338,13 @@ def weyl_congruences(
     order = group.order
     walk = _coset_walker(lattice)
     rows = []
-    for cls, masks in zip(lattice.classes, lattice.class_masks):
-        index = order // (len(masks) * cls.order)
+    for cls in lattice.classes:
+        index = order // (len(cls.members) * cls.order)
         if index == 1:
             continue
         rep = cls.representative
         within = group.elements() if cls.is_normal else normalizer(group, rep).elements
-        rows.append((cls.class_index, index, walk(masks[0], rep.elements, within)))
+        rows.append((cls.class_index, index, walk(rep.mask, rep.elements, within)))
     return tuple(rows)
 
 

@@ -1,10 +1,11 @@
 """Concrete finite groups backed by full multiplication tables.
 
 Elements are integer ids in ``range(order)`` and id 0 is always the
-identity. Groups and subgroups do not change after construction, apart
-from the group's lazily computed abelian flag. A ``SubgroupLattice``
-built from a group is not immutable: it fills one lazy cache (table of
-marks, pair and Weyl congruences) on first use. The cached values are
+identity. A ``Subgroup`` is its sorted element ids and their bitmask.
+Groups and subgroups do not change after construction, apart from the
+group's lazily computed abelian flag. A ``SubgroupLattice`` built from a
+group is not immutable: it fills one lazy cache (table of marks, pair
+and Weyl congruences) on first use. The cached values are
 deterministic, so threads sharing a lattice see the same results, but
 concurrent first calls may each compute them.
 """
@@ -12,7 +13,7 @@ concurrent first calls may each compute them.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 DEFAULT_PERM_ORDER_CAP = 1024
 
@@ -114,15 +115,41 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-class Subgroup:
-    """A subgroup stored as its sorted element ids plus a hash set."""
+# bytes.translate table turning 0/1 flags into the binary digits "0"/"1"
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    __slots__ = ("elements", "member_set")
+
+def subgroup_mask(elements: Collection[int]) -> int:
+    """The bitmask of a set of element ids: bit x is set iff x is in the set.
+
+    The set is written as 0/1 flags, which are parsed as one binary
+    numeral in C; that is several times faster than or-ing in one
+    shifted bit per element. Raises ValueError on a negative id.
+    """
+    if not elements:
+        return 0
+    if min(elements) < 0:
+        raise ValueError("element ids must be nonnegative")
+    flags = bytearray(max(elements) + 1)
+    for x in elements:
+        flags[x] = 1
+    return int(flags.translate(_BIT_DIGITS)[::-1], 2)
+
+
+class Subgroup:
+    """A subgroup stored as its sorted element ids and their bitmask (bit x
+    set iff x is a member), so that containment is one integer AND."""
+
+    __slots__ = ("elements", "mask")
 
     def __init__(self, elements: Iterable[int]) -> None:
         elems = tuple(sorted({int(x) for x in elements}))
+        self.mask = subgroup_mask(elems)
         self.elements = elems
-        self.member_set = frozenset(elems)
+
+    @property
+    def member_set(self) -> frozenset[int]:
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
@@ -132,7 +159,7 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.member_set
+        return x >= 0 and self.mask >> x & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Subgroup) and self.elements == other.elements

@@ -5,13 +5,16 @@ vectors, tables of marks) is byte-stable across runs: ascending subgroup
 order, ties broken by descending class size, then by the representative's
 sorted element list. Class 0 is the trivial subgroup and the last class
 is the whole group.
+
+Each subgroup is one ``Subgroup``, built with its bitmask when
+enumeration first finds it and shared by the classes and the lattice.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import wraps
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .arith import prime_power
@@ -19,6 +22,7 @@ from .groups import (
     CapExceededError,
     FiniteGroup,
     Subgroup,
+    subgroup_mask,
 )
 
 DEFAULT_ENUMERATION_CAP = 256
@@ -73,21 +77,17 @@ class SubgroupClass:
 class SubgroupLattice:
     """All subgroups of a group, partitioned into conjugacy classes.
 
-    Besides the Subgroup objects, the lattice keeps each subgroup's
-    bitmask (bit x set iff element x is a member), computed once here, so
-    that the marks and congruence kernels test containment with one
-    integer AND instead of a set comparison. Data derived from the whole
-    lattice (the table of marks, the pair and the Weyl congruences) is
-    built on first use and kept in one cache, filled only through
-    ``lattice_cached``.
+    ``all_subgroups`` holds the classes' Subgroup objects, sorted by order
+    and then elements; a subgroup's bitmask finds its class through one
+    dict lookup. Data derived from the whole lattice (the table of marks,
+    the pair and the Weyl congruences) is built on first use and kept in
+    one cache, filled only through ``lattice_cached``.
     """
 
     __slots__ = (
         "group",
         "all_subgroups",
         "classes",
-        "subgroup_masks",
-        "class_masks",
         "_class_by_mask",
         "_derived",
     )
@@ -95,23 +95,9 @@ class SubgroupLattice:
     def __init__(self, group: FiniteGroup, classes: tuple[SubgroupClass, ...]) -> None:
         self.group = group
         self.classes = classes
-        order = group.order
-        by_mask: dict[int, int] = {}
-        class_masks = []
-        for cls in classes:
-            masks = tuple(subgroup_mask(order, m.elements) for m in cls.members)
-            class_masks.append(masks)
-            for mask in masks:
-                by_mask[mask] = cls.class_index
-        subs = sorted(
-            (sub.order, sub.elements, mask, sub)
-            for cls, masks in zip(classes, class_masks)
-            for sub, mask in zip(cls.members, masks)
-        )
-        self.all_subgroups = tuple(item[3] for item in subs)
-        self.subgroup_masks = tuple(item[2] for item in subs)
-        self.class_masks = tuple(class_masks)
-        self._class_by_mask = by_mask
+        subs = [m for cls in classes for m in cls.members]
+        self.all_subgroups = tuple(sorted(subs, key=lambda s: (len(s.elements), s.elements)))
+        self._class_by_mask = {m.mask: c.class_index for c in classes for m in c.members}
         self._derived: dict[Callable, object] = {}
 
     @property
@@ -119,12 +105,11 @@ class SubgroupLattice:
         return len(self.classes)
 
     def class_index_of(self, sub: Subgroup | Iterable[int]) -> int:
-        elements = sub.elements if isinstance(sub, Subgroup) else tuple(sub)
-        if not all(0 <= x < self.group.order for x in elements):
-            raise ValueError("subgroup does not belong to this lattice")
+        """The class of a subgroup of this lattice, given as a Subgroup or its elements."""
         try:
-            return self._class_by_mask[subgroup_mask(self.group.order, elements)]
-        except KeyError:
+            mask = sub.mask if isinstance(sub, Subgroup) else Subgroup(sub).mask
+            return self._class_by_mask[mask]
+        except (KeyError, ValueError):
             raise ValueError("subgroup does not belong to this lattice") from None
 
     def __repr__(self) -> str:
@@ -151,29 +136,12 @@ def lattice_cached(
     return get
 
 
-# bytes.translate table turning 0/1 flags into the binary digits "0"/"1"
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def subgroup_mask(order: int, elements: Iterable[int]) -> int:
-    """The bitmask of a set of element ids: bit x is set iff x is in the set.
-
-    The set is written as 0/1 flags, which are parsed as one binary
-    numeral in C; that is several times faster than or-ing in one
-    shifted bit per element.
-    """
-    flags = bytearray(order)
-    for x in elements:
-        flags[x] = 1
-    return int(flags.translate(_BIT_DIGITS)[::-1], 2)
-
-
 def conjugate_mask(group: FiniteGroup, elements: Iterable[int], g: int) -> int:
     """Bitmask of g*U*g^-1 for the subgroup U with the given elements."""
     table = group.mul_table
     grow = table[g]
     gi = group.inv_table[g]
-    return subgroup_mask(group.order, (table[grow[u]][gi] for u in elements))
+    return subgroup_mask([table[grow[u]][gi] for u in elements])
 
 
 def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -249,7 +217,9 @@ def enumerate_subgroups(
     coset HgH is tried, replaced by an element y of largest order in Hg.
     The join <H, y> is built coset-wise (see ``_coset_join``) from the
     elements of H or of <y>, whichever is larger, never from scratch.
-    Groups larger than the cap are rejected.
+    Each subgroup's Subgroup object is built when a join first finds it;
+    the dedupe key of the joins is the element set, kept only while the
+    enumeration runs. Groups larger than the cap are rejected.
     """
     check_enumeration_cap(group.order, cap)
     table = group.mul_table
@@ -262,15 +232,15 @@ def enumerate_subgroups(
     for g, p in enumerate(powers):
         cyclics.setdefault(frozenset(p), g)
     candidates = [g for g in cyclics.values() if g]
-    # element set -> (sorted elements, a generating set) of every subgroup found
-    found: dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...]]] = {
-        fs: (tuple(sorted(fs)), (g,) if g else ()) for fs, g in cyclics.items()
+    # element set -> (the subgroup, a generating set) of every subgroup found
+    found: dict[frozenset[int], tuple[Subgroup, tuple[int, ...]]] = {
+        fs: (Subgroup(fs), (g,) if g else ()) for fs, g in cyclics.items()
     }
-    frontier = [fs for fs in found if len(fs) > 1]
+    frontier = [entry for fs, entry in found.items() if len(fs) > 1]
     while frontier:
         fresh = []
-        for current in frontier:
-            elements, gens = found[current]
+        for sub, gens in frontier:
+            elements = sub.elements
             left_coset = entries_at(elements)
             # H itself, then every double coset HgH already joined
             done = set(elements)
@@ -290,32 +260,29 @@ def enumerate_subgroups(
                 base = max(elements, powers[y], key=len)
                 joined = _coset_join(columns, table, base, gens + (y,))
                 if joined not in found:
-                    found[joined] = (tuple(sorted(joined)), gens + (y,))
-                    fresh.append(joined)
+                    entry = found[joined] = (Subgroup(joined), gens + (y,))
+                    fresh.append(entry)
         frontier = fresh
 
     abelian = group.is_abelian()
     inv = group.inv_table
     remaining = set(found)
-    orbits: list[list[tuple[int, ...]]] = []
-    for fs, (elements, _) in found.items():
+    staged = []
+    for fs, (sub, _) in found.items():
         if fs not in remaining:
             continue
         if abelian:
             orbit = {fs}
         else:
             # gHg^-1 depends only on the left coset gH
+            elements = sub.elements
             orbit = set()
             for g, _ in left_cosets(group, group.elements(), elements):
                 grow = table[g]
                 conj_row = columns[inv[g]]  # x -> x * g^-1
                 orbit.add(frozenset(conj_row[grow[u]] for u in elements))
         remaining -= orbit
-        orbits.append(sorted(found[m][0] for m in orbit))
-
-    staged = []
-    for orbit in orbits:
-        members = tuple(map(Subgroup, orbit))
+        members = tuple(sorted((found[m][0] for m in orbit), key=attrgetter("elements")))
         rep = members[0]
         staged.append(
             (
@@ -323,7 +290,7 @@ def enumerate_subgroups(
                 -len(members),
                 rep.elements,
                 members,
-                rep.member_set in cyclics,
+                fs in cyclics,  # cyclicity is invariant under conjugation
                 is_elementary_abelian(group, rep),
             )
         )
@@ -365,14 +332,14 @@ def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
     Whether g normalizes U depends only on the coset gU, so one
     representative per left coset is tested.
     """
-    target = sub.member_set
+    mask = sub.mask
     table = group.mul_table
     inv = group.inv_table
     members: list[int] = []
     for g, coset in left_cosets(group, group.elements(), sub.elements):
         grow = table[g]
         gi = inv[g]
-        if all(table[grow[u]][gi] in target for u in sub.elements):
+        if all(mask >> table[grow[u]][gi] & 1 for u in sub.elements):
             members.extend(coset)
     return Subgroup(members)
 

@@ -1,0 +1,70 @@
+"""The parser's integer arithmetic against brute force.
+
+``is_prime``, ``prime_power`` and ``factorize`` share one least-prime-factor
+search, and ``prime_power`` reads the exponent off the size of n, so the
+checks cover every n up to 10**4 and, for large k, the numbers p**k,
+p**k + 1 and p**k * q, where dividing out one factor at a time was slow.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from burnside.arith import factorize, is_prime, prime_power
+from burnside.catalog import GroupSpec, parse_group_spec
+
+
+def _brute_factorize(n: int) -> list[tuple[int, int]]:
+    out = []
+    d = 2
+    while n > 1:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
+        d += 1
+    return out
+
+
+def test_small_numbers_match_brute_force():
+    assert factorize(1) == [] and prime_power(1) is None and not is_prime(1)
+    for n in range(2, 10**4 + 1):
+        factors = _brute_factorize(n)
+        assert factorize(n) == factors
+        assert is_prime(n) == (factors == [(n, 1)])
+        assert prime_power(n) == (factors[0] if len(factors) == 1 else None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+@pytest.mark.parametrize("k", [2, 63, 64, 1001, 5003])
+def test_large_powers_match_brute_force(p, k):
+    n = p**k
+    assert prime_power(n) == (p, k)
+    assert factorize(n) == [(p, k)]
+    assert not is_prime(n)
+    # p**k + 1 is even for odd p and divisible by 3 for p = 2 and odd k;
+    # dividing that factor out leaves a cofactor above 1, so it is neither
+    # a prime nor a prime power
+    if p % 2 or k % 2:
+        plus = n + 1
+        f = 2 if p % 2 else 3
+        rest = plus
+        while rest % f == 0:
+            rest //= f
+        assert rest < plus and rest > 1
+        assert prime_power(plus) is None
+        assert not is_prime(plus)
+    for q in (2, 3, 11, 10007):
+        if q != p:
+            assert prime_power(n * q) is None
+            assert factorize(n * q) == sorted([(p, k), (q, 1)])
+
+
+def test_huge_cyclic_power_parses_quickly():
+    start = time.perf_counter()
+    assert parse_group_spec("C(2^100000)xC1") == GroupSpec("cyclic", (2, 100000))
+    assert time.perf_counter() - start < 0.5

@@ -63,6 +63,8 @@ GOLDEN_RUNS = [
         "exponent-M16-cyclic-certify.json",
         0,
     ),
+    (("lattice", "EA(2,5)"), "lattice-EA25.txt", 0),
+    (("lattice", "ES-(5)", "--json"), "lattice-ESminus5.json", 0),
 ]
 
 

@@ -128,6 +128,17 @@ def test_conjugate_subgroup_preserves_order():
             assert conjugate_subgroup(q8, sub, g).order == sub.order
 
 
+def test_subgroup_carries_its_bitmask():
+    sub = Subgroup([4, 0, 2, 2])
+    assert sub.elements == (0, 2, 4)
+    assert sub.mask == 0b10101
+    assert sub.member_set == frozenset({0, 2, 4})
+    assert [x for x in range(-2, 7) if x in sub] == [0, 2, 4]
+    assert Subgroup([]).mask == 0
+    with pytest.raises(ValueError):
+        Subgroup([-1, 0])
+
+
 def test_subgroup_validation():
     d8 = build_group(parse_group_spec("D8"))
     assert is_closed_subset(d8, {0, 2})

@@ -83,6 +83,11 @@ def _assert_matches_oracles(group):
     assert weyl_congruences(lattice) == closure_weyl_congruences(oracle)
     assert table_of_marks(lattice).rows == table_of_marks(oracle).rows
     assert cyclic_census(lattice) == element_walk_census(lattice)
+    for lat in (lattice, oracle):
+        for cls in lat.classes:
+            for sub in cls.members:
+                assert sub.mask == sum(1 << x for x in sub.elements)
+                assert lat.class_index_of(sub) == cls.class_index
 
 
 def _perm_file_group(name, tmp_path):
@@ -114,11 +119,25 @@ def _random_permutation(rng: random.Random, degree: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-def _random_two_generator_group(seed):
+def _random_two_generator_group(seed, degree=None):
     rng = random.Random(seed)
-    degree = rng.randint(2, 5)
+    if degree is None:
+        degree = rng.randint(2, 5)
     gens = [_random_permutation(rng, degree) for _ in range(2)]
     return group_from_perm_generators(degree, gens)
+
+
+# seeds whose two random permutations of degree 6 generate a group of
+# order 7 to 72: abelian groups of order 8 and 9, and a nonabelian group
+# of each order the first 400 seeds reach in that range (8, 12, 18, 20,
+# 24, 36, 48, 60, 72), two with different lattices for 12, 24 and 36
+DEGREE_SIX_SEEDS = (0, 6, 16, 25, 29, 62, 86, 107, 110, 135, 150, 254, 299, 305)
+
+
+def _random_degree_six_group(seed):
+    group = _random_two_generator_group(seed, 6)
+    assert 7 <= group.order <= 72
+    return group
 
 
 def test_catalog_sweep_covers_orders_up_to_64():
@@ -150,6 +169,11 @@ def test_perm_file_marks_rows_match_fixed_cosets(name, tmp_path):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_two_generator_group_matches_closure_oracles(seed):
     _assert_matches_oracles(_random_two_generator_group(seed))
+
+
+@pytest.mark.parametrize("seed", DEGREE_SIX_SEEDS)
+def test_random_degree_six_group_matches_closure_oracles(seed):
+    _assert_matches_oracles(_random_degree_six_group(seed))
 
 
 def _fields(violation):
@@ -273,4 +297,10 @@ def test_perm_file_three_routes_agree(name, tmp_path):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_two_generator_group_three_routes_agree(seed):
     lattice = enumerate_subgroups(_random_two_generator_group(seed))
+    _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(seed), 2))
+
+
+@pytest.mark.parametrize("seed", DEGREE_SIX_SEEDS)
+def test_random_degree_six_group_three_routes_agree(seed):
+    lattice = enumerate_subgroups(_random_degree_six_group(seed))
     _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(seed), 2))

@@ -222,10 +222,13 @@ def test_symmetric_group_lattices():
 
 def test_subgroup_masks_and_class_lookup(lattice_of):
     lattice = lattice_of("D8")
-    for sub, mask in zip(lattice.all_subgroups, lattice.subgroup_masks):
+    for sub in lattice.all_subgroups:
+        mask = sub.mask
         assert [x for x in range(lattice.group.order) if mask >> x & 1] == list(sub.elements)
         assert lattice.class_index_of(sub) == lattice.class_index_of(iter(sub.elements))
-    for cls, masks in zip(lattice.classes, lattice.class_masks):
+    for cls in lattice.classes:
+        masks = [m.mask for m in cls.members]
+        assert len(set(masks)) == len(masks)
         assert [lattice.class_index_of(m) for m in cls.members] == [cls.class_index] * len(masks)
     for bad in ([0, 1, 2], [0, 8], [-1, 0]):
         with pytest.raises(ValueError):
