@@ -49,13 +49,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def totient(n: int) -> int:
-    """Euler's phi: the number of generators of a cyclic group of order n."""
-    for p, _ in factorize(n):
-        n = n // p * (p - 1)
-    return n
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:

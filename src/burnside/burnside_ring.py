@@ -7,34 +7,26 @@ G-set:
 * the pair congruences (``dress_congruences``): one per class of pairs
   U normal in V with prime-power index, summing x over the subgroups
   <v, U> for the cosets vU in V/U, modulo |V : U|;
-* the Weyl congruences (``weyl_congruences``): one per class U, summing
-  x over the subgroups <g, U> for the cosets gU in N(U)/U, modulo
-  |N(U) : U| (Dress's characterisation; the row for U = 1 is the
-  Cauchy-Frobenius-Burnside relation);
+* the Weyl congruences (``weyl_congruences``): the congruence of the
+  pair (U, N(U)) for every class U, modulo |N(U) : U| (Dress's
+  characterisation; the row for U = 1 is the Cauchy-Frobenius-Burnside
+  relation);
 * the marks solve: the triangular table of marks is solved for the
   coefficients c, and membership read off from their integrality. Every
   entry of |G| times the inverse table of marks is an integer, so the
   solve runs on y = |G|*c in plain ints, with every division checked to
   be exact; x is a member exactly when |G| divides every y_i.
 
-All three are implemented in full and are expected to agree on every
-input; that agreement is part of the test suite. The Weyl rows are far
-fewer than the pairs, so they verify the Artin exponent; the pair
-congruences give the violation certificates of ``dress_membership`` and
-the exponent's divisor witnesses. Both congruence systems count their
-terms with one power walk (``_coset_walker``).
+All three are expected to agree on every input; that agreement is part
+of the test suite. Both congruence systems are ``Congruence`` records,
+counted by one power walk (``_coset_walker``) and summed by one loop
+(``violation_rows``); ``least_multiplier`` turns sums into the least
+multiplier that satisfies them, for the congruences and the solve alike.
 
-The table of marks is almost all zeros, so it is stored once per lattice
-as sparse rows, which the solve reads directly; the dense matrix is only
-built when asked for (the ``marks`` command). The table and both
-congruence systems are cached on the lattice through ``lattice_cached``.
-
-Congruences and their violations are named tuples, so they compare equal
-to plain tuples of the same fields. Both uses of the pair congruences
-(membership here, the exponent's certificate in ``exponent``) share one
-loop that sums them and keeps only the congruences with a nonzero
-residue, as plain tuples; a violation record is built straight from
-such a tuple.
+The table of marks is stored once per lattice as sparse rows, which the
+solve reads directly; the dense matrix is only built when asked for (the
+``marks`` command). The table and both congruence systems are cached on
+the lattice through ``lattice_cached``.
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -50,7 +42,7 @@ from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import prime_power, totient
+from .arith import prime_power
 from .lattice import (
     SubgroupLattice,
     conjugate_mask,
@@ -155,6 +147,8 @@ class CongruenceCertificate:
 
 class Congruence(NamedTuple):
     """One congruence: sum over cosets vU in V/U of x(class of <v, U>) mod (V:U).
+
+    A pair congruence has V/U of prime-power order; a Weyl row has V = N(U).
 
     ``terms`` aggregates the cosets by the class of the generated
     subgroup, as (class_index, coset_count) pairs. A named tuple: it
@@ -320,45 +314,44 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
 
 
 @lattice_cached
-def weyl_congruences(
-    lattice: SubgroupLattice,
-) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """Dress's characterisation by Weyl groups, one congruence per class.
 
     x is in the Burnside ring iff, for every class U,
-    sum over gU in N(U)/U of x(<g, U>) is 0 mod |N(U) : U|. Each row is
-    (u_class, index, terms) with index = |N(U) : U| and terms the
-    (class_index, coset_count) pairs of the power walk over N(U) (see
-    ``_coset_walker``). The index is read off the class data as
-    |G| / (|class| * |U|); classes of index 1 give no row, and a normal
-    U has N(U) = G without a normalizer computation. The row for U = 1
-    is the Cauchy-Frobenius-Burnside relation.
+    sum over gU in N(U)/U of x(<g, U>) is 0 mod |N(U) : U|, which is the
+    congruence of the pair (U, N(U)): v_class is the class of N(U), and
+    the terms come from the power walk over N(U) (see ``_coset_walker``).
+    The index is read off the class data as |G| / (|class| * |U|);
+    classes of index 1 give no row, and a normal U has N(U) = G (the
+    last class) without a normalizer computation. The row for U = 1 is
+    the Cauchy-Frobenius-Burnside relation.
     """
     group = lattice.group
-    order = group.order
+    whole = lattice.classes[-1].representative
     walk = _coset_walker(lattice)
     rows = []
     for cls in lattice.classes:
-        index = order // (len(cls.members) * cls.order)
+        index = group.order // (len(cls.members) * cls.order)
         if index == 1:
             continue
         rep = cls.representative
-        within = group.elements() if cls.is_normal else normalizer(group, rep).elements
-        rows.append((cls.class_index, index, walk(rep.mask, rep.elements, within)))
+        norm = whole if cls.is_normal else normalizer(group, rep)
+        terms = walk(rep.mask, rep.elements, norm.elements)
+        rows.append(Congruence(cls.class_index, lattice._class_by_mask[norm.mask], index, terms))
     return tuple(rows)
 
 
 def violation_rows(
-    lattice: SubgroupLattice, values: Sequence[int]
+    congruences: Iterable[Congruence], values: Sequence[int]
 ) -> list[tuple[int, int, int, int, int]]:
-    """Every Dress congruence the ghost values violate, in enumeration order.
+    """Every congruence the ghost values violate, in the given order.
 
     Each is a plain tuple (u_class, v_class, index, sum, residue) with a
     nonzero residue = sum % index; congruences that hold leave no row.
     """
     rows = []
     append = rows.append
-    for u_class, v_class, index, terms in dress_congruences(lattice):
+    for u_class, v_class, index, terms in congruences:
         total = 0
         for cls, count in terms:
             total += count * values[cls]
@@ -368,6 +361,15 @@ def violation_rows(
     return rows
 
 
+def least_multiplier(pairs: Iterable[tuple[int, int]]) -> int:
+    """Least n >= 1 with q dividing n*s for every pair (s, q): the lcm of
+    the quotients q / gcd(s, q). Over the violation rows of x (s the sum,
+    q the index) it is the least n whose n*x satisfies those congruences;
+    over the pairs (y_i, |G|) of the marks solve, the least n making every
+    coefficient n*y_i/|G| integral."""
+    return lcm(*(q // gcd(s, q) for s, q in pairs))
+
+
 def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCertificate:
     """Decide membership by checking every Dress congruence.
 
@@ -375,7 +377,8 @@ def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCert
     enumeration order; it holds exactly when the list is empty.
     """
     _check_vector(lattice, x)
-    violations = tuple(map(_violation_from_row, violation_rows(lattice, x.values)))
+    rows = violation_rows(dress_congruences(lattice), x.values)
+    violations = tuple(map(_violation_from_row, rows))
     return CongruenceCertificate(holds=not violations, violations=violations)
 
 
@@ -423,36 +426,21 @@ def marks_membership(
     )
 
 
-def cyclic_census(lattice: SubgroupLattice) -> tuple[int, ...]:
-    """census[k] = number of group elements g with <g> in class k.
-
-    Read off the class data: a cyclic subgroup of order m has phi(m)
-    generators, so a cyclic class k is hit by |class k| * phi(|U_k|)
-    elements and a non-cyclic class by none.
-    """
-    return tuple(
-        len(c.members) * totient(c.order) if c.is_cyclic else 0
-        for c in lattice.classes
-    )
-
-
 def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
     """Cauchy-Frobenius-Burnside relation: the sum of x(<g>) over all group
-    elements g must vanish mod |G|. Necessary for membership, not sufficient."""
+    elements g must vanish mod |G|. It is the Weyl row for U = 1 (none for
+    the trivial group). Necessary for membership, not sufficient."""
     _check_vector(lattice, x)
-    total = sum(c * v for c, v in zip(cyclic_census(lattice), x.values))
-    return total % lattice.group.order == 0
+    return not violation_rows(weyl_congruences(lattice)[:1], x.values)
 
 
 def minimal_multiplier(lattice: SubgroupLattice, x: GhostVector) -> int:
-    """Least n >= 1 with n*x in the Burnside ring.
-
-    With y = |G|*c from the integer marks solve, n*c is integral exactly
-    when |G| / gcd(y_i, |G|) divides n for every i, so n is the lcm of
-    those quotients. Rejects the zero vector.
+    """Least n >= 1 with n*x in the Burnside ring, read off the pairs
+    (y_i, |G|) of the integer marks solve by ``least_multiplier``.
+    Rejects the zero vector.
     """
     _check_vector(lattice, x)
     if not any(x.values):
         raise ValueError("minimal multiplier of the zero vector is not defined")
     order = lattice.group.order
-    return lcm(*(order // gcd(v, order) for v in _scaled_solve(lattice, x)))
+    return least_multiplier((y, order) for y in _scaled_solve(lattice, x))

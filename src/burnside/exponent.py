@@ -2,27 +2,27 @@
 
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
-ring element. Three routes take part. The integer marks solve gives the
-exponent; the Weyl congruences (one per class U, of index |N(U) : U|)
-verify it, since a row of index q and indicator sum s needs q / gcd(s, q)
-to divide n, and the two must agree. The pair congruences (one per class
-of pairs U normal in V) give the divisor witnesses of the certificate,
-built only when it is read. A closed-form table (abelian index formula,
-the quaternion/dihedral/semidihedral special values, and the order-over-p
-fallback) is implemented separately so brute force can be compared
-against it group by group.
+ring element. Three routes take part: the integer marks solve gives the
+exponent, the Weyl congruences verify it, and the pair congruences give
+the divisor witnesses of the certificate, built only when it is read. A
+closed-form table (abelian index formula, the quaternion/dihedral/
+semidihedral special values, and the order-over-p fallback) is
+implemented separately so brute force can be compared against it group
+by group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from typing import Iterable
 
 from .arith import divisors, prime_power
 from .burnside_ring import (
     CongruenceViolation,
     GhostVector,
+    dress_membership,
+    least_multiplier,
     minimal_multiplier,
     violation_rows,
     weyl_congruences,
@@ -70,7 +70,7 @@ class ExponentResult:
 
     @cached_property
     def certificate(self) -> tuple[DivisorWitness, ...]:
-        return _divisor_witnesses(self.lattice, self.family_classes, self.exponent)
+        return _divisor_witnesses(self.lattice, self.family, self.exponent)
 
 
 def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostVector:
@@ -88,12 +88,11 @@ def artin_exponent(
     """Least n with n times the family indicator inside the Burnside ring.
 
     The marks route gives the exponent directly, as ``minimal_multiplier``
-    of the indicator. The Weyl congruences re-derive it: a row of index
-    q whose indicator sum is s holds for n times the indicator exactly
-    when q / gcd(s, q) divides n, so that route's exponent is the lcm of
-    those quotients. A disagreement between the routes raises. The
-    divisor witnesses come from the third route, the pair congruences,
-    and only when the result's ``certificate`` is read.
+    of the indicator. The Weyl congruences re-derive it as the
+    ``least_multiplier`` of the rows the indicator violates; a
+    disagreement between the routes raises. The divisor witnesses come
+    from the third route, the pair congruences, and only when the
+    result's ``certificate`` is read.
     """
     b = indicator_vector(lattice, family)
     exponent = minimal_multiplier(lattice, b)
@@ -102,18 +101,8 @@ def artin_exponent(
         raise RuntimeError(
             f"computed exponent {exponent} does not divide the group order {order}"
         )
-    values = b.values
-    confirmed = 1
-    for _, index, terms in weyl_congruences(lattice):
-        total = 0
-        for cls, count in terms:
-            total += count * values[cls]
-        confirmed = lcm(confirmed, index // gcd(total, index))
-    if confirmed != exponent:
-        raise RuntimeError(
-            f"membership routes disagree: marks give {exponent}, "
-            f"Weyl congruences give {confirmed}"
-        )
+    weyl_violations = violation_rows(weyl_congruences(lattice), b.values)
+    _check_route(exponent, weyl_violations, "Weyl congruences")
     return ExponentResult(
         exponent=exponent,
         family=family,
@@ -123,36 +112,39 @@ def artin_exponent(
     )
 
 
+def _check_route(
+    exponent: int, violations: Iterable[tuple[int, int, int, int, int]], route: str
+) -> None:
+    """Raise unless the ``least_multiplier`` of the violation rows (u, v,
+    index, sum, residue) is the marks route's exponent."""
+    confirmed = least_multiplier((total, index) for _, _, index, total, _ in violations)
+    if confirmed != exponent:
+        raise RuntimeError(
+            f"membership routes disagree: marks give {exponent}, {route} give {confirmed}"
+        )
+
+
 def _divisor_witnesses(
-    lattice: SubgroupLattice, family_classes: frozenset[int], exponent: int
+    lattice: SubgroupLattice, family: SubgroupFamily, exponent: int
 ) -> tuple[DivisorWitness, ...]:
     """One pass over the pair congruences the indicator violates.
 
-    A violated congruence of index q and indicator sum s needs
-    q / gcd(s, q) to divide the exponent, so the lcm of those quotients
-    must give the exponent again, or this raises. For every proper
-    divisor d of the exponent the pass records the first congruence that
-    d times the indicator violates.
+    Their ``least_multiplier`` must give the exponent again, or this
+    raises. For every proper divisor d of the exponent the pass records
+    the first congruence that d times the indicator violates.
     """
-    values = [1 if i in family_classes else 0 for i in range(lattice.class_count)]
+    violations = dress_membership(lattice, indicator_vector(lattice, family)).violations
+    _check_route(exponent, violations, "congruences")
     witnesses: list[DivisorWitness] = []
-    confirmed = 1
     pending = divisors(exponent)[:-1]
-    for u_class, v_class, index, total, _ in violation_rows(lattice, values):
-        need = index // gcd(total, index)
-        confirmed = lcm(confirmed, need)
+    for u_class, v_class, index, total, _ in violations:
         for d in pending:
-            if d % need:
+            if d * total % index:
                 violation = CongruenceViolation(
                     u_class, v_class, index, d * total, d * total % index
                 )
                 witnesses.append(DivisorWitness(d, violation))
-        pending = [d for d in pending if d % need == 0]
-    if confirmed != exponent:
-        raise RuntimeError(
-            f"membership routes disagree: marks give {exponent}, "
-            f"congruences give {confirmed}"
-        )
+        pending = [d for d in pending if d * total % index == 0]
     witnesses.sort(key=lambda w: w.divisor)
     return tuple(witnesses)
 

@@ -441,9 +441,10 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
 
 def closure_weyl_congruences(
     lattice: SubgroupLattice,
-) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
     """The Weyl-group congruences by computing every normalizer and closing
-    <g, U> from U's elements for every coset gU in N(U)/U, one at a time."""
+    <g, U> from U's elements for every coset gU in N(U)/U, one at a time;
+    each row is (class of U, class of N(U), index, terms)."""
     group = lattice.group
     out = []
     for cls in lattice.classes:
@@ -461,5 +462,7 @@ def closure_weyl_congruences(
             joined = generated_subgroup(group, rep.elements + (g,))
             cls_idx = lattice.class_index_of(joined)
             counts[cls_idx] = counts.get(cls_idx, 0) + 1
-        out.append((cls.class_index, index, tuple(sorted(counts.items()))))
+        out.append(
+            (cls.class_index, lattice.class_index_of(norm), index, tuple(sorted(counts.items())))
+        )
     return tuple(out)

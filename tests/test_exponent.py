@@ -237,8 +237,8 @@ def test_exponent_raises_when_the_weyl_route_disagrees(lattice_of, monkeypatch):
     lattice = lattice_of("Q8")
     rows = weyl_congruences(lattice)
     # the U = 1 row with every coset moved onto the whole group
-    _, index, _ = rows[0]
-    skewed = ((0, index, ((lattice.class_count - 1, index - 1), (0, 1))),) + rows[1:]
+    _, v_class, index, _ = rows[0]
+    skewed = ((0, v_class, index, ((lattice.class_count - 1, index - 1), (0, 1))),) + rows[1:]
     monkeypatch.setattr(exponent, "weyl_congruences", lambda _: skewed)
     with pytest.raises(RuntimeError, match="marks give 4, Weyl congruences give"):
         artin_exponent(lattice, EA)
