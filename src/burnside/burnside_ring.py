@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import prime_power
@@ -54,12 +55,16 @@ from .lattice import (
 
 
 class GhostVector:
-    """One integer per subgroup class, in the lattice's canonical class order."""
+    """One integer per subgroup class, in the lattice's canonical class order.
+
+    Values and scalars are taken through ``operator.index``, so a float or
+    a fraction raises TypeError instead of being truncated.
+    """
 
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: SubgroupLattice, values: Iterable[int]) -> None:
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(index, values))
         if len(vals) != lattice.class_count:
             raise ValueError(
                 f"expected {lattice.class_count} values, got {len(vals)}"
@@ -68,6 +73,8 @@ class GhostVector:
         self.values = vals
 
     def __mul__(self, n: int) -> "GhostVector":
+        if not isinstance(n, int):
+            return NotImplemented
         return GhostVector(self.lattice, (n * v for v in self.values))
 
     __rmul__ = __mul__

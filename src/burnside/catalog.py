@@ -7,7 +7,7 @@ grammar turns CLI text such as ``C(2^3)``, ``Q8`` or ``C4xC2`` into
 :class:`GroupSpec` values.
 
 Every kind of spec is one ``_Kind`` entry in ``_KINDS``: its parameter
-check, nominal order, canonical text and builder. A new kind adds its
+check, nominal order, canonical text, abelian flag and builder. A new kind adds its
 entry there, plus a (pattern, kind) pair in ``_ATOMS`` if the grammar
 should spell it.
 """
@@ -66,6 +66,11 @@ class GroupSpec:
     def text(self) -> str:
         """Canonical spelling in the CLI grammar."""
         return _KINDS[self.kind].text(*self.params)
+
+    def is_abelian(self) -> bool | None:
+        """Whether the group is abelian, known without building it; None
+        for perm-file specs (unknown before closure)."""
+        return _KINDS[self.kind].abelian(*self.params)
 
 
 def _cyclic_group(m: int, name: str) -> FiniteGroup:
@@ -150,6 +155,7 @@ class _Kind(NamedTuple):
     check: Callable[..., str | None]  # the error message, or None if valid
     order: Callable[..., int | None]
     text: Callable[..., str]
+    abelian: Callable[..., bool | None]
     build: Callable[..., FiniteGroup]
     # cyclic factor orders, for the kinds that products like C4xC1 fold into
     factors: Callable[..., tuple[int, ...]] | None = None
@@ -166,6 +172,7 @@ def _two_generator_kind(
         else f"{kind} groups are defined for orders 2^n with n >= {least}, got {order}",
         lambda order: order,
         lambda order: f"{letter}({order})",
+        lambda order: False,
         lambda name, cap, order: _two_generator_2group(order, twist(order // 2), quaternion, name),
     )
 
@@ -181,6 +188,7 @@ def _extraspecial_kind(sign: str, builder: Callable[[int, str], FiniteGroup]) ->
         ),
         lambda p: p ** 3,
         lambda p: f"ES{sign}({p})",
+        lambda p: False,
         lambda name, cap, p: builder(p, name),
     )
 
@@ -192,6 +200,7 @@ _KINDS: dict[str, _Kind] = {
         else f"cyclic group needs a prime base, got C({p}^{n})",
         lambda p, n: p ** n,
         lambda p, n: f"C({p}^{n})" if n else "C1",
+        lambda p, n: True,
         lambda name, cap, p, n: _cyclic_group(p ** n, name),
         factors=lambda p, n: (p ** n,) if n else (),
     ),
@@ -201,6 +210,7 @@ _KINDS: dict[str, _Kind] = {
         else f"invalid elementary abelian parameters ({p},{k})",
         lambda p, k: p ** k,
         lambda p, k: f"EA({p},{k})",
+        lambda p, k: True,
         lambda name, cap, p, k: _abelian_product_group([p] * k, name),
     ),
     "abelian_product": _Kind(
@@ -211,6 +221,7 @@ _KINDS: dict[str, _Kind] = {
         ),
         lambda *ms: prod(ms),
         lambda *ms: "x".join(f"C{m}" for m in ms) if ms else "C1",
+        lambda *ms: True,
         lambda name, cap, *ms: _abelian_product_group(ms, name),
         factors=lambda *ms: ms,
     ),
@@ -226,6 +237,7 @@ _KINDS: dict[str, _Kind] = {
         else "direct product factors must be GroupSpecs",
         lambda a, b: None if None in (orders := (a.order(), b.order())) else prod(orders),
         lambda a, b: f"{a.text()}x{b.text()}",
+        lambda a, b: None if None in (flags := (a.is_abelian(), b.is_abelian())) else all(flags),
         lambda name, cap, a, b: direct_product(
             build_group(a, perm_order_cap=cap), build_group(b, perm_order_cap=cap), name=name
         ),
@@ -234,6 +246,7 @@ _KINDS: dict[str, _Kind] = {
         lambda path: None if path else "perm spec needs a file path",
         lambda path: None,
         lambda path: f"perm:{path}",
+        lambda path: None,
         lambda name, cap, path: load_permutation_group(path, order_cap=cap, name=name),
     ),
 }

@@ -105,14 +105,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             {
                 "spec": s.text(),
                 "order": s.order(),
-                "abelian": build_group(s).is_abelian(),
+                "abelian": s.is_abelian(),
             }
             for s in specs
         ]
         _emit_json("catalog", None, payload)
     else:
         for s in specs:
-            abelian = "abelian" if build_group(s).is_abelian() else "nonabelian"
+            abelian = "abelian" if s.is_abelian() else "nonabelian"
             print(f"{s.text():<16} order {s.order():>4}  {abelian}")
     return 0
 

@@ -106,10 +106,16 @@ class SubgroupLattice:
 
     def class_index_of(self, sub: Subgroup | Iterable[int]) -> int:
         """The class of a subgroup of this lattice, given as a Subgroup or its elements."""
+        if isinstance(sub, Subgroup):
+            mask = sub.mask
+        else:
+            ids = {int(x) for x in sub}
+            # range-checked first: the mask of a huge id would be huge
+            in_range = all(0 <= x < self.group.order for x in ids)
+            mask = subgroup_mask(ids) if in_range else -1
         try:
-            mask = sub.mask if isinstance(sub, Subgroup) else Subgroup(sub).mask
             return self._class_by_mask[mask]
-        except (KeyError, ValueError):
+        except KeyError:
             raise ValueError("subgroup does not belong to this lattice") from None
 
     def __repr__(self) -> str:

@@ -296,3 +296,17 @@ def test_ghost_vector_scaling(lattice_of):
     v = GhostVector(lattice, (1, 2))
     assert (3 * v).values == (3, 6)
     assert (v * 2).values == (2, 4)
+
+
+def test_ghost_vector_rejects_non_integers(lattice_of):
+    lattice = lattice_of("C2")
+    v = GhostVector(lattice, (2, 1))
+    for bad in (0.5, 2.0, Fraction(3, 2), Fraction(2, 1)):
+        with pytest.raises(TypeError):
+            v * bad
+        with pytest.raises(TypeError):
+            bad * v
+        with pytest.raises(TypeError):
+            GhostVector(lattice, (bad, 1))
+    assert (v * True).values == (2, 1) and (False * v).values == (0, 0)
+    assert GhostVector(lattice, (True, 3)).values == (1, 3)

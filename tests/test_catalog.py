@@ -74,6 +74,7 @@ def test_nominal_orders_and_axioms_across_catalog():
     for spec in standard_catalog(128):
         g = build_group(spec)
         assert g.order == spec.order()
+        assert spec.is_abelian() == g.is_abelian()
         verify_group_axioms(g, generators=g.generators)
 
 
@@ -91,6 +92,11 @@ def test_direct_product_spec_order_and_commutativity():
     c4, c3 = GroupSpec("cyclic", (2, 2)), GroupSpec("cyclic", (3, 1))
     both = GroupSpec("direct_product", (c4, c3))
     assert build_group(both).is_abelian()
+    # the spec's flag comes from its factors, without a build
+    for product in (spec, both, parse_group_spec("Q8xC2"), parse_group_spec("D8xC4")):
+        assert product.kind == "direct_product"
+        assert product.is_abelian() == build_group(product).is_abelian()
+    assert GroupSpec("direct_product", (q8, GroupSpec("perm", ("g.perm",)))).is_abelian() is None
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,21 @@ def test_catalog_listing(capsys):
     assert "D(32)" not in out
 
 
+def test_catalog_builds_no_group(monkeypatch, capsys):
+    def refuse(spec, **_):
+        raise AssertionError(f"built {spec.text()}")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    code, out, err = run_cli(capsys, "catalog", "--max-order", "4096")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    code, out, err = run_cli(capsys, "catalog", "--max-order", "4096", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert [row["spec"] for row in payload] == [line.split()[0] for line in lines]
+    assert max(row["order"] for row in payload) == 4096
+
+
 def test_catalog_json(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--max-order", "8", "--json")
     assert code == 0

@@ -19,6 +19,7 @@ from burnside import (
     weyl_congruences,
 )
 from burnside import exponent
+from burnside.arith import prime_power
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
 
@@ -242,3 +243,22 @@ def test_exponent_raises_when_the_weyl_route_disagrees(lattice_of, monkeypatch):
     monkeypatch.setattr(exponent, "weyl_congruences", lambda _: skewed)
     with pytest.raises(RuntimeError, match="marks give 4, Weyl congruences give"):
         artin_exponent(lattice, EA)
+
+
+# Observed cyclic-family exponents by spec kind; every other catalog
+# group (abelian non-cyclic, M(2^n), ES+-(p)) gives |G|/p.
+CYCLIC_FAMILY_EXPONENT = {"cyclic": 1, "dihedral": 2, "quaternion": 2, "semidihedral": 4}
+
+
+def test_cyclic_family_exponents_over_the_catalog(lattice_of):
+    """The Artin exponent from cyclic subgroups (the family of T.Y. Lam's
+    results) pinned on every catalog group up to order 128, as an
+    observation of this package's output rather than a closed form."""
+    specs = standard_catalog(128)
+    assert len(specs) == 63
+    for spec in specs:
+        lattice = lattice_of(spec.text())
+        order = lattice.group.order
+        expected = CYCLIC_FAMILY_EXPONENT.get(spec.kind) or order // prime_power(order)[0]
+        got = artin_exponent(lattice, SubgroupFamily.CYCLIC).exponent
+        assert got == expected, spec.text()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from _oracles import conjugacy_partition, subset_closure_subgroups
@@ -233,3 +235,11 @@ def test_subgroup_masks_and_class_lookup(lattice_of):
     for bad in ([0, 1, 2], [0, 8], [-1, 0]):
         with pytest.raises(ValueError):
             lattice.class_index_of(bad)
+
+
+def test_class_lookup_rejects_a_huge_id_before_building_a_mask(lattice_of):
+    lattice = lattice_of("D8")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="does not belong to this lattice"):
+        lattice.class_index_of([0, 10**12])
+    assert time.perf_counter() - start < 1.0
