@@ -7,9 +7,9 @@ grammar turns CLI text such as ``C(2^3)``, ``Q8`` or ``C4xC2`` into
 :class:`GroupSpec` values.
 
 Every kind of spec is one ``_Kind`` entry in ``_KINDS``: its parameter
-check, nominal order, canonical text, abelian flag and builder. A new kind adds its
-entry there, plus a (pattern, kind) pair in ``_ATOMS`` if the grammar
-should spell it.
+check, nominal order, canonical text, abelian flag and builder. A new
+kind adds its entry there, plus a (pattern, kind) pair in ``_ATOMS`` if
+the grammar should spell it.
 """
 
 from __future__ import annotations

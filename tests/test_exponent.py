@@ -4,6 +4,7 @@ import pytest
 
 from _oracles import check_family_closure, divisor_search_exponent
 from burnside import (
+    Congruence,
     GhostVector,
     SubgroupFamily,
     abelian_closed_form_exponent,
@@ -18,7 +19,7 @@ from burnside import (
     verify_main_theorem,
     weyl_congruences,
 )
-from burnside import exponent
+from burnside import burnside_ring, exponent
 from burnside.arith import prime_power
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
@@ -243,6 +244,16 @@ def test_exponent_raises_when_the_weyl_route_disagrees(lattice_of, monkeypatch):
     monkeypatch.setattr(exponent, "weyl_congruences", lambda _: skewed)
     with pytest.raises(RuntimeError, match="marks give 4, Weyl congruences give"):
         artin_exponent(lattice, EA)
+
+
+def test_certificate_raises_when_the_pair_route_disagrees(lattice_of, monkeypatch):
+    lattice = lattice_of("Q8")
+    result = artin_exponent(lattice, EA)
+    # one pair congruence that no multiple of the indicator below 8 satisfies
+    skewed = (Congruence(0, lattice.class_count - 1, 8, ((0, 1),)),)
+    monkeypatch.setattr(burnside_ring, "dress_congruences", lambda _: skewed)
+    with pytest.raises(RuntimeError, match="marks give 4, congruences give 8"):
+        result.certificate
 
 
 # Observed cyclic-family exponents by spec kind; every other catalog
