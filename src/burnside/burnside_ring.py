@@ -19,14 +19,15 @@ G-set:
 
 All three are expected to agree on every input; that agreement is part
 of the test suite. Both congruence systems are ``Congruence`` records,
-counted by one power walk (``_coset_walker``) and summed by one loop
-(``violation_rows``); ``least_multiplier`` turns sums into the least
-multiplier that satisfies them, for the congruences and the solve alike.
+read off one power walk per subgroup U over N(U) (``_walks``) and summed
+by one loop (``violation_rows``); ``least_multiplier`` turns sums into
+the least multiplier that satisfies them, for the congruences and the
+solve alike.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
-``marks`` command). The table and both congruence systems are cached on
-the lattice through ``lattice_cached``.
+``marks`` command). The table, the walks and both congruence systems are
+cached on the lattice through ``lattice_cached``.
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -44,6 +45,7 @@ from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import prime_power
+from .groups import Subgroup
 from .lattice import (
     SubgroupLattice,
     conjugate_mask,
@@ -204,46 +206,41 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
-def _coset_walker(
-    lattice: SubgroupLattice,
-) -> Callable[..., tuple[tuple[int, int], ...] | None]:
-    """The power walk shared by the pair and the Weyl congruences.
+# a walk is (mask of N(U), rows), a row (mask of <v, U>, its class, coset count)
+Row = tuple[int, int, int]
+Walk = tuple[int, tuple[Row, ...]]
 
-    The returned ``walk(u_mask, uelems, within)`` counts the left cosets
-    vU, v in ``within`` (a subgroup containing U), by the class of
-    <v, U>, as sorted (class_index, coset_count) pairs, or returns None
-    if ``within`` does not normalize U. No join is closed from
-    generators: U is normal, so <U, v> is the union of the cosets v^k U
-    up to the first power of v inside U. If vU has order m modulo U, the
-    phi(m) cosets v^k U with gcd(k, m) = 1 all generate that same
-    subgroup, so one power walk counts all of them. Normality is tested
-    on the way, as vU = Uv for every walk's starting element v.
+
+@lattice_cached
+def _walks(lattice: SubgroupLattice) -> tuple[dict[int, Walk], Callable[[Subgroup], Walk]]:
+    """The walks done so far, by mask of U, and ``walk_of`` that fills them.
+
+    ``walk_of(U)`` walks N(U) (G for a normal class, else ``normalizer``)
+    and gives one row per cyclic subgroup <vU> of N(U)/U, U itself
+    included. No join is closed from generators: <v, U> is the union of
+    the cosets v^k U up to the first power of v inside U, and the phi(m)
+    cosets v^k U with k prime to the order m of vU all generate it.
     """
     group = lattice.group
     table = group.mul_table
-    columns = None if group.is_abelian() else tuple(zip(*table))
     bits = [1 << x for x in range(group.order)]
     class_of = lattice._class_by_mask
+    classes = lattice.classes
+    whole = classes[-1].representative
+    memo: dict[int, Walk] = {}
 
-    def walk(
-        u_mask: int, uelems: tuple[int, ...], within: Iterable[int]
-    ) -> tuple[tuple[int, int], ...] | None:
-        coset_of = entries_at(uelems)  # row x of the table -> xU
+    def walk_of(sub: Subgroup) -> Walk:
+        u_mask = sub.mask
+        if u_mask in memo:
+            return memo[u_mask]
         u_class = class_of[u_mask]
-        counts: dict[int, int] = {}
-        covered: set[int] = set()
-        for v in within:
+        norm = whole if classes[u_class].is_normal else normalizer(group, sub)
+        coset_of = entries_at(sub.elements)  # row x of the table -> xU
+        rows = [(u_mask, u_class, 1)]
+        covered = set(sub.elements)
+        for v in norm.elements:
             if v in covered:
                 continue
-            if u_mask >> v & 1:  # the coset U itself
-                covered.update(uelems)
-                counts[u_class] = counts.get(u_class, 0) + 1
-                continue
-            left = coset_of(table[v])
-            # every element lies in a coset x^k U of some x tested here,
-            # so ``within`` normalizes U iff each such x does
-            if columns is not None and set(left) != set(coset_of(columns[v])):
-                return None
             powers = [v]
             y = table[v][v]
             while not u_mask >> y & 1:
@@ -253,16 +250,26 @@ def _coset_walker(
             joined = u_mask
             generators = 0
             for e, p in enumerate(powers, 1):
-                coset = left if e == 1 else coset_of(table[p])
+                coset = coset_of(table[p])
                 joined += sum(map(bits.__getitem__, coset))
                 if gcd(e, m) == 1:
                     generators += 1
                     covered.update(coset)
-            cls_idx = class_of[joined]
-            counts[cls_idx] = counts.get(cls_idx, 0) + generators
-        return tuple(sorted(counts.items()))
+            rows.append((joined, class_of[joined], generators))
+        walk = memo[u_mask] = (norm.mask, tuple(rows))
+        return walk
 
-    return walk
+    return memo, walk_of
+
+
+def _terms_within(rows: Iterable[Row], v_mask: int) -> tuple[tuple[int, int], ...]:
+    """The rows whose join lies in V, summed by class as sorted
+    (class_index, coset_count) pairs: the cosets vU of V/U by <v, U>."""
+    counts: dict[int, int] = {}
+    for joined, cls, count in rows:
+        if joined & v_mask == joined:
+            counts[cls] = counts.get(cls, 0) + count
+    return tuple(sorted(counts.items()))
 
 
 @lattice_cached
@@ -273,16 +280,16 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     enumerated with V running over class representatives and U over the
     smaller subgroups contained in V (bitmask tests over the order-sorted
     subgroup list), deduplicated by conjugacy under the normalizer of V;
-    simultaneously conjugate pairs yield identical congruences. The terms
-    come from the power walk of ``_coset_walker``, which also tests that
-    U is normal in V.
+    simultaneously conjugate pairs yield identical congruences. U is
+    normal in V iff V lies in N(U), and the terms are the rows of U's
+    walk over N(U) (``_walks``) whose join lies in V.
     """
     group = lattice.group
     abelian = group.is_abelian()
     subgroups = lattice.all_subgroups
     class_of = lattice._class_by_mask
     sub_orders = [sub.order for sub in subgroups]
-    walk = _coset_walker(lattice)
+    _, walk_of = _walks(lattice)
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
@@ -290,11 +297,10 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         if v_order == 1:
             continue
         v_mask = v_rep.mask
-        velems = v_rep.elements
         # g and gv conjugate a subgroup normal in V alike, so one g per
         # left coset of V in N(V) sweeps each orbit
         conjugators = () if abelian else [
-            g for g, _ in left_cosets(group, normalizer(group, v_rep).elements, velems)
+            g for g, _ in left_cosets(group, normalizer(group, v_rep).elements, v_rep.elements)
         ]
         seen_orbit: set[int] = set()
         below = bisect_left(sub_orders, v_order)
@@ -303,20 +309,13 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             u_mask = sub.mask
             if prime_power(index) is None or u_mask in seen_orbit:
                 continue
-            uelems = sub.elements
-            terms = walk(u_mask, uelems, velems)
-            if terms is None:
+            norm_mask, rows = walk_of(sub)
+            if norm_mask & v_mask != v_mask:
                 continue
             for g in conjugators:
-                seen_orbit.add(conjugate_mask(group, uelems, g))
-            out.append(
-                Congruence(
-                    u_class=class_of[u_mask],
-                    v_class=cls.class_index,
-                    index=index,
-                    terms=terms,
-                )
-            )
+                seen_orbit.add(conjugate_mask(group, sub.elements, g))
+            terms = _terms_within(rows, v_mask)
+            out.append(Congruence(class_of[u_mask], cls.class_index, index, terms))
     return tuple(out)
 
 
@@ -324,27 +323,24 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
 def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """Dress's characterisation by Weyl groups, one congruence per class.
 
-    x is in the Burnside ring iff, for every class U,
-    sum over gU in N(U)/U of x(<g, U>) is 0 mod |N(U) : U|, which is the
-    congruence of the pair (U, N(U)): v_class is the class of N(U), and
-    the terms come from the power walk over N(U) (see ``_coset_walker``).
-    The index is read off the class data as |G| / (|class| * |U|);
-    classes of index 1 give no row, and a normal U has N(U) = G (the
-    last class) without a normalizer computation. The row for U = 1 is
-    the Cauchy-Frobenius-Burnside relation.
+    x is in the Burnside ring iff, for every class U, sum over gU in
+    N(U)/U of x(<g, U>) is 0 mod |N(U) : U|: the congruence of the pair
+    (U, N(U)), with v_class the class of N(U), summing a member's whole
+    walk (``_walks``). Conjugates give the same row, so a member already
+    walked for the pair congruences is read, else the representative.
+    The index is |G| / (|class| * |U|); classes of index 1 give no row.
     """
-    group = lattice.group
-    whole = lattice.classes[-1].representative
-    walk = _coset_walker(lattice)
+    order = lattice.group.order
+    walked, walk_of = _walks(lattice)
     rows = []
     for cls in lattice.classes:
-        index = group.order // (len(cls.members) * cls.order)
+        index = order // (len(cls.members) * cls.order)
         if index == 1:
             continue
-        rep = cls.representative
-        norm = whole if cls.is_normal else normalizer(group, rep)
-        terms = walk(rep.mask, rep.elements, norm.elements)
-        rows.append(Congruence(cls.class_index, lattice._class_by_mask[norm.mask], index, terms))
+        member = next((m for m in cls.members if m.mask in walked), cls.representative)
+        norm_mask, walk = walk_of(member)
+        terms = _terms_within(walk, norm_mask)
+        rows.append(Congruence(cls.class_index, lattice._class_by_mask[norm_mask], index, terms))
     return tuple(rows)
 
 
@@ -435,10 +431,12 @@ def marks_membership(
 
 def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
     """Cauchy-Frobenius-Burnside relation: the sum of x(<g>) over all group
-    elements g must vanish mod |G|. It is the Weyl row for U = 1 (none for
-    the trivial group). Necessary for membership, not sufficient."""
+    elements g must vanish mod |G|. It sums the walk of U = 1 alone.
+    Necessary for membership, not sufficient."""
     _check_vector(lattice, x)
-    return not violation_rows(weyl_congruences(lattice)[:1], x.values)
+    _, walk_of = _walks(lattice)
+    _, rows = walk_of(lattice.classes[0].representative)
+    return sum(count * x.values[cls] for _, cls, count in rows) % lattice.group.order == 0
 
 
 def minimal_multiplier(lattice: SubgroupLattice, x: GhostVector) -> int:

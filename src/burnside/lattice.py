@@ -80,8 +80,9 @@ class SubgroupLattice:
     ``all_subgroups`` holds the classes' Subgroup objects, sorted by order
     and then elements; a subgroup's bitmask finds its class through one
     dict lookup. Data derived from the whole lattice (the table of marks,
-    the pair and the Weyl congruences) is built on first use and kept in
-    one cache, filled only through ``lattice_cached``.
+    each subgroup's walk over its normalizer, the pair and the Weyl
+    congruences) is built on first use and kept in one cache, filled only
+    through ``lattice_cached``.
     """
 
     __slots__ = (

@@ -18,6 +18,7 @@ from _oracles import (
 )
 from burnside import (
     GhostVector,
+    burnside_ring,
     build_group,
     cfb_check,
     dress_congruences,
@@ -204,6 +205,18 @@ def test_cfb_necessity(lattice_of):
             vector = GhostVector(latt, [rng.randint(-5, 5) for _ in range(n)])
             if dress_membership(latt, vector).holds:
                 assert cfb_check(latt, vector)
+
+
+def test_cfb_check_builds_no_weyl_rows(monkeypatch):
+    def refuse(lattice):
+        raise AssertionError("the Weyl rows were built")
+
+    monkeypatch.setattr(burnside_ring, "weyl_congruences", refuse)
+    for text in ("EA(2,4)", "Q8"):
+        lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
+        n = lattice.class_count
+        assert cfb_check(lattice, GhostVector(lattice, (1,) * n))
+        assert not cfb_check(lattice, GhostVector(lattice, (1,) + (0,) * (n - 1)))
 
 
 def test_minimal_multiplier_examples(lattice_of):

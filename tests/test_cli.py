@@ -15,6 +15,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EA23_NONMEMBER = "5,1,2,0,3,1,1,0,2,1,0,1,1,0,1,1"
+# violates 12 pair congruences; D(16) has non-normal subgroups that are not
+# their class's representative
+D16_NONMEMBER = "1,1,1,1,1,1,0,0,0,0,0"
 
 # argv, the file under tests/golden holding its exact stdout, and the exit code
 GOLDEN_RUNS = [
@@ -65,6 +68,14 @@ GOLDEN_RUNS = [
     ),
     (("lattice", "EA(2,5)"), "lattice-EA25.txt", 0),
     (("lattice", "ES-(5)", "--json"), "lattice-ESminus5.json", 0),
+    (("member", "D(16)", "--vector", D16_NONMEMBER), "member-D16-nonmember.txt", 0),
+    (
+        ("member", "D(16)", "--vector", D16_NONMEMBER, "--json"),
+        "member-D16-nonmember.json",
+        0,
+    ),
+    (("exponent", "D(32)", "--certify"), "exponent-D32-certify.txt", 0),
+    (("exponent", "D(32)", "--certify", "--json"), "exponent-D32-certify.json", 0),
 ]
 
 

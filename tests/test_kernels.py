@@ -33,6 +33,7 @@ from _oracles import (
 )
 from burnside import (
     CongruenceViolation,
+    burnside_ring,
     GhostVector,
     SubgroupFamily,
     artin_exponent,
@@ -44,6 +45,7 @@ from burnside import (
     indicator_vector,
     marks_membership,
     minimal_multiplier,
+    normalizer,
     parse_group_spec,
     standard_catalog,
     table_of_marks,
@@ -182,6 +184,31 @@ def test_random_two_generator_group_matches_closure_oracles(seed):
 @pytest.mark.parametrize("seed", DEGREE_SIX_SEEDS)
 def test_random_degree_six_group_matches_closure_oracles(seed):
     _assert_matches_oracles(_random_degree_six_group(seed))
+
+
+@pytest.mark.parametrize("name", ["D(16)", "S5"])
+def test_weyl_rows_reuse_the_pair_walks(name, tmp_path, monkeypatch):
+    """After the pair system, no Weyl row computes a normalizer: each class
+    reads a member the pair congruences walked, and gives the same row as
+    the representative's own walk on a fresh lattice."""
+    if name in PERM_FILES:
+        group = _perm_file_group(name, tmp_path)
+    else:
+        group = build_group(parse_group_spec(name))
+    calls = []
+
+    def counting(group, sub):
+        calls.append(sub)
+        return normalizer(group, sub)
+
+    monkeypatch.setattr(burnside_ring, "normalizer", counting)
+    fresh = weyl_congruences(enumerate_subgroups(group))
+    assert calls  # the wrapper is the one the walks call
+    lattice = enumerate_subgroups(group)
+    dress_congruences(lattice)
+    calls.clear()
+    assert weyl_congruences(lattice) == fresh
+    assert calls == []
 
 
 def _fields(violation):
