@@ -47,16 +47,11 @@ from .groups import (
     CapExceededError,
     FiniteGroup,
     Subgroup,
-    conjugate_subgroup,
     direct_product,
-    generated_subgroup,
     group_from_perm_generators,
-    is_closed_subset,
     load_permutation_group,
     parse_permutation,
     parse_permutation_file,
-    subgroup_from_elements,
-    verify_group_axioms,
 )
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -66,7 +61,6 @@ from .lattice import (
     enumerate_subgroups,
     is_elementary_abelian,
     maximal_elementary_abelian,
-    normalizer,
     select_family,
 )
 
@@ -97,29 +91,23 @@ __all__ = [
     "cfb_check",
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
-    "conjugate_subgroup",
     "direct_product",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",
-    "generated_subgroup",
     "group_from_perm_generators",
     "indicator_vector",
-    "is_closed_subset",
     "is_elementary_abelian",
     "load_permutation_group",
     "marks_membership",
     "maximal_elementary_abelian",
     "minimal_multiplier",
-    "normalizer",
     "parse_group_spec",
     "parse_permutation",
     "parse_permutation_file",
     "select_family",
     "standard_catalog",
-    "subgroup_from_elements",
     "table_of_marks",
-    "verify_group_axioms",
     "verify_main_theorem",
     "weyl_congruences",
 ]

@@ -52,7 +52,6 @@ from .lattice import (
     entries_at,
     lattice_cached,
     left_cosets,
-    normalizer,
 )
 
 
@@ -206,39 +205,35 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
-# a walk is (mask of N(U), rows), a row (mask of <v, U>, its class, coset count)
+# a walk is its rows, a row (mask of <v, U>, its class, coset count)
 Row = tuple[int, int, int]
-Walk = tuple[int, tuple[Row, ...]]
+Walk = tuple[Row, ...]
 
 
 @lattice_cached
 def _walks(lattice: SubgroupLattice) -> tuple[dict[int, Walk], Callable[[Subgroup], Walk]]:
     """The walks done so far, by mask of U, and ``walk_of`` that fills them.
 
-    ``walk_of(U)`` walks N(U) (G for a normal class, else ``normalizer``)
-    and gives one row per cyclic subgroup <vU> of N(U)/U, U itself
-    included. No join is closed from generators: <v, U> is the union of
-    the cosets v^k U up to the first power of v inside U, and the phi(m)
-    cosets v^k U with k prime to the order m of vU all generate it.
+    ``walk_of(U)`` walks the normalizer N(U) the lattice recorded and
+    gives one row per cyclic subgroup <vU> of N(U)/U, U itself included.
+    No join is closed from generators: <v, U> is the union of the cosets
+    v^k U up to the first power of v inside U, and the phi(m) cosets
+    v^k U with k prime to the order m of vU all generate it.
     """
     group = lattice.group
     table = group.mul_table
     bits = [1 << x for x in range(group.order)]
     class_of = lattice._class_by_mask
-    classes = lattice.classes
-    whole = classes[-1].representative
     memo: dict[int, Walk] = {}
 
     def walk_of(sub: Subgroup) -> Walk:
         u_mask = sub.mask
         if u_mask in memo:
             return memo[u_mask]
-        u_class = class_of[u_mask]
-        norm = whole if classes[u_class].is_normal else normalizer(group, sub)
         coset_of = entries_at(sub.elements)  # row x of the table -> xU
-        rows = [(u_mask, u_class, 1)]
+        rows = [(u_mask, class_of[u_mask], 1)]
         covered = set(sub.elements)
-        for v in norm.elements:
+        for v in lattice.normalizer(sub).elements:
             if v in covered:
                 continue
             powers = [v]
@@ -256,7 +251,7 @@ def _walks(lattice: SubgroupLattice) -> tuple[dict[int, Walk], Callable[[Subgrou
                     generators += 1
                     covered.update(coset)
             rows.append((joined, class_of[joined], generators))
-        walk = memo[u_mask] = (norm.mask, tuple(rows))
+        walk = memo[u_mask] = tuple(rows)
         return walk
 
     return memo, walk_of
@@ -281,13 +276,15 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     smaller subgroups contained in V (bitmask tests over the order-sorted
     subgroup list), deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
-    normal in V iff V lies in N(U), and the terms are the rows of U's
-    walk over N(U) (``_walks``) whose join lies in V.
+    normal in V iff V lies in the normalizer N(U) the lattice recorded,
+    and the terms are the rows of U's walk over N(U) (``_walks``) whose
+    join lies in V.
     """
     group = lattice.group
     abelian = group.is_abelian()
     subgroups = lattice.all_subgroups
     class_of = lattice._class_by_mask
+    normalizer_of = lattice._normalizers
     sub_orders = [sub.order for sub in subgroups]
     _, walk_of = _walks(lattice)
     out: list[Congruence] = []
@@ -300,7 +297,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         # g and gv conjugate a subgroup normal in V alike, so one g per
         # left coset of V in N(V) sweeps each orbit
         conjugators = () if abelian else [
-            g for g, _ in left_cosets(group, normalizer(group, v_rep).elements, v_rep.elements)
+            g for g, _ in left_cosets(group, normalizer_of[v_mask].elements, v_rep.elements)
         ]
         seen_orbit: set[int] = set()
         below = bisect_left(sub_orders, v_order)
@@ -309,12 +306,11 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             u_mask = sub.mask
             if prime_power(index) is None or u_mask in seen_orbit:
                 continue
-            norm_mask, rows = walk_of(sub)
-            if norm_mask & v_mask != v_mask:
+            if normalizer_of[u_mask].mask & v_mask != v_mask:
                 continue
             for g in conjugators:
                 seen_orbit.add(conjugate_mask(group, sub.elements, g))
-            terms = _terms_within(rows, v_mask)
+            terms = _terms_within(walk_of(sub), v_mask)
             out.append(Congruence(class_of[u_mask], cls.class_index, index, terms))
     return tuple(out)
 
@@ -338,8 +334,8 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         if index == 1:
             continue
         member = next((m for m in cls.members if m.mask in walked), cls.representative)
-        norm_mask, walk = walk_of(member)
-        terms = _terms_within(walk, norm_mask)
+        norm_mask = lattice.normalizer(member).mask
+        terms = _terms_within(walk_of(member), norm_mask)
         rows.append(Congruence(cls.class_index, lattice._class_by_mask[norm_mask], index, terms))
     return tuple(rows)
 
@@ -435,7 +431,7 @@ def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
     Necessary for membership, not sufficient."""
     _check_vector(lattice, x)
     _, walk_of = _walks(lattice)
-    _, rows = walk_of(lattice.classes[0].representative)
+    rows = walk_of(lattice.classes[0].representative)
     return sum(count * x.values[cls] for _, cls, count in rows) % lattice.group.order == 0
 
 

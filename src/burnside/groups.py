@@ -4,8 +4,9 @@ Elements are integer ids in ``range(order)`` and id 0 is always the
 identity. A ``Subgroup`` is its sorted element ids and their bitmask.
 Groups and subgroups do not change after construction, apart from the
 group's lazily computed abelian flag. A ``SubgroupLattice`` built from a
-group is not immutable: it fills one lazy cache (table of marks, pair
-and Weyl congruences) on first use. The cached values are
+group is not immutable: it fills one lazy cache (table of marks, each
+subgroup's walk over its normalizer, pair and Weyl congruences) on
+first use. The cached values are
 deterministic, so threads sharing a lattice see the same results, but
 concurrent first calls may each compute them.
 """
@@ -29,8 +30,8 @@ class FiniteGroup:
 
     The table is validated for shape, identity behaviour, and
     cancellation (each row and column is a permutation). Associativity
-    is not checked here because it is cubic in the order; use
-    :func:`verify_group_axioms` when that guarantee is needed.
+    is not checked, because that is cubic in the order; the test suite
+    checks it for every group the catalog builds.
     """
 
     __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "_abelian")
@@ -76,10 +77,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self.inv_table[a]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """Return g*x*g^-1."""
-        return self.mul_table[self.mul_table[g][x]][self.inv_table[g]]
 
     def power(self, x: int, k: int) -> int:
         if k < 0:
@@ -167,98 +164,8 @@ class Subgroup:
     def __hash__(self) -> int:
         return hash(self.elements)
 
-    def __lt__(self, other: "Subgroup") -> bool:
-        return (self.order, self.elements) < (other.order, other.elements)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, elements={self.elements})"
-
-
-def generated_subgroup(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of ``group`` containing ``seed``.
-
-    The empty seed yields the trivial subgroup. Closure is a word search
-    over the generators; inverses come for free in a finite group.
-    """
-    table = group.mul_table
-    gens = sorted({int(g) for g in seed})
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise ValueError(f"element id {g} out of range")
-    found = [IDENTITY]
-    seen = {IDENTITY}
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            found.append(g)
-    i = 0
-    while i < len(found):
-        x = found[i]
-        row = table[x]
-        for g in gens:
-            y = row[g]
-            if y not in seen:
-                seen.add(y)
-                found.append(y)
-        i += 1
-    return Subgroup(seen)
-
-
-def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, g: int) -> Subgroup:
-    """The subgroup g*U*g^-1; always has the same order as U."""
-    table = group.mul_table
-    gi = group.inv_table[g]
-    grow = table[g]
-    return Subgroup(table[grow[u]][gi] for u in sub.elements)
-
-
-def is_closed_subset(group: FiniteGroup, elements: Iterable[int]) -> bool:
-    """True iff the set contains the identity and is closed under products."""
-    elems = frozenset(elements)
-    if IDENTITY not in elems:
-        return False
-    table = group.mul_table
-    for a in elems:
-        row = table[a]
-        for b in elems:
-            if row[b] not in elems:
-                return False
-    return True
-
-
-def subgroup_from_elements(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """Build a Subgroup after checking closure; raises ValueError otherwise."""
-    elems = frozenset(int(x) for x in elements) | {IDENTITY}
-    if not is_closed_subset(group, elems):
-        raise ValueError("element set is not closed under the group operation")
-    return Subgroup(elems)
-
-
-def verify_group_axioms(group: FiniteGroup, *, generators: Sequence[int] | None = None) -> None:
-    """Check associativity exhaustively, or via Light's test when generators are given.
-
-    Light's test only needs the triples (a, g, b) with g a generator,
-    provided the generators actually generate the group; that closure is
-    checked first. Raises ValueError on any failure.
-    """
-    table = group.mul_table
-    n = group.order
-    if generators is not None:
-        gen = generated_subgroup(group, generators)
-        if gen.order != n:
-            raise ValueError("given generators do not generate the group")
-        probes: Iterable[int] = generators
-    else:
-        probes = range(n)
-    for g in probes:
-        grow = table[g]
-        for a in range(n):
-            ag = table[a][g]
-            arow = table[a]
-            agrow = table[ag]
-            for b in range(n):
-                if agrow[b] != arow[grow[b]]:
-                    raise ValueError(f"associativity fails at ({a}, {g}, {b})")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, *, name: str | None = None) -> FiniteGroup:

@@ -8,6 +8,8 @@ is the whole group.
 
 Each subgroup is one ``Subgroup``, built with its bitmask when
 enumeration first finds it and shared by the classes and the lattice.
+The conjugacy-orbit pass that finds a class also records the normalizer
+of every member, as a reference to the lattice's own ``Subgroup``.
 """
 
 from __future__ import annotations
@@ -78,9 +80,11 @@ class SubgroupLattice:
     """All subgroups of a group, partitioned into conjugacy classes.
 
     ``all_subgroups`` holds the classes' Subgroup objects, sorted by order
-    and then elements; a subgroup's bitmask finds its class through one
-    dict lookup. Data derived from the whole lattice (the table of marks,
-    each subgroup's walk over its normalizer, the pair and the Weyl
+    and then elements; a subgroup's bitmask finds its class, and its
+    normalizer, through one dict lookup each. ``normalizers`` maps every
+    subgroup's mask to its normalizer, one of the classes' own Subgroup
+    objects. Data derived from the whole lattice (the table of marks, each
+    subgroup's walk over its normalizer, the pair and the Weyl
     congruences) is built on first use and kept in one cache, filled only
     through ``lattice_cached``.
     """
@@ -90,15 +94,22 @@ class SubgroupLattice:
         "all_subgroups",
         "classes",
         "_class_by_mask",
+        "_normalizers",
         "_derived",
     )
 
-    def __init__(self, group: FiniteGroup, classes: tuple[SubgroupClass, ...]) -> None:
+    def __init__(
+        self,
+        group: FiniteGroup,
+        classes: tuple[SubgroupClass, ...],
+        normalizers: dict[int, Subgroup],
+    ) -> None:
         self.group = group
         self.classes = classes
         subs = [m for cls in classes for m in cls.members]
         self.all_subgroups = tuple(sorted(subs, key=lambda s: (len(s.elements), s.elements)))
         self._class_by_mask = {m.mask: c.class_index for c in classes for m in c.members}
+        self._normalizers = normalizers
         self._derived: dict[Callable, object] = {}
 
     @property
@@ -116,6 +127,14 @@ class SubgroupLattice:
             mask = subgroup_mask(ids) if in_range else -1
         try:
             return self._class_by_mask[mask]
+        except KeyError:
+            raise ValueError("subgroup does not belong to this lattice") from None
+
+    def normalizer(self, sub: Subgroup) -> Subgroup:
+        """N(U), the largest subgroup in which U is normal, as recorded when
+        the lattice was built: one of the lattice's own Subgroup objects."""
+        try:
+            return self._normalizers[sub.mask]
         except KeyError:
             raise ValueError("subgroup does not belong to this lattice") from None
 
@@ -226,7 +245,9 @@ def enumerate_subgroups(
     elements of H or of <y>, whichever is larger, never from scratch.
     Each subgroup's Subgroup object is built when a join first finds it;
     the dedupe key of the joins is the element set, kept only while the
-    enumeration runs. Groups larger than the cap are rejected.
+    enumeration runs. The conjugacy-orbit pass then records every
+    subgroup's normalizer (G throughout when the group is abelian). Groups
+    larger than the cap are rejected.
     """
     check_enumeration_cap(group.order, cap)
     table = group.mul_table
@@ -273,22 +294,37 @@ def enumerate_subgroups(
 
     abelian = group.is_abelian()
     inv = group.inv_table
+    whole = found[frozenset(group.elements())][0]
+    normalizers: dict[int, Subgroup] = {}
     remaining = set(found)
     staged = []
     for fs, (sub, _) in found.items():
         if fs not in remaining:
             continue
         if abelian:
-            orbit = {fs}
+            orbit = {fs: 0}
+            norm = whole
         else:
-            # gHg^-1 depends only on the left coset gH
+            # gHg^-1 depends only on the left coset gH; the cosets that fix
+            # H make up N(H), and the first g giving each member gHg^-1
+            # gives its normalizer g N(H) g^-1
             elements = sub.elements
-            orbit = set()
-            for g, _ in left_cosets(group, group.elements(), elements):
-                grow = table[g]
-                conj_row = columns[inv[g]]  # x -> x * g^-1
-                orbit.add(frozenset(conj_row[grow[u]] for u in elements))
-        remaining -= orbit
+            orbit = {}
+            fixing = []
+            for g, coset in left_cosets(group, group.elements(), elements):
+                # gHg^-1 is the left coset gH times g^-1
+                conj = frozenset(map(columns[inv[g]].__getitem__, coset))
+                orbit.setdefault(conj, g)
+                if conj == fs:
+                    fixing.extend(coset)
+            norm = found[frozenset(fixing)][0]
+            for conj, g in orbit.items():
+                if g:  # g = 0, the first coset's representative, gives H
+                    coset = map(table[g].__getitem__, norm.elements)
+                    conj_norm = frozenset(map(columns[inv[g]].__getitem__, coset))
+                    normalizers[found[conj][0].mask] = found[conj_norm][0]
+        normalizers[sub.mask] = norm
+        remaining.difference_update(orbit)
         members = tuple(sorted((found[m][0] for m in orbit), key=attrgetter("elements")))
         rep = members[0]
         staged.append(
@@ -313,7 +349,7 @@ def enumerate_subgroups(
     )
     if classes[0].order != 1 or classes[-1].order != group.order:
         raise RuntimeError("subgroup enumeration lost the trivial subgroup or the group")
-    return SubgroupLattice(group, classes)
+    return SubgroupLattice(group, classes, normalizers)
 
 
 def left_cosets(
@@ -331,24 +367,6 @@ def left_cosets(
             seen.update(coset)
             out.append((x, coset))
     return out
-
-
-def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
-    """The largest subgroup in which ``sub`` is normal; always contains ``sub``.
-
-    Whether g normalizes U depends only on the coset gU, so one
-    representative per left coset is tested.
-    """
-    mask = sub.mask
-    table = group.mul_table
-    inv = group.inv_table
-    members: list[int] = []
-    for g, coset in left_cosets(group, group.elements(), sub.elements):
-        grow = table[g]
-        gi = inv[g]
-        if all(mask >> table[grow[u]][gi] & 1 for u in sub.elements):
-            members.extend(coset)
-    return Subgroup(members)
 
 
 def is_elementary_abelian(group: FiniteGroup, sub: Subgroup) -> bool:

@@ -9,11 +9,16 @@ a time. The closure-based lattice enumeration and Dress congruence
 system below are the library's earlier implementations, which rebuild
 every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
-builds every violation record by keyword. The Weyl-group congruences
-are built from explicit normalizers, one closure per coset. The cyclic
+builds every violation record by keyword. Normalizers are found by
+conjugating a subgroup by every group element, and the Weyl-group
+congruences are built from them, one closure per coset. The cyclic
 census is counted by walking the powers of every group element.
-``BurnsideElement``, ``ghost_of`` and ``check_family_closure`` are test
-helpers that the library itself never needs.
+Subgroups generated by a seed are closed by a word search
+(``generated_subgroup``), a second closure beside the library's
+coset-wise joins, and associativity is checked exhaustively or by
+Light's test (``verify_group_axioms``). ``BurnsideElement``,
+``ghost_of`` and ``check_family_closure`` are test helpers that the
+library itself never needs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from burnside import (
     CapExceededError,
@@ -35,18 +40,113 @@ from burnside import (
     SubgroupFamily,
     SubgroupLattice,
     artin_exponent,
-    conjugate_subgroup,
     dress_congruences,
     dress_membership,
-    generated_subgroup,
     indicator_vector,
     is_elementary_abelian,
     minimal_multiplier,
-    normalizer,
     table_of_marks,
 )
 from burnside.arith import divisors, prime_power
+from burnside.groups import IDENTITY
 from burnside.lattice import DEFAULT_ENUMERATION_CAP, SubgroupClass
+
+
+def conjugate(group: FiniteGroup, g: int, x: int) -> int:
+    """Return g*x*g^-1."""
+    return group.mul_table[group.mul_table[g][x]][group.inv_table[g]]
+
+
+def generated_subgroup(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+    """Smallest subgroup of ``group`` containing ``seed``.
+
+    The empty seed yields the trivial subgroup. Closure is a word search
+    over the generators; inverses come for free in a finite group.
+    """
+    table = group.mul_table
+    gens = sorted({int(g) for g in seed})
+    for g in gens:
+        if not 0 <= g < group.order:
+            raise ValueError(f"element id {g} out of range")
+    found = [IDENTITY]
+    seen = {IDENTITY}
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            found.append(g)
+    i = 0
+    while i < len(found):
+        x = found[i]
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+        i += 1
+    return Subgroup(seen)
+
+
+def conjugate_subgroup(group: FiniteGroup, sub: Subgroup, g: int) -> Subgroup:
+    """The subgroup g*U*g^-1; always has the same order as U."""
+    table = group.mul_table
+    gi = group.inv_table[g]
+    grow = table[g]
+    return Subgroup(table[grow[u]][gi] for u in sub.elements)
+
+
+def is_closed_subset(group: FiniteGroup, elements: Iterable[int]) -> bool:
+    """True iff the set contains the identity and is closed under products."""
+    elems = frozenset(elements)
+    if IDENTITY not in elems:
+        return False
+    table = group.mul_table
+    for a in elems:
+        row = table[a]
+        for b in elems:
+            if row[b] not in elems:
+                return False
+    return True
+
+
+def subgroup_from_elements(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
+    """Build a Subgroup after checking closure; raises ValueError otherwise."""
+    elems = frozenset(int(x) for x in elements) | {IDENTITY}
+    if not is_closed_subset(group, elems):
+        raise ValueError("element set is not closed under the group operation")
+    return Subgroup(elems)
+
+
+def verify_group_axioms(group: FiniteGroup, *, generators: Sequence[int] | None = None) -> None:
+    """Check associativity exhaustively, or via Light's test when generators are given.
+
+    Light's test only needs the triples (a, g, b) with g a generator,
+    provided the generators actually generate the group; that closure is
+    checked first. Raises ValueError on any failure.
+    """
+    table = group.mul_table
+    n = group.order
+    if generators is not None:
+        gen = generated_subgroup(group, generators)
+        if gen.order != n:
+            raise ValueError("given generators do not generate the group")
+        probes: Iterable[int] = generators
+    else:
+        probes = range(n)
+    for g in probes:
+        grow = table[g]
+        for a in range(n):
+            ag = table[a][g]
+            arow = table[a]
+            agrow = table[ag]
+            for b in range(n):
+                if agrow[b] != arow[grow[b]]:
+                    raise ValueError(f"associativity fails at ({a}, {g}, {b})")
+
+
+def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
+    """N(U) as {g : gUg^-1 = U}, testing every element of the group."""
+    return Subgroup(g for g in group.elements() if conjugate_subgroup(group, sub, g) == sub)
 
 
 class BurnsideElement:
@@ -301,7 +401,8 @@ def closure_enumerate_subgroups(
     group: FiniteGroup, *, cap: int | None = None
 ) -> SubgroupLattice:
     """Every subgroup by repeated joins with cyclic subgroups, each join
-    closed from its generators from scratch; classes in canonical order."""
+    closed from its generators from scratch; classes in canonical order,
+    normalizers by ``normalizer``."""
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if group.order > limit:
         raise CapExceededError(
@@ -374,7 +475,11 @@ def closure_enumerate_subgroups(
         SubgroupClass(idx, members, is_cyclic=is_cyc, is_elementary_abelian=is_ea)
         for idx, (_, _, _, members, is_cyc, is_ea) in enumerate(staged)
     )
-    return SubgroupLattice(group, classes)
+    by_elements = {m.elements: m for cls in classes for m in cls.members}
+    normalizers = {
+        m.mask: by_elements[normalizer(group, m).elements] for m in by_elements.values()
+    }
+    return SubgroupLattice(group, classes, normalizers)
 
 
 def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:

@@ -1,5 +1,6 @@
-"""The package's public names: the exact export list, and every name that
-the acceptance suite imports or the benchmark harness reads off the package."""
+"""The package's public names: the exact export list, every name that the
+acceptance suite imports or the benchmark harness reads off the package,
+and no exported name that only the tests and ``__init__.py`` use."""
 
 from __future__ import annotations
 
@@ -38,29 +39,23 @@ EXPORTS = [
     "cfb_check",
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
-    "conjugate_subgroup",
     "direct_product",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",
-    "generated_subgroup",
     "group_from_perm_generators",
     "indicator_vector",
-    "is_closed_subset",
     "is_elementary_abelian",
     "load_permutation_group",
     "marks_membership",
     "maximal_elementary_abelian",
     "minimal_multiplier",
-    "normalizer",
     "parse_group_spec",
     "parse_permutation",
     "parse_permutation_file",
     "select_family",
     "standard_catalog",
-    "subgroup_from_elements",
     "table_of_marks",
-    "verify_group_axioms",
     "verify_main_theorem",
     "weyl_congruences",
 ]
@@ -83,3 +78,24 @@ def test_names_used_by_acceptance_suite_and_benchmark_are_exported():
     read_off_package = set(re.findall(r"\bB\.(\w+)", bench))
     assert len(imported) > 10 and len(read_off_package) > 10
     assert imported | read_off_package <= set(burnside.__all__)
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every name a file reads, as a bare name or an attribute; definitions
+    and import lists do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_by_the_package_acceptance_suite_or_benchmark():
+    package = ROOT / "src" / "burnside"
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += [ROOT / "bench" / "run.py", ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_names_used, files))
+    assert [name for name in burnside.__all__ if name not in used] == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import conjugate, verify_group_axioms
 from burnside import (
     GroupSpec,
     MaximalCyclicType,
@@ -12,7 +13,6 @@ from burnside import (
     classify_maximal_cyclic_2group,
     parse_group_spec,
     standard_catalog,
-    verify_group_axioms,
 )
 
 
@@ -35,7 +35,7 @@ def test_semidihedral16_relation():
     assert not g.is_abelian()
     a, h = g.generators
     assert g.element_order(a) == 8
-    assert g.conjugate(h, a) == g.power(a, 3)
+    assert conjugate(g, h, a) == g.power(a, 3)
 
 
 def test_modular16_relation():
@@ -43,7 +43,7 @@ def test_modular16_relation():
     a, h = g.generators
     assert g.element_order(a) == 8
     assert g.element_order(h) == 2
-    assert g.conjugate(h, a) == g.power(a, 5)
+    assert conjugate(g, h, a) == g.power(a, 5)
 
 
 def test_dihedral_relations():
@@ -51,7 +51,7 @@ def test_dihedral_relations():
     a, h = g.generators
     assert g.element_order(a) == 8
     assert g.element_order(h) == 2
-    assert g.conjugate(h, a) == g.inv(a)
+    assert conjugate(g, h, a) == g.inv(a)
 
 
 def test_extraspecial_plus_is_exponent_p():

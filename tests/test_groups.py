@@ -2,21 +2,23 @@ from __future__ import annotations
 
 import pytest
 
+from _oracles import (
+    conjugate_subgroup,
+    generated_subgroup,
+    is_closed_subset,
+    subgroup_from_elements,
+    verify_group_axioms,
+)
 from burnside import (
     CapExceededError,
     FiniteGroup,
     Subgroup,
     build_group,
-    conjugate_subgroup,
     direct_product,
-    generated_subgroup,
     group_from_perm_generators,
-    is_closed_subset,
     parse_group_spec,
     parse_permutation,
     parse_permutation_file,
-    subgroup_from_elements,
-    verify_group_axioms,
 )
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]

@@ -4,16 +4,14 @@ import time
 
 import pytest
 
-from _oracles import conjugacy_partition, subset_closure_subgroups
+from _oracles import conjugacy_partition, generated_subgroup, subset_closure_subgroups
 from burnside import (
     CapExceededError,
     Subgroup,
     build_group,
     enumerate_subgroups,
-    generated_subgroup,
     is_elementary_abelian,
     maximal_elementary_abelian,
-    normalizer,
     parse_group_spec,
     select_family,
     SubgroupFamily,
@@ -107,8 +105,9 @@ def test_class_size_times_normalizer_is_group_order(lattice_of):
         lattice = lattice_of(text)
         group = lattice.group
         for cls in lattice.classes:
-            nz = normalizer(group, cls.representative)
-            assert len(cls.members) * nz.order == group.order
+            for member in cls.members:
+                nz = lattice.normalizer(member)
+                assert len(cls.members) * nz.order == group.order
 
 
 def test_abelian_lattices_have_singleton_classes(lattice_of):
@@ -129,10 +128,12 @@ def test_normalizer_edge_cases(lattice_of):
     group = lattice.group
     whole = lattice.classes[-1].representative
     trivial = lattice.classes[0].representative
-    assert normalizer(group, whole).order == group.order
-    assert normalizer(group, trivial).order == group.order
+    assert lattice.normalizer(whole) is whole
+    assert lattice.normalizer(trivial) is whole
     reflection = generated_subgroup(group, [group.generators[1]])
-    assert normalizer(group, reflection).order == 4
+    assert lattice.normalizer(reflection).order == 4
+    with pytest.raises(ValueError, match="does not belong to this lattice"):
+        lattice.normalizer(Subgroup([0, 1]))
 
 
 def test_is_elementary_abelian(lattice_of):
