@@ -6,9 +6,9 @@ Groups and subgroups do not change after construction, apart from the
 group's lazily computed abelian flag. A ``SubgroupLattice`` built from a
 group is not immutable: it fills one lazy cache (table of marks, each
 subgroup's walk over its normalizer, pair and Weyl congruences) on
-first use. The cached values are
-deterministic, so threads sharing a lattice see the same results, but
-concurrent first calls may each compute them.
+first use. The cached values are deterministic, so threads sharing a
+lattice see the same results, but concurrent first calls may each
+compute them.
 """
 
 from __future__ import annotations
