@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from math import prod
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
@@ -27,6 +28,7 @@ from .groups import (
     FiniteGroup,
     direct_product,
     load_permutation_group,
+    product_table,
 )
 
 
@@ -73,37 +75,35 @@ class GroupSpec:
         return _KINDS[self.kind].abelian(*self.params)
 
 
+def _rotations(ids: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every rotation of ``ids``, rotation a starting at ids[a]."""
+    return [ids[a:] + ids[:a] for a in range(len(ids))]
+
+
 def _cyclic_group(m: int, name: str) -> FiniteGroup:
-    table = [[(a + b) % m for b in range(m)] for a in range(m)]
     gens = [1] if m > 1 else []
-    return FiniteGroup(name, table, generators=gens)
+    return FiniteGroup(name, _rotations(tuple(range(m))), generators=gens)
 
 
 def _abelian_product_group(orders: Sequence[int], name: str) -> FiniteGroup:
-    if not orders:
-        return _cyclic_group(1, name)
-    group = _cyclic_group(orders[0], name)
-    for m in orders[1:]:
-        group = direct_product(group, _cyclic_group(m, f"C{m}"), name=name)
-    return group
+    # one table, validated once, not each partial product; the generator
+    # of factor i, 1 there and 0 elsewhere, packs to the order of the
+    # factors after it
+    table = reduce(product_table, (_rotations(tuple(range(m))) for m in orders), [(0,)])
+    gens = [prod(orders[i + 1 :]) for i in range(len(orders))]
+    return FiniteGroup(name, table, generators=gens)
 
 
 def _two_generator_2group(order: int, r: int, quaternion: bool, name: str) -> FiniteGroup:
-    # Normal form g^a h^b with a mod M, b mod 2, where M = order/2.
-    # The conjugation relation h g h^-1 = g^r folds into (a,b)(c,d) =
-    # (a + r^b c [+ M/2 for the quaternion h^2 correction], b + d).
+    # Normal form g^a h^b with a mod M, b mod 2, where M = order/2, and id
+    # a + M*b. The conjugation relation h g h^-1 = g^r folds into
+    # (a,b)(c,d) = (a + r^b c [+ M/2 for the quaternion h^2 correction], b + d).
     m = order // 2
-    table = [[0] * order for _ in range(order)]
-    for a in range(m):
-        for b in range(2):
-            row = table[a + m * b]
-            for c in range(m):
-                for d in range(2):
-                    t = (a + (c if b == 0 else (c * r) % m)) % m
-                    e = b + d
-                    if quaternion and e == 2:
-                        t = (t + m // 2) % m
-                    row[c + m * d] = t + m * (e % 2)
+    low, high = _rotations(tuple(range(m))), _rotations(tuple(range(m, order)))
+    twist = itemgetter(*(c * r % m for c in range(m)))  # entry c -> entry c*r
+    shift = m // 2 if quaternion else 0
+    table = [lo + hi for lo, hi in zip(low, high)]  # b = 0
+    table += [twist(hi) + twist(low[(a + shift) % m]) for a, hi in enumerate(high)]
     return FiniteGroup(name, table, generators=[1, m])
 
 

@@ -2,18 +2,18 @@
 
 Elements are integer ids in ``range(order)`` and id 0 is always the
 identity. A ``Subgroup`` is its sorted element ids and their bitmask.
-Groups and subgroups do not change after construction, apart from the
-group's lazily computed abelian flag. A ``SubgroupLattice`` built from a
-group is not immutable: it fills one lazy cache (table of marks, each
-subgroup's walk over its normalizer, pair and Weyl congruences) on
-first use. The cached values are deterministic, so threads sharing a
-lattice see the same results, but concurrent first calls may each
-compute them.
+Groups and subgroups do not change after construction. A
+``SubgroupLattice`` built from a group is not immutable: it fills one
+lazy cache (table of marks, each subgroup's walk over its normalizer,
+pair and Weyl congruences) on first use. The cached values are
+deterministic, so threads sharing a lattice see the same results, but
+concurrent first calls may each compute them.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Collection, Iterable, Sequence
 
 DEFAULT_PERM_ORDER_CAP = 1024
@@ -31,7 +31,8 @@ class FiniteGroup:
     The table is validated for shape, identity behaviour, and
     cancellation (each row and column is a permutation). Associativity
     is not checked, because that is cubic in the order; the test suite
-    checks it for every group the catalog builds.
+    checks it for every group the catalog builds. The group is abelian
+    iff the table equals its transpose, which the column check builds.
     """
 
     __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "_abelian")
@@ -70,7 +71,7 @@ class FiniteGroup:
         self.mul_table = table
         self.inv_table = inv
         self.generators = None if generators is None else tuple(int(g) for g in generators)
-        self._abelian: bool | None = None
+        self._abelian = columns == table
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -99,13 +100,6 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            table = self.mul_table
-            self._abelian = all(
-                table[a][b] == table[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
         return self._abelian
 
     def __repr__(self) -> str:
@@ -168,30 +162,24 @@ class Subgroup:
         return f"Subgroup(order={self.order}, elements={self.elements})"
 
 
+def product_table(
+    t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The multiplication table of G1 x G2, given those of G1 and G2, with
+    element ids packed as a*|G2| + b. Row (a1, b1) is the concatenation,
+    over a2, of row b1 of G2's table shifted by t1[a1][a2]*|G2|."""
+    o2 = len(t2)
+    # shifted[b][x]: row b of G2's table plus x*|G2|
+    shifted = [[tuple(map((x * o2).__add__, r2)) for x in range(len(t1))] for r2 in t2]
+    return [tuple(chain.from_iterable(map(s.__getitem__, r1))) for r1 in t1 for s in shifted]
+
+
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
     """Direct product with element ids packed as a*|G2| + b."""
-    o1, o2 = g1.order, g2.order
-    t1, t2 = g1.mul_table, g2.mul_table
-    n = o1 * o2
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(o1):
-        r1 = t1[a1]
-        for b1 in range(o2):
-            row = table[a1 * o2 + b1]
-            r2 = t2[b1]
-            for a2 in range(o1):
-                base = r1[a2] * o2
-                col = a2 * o2
-                for b2 in range(o2):
-                    row[col + b2] = base + r2[b2]
-    gens: list[int] = []
-    for g in g1.generators or ():
-        gens.append(g * o2)
-    for g in g2.generators or ():
-        gens.append(g)
+    gens = [g * g2.order for g in g1.generators or ()] + list(g2.generators or ())
     return FiniteGroup(
         name or f"{g1.name}x{g2.name}",
-        table,
+        product_table(g1.mul_table, g2.mul_table),
         generators=gens or None,
     )
 

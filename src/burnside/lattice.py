@@ -6,10 +6,12 @@ order, ties broken by descending class size, then by the representative's
 sorted element list. Class 0 is the trivial subgroup and the last class
 is the whole group.
 
-Each subgroup is one ``Subgroup``, built with its bitmask when
-enumeration first finds it and shared by the classes and the lattice.
-The conjugacy-orbit pass that finds a class also records the normalizer
-of every member, as a reference to the lattice's own ``Subgroup``.
+Enumeration joins one member of each conjugacy class; the orbit pass
+that first finds a class registers every other member, conjugates are
+never joined. Each subgroup is one ``Subgroup``, built with its bitmask
+when the orbit pass finds it and shared by the classes and the lattice.
+The orbit pass also yields the normalizer of every member, as a
+reference to the lattice's own ``Subgroup``.
 """
 
 from __future__ import annotations
@@ -238,20 +240,26 @@ def enumerate_subgroups(
     Layered construction: starting from the cyclic subgroups, each new
     subgroup H is joined with one generator of every cyclic subgroup not
     in H, until nothing new appears. Every subgroup is the join of its
-    own cyclic subgroups, so the layers exhaust the lattice. Since
-    <H, g> = <H, hgh'> for all h, h' in H, only one candidate g per double
-    coset HgH is tried, replaced by an element y of largest order in Hg.
-    The join <H, y> is built coset-wise (see ``_coset_join``) from the
-    elements of H or of <y>, whichever is larger, never from scratch.
-    Each subgroup's Subgroup object is built when a join first finds it;
-    the dedupe key of the joins is the element set, kept only while the
-    enumeration runs. The conjugacy-orbit pass then records every
-    subgroup's normalizer (G throughout when the group is abelian). Groups
-    larger than the cap are rejected.
+    own cyclic subgroups, so the layers exhaust the lattice. Only one
+    member of each conjugacy class is joined: when a join first finds H,
+    the orbit pass registers every conjugate gHg^-1 as found, and only H
+    joins further. That loses no class, since if K = <H, c> and
+    R = xHx^-1 is the member of H's class that joins, then
+    xKx^-1 = <R, xcx^-1>. Since <H, g> = <H, hgh'> for all h, h' in H,
+    only one candidate g per double coset HgH is tried, replaced by an
+    element y of largest order in Hg. The join <H, y> is built coset-wise
+    (see ``_coset_join``) from the elements of H or of <y>, whichever is
+    larger, never from scratch. The dedupe key of the joins is the
+    element set, kept only while the enumeration runs. N(H) is the set
+    of elements fixing H under conjugation (G throughout when the group
+    is abelian); it may be found after H, so every member's normalizer is
+    looked up once the joins are done. Groups larger than the cap are
+    rejected.
     """
     check_enumeration_cap(group.order, cap)
     table = group.mul_table
     columns = tuple(zip(*table))
+    inv = group.inv_table
     powers = _powers(group)
     element_order = [len(p) for p in powers]
     exponent = max(element_order)  # the largest element order
@@ -260,11 +268,40 @@ def enumerate_subgroups(
     for g, p in enumerate(powers):
         cyclics.setdefault(frozenset(p), g)
     candidates = [g for g in cyclics.values() if g]
-    # element set -> (the subgroup, a generating set) of every subgroup found
-    found: dict[frozenset[int], tuple[Subgroup, tuple[int, ...]]] = {
-        fs: (Subgroup(fs), (g,) if g else ()) for fs, g in cyclics.items()
-    }
-    frontier = [entry for fs, entry in found.items() if len(fs) > 1]
+    everything = frozenset(group.elements())
+    abelian = group.is_abelian()
+    # element set -> the subgroup, for every subgroup found
+    found: dict[frozenset[int], Subgroup] = {}
+    # per class: the member that joins, {gHg^-1: the first such g}, and N(H)'s elements
+    orbits: list[tuple[frozenset[int], dict[frozenset[int], int], frozenset[int]]] = []
+
+    def find_class(fs: frozenset[int]) -> Subgroup:
+        """Register H and every conjugate gHg^-1 as found; record the orbit."""
+        sub = found[fs] = Subgroup(fs)
+        orbit = {fs: 0}
+        fixing = everything  # in an abelian group, H's class is H and N(H) = G
+        if not abelian:
+            # gHg^-1 depends only on the left coset gH, and the cosets
+            # that fix H make up N(H)
+            fixing = []
+            for g, coset in left_cosets(group, everything, sub.elements):
+                # gHg^-1 is the left coset gH times g^-1
+                conj = frozenset(map(columns[inv[g]].__getitem__, coset))
+                if conj not in orbit:
+                    orbit[conj] = g
+                    found[conj] = Subgroup(conj)
+                if conj == fs:
+                    fixing.extend(coset)
+            fixing = frozenset(fixing)
+        orbits.append((fs, orbit, fixing))
+        return sub
+
+    frontier = []
+    for fs, g in cyclics.items():
+        if fs not in found:
+            sub = find_class(fs)
+            if g:
+                frontier.append((sub, (g,)))
     while frontier:
         fresh = []
         for sub, gens in frontier:
@@ -288,44 +325,22 @@ def enumerate_subgroups(
                 base = max(elements, powers[y], key=len)
                 joined = _coset_join(columns, table, base, gens + (y,))
                 if joined not in found:
-                    entry = found[joined] = (Subgroup(joined), gens + (y,))
-                    fresh.append(entry)
+                    fresh.append((find_class(joined), gens + (y,)))
         frontier = fresh
 
-    abelian = group.is_abelian()
-    inv = group.inv_table
-    whole = found[frozenset(group.elements())][0]
+    # N(H) may be found after H; the first g giving each member gHg^-1
+    # gives its normalizer g N(H) g^-1
     normalizers: dict[int, Subgroup] = {}
-    remaining = set(found)
     staged = []
-    for fs, (sub, _) in found.items():
-        if fs not in remaining:
-            continue
-        if abelian:
-            orbit = {fs: 0}
-            norm = whole
-        else:
-            # gHg^-1 depends only on the left coset gH; the cosets that fix
-            # H make up N(H), and the first g giving each member gHg^-1
-            # gives its normalizer g N(H) g^-1
-            elements = sub.elements
-            orbit = {}
-            fixing = []
-            for g, coset in left_cosets(group, group.elements(), elements):
-                # gHg^-1 is the left coset gH times g^-1
-                conj = frozenset(map(columns[inv[g]].__getitem__, coset))
-                orbit.setdefault(conj, g)
-                if conj == fs:
-                    fixing.extend(coset)
-            norm = found[frozenset(fixing)][0]
-            for conj, g in orbit.items():
-                if g:  # g = 0, the first coset's representative, gives H
-                    coset = map(table[g].__getitem__, norm.elements)
-                    conj_norm = frozenset(map(columns[inv[g]].__getitem__, coset))
-                    normalizers[found[conj][0].mask] = found[conj_norm][0]
-        normalizers[sub.mask] = norm
-        remaining.difference_update(orbit)
-        members = tuple(sorted((found[m][0] for m in orbit), key=attrgetter("elements")))
+    for fs, orbit, fixing in orbits:
+        norm = found[fixing]
+        for conj, g in orbit.items():
+            if g:  # g = 0, the first coset's representative, gives H
+                coset = map(table[g].__getitem__, norm.elements)
+                conj_norm = frozenset(map(columns[inv[g]].__getitem__, coset))
+                normalizers[found[conj].mask] = found[conj_norm]
+        normalizers[found[fs].mask] = norm
+        members = tuple(sorted((found[m] for m in orbit), key=attrgetter("elements")))
         rep = members[0]
         staged.append(
             (

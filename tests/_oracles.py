@@ -18,7 +18,11 @@ Subgroups generated by a seed are closed by a word search
 coset-wise joins, and associativity is checked exhaustively or by
 Light's test (``verify_group_axioms``). ``BurnsideElement``,
 ``ghost_of`` and ``check_family_closure`` are test helpers that the
-library itself never needs.
+library itself never needs. The ``loop_*`` group builders are the
+catalog's earlier constructions, which fill every multiplication table
+entry by entry in nested loops and validate each partial product of an
+abelian group, and ``pairwise_is_abelian`` is the earlier abelian test,
+which compares ab with ba for every pair of elements.
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ from burnside import (
     DivisorWitness,
     FiniteGroup,
     GhostVector,
+    GroupSpec,
     Subgroup,
     SubgroupFamily,
     SubgroupLattice,
     artin_exponent,
+    build_group,
     dress_congruences,
     dress_membership,
     indicator_vector,
@@ -50,6 +56,112 @@ from burnside import (
 from burnside.arith import divisors, prime_power
 from burnside.groups import IDENTITY
 from burnside.lattice import DEFAULT_ENUMERATION_CAP, SubgroupClass
+
+
+def pairwise_is_abelian(group: FiniteGroup) -> bool:
+    """True iff ab = ba for every pair of elements a < b."""
+    table = group.mul_table
+    return all(
+        table[a][b] == table[b][a]
+        for a in range(group.order)
+        for b in range(a + 1, group.order)
+    )
+
+
+def loop_direct_product(
+    g1: FiniteGroup, g2: FiniteGroup, *, name: str | None = None
+) -> FiniteGroup:
+    """Direct product with element ids packed as a*|G2| + b."""
+    o1, o2 = g1.order, g2.order
+    t1, t2 = g1.mul_table, g2.mul_table
+    n = o1 * o2
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(o1):
+        r1 = t1[a1]
+        for b1 in range(o2):
+            row = table[a1 * o2 + b1]
+            r2 = t2[b1]
+            for a2 in range(o1):
+                base = r1[a2] * o2
+                col = a2 * o2
+                for b2 in range(o2):
+                    row[col + b2] = base + r2[b2]
+    gens: list[int] = []
+    for g in g1.generators or ():
+        gens.append(g * o2)
+    for g in g2.generators or ():
+        gens.append(g)
+    return FiniteGroup(
+        name or f"{g1.name}x{g2.name}",
+        table,
+        generators=gens or None,
+    )
+
+
+def loop_cyclic_group(m: int, name: str) -> FiniteGroup:
+    table = [[(a + b) % m for b in range(m)] for a in range(m)]
+    gens = [1] if m > 1 else []
+    return FiniteGroup(name, table, generators=gens)
+
+
+def loop_abelian_product_group(orders: Sequence[int], name: str) -> FiniteGroup:
+    if not orders:
+        return loop_cyclic_group(1, name)
+    group = loop_cyclic_group(orders[0], name)
+    for m in orders[1:]:
+        group = loop_direct_product(group, loop_cyclic_group(m, f"C{m}"), name=name)
+    return group
+
+
+def loop_two_generator_2group(order: int, r: int, quaternion: bool, name: str) -> FiniteGroup:
+    # Normal form g^a h^b with a mod M, b mod 2, where M = order/2.
+    # The conjugation relation h g h^-1 = g^r folds into (a,b)(c,d) =
+    # (a + r^b c [+ M/2 for the quaternion h^2 correction], b + d).
+    m = order // 2
+    table = [[0] * order for _ in range(order)]
+    for a in range(m):
+        for b in range(2):
+            row = table[a + m * b]
+            for c in range(m):
+                for d in range(2):
+                    t = (a + (c if b == 0 else (c * r) % m)) % m
+                    e = b + d
+                    if quaternion and e == 2:
+                        t = (t + m // 2) % m
+                    row[c + m * d] = t + m * (e % 2)
+    return FiniteGroup(name, table, generators=[1, m])
+
+
+# h g h^-1 = g^twist(m) in the two-generator 2-groups, g of order m = |G|/2
+_TWISTS = {
+    "dihedral": lambda m: m - 1,
+    "quaternion": lambda m: m - 1,
+    "semidihedral": lambda m: m // 2 - 1,
+    "modular": lambda m: m // 2 + 1,
+}
+
+
+def loop_build_group(spec: GroupSpec) -> FiniteGroup:
+    """The group of a spec, built by the ``loop_*`` constructions; the
+    extraspecial and perm-file kinds, which have no loop builder here,
+    come from ``build_group``."""
+    name, params = spec.text(), spec.params
+    if spec.kind == "cyclic":
+        p, n = params
+        return loop_cyclic_group(p ** n, name)
+    if spec.kind == "elementary_abelian":
+        p, k = params
+        return loop_abelian_product_group([p] * k, name)
+    if spec.kind == "abelian_product":
+        return loop_abelian_product_group(params, name)
+    if spec.kind in _TWISTS:
+        (order,) = params
+        twist = _TWISTS[spec.kind](order // 2)
+        return loop_two_generator_2group(order, twist, spec.kind == "quaternion", name)
+    if spec.kind == "direct_product":
+        a, b = params
+        return loop_direct_product(loop_build_group(a), loop_build_group(b), name=name)
+    return build_group(spec)
 
 
 def conjugate(group: FiniteGroup, g: int, x: int) -> int:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import conjugate, verify_group_axioms
+from _oracles import conjugate, loop_build_group, pairwise_is_abelian, verify_group_axioms
 from burnside import (
     GroupSpec,
     MaximalCyclicType,
@@ -76,6 +76,21 @@ def test_nominal_orders_and_axioms_across_catalog():
         assert g.order == spec.order()
         assert spec.is_abelian() == g.is_abelian()
         verify_group_axioms(g, generators=g.generators)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*standard_catalog(256), parse_group_spec("Q8xC2"), parse_group_spec("D8xC3xQ8")],
+    ids=lambda spec: spec.text(),
+)
+def test_build_matches_the_loop_oracle(spec):
+    """Every table, generator list and abelian flag equals the one built
+    entry by entry in nested loops and checked pair by pair."""
+    group, oracle = build_group(spec), loop_build_group(spec)
+    assert group.name == oracle.name
+    assert group.mul_table == oracle.mul_table
+    assert group.generators == oracle.generators
+    assert group.is_abelian() == pairwise_is_abelian(oracle)
 
 
 def test_axioms_exhaustively_on_small_builds():

@@ -76,6 +76,8 @@ GOLDEN_RUNS = [
     ),
     (("exponent", "D(32)", "--certify"), "exponent-D32-certify.txt", 0),
     (("exponent", "D(32)", "--certify", "--json"), "exponent-D32-certify.json", 0),
+    (("lattice", "D(128)"), "lattice-D128.txt", 0),
+    (("lattice", "SD(128)", "--json"), "lattice-SD128.json", 0),
 ]
 
 

@@ -10,9 +10,12 @@ from burnside import (
     Subgroup,
     build_group,
     enumerate_subgroups,
+    group_from_perm_generators,
     is_elementary_abelian,
+    lattice as lattice_module,
     maximal_elementary_abelian,
     parse_group_spec,
+    parse_permutation_file,
     select_family,
     SubgroupFamily,
 )
@@ -33,6 +36,8 @@ ORACLE_GROUPS = [
     "C8xC2",
     "C4xC4",
 ]
+
+S5_FILE = "degree 5\n(0 1 2 3 4)\n(0 1)\n"
 
 
 @pytest.mark.parametrize("text", ORACLE_GROUPS)
@@ -221,6 +226,27 @@ def test_symmetric_group_lattices():
     assert lattice.class_count == 11
     # one non-normal class of each order except 1 and 24 has size > 1
     assert sum(1 for c in lattice.classes if not c.is_normal) == 7
+
+
+@pytest.mark.parametrize("name, most", [("D(128)", 250), ("S5", 160)])
+def test_enumeration_joins_one_subgroup_per_class(name, most, monkeypatch):
+    """Conjugates are registered by the orbit pass, never joined: D(128)
+    has 134 subgroups in 20 classes, S5 156 in 19. Joining every subgroup
+    found tries 2808 and 1510 joins."""
+    if name == "S5":
+        group = group_from_perm_generators(*parse_permutation_file(S5_FILE))
+    else:
+        group = build_group(parse_group_spec(name))
+    joins = []
+    coset_join = lattice_module._coset_join
+
+    def counting(*args):
+        joins.append(args)
+        return coset_join(*args)
+
+    monkeypatch.setattr(lattice_module, "_coset_join", counting)
+    enumerate_subgroups(group)
+    assert 0 < len(joins) <= most
 
 
 def test_subgroup_masks_and_class_lookup(lattice_of):
