@@ -222,6 +222,7 @@ def _walks(lattice: SubgroupLattice) -> tuple[dict[int, Walk], Callable[[Subgrou
     """
     group = lattice.group
     table = group.mul_table
+    powers = group.powers
     bits = [1 << x for x in range(group.order)]
     class_of = lattice._class_by_mask
     memo: dict[int, Walk] = {}
@@ -236,15 +237,14 @@ def _walks(lattice: SubgroupLattice) -> tuple[dict[int, Walk], Callable[[Subgrou
         for v in lattice.normalizer(sub).elements:
             if v in covered:
                 continue
-            powers = [v]
-            y = table[v][v]
-            while not u_mask >> y & 1:
-                powers.append(y)
-                y = table[y][v]
-            m = len(powers) + 1
+            # vU has order m, the least m >= 1 with v^m in U
+            cycle = powers[v]
+            m = 2  # v is not in U
+            while not u_mask >> cycle[m % len(cycle)] & 1:
+                m += 1
             joined = u_mask
             generators = 0
-            for e, p in enumerate(powers, 1):
+            for e, p in enumerate(cycle[1:m], 1):
                 coset = coset_of(table[p])
                 joined += sum(map(bits.__getitem__, coset))
                 if gcd(e, m) == 1:

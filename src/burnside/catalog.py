@@ -1,10 +1,10 @@
 """Constructions for the named finite groups the tool reasons about.
 
-Each family is realized through an explicit normal form (for the
-two-generator 2-groups: g^a h^b with the defining relations applied as
-rewrite rules), then materialized as a multiplication table. A small
-grammar turns CLI text such as ``C(2^3)``, ``Q8`` or ``C4xC2`` into
-:class:`GroupSpec` values.
+Abelian tables are products of cyclic ones. Every non-abelian kind (D,
+Q, SD and M of order 2^n, ES+ and ES- of order p^3) is one cyclic
+extension: an abelian normal subgroup N extended by an element h of
+order k modulo N (``_cyclic_extension``). A small grammar turns CLI
+text such as ``C(2^3)``, ``Q8`` or ``C4xC2`` into :class:`GroupSpec` values.
 
 Every kind of spec is one ``_Kind`` entry in ``_KINDS``: its parameter
 check, nominal order, canonical text, abelian flag and builder. A new
@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 from .arith import factorize, is_prime, partitions, prime_power
 from .groups import (
     DEFAULT_PERM_ORDER_CAP,
+    IDENTITY,
     FiniteGroup,
     direct_product,
     load_permutation_group,
@@ -75,77 +76,64 @@ class GroupSpec:
         return _KINDS[self.kind].abelian(*self.params)
 
 
-def _rotations(ids: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every rotation of ``ids``, rotation a starting at ids[a]."""
-    return [ids[a:] + ids[:a] for a in range(len(ids))]
+def _cyclic_table(m: int) -> list[tuple[int, ...]]:
+    """The multiplication table of C_m: row a is range(m) rotated to start at a."""
+    ids = tuple(range(m))
+    return [ids[a:] + ids[:a] for a in ids]
 
 
 def _cyclic_group(m: int, name: str) -> FiniteGroup:
     gens = [1] if m > 1 else []
-    return FiniteGroup(name, _rotations(tuple(range(m))), generators=gens)
+    return FiniteGroup(name, _cyclic_table(m), generators=gens)
 
 
 def _abelian_product_group(orders: Sequence[int], name: str) -> FiniteGroup:
     # one table, validated once, not each partial product; the generator
     # of factor i, 1 there and 0 elsewhere, packs to the order of the
     # factors after it
-    table = reduce(product_table, (_rotations(tuple(range(m))) for m in orders), [(0,)])
+    table = reduce(product_table, map(_cyclic_table, orders), [(0,)])
     gens = [prod(orders[i + 1 :]) for i in range(len(orders))]
     return FiniteGroup(name, table, generators=gens)
 
 
-def _two_generator_2group(order: int, r: int, quaternion: bool, name: str) -> FiniteGroup:
-    # Normal form g^a h^b with a mod M, b mod 2, where M = order/2, and id
-    # a + M*b. The conjugation relation h g h^-1 = g^r folds into
-    # (a,b)(c,d) = (a + r^b c [+ M/2 for the quaternion h^2 correction], b + d).
-    m = order // 2
-    low, high = _rotations(tuple(range(m))), _rotations(tuple(range(m, order)))
-    twist = itemgetter(*(c * r % m for c in range(m)))  # entry c -> entry c*r
-    shift = m // 2 if quaternion else 0
-    table = [lo + hi for lo, hi in zip(low, high)]  # b = 0
-    table += [twist(hi) + twist(low[(a + shift) % m]) for a, hi in enumerate(high)]
-    return FiniteGroup(name, table, generators=[1, m])
+def _cyclic_extension(
+    normal: Sequence[Sequence[int]], k: int, twist: Sequence[int], shift: int = IDENTITY
+) -> list[tuple[int, ...]]:
+    """The multiplication table of N.C_k: the abelian group N with table
+    ``normal``, extended by h of order k modulo N with h n h^-1 = twist[n]
+    and h^k = shift. Element id n + |N|*b stands for n h^b, so
+    (n1, b1)(n2, b2) = (n1 twist^b1(n2) [shift if b1 + b2 >= k], b1 + b2 mod k).
+    """
+    size = len(normal)
+    coset_ids = [tuple(range(c * size, (c + 1) * size)) for c in range(k)]  # N h^c
+    wrapped = [row[shift] for row in normal]  # n1 -> n1*shift
+    table = []
+    power = tuple(range(size))  # twist^b1, as a tuple over N
+    for b1 in range(k):
+        getters = [itemgetter(*row) for row in map(itemgetter(*power), normal)]
+        # blocks[c][n]: row n of N's table, permuted by twist^b1, as ids of N h^c;
+        # row (b1, n1) is blocks b1..k-1 at n1, then blocks 0..b1-1 at n1*shift
+        blocks = [[get(ids) for get in getters] for ids in coset_ids]
+        wraps = [list(map(block.__getitem__, wrapped)) for block in blocks[:b1]]
+        table.extend(sum(parts, ()) for parts in zip(*blocks[b1:], *wraps))
+        power = tuple(map(twist.__getitem__, power))
+    return table
 
 
 def _extraspecial_plus_group(p: int, name: str) -> FiniteGroup:
-    # Upper unitriangular 3x3 matrices over F_p, exponent p for odd p.
-    n = p ** 3
-
-    def enc(x: int, y: int, z: int) -> int:
-        return (x * p + y) * p + z
-
-    table = [[0] * n for _ in range(n)]
-    for x1 in range(p):
-        for y1 in range(p):
-            for z1 in range(p):
-                row = table[enc(x1, y1, z1)]
-                for x2 in range(p):
-                    for y2 in range(p):
-                        for z2 in range(p):
-                            row[enc(x2, y2, z2)] = enc(
-                                (x1 + x2) % p,
-                                (y1 + y2) % p,
-                                (z1 + z2 + x1 * y2) % p,
-                            )
-    return FiniteGroup(name, table, generators=[enc(1, 0, 0), enc(0, 1, 0)])
+    # Upper unitriangular 3x3 matrices (x, y, z) over F_p, exponent p for odd
+    # p: N = {(0, y, z)} = C_p x C_p with id y*p + z, extended by h = (1, 0, 0),
+    # which sends (y, z) to (y, z + y).
+    twist = tuple(y * p + (z + y) % p for y in range(p) for z in range(p))
+    table = _cyclic_extension(product_table(_cyclic_table(p), _cyclic_table(p)), p, twist)
+    return FiniteGroup(name, table, generators=[p * p, p])
 
 
 def _extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
-    # Normal form g^a h^b with g of order p^2, h of order p, h g h^-1 = g^(1+p).
-    p2 = p * p
-    n = p2 * p
-    r = 1 + p
-    rpow = [pow(r, b, p2) for b in range(p)]
-    table = [[0] * n for _ in range(n)]
-    for a in range(p2):
-        for b in range(p):
-            row = table[a + p2 * b]
-            rb = rpow[b]
-            for c in range(p2):
-                t = (a + c * rb) % p2
-                for d in range(p):
-                    row[c + p2 * d] = t + p2 * ((b + d) % p)
-    return FiniteGroup(name, table, generators=[1, p2])
+    # <g> = C_(p^2) extended by h of order p with h g h^-1 = g^(1+p)
+    twist = tuple(c * (1 + p) % (p * p) for c in range(p * p))
+    table = _cyclic_extension(_cyclic_table(p * p), p, twist)
+    return FiniteGroup(name, table, generators=[1, p * p])
 
 
 class _Kind(NamedTuple):
@@ -165,7 +153,15 @@ def _two_generator_kind(
     kind: str, letter: str, least: int, twist: Callable[[int], int], quaternion: bool = False
 ) -> _Kind:
     """D, Q, SD or M: order 2^n with n >= least, spelled ``letter(order)``;
-    h g h^-1 = g^twist(m) for the generator g of order m = order/2."""
+    h g h^-1 = g^twist(m) for the generator g of order m = order/2, and
+    h^2 = g^(m/2) in the quaternion kind, 1 otherwise."""
+
+    def build(name: str, cap: int, order: int) -> FiniteGroup:
+        m = order // 2
+        r, shift = twist(m), m // 2 if quaternion else 0
+        table = _cyclic_extension(_cyclic_table(m), 2, tuple(c * r % m for c in range(m)), shift)
+        return FiniteGroup(name, table, generators=[1, m])
+
     return _Kind(
         lambda order: None
         if order >= 1 << least and order & (order - 1) == 0
@@ -173,7 +169,7 @@ def _two_generator_kind(
         lambda order: order,
         lambda order: f"{letter}({order})",
         lambda order: False,
-        lambda name, cap, order: _two_generator_2group(order, twist(order // 2), quaternion, name),
+        build,
     )
 
 
@@ -283,8 +279,7 @@ def classify_maximal_cyclic_2group(group: FiniteGroup) -> MaximalCyclicType:
     pp = prime_power(n)
     if pp is None or pp[0] != 2:
         raise ValueError(f"classification needs a group of 2-power order, got {n}")
-    orders = [group.element_order(x) for x in group.elements()]
-    if max(orders) == n:
+    if max(map(len, group.powers)) == n:
         return MaximalCyclicType.CYCLIC
     if group.is_abelian():
         return MaximalCyclicType.NOT_MAXIMAL_CYCLIC
@@ -292,14 +287,9 @@ def classify_maximal_cyclic_2group(group: FiniteGroup) -> MaximalCyclicType:
     half = n // 2
     quarter = half // 2
     table = group.mul_table
-    for g in group.elements():
-        if orders[g] != half:
+    for g, powers in enumerate(group.powers):
+        if len(powers) != half:
             continue
-        powers = [0] * half
-        y = 0
-        for k in range(1, half):
-            y = table[y][g]
-            powers[k] = y
         in_cyc = frozenset(powers)
         g_inv = powers[half - 1]
         g_quarter = powers[quarter]

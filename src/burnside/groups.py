@@ -1,13 +1,15 @@
 """Concrete finite groups backed by full multiplication tables.
 
 Elements are integer ids in ``range(order)`` and id 0 is always the
-identity. A ``Subgroup`` is its sorted element ids and their bitmask.
-Groups and subgroups do not change after construction. A
-``SubgroupLattice`` built from a group is not immutable: it fills one
-lazy cache (table of marks, each subgroup's walk over its normalizer,
-pair and Weyl congruences) on first use. The cached values are
-deterministic, so threads sharing a lattice see the same results, but
-concurrent first calls may each compute them.
+identity. A group records the powers of each element once, when it is
+built, and element orders and powers are read off them. A ``Subgroup``
+is its sorted element ids and their bitmask. Groups and subgroups do
+not change after construction. A ``SubgroupLattice`` built from a group
+is not immutable: it fills one lazy cache (table of marks, each
+subgroup's walk over its normalizer, pair and Weyl congruences) on
+first use. The cached values are deterministic, so threads sharing a
+lattice see the same results, but concurrent first calls may each
+compute them.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ class FiniteGroup:
     is not checked, because that is cubic in the order; the test suite
     checks it for every group the catalog builds. The group is abelian
     iff the table equals its transpose, which the column check builds.
+    ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements of <x>, up
+    to x^(n-1) for the order n of x, walked once down column x (y -> yx);
+    the walk returns to 1 because the column is a permutation.
     """
 
-    __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "_abelian")
+    __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "powers", "_abelian")
 
     def __init__(
         self,
@@ -71,6 +76,13 @@ class FiniteGroup:
         self.mul_table = table
         self.inv_table = inv
         self.generators = None if generators is None else tuple(int(g) for g in generators)
+        powers = []
+        for column in columns:
+            walk = [IDENTITY]
+            while (y := column[walk[-1]]) != IDENTITY:
+                walk.append(y)
+            powers.append(tuple(walk))
+        self.powers = tuple(powers)
         self._abelian = columns == table
 
     def mul(self, a: int, b: int) -> int:
@@ -80,21 +92,12 @@ class FiniteGroup:
         return self.inv_table[a]
 
     def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x = self.inv_table[x]
-            k = -k
-        acc = IDENTITY
-        for _ in range(k):
-            acc = self.mul_table[acc][x]
-        return acc
+        """x^k for any integer k; negative k gives a power of x^-1."""
+        cycle = self.powers[x]
+        return cycle[k % len(cycle)]
 
     def element_order(self, x: int) -> int:
-        n = 1
-        y = x
-        while y != IDENTITY:
-            y = self.mul_table[y][x]
-            n += 1
-        return n
+        return len(self.powers[x])
 
     def elements(self) -> range:
         return range(self.order)

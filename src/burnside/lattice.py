@@ -182,20 +182,6 @@ def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int,
     return itemgetter(*positions)
 
 
-def _powers(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """For every element x, the elements of <x>: the identity, x, x^2, ..."""
-    table = group.mul_table
-    out = []
-    for g in group.elements():
-        elems = [0]
-        y = g
-        while y:
-            elems.append(y)
-            y = table[y][g]
-        out.append(tuple(elems))
-    return out
-
-
 def _coset_join(
     columns: Sequence[Sequence[int]],
     rows: Sequence[Sequence[int]],
@@ -237,9 +223,10 @@ def enumerate_subgroups(
 ) -> SubgroupLattice:
     """Enumerate every subgroup of the group and classify up to conjugacy.
 
-    Layered construction: starting from the cyclic subgroups, each new
-    subgroup H is joined with one generator of every cyclic subgroup not
-    in H, until nothing new appears. Every subgroup is the join of its
+    Layered construction: starting from the cyclic subgroups, which are
+    read off the group's recorded powers (``FiniteGroup.powers``), each
+    new subgroup H is joined with one generator of every cyclic subgroup
+    not in H, until nothing new appears. Every subgroup is the join of its
     own cyclic subgroups, so the layers exhaust the lattice. Only one
     member of each conjugacy class is joined: when a join first finds H,
     the orbit pass registers every conjugate gHg^-1 as found, and only H
@@ -260,7 +247,7 @@ def enumerate_subgroups(
     table = group.mul_table
     columns = tuple(zip(*table))
     inv = group.inv_table
-    powers = _powers(group)
+    powers = group.powers
     element_order = [len(p) for p in powers]
     exponent = max(element_order)  # the largest element order
     # each cyclic subgroup's element set -> its least generator
@@ -387,19 +374,15 @@ def left_cosets(
 def is_elementary_abelian(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff the subgroup is abelian of prime exponent (or trivial).
 
-    Subgroups of non-prime-power order are never elementary abelian.
+    Then its elements other than 1 share one order p. Conversely, if they
+    share one order, it is a prime p, since x^a has order q/a for a
+    proper divisor a of the order q of x, and by Cauchy's theorem the
+    subgroup is a p-group.
     """
-    if sub.order == 1:
-        return True
-    pp = prime_power(sub.order)
-    if pp is None:
+    elems = sub.elements  # elems[0] is the identity
+    if len({group.element_order(x) for x in elems[1:]}) > 1:
         return False
-    p = pp[0]
     table = group.mul_table
-    for x in sub.elements:
-        if group.power(x, p) != 0:
-            return False
-    elems = sub.elements
     for i, a in enumerate(elems):
         row = table[a]
         for b in elems[i + 1 :]:

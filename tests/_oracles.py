@@ -22,7 +22,9 @@ library itself never needs. The ``loop_*`` group builders are the
 catalog's earlier constructions, which fill every multiplication table
 entry by entry in nested loops and validate each partial product of an
 abelian group, and ``pairwise_is_abelian`` is the earlier abelian test,
-which compares ab with ba for every pair of elements.
+which compares ab with ba for every pair of elements. ``loop_power`` and
+``loop_element_order`` multiply one factor at a time, where the library
+reads each element's recorded powers.
 """
 
 from __future__ import annotations
@@ -66,6 +68,27 @@ def pairwise_is_abelian(group: FiniteGroup) -> bool:
         for a in range(group.order)
         for b in range(a + 1, group.order)
     )
+
+
+def loop_power(group: FiniteGroup, x: int, k: int) -> int:
+    """x^k by k multiplications (by x^-1 when k < 0)."""
+    if k < 0:
+        x = group.inv_table[x]
+        k = -k
+    acc = IDENTITY
+    for _ in range(k):
+        acc = group.mul_table[acc][x]
+    return acc
+
+
+def loop_element_order(group: FiniteGroup, x: int) -> int:
+    """The order of x, by multiplying by x until the identity returns."""
+    n = 1
+    y = x
+    while y != IDENTITY:
+        y = group.mul_table[y][x]
+        n += 1
+    return n
 
 
 def loop_direct_product(
@@ -132,6 +155,47 @@ def loop_two_generator_2group(order: int, r: int, quaternion: bool, name: str) -
     return FiniteGroup(name, table, generators=[1, m])
 
 
+def loop_extraspecial_plus_group(p: int, name: str) -> FiniteGroup:
+    # Upper unitriangular 3x3 matrices over F_p, exponent p for odd p.
+    n = p ** 3
+
+    def enc(x: int, y: int, z: int) -> int:
+        return (x * p + y) * p + z
+
+    table = [[0] * n for _ in range(n)]
+    for x1 in range(p):
+        for y1 in range(p):
+            for z1 in range(p):
+                row = table[enc(x1, y1, z1)]
+                for x2 in range(p):
+                    for y2 in range(p):
+                        for z2 in range(p):
+                            row[enc(x2, y2, z2)] = enc(
+                                (x1 + x2) % p,
+                                (y1 + y2) % p,
+                                (z1 + z2 + x1 * y2) % p,
+                            )
+    return FiniteGroup(name, table, generators=[enc(1, 0, 0), enc(0, 1, 0)])
+
+
+def loop_extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
+    # Normal form g^a h^b with g of order p^2, h of order p, h g h^-1 = g^(1+p).
+    p2 = p * p
+    n = p2 * p
+    r = 1 + p
+    rpow = [pow(r, b, p2) for b in range(p)]
+    table = [[0] * n for _ in range(n)]
+    for a in range(p2):
+        for b in range(p):
+            row = table[a + p2 * b]
+            rb = rpow[b]
+            for c in range(p2):
+                t = (a + c * rb) % p2
+                for d in range(p):
+                    row[c + p2 * d] = t + p2 * ((b + d) % p)
+    return FiniteGroup(name, table, generators=[1, p2])
+
+
 # h g h^-1 = g^twist(m) in the two-generator 2-groups, g of order m = |G|/2
 _TWISTS = {
     "dihedral": lambda m: m - 1,
@@ -143,8 +207,8 @@ _TWISTS = {
 
 def loop_build_group(spec: GroupSpec) -> FiniteGroup:
     """The group of a spec, built by the ``loop_*`` constructions; the
-    extraspecial and perm-file kinds, which have no loop builder here,
-    come from ``build_group``."""
+    perm-file kind, which has no loop builder here, comes from
+    ``build_group``."""
     name, params = spec.text(), spec.params
     if spec.kind == "cyclic":
         p, n = params
@@ -158,6 +222,10 @@ def loop_build_group(spec: GroupSpec) -> FiniteGroup:
         (order,) = params
         twist = _TWISTS[spec.kind](order // 2)
         return loop_two_generator_2group(order, twist, spec.kind == "quaternion", name)
+    if spec.kind == "extraspecial_plus":
+        return loop_extraspecial_plus_group(*params, name)
+    if spec.kind == "extraspecial_minus":
+        return loop_extraspecial_minus_group(*params, name)
     if spec.kind == "direct_product":
         a, b = params
         return loop_direct_product(loop_build_group(a), loop_build_group(b), name=name)
@@ -571,7 +639,7 @@ def closure_enumerate_subgroups(
     for orbit in orbits:
         members = tuple(Subgroup(fs) for fs in orbit)
         rep = members[0]
-        is_cyclic = any(group.element_order(x) == rep.order for x in rep.elements)
+        is_cyclic = any(loop_element_order(group, x) == rep.order for x in rep.elements)
         staged.append(
             (
                 rep.order,

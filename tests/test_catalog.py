@@ -80,7 +80,13 @@ def test_nominal_orders_and_axioms_across_catalog():
 
 @pytest.mark.parametrize(
     "spec",
-    [*standard_catalog(256), parse_group_spec("Q8xC2"), parse_group_spec("D8xC3xQ8")],
+    [
+        *standard_catalog(256),
+        parse_group_spec("ES+(7)"),
+        parse_group_spec("ES-(7)"),
+        parse_group_spec("Q8xC2"),
+        parse_group_spec("D8xC3xQ8"),
+    ],
     ids=lambda spec: spec.text(),
 )
 def test_build_matches_the_loop_oracle(spec):

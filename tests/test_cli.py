@@ -78,6 +78,9 @@ GOLDEN_RUNS = [
     (("exponent", "D(32)", "--certify", "--json"), "exponent-D32-certify.json", 0),
     (("lattice", "D(128)"), "lattice-D128.txt", 0),
     (("lattice", "SD(128)", "--json"), "lattice-SD128.json", 0),
+    (("marks", "ES-(3)"), "marks-ESminus3.txt", 0),
+    (("marks", "ES+(3)", "--json"), "marks-ESplus3.json", 0),
+    (("lattice", "Q(64)", "--json"), "lattice-Q64.json", 0),
 ]
 
 

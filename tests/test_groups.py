@@ -6,6 +6,8 @@ from _oracles import (
     conjugate_subgroup,
     generated_subgroup,
     is_closed_subset,
+    loop_element_order,
+    loop_power,
     subgroup_from_elements,
     verify_group_axioms,
 )
@@ -19,9 +21,16 @@ from burnside import (
     parse_group_spec,
     parse_permutation,
     parse_permutation_file,
+    standard_catalog,
 )
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
+
+PERM_FILES = {
+    "S4": "degree 4\n(0 1 2 3)\n(0 1)\n",
+    "S5": "degree 5\n(0 1 2 3 4)\n(0 1)\n",
+    "S3xS3": "degree 6\n(0 1 2)\n(0 1)\n(3 4 5)\n(3 4)\n",
+}
 
 
 def test_trivial_closure():
@@ -68,6 +77,26 @@ def test_element_orders():
     g, h = q8.generators
     assert q8.mul(h, h) == q8.power(g, 2)
     assert q8.element_order(h) == 4
+
+
+def _power_oracle_groups():
+    for spec in standard_catalog(128):
+        yield build_group(spec)
+    for name, text in PERM_FILES.items():
+        yield group_from_perm_generators(*parse_permutation_file(text), name=name)
+
+
+def test_powers_match_the_loop_oracle():
+    """The recorded powers of every element, its order and its k-th powers
+    (k negative, zero, past the order and up to |G|) equal repeated
+    multiplication."""
+    for g in _power_oracle_groups():
+        for x in g.elements():
+            order = loop_element_order(g, x)
+            assert g.powers[x] == tuple(loop_power(g, x, k) for k in range(order)), g.name
+            assert g.element_order(x) == order
+            for k in (-1, 0, 1, 2, order, order + 1, g.order):
+                assert g.power(x, k) == loop_power(g, x, k), (g.name, x, k)
 
 
 def test_order_of_product_is_symmetric():
