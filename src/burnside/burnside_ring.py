@@ -19,15 +19,16 @@ G-set:
 
 All three are expected to agree on every input; that agreement is part
 of the test suite. Both congruence systems are ``Congruence`` records,
-read off one power walk per subgroup U over N(U) (``_walks``) and summed
-by one loop (``violation_rows``); ``least_multiplier`` turns sums into
-the least multiplier that satisfies them, for the congruences and the
-solve alike.
+read off the walks of subgroups U over N(U) that the lattice keeps
+(``SubgroupLattice.walk``: enumeration walked one member of every class,
+and any other member is walked on demand), and summed by one loop
+(``violation_rows``); ``least_multiplier`` turns sums into the least
+multiplier that satisfies them, for the congruences and the solve alike.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
-``marks`` command). The table, the walks and both congruence systems are
-cached on the lattice through ``lattice_cached``.
+``marks`` command). The table and both congruence systems are cached on
+the lattice through ``lattice_cached``.
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -42,14 +43,13 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import index
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import prime_power
-from .groups import Subgroup
 from .lattice import (
     SubgroupLattice,
+    Walk,
     conjugate_mask,
-    entries_at,
     lattice_cached,
     left_cosets,
 )
@@ -205,59 +205,7 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
-# a walk is its rows, a row (mask of <v, U>, its class, coset count)
-Row = tuple[int, int, int]
-Walk = tuple[Row, ...]
-
-
-@lattice_cached
-def _walks(lattice: SubgroupLattice) -> tuple[dict[int, Walk], Callable[[Subgroup], Walk]]:
-    """The walks done so far, by mask of U, and ``walk_of`` that fills them.
-
-    ``walk_of(U)`` walks the normalizer N(U) the lattice recorded and
-    gives one row per cyclic subgroup <vU> of N(U)/U, U itself included.
-    No join is closed from generators: <v, U> is the union of the cosets
-    v^k U up to the first power of v inside U, and the phi(m) cosets
-    v^k U with k prime to the order m of vU all generate it.
-    """
-    group = lattice.group
-    table = group.mul_table
-    powers = group.powers
-    bits = [1 << x for x in range(group.order)]
-    class_of = lattice._class_by_mask
-    memo: dict[int, Walk] = {}
-
-    def walk_of(sub: Subgroup) -> Walk:
-        u_mask = sub.mask
-        if u_mask in memo:
-            return memo[u_mask]
-        coset_of = entries_at(sub.elements)  # row x of the table -> xU
-        rows = [(u_mask, class_of[u_mask], 1)]
-        covered = set(sub.elements)
-        for v in lattice.normalizer(sub).elements:
-            if v in covered:
-                continue
-            # vU has order m, the least m >= 1 with v^m in U
-            cycle = powers[v]
-            m = 2  # v is not in U
-            while not u_mask >> cycle[m % len(cycle)] & 1:
-                m += 1
-            joined = u_mask
-            generators = 0
-            for e, p in enumerate(cycle[1:m], 1):
-                coset = coset_of(table[p])
-                joined += sum(map(bits.__getitem__, coset))
-                if gcd(e, m) == 1:
-                    generators += 1
-                    covered.update(coset)
-            rows.append((joined, class_of[joined], generators))
-        walk = memo[u_mask] = tuple(rows)
-        return walk
-
-    return memo, walk_of
-
-
-def _terms_within(rows: Iterable[Row], v_mask: int) -> tuple[tuple[int, int], ...]:
+def _terms_within(rows: Walk, v_mask: int) -> tuple[tuple[int, int], ...]:
     """The rows whose join lies in V, summed by class as sorted
     (class_index, coset_count) pairs: the cosets vU of V/U by <v, U>."""
     counts: dict[int, int] = {}
@@ -277,8 +225,8 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     subgroup list), deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
     normal in V iff V lies in the normalizer N(U) the lattice recorded,
-    and the terms are the rows of U's walk over N(U) (``_walks``) whose
-    join lies in V.
+    and the terms are the rows of U's walk over N(U)
+    (``SubgroupLattice.walk``) whose join lies in V.
     """
     group = lattice.group
     abelian = group.is_abelian()
@@ -286,7 +234,6 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     class_of = lattice._class_by_mask
     normalizer_of = lattice._normalizers
     sub_orders = [sub.order for sub in subgroups]
-    _, walk_of = _walks(lattice)
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
@@ -310,7 +257,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                 continue
             for g in conjugators:
                 seen_orbit.add(conjugate_mask(group, sub.elements, g))
-            terms = _terms_within(walk_of(sub), v_mask)
+            terms = _terms_within(lattice.walk(sub), v_mask)
             out.append(Congruence(class_of[u_mask], cls.class_index, index, terms))
     return tuple(out)
 
@@ -322,20 +269,21 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     x is in the Burnside ring iff, for every class U, sum over gU in
     N(U)/U of x(<g, U>) is 0 mod |N(U) : U|: the congruence of the pair
     (U, N(U)), with v_class the class of N(U), summing a member's whole
-    walk (``_walks``). Conjugates give the same row, so a member already
-    walked for the pair congruences is read, else the representative.
+    walk (``SubgroupLattice.walks``). Conjugates give the same row, so a
+    member already walked, by enumeration or for the pair congruences, is
+    read, else the representative.
     The index is |G| / (|class| * |U|); classes of index 1 give no row.
     """
     order = lattice.group.order
-    walked, walk_of = _walks(lattice)
+    walks = lattice.walks
     rows = []
     for cls in lattice.classes:
         index = order // (len(cls.members) * cls.order)
         if index == 1:
             continue
-        member = next((m for m in cls.members if m.mask in walked), cls.representative)
+        member = next((m for m in cls.members if m.mask in walks), cls.representative)
         norm_mask = lattice.normalizer(member).mask
-        terms = _terms_within(walk_of(member), norm_mask)
+        terms = _terms_within(lattice.walk(member), norm_mask)
         rows.append(Congruence(cls.class_index, lattice._class_by_mask[norm_mask], index, terms))
     return tuple(rows)
 
@@ -430,8 +378,7 @@ def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
     elements g must vanish mod |G|. It sums the walk of U = 1 alone.
     Necessary for membership, not sufficient."""
     _check_vector(lattice, x)
-    _, walk_of = _walks(lattice)
-    rows = walk_of(lattice.classes[0].representative)
+    rows = lattice.walk(lattice.classes[0].representative)
     return sum(count * x.values[cls] for _, cls, count in rows) % lattice.group.order == 0
 
 

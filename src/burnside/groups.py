@@ -5,17 +5,18 @@ identity. A group records the powers of each element once, when it is
 built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
-is not immutable: it fills one lazy cache (table of marks, each
-subgroup's walk over its normalizer, pair and Weyl congruences) on
-first use. The cached values are deterministic, so threads sharing a
-lattice see the same results, but concurrent first calls may each
-compute them.
+is not immutable: on first use it fills one lazy cache (table of marks,
+pair and Weyl congruences) and walks of the subgroups that enumeration
+did not walk over their normalizers. The values are deterministic, so
+threads sharing a lattice see the same results, but concurrent first
+calls may each compute them.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 DEFAULT_PERM_ORDER_CAP = 1024
@@ -33,8 +34,10 @@ class FiniteGroup:
     The table is validated for shape, identity behaviour, and
     cancellation (each row and column is a permutation). Associativity
     is not checked, because that is cubic in the order; the test suite
-    checks it for every group the catalog builds. The group is abelian
-    iff the table equals its transpose, which the column check builds.
+    checks it for every group the catalog builds. Entries are kept as
+    given when they are all ints, else copied through ``int``. The group
+    is abelian iff the table equals its transpose, which the column check
+    builds.
     ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements of <x>, up
     to x^(n-1) for the order n of x, walked once down column x (y -> yx);
     the walk returns to 1 because the column is a permutation.
@@ -52,7 +55,10 @@ class FiniteGroup:
         order = len(mul_table)
         if order == 0:
             raise ValueError("multiplication table is empty")
-        table = tuple(tuple(map(int, row)) for row in mul_table)
+        if set(map(type, chain.from_iterable(mul_table))) <= {int}:
+            table = tuple(map(tuple, mul_table))
+        else:  # bools, integral floats and other entries are copied through int
+            table = tuple(tuple(map(int, row)) for row in mul_table)
         full = frozenset(range(order))
         for i, row in enumerate(table):
             if len(row) != order:
@@ -267,12 +273,12 @@ def group_from_perm_generators(
                 index[nxt] = len(perms)
                 perms.append(nxt)
         pos += 1
-    n = len(perms)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        row = table[i]
-        for j, q in enumerate(perms):
-            row[j] = index[tuple(p[x] for x in q)]
+    if degree == 1:  # one point: itemgetter(0) would give an entry, not a tuple
+        table = [[0]]
+    else:
+        # row p, column q: the permutation (p[q[0]], p[q[1]], ...)
+        getters = [itemgetter(*q) for q in perms]
+        table = [[index[get(p)] for get in getters] for p in perms]
     return FiniteGroup(
         name or f"perm-group(degree {degree})",
         table,

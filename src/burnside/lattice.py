@@ -6,23 +6,32 @@ order, ties broken by descending class size, then by the representative's
 sorted element list. Class 0 is the trivial subgroup and the last class
 is the whole group.
 
-Enumeration joins one member of each conjugacy class; the orbit pass
+Enumeration joins one member H of each conjugacy class; the orbit pass
 that first finds a class registers every other member, conjugates are
-never joined. Each subgroup is one ``Subgroup``, built with its bitmask
-when the orbit pass finds it and shared by the classes and the lattice.
-The orbit pass also yields the normalizer of every member, as a
-reference to the lattice's own ``Subgroup``.
+never joined. The orbit pass also yields N(H), and H is joined with the
+elements of N(H) by walking it (``_walk``): one row per cyclic subgroup
+of N(H)/H, each the union of the cosets v^k H, with no closure. Only the
+double cosets HgH outside N(H) are joined by closure (``_coset_join``).
+The walks are the lattice's cyclic data: kept as plain rows on the
+lattice, they give the Weyl and pair congruences their terms, and a
+conjugate that was not walked is walked on demand by the same code.
+Each subgroup is one ``Subgroup``, built with its bitmask when the orbit
+pass finds it and shared by the classes and the lattice; every member's
+normalizer is a reference to the lattice's own ``Subgroup``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import wraps
+from itertools import filterfalse
+from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .arith import prime_power
 from .groups import (
+    IDENTITY,
     CapExceededError,
     FiniteGroup,
     Subgroup,
@@ -78,6 +87,11 @@ class SubgroupClass:
         )
 
 
+# a walk is its rows, a row (mask of <v, U>, its class, coset count)
+Row = tuple[int, int, int]
+Walk = tuple[Row, ...]
+
+
 class SubgroupLattice:
     """All subgroups of a group, partitioned into conjugacy classes.
 
@@ -85,19 +99,31 @@ class SubgroupLattice:
     and then elements; a subgroup's bitmask finds its class, and its
     normalizer, through one dict lookup each. ``normalizers`` maps every
     subgroup's mask to its normalizer, one of the classes' own Subgroup
-    objects. Data derived from the whole lattice (the table of marks, each
-    subgroup's walk over its normalizer, the pair and the Weyl
-    congruences) is built on first use and kept in one cache, filled only
-    through ``lattice_cached``.
+    objects.
+
+    ``walks`` maps the mask of a subgroup U to its walk over N(U): one row
+    (mask of <v, U>, class of <v, U>, coset count) per cyclic subgroup
+    <vU> of N(U)/U, U itself first, the count being the cosets that
+    generate it. The rows of prime index over U are covers of U in the
+    lattice, and in a p-group, where every maximal subgroup is normal of
+    index p, they are all of its covers. The constructor takes a dict of
+    walks as (mask, count) rows, resolves their classes in place and keeps
+    the dict; ``walk`` reads one, walking a subgroup whose walk is not
+    kept yet. Data derived from the whole lattice (the table of marks, the
+    pair and the Weyl congruences) is built on first use and kept in one
+    cache, filled only through ``lattice_cached``. Nothing the lattice
+    keeps refers back to it, so reference counting frees it.
     """
 
     __slots__ = (
         "group",
         "all_subgroups",
         "classes",
+        "walks",
         "_class_by_mask",
         "_normalizers",
         "_derived",
+        "__weakref__",
     )
 
     def __init__(
@@ -105,6 +131,7 @@ class SubgroupLattice:
         group: FiniteGroup,
         classes: tuple[SubgroupClass, ...],
         normalizers: dict[int, Subgroup],
+        walks: dict[int, Iterable[tuple[int, int]]],
     ) -> None:
         self.group = group
         self.classes = classes
@@ -112,6 +139,10 @@ class SubgroupLattice:
         self.all_subgroups = tuple(sorted(subs, key=lambda s: (len(s.elements), s.elements)))
         self._class_by_mask = {m.mask: c.class_index for c in classes for m in c.members}
         self._normalizers = normalizers
+        # resolved in place, so each raw walk is dropped once it is resolved
+        for u_mask, rows in walks.items():
+            walks[u_mask] = self._resolved(rows)
+        self.walks: dict[int, Walk] = walks
         self._derived: dict[Callable, object] = {}
 
     @property
@@ -139,6 +170,25 @@ class SubgroupLattice:
             return self._normalizers[sub.mask]
         except KeyError:
             raise ValueError("subgroup does not belong to this lattice") from None
+
+    def walk(self, sub: Subgroup) -> Walk:
+        """U's walk over N(U) (see ``walks``): the kept one, else walked now
+        and kept, as for a conjugate of the member that enumeration joined."""
+        try:
+            return self.walks[sub.mask]
+        except KeyError:
+            pass
+        rows = _walk(self.group, sub.elements, self.normalizer(sub).elements)
+        walk = self.walks[sub.mask] = self._resolved(
+            [(subgroup_mask(j), count) for j, count, _ in rows]
+        )
+        return walk
+
+    def _resolved(self, rows: Iterable[tuple[int, int]]) -> Walk:
+        """Walk rows given as (mask of <v, U>, coset count), with the class of
+        <v, U> put in between."""
+        class_of = self._class_by_mask
+        return tuple([(j, class_of[j], count) for j, count in rows])
 
     def __repr__(self) -> str:
         return (
@@ -218,55 +268,101 @@ def check_enumeration_cap(order: int | None, cap: int | None = None) -> None:
         raise CapExceededError(f"group order {order} exceeds the enumeration cap {limit}")
 
 
+def _walk(
+    group: FiniteGroup, elements: Sequence[int], within: Iterable[int]
+) -> list[tuple[frozenset[int], int, int]]:
+    """The walk of U, given by its elements, over a subgroup N in which it
+    is normal, given by its elements in ascending order.
+
+    One row (elements of <v, U>, coset count, v) per cyclic subgroup <vU>
+    of N/U, U itself first with v the identity. No join is closed from
+    generators: <v, U> is the union of the cosets v^k U up to the first
+    power v^m inside U, and the phi(m) cosets v^k U with k prime to m all
+    generate it, so they are counted in one row and never walked again.
+    """
+    table = group.mul_table
+    powers = group.powers
+    coset_of = entries_at(elements)  # row x of the table -> xU
+    u_set = frozenset(elements)
+    rows = [(u_set, 1, IDENTITY)]
+    covered = set(elements)
+    for v in filterfalse(covered.__contains__, within):
+        # vU has order m, the least m >= 1 with v^m in U
+        cycle = powers[v]
+        m = 2  # v is not in U
+        while cycle[m % len(cycle)] not in u_set:
+            m += 1
+        if m == 2:  # the one coset vU generates <vU>
+            coset = coset_of(table[v])
+            covered.update(coset)
+            rows.append((u_set.union(coset), 1, v))
+            continue
+        cosets = [coset_of(table[p]) for p in cycle[1:m]]
+        count = 0
+        for e, coset in enumerate(cosets, 1):
+            if gcd(e, m) == 1:
+                count += 1
+                covered.update(coset)
+        rows.append((u_set.union(*cosets), count, v))
+    return rows
+
+
 def enumerate_subgroups(
     group: FiniteGroup, *, cap: int | None = None
 ) -> SubgroupLattice:
     """Enumerate every subgroup of the group and classify up to conjugacy.
 
-    Layered construction: starting from the cyclic subgroups, which are
-    read off the group's recorded powers (``FiniteGroup.powers``), each
-    new subgroup H is joined with one generator of every cyclic subgroup
-    not in H, until nothing new appears. Every subgroup is the join of its
-    own cyclic subgroups, so the layers exhaust the lattice. Only one
-    member of each conjugacy class is joined: when a join first finds H,
-    the orbit pass registers every conjugate gHg^-1 as found, and only H
-    joins further. That loses no class, since if K = <H, c> and
-    R = xHx^-1 is the member of H's class that joins, then
-    xKx^-1 = <R, xcx^-1>. Since <H, g> = <H, hgh'> for all h, h' in H,
-    only one candidate g per double coset HgH is tried, replaced by an
-    element y of largest order in Hg. The join <H, y> is built coset-wise
-    (see ``_coset_join``) from the elements of H or of <y>, whichever is
-    larger, never from scratch. The dedupe key of the joins is the
-    element set, kept only while the enumeration runs. N(H) is the set
-    of elements fixing H under conjugation (G throughout when the group
-    is abelian); it may be found after H, so every member's normalizer is
-    looked up once the joins are done. Groups larger than the cap are
-    rejected.
+    Layered construction: starting from the trivial subgroup, each new
+    subgroup H is joined with every element g, until nothing new appears.
+    Every subgroup is the join of its own cyclic subgroups, so the layers
+    exhaust the lattice. Only one member of each conjugacy class is
+    joined: when a join first finds H, the orbit pass registers every
+    conjugate gHg^-1 as found, and only H joins further. That loses no
+    class, since if K = <H, c> and R = xHx^-1 is the member of H's class
+    that joins, then xKx^-1 = <R, xcx^-1>. The orbit pass also gives
+    N(H), the set of elements fixing H under conjugation (G throughout
+    when the group is abelian).
+
+    The joins with g in N(H) are read off H's walk over N(H) (``_walk``),
+    with no closure: <H, g> is the preimage of the cyclic subgroup <gH> of
+    N(H)/H, and the walk gives one row per such subgroup. The trivial
+    subgroup joins first, and its walk over G yields the cyclic subgroups,
+    one generator each. For g outside N(H), <H, g> = <H, c> for the walked
+    generator c of <g>, which is outside N(H) too, and <H, c> = <H, hch'>
+    for all h, h' in H; N(H) is a union of double cosets HgH, so one
+    candidate per double coset outside N(H) is tried, replaced by an
+    element y of largest order in Hc. That join is built coset-wise (see
+    ``_coset_join``) from the elements of H or of <y>, whichever is
+    larger. A normal H (N(H) = G) has no such double coset. The dedupe
+    key of the joins is the element set, kept only while the enumeration
+    runs. Each joining member's walk is kept on the lattice
+    (``SubgroupLattice.walks``), so every class has a walked member. N(H)
+    may be found after H, so every member's normalizer is looked up once
+    the joins are done. Groups larger than the cap are rejected.
     """
     check_enumeration_cap(group.order, cap)
+    order = group.order
     table = group.mul_table
-    columns = tuple(zip(*table))
+    abelian = group.is_abelian()
+    columns = table if abelian else tuple(zip(*table))  # the transposed table
     inv = group.inv_table
     powers = group.powers
     element_order = [len(p) for p in powers]
     exponent = max(element_order)  # the largest element order
-    # each cyclic subgroup's element set -> its least generator
-    cyclics: dict[frozenset[int], int] = {}
-    for g, p in enumerate(powers):
-        cyclics.setdefault(frozenset(p), g)
-    candidates = [g for g in cyclics.values() if g]
-    everything = frozenset(group.elements())
-    abelian = group.is_abelian()
+    everything = range(order)
     # element set -> the subgroup, for every subgroup found
     found: dict[frozenset[int], Subgroup] = {}
-    # per class: the member that joins, {gHg^-1: the first such g}, and N(H)'s elements
-    orbits: list[tuple[frozenset[int], dict[frozenset[int], int], frozenset[int]]] = []
+    # per class: the member H that joins, {gHg^-1: the first such g},
+    # N(H)'s elements in ascending order, and generators of H
+    orbits: list[
+        tuple[frozenset[int], dict[frozenset[int], int], Sequence[int], tuple[int, ...]]
+    ] = []
 
-    def find_class(fs: frozenset[int]) -> Subgroup:
-        """Register H and every conjugate gHg^-1 as found; record the orbit."""
+    def find_class(fs: frozenset[int], gens: tuple[int, ...]) -> Subgroup:
+        """Register H and every conjugate gHg^-1 as found; queue H to join."""
         sub = found[fs] = Subgroup(fs)
         orbit = {fs: 0}
-        fixing = everything  # in an abelian group, H's class is H and N(H) = G
+        fixing: Sequence[int] = everything  # in an abelian group, N(H) = G
         if not abelian:
             # gHg^-1 depends only on the left coset gH, and the cosets
             # that fix H make up N(H)
@@ -279,48 +375,58 @@ def enumerate_subgroups(
                     found[conj] = Subgroup(conj)
                 if conj == fs:
                     fixing.extend(coset)
-            fixing = frozenset(fixing)
-        orbits.append((fs, orbit, fixing))
+            fixing.sort()
+        orbits.append((fs, orbit, fixing, gens))
         return sub
 
-    frontier = []
-    for fs, g in cyclics.items():
-        if fs not in found:
-            sub = find_class(fs)
-            if g:
-                frontier.append((sub, (g,)))
-    while frontier:
-        fresh = []
-        for sub, gens in frontier:
-            elements = sub.elements
-            left_coset = entries_at(elements)
-            # H itself, then every double coset HgH already joined
-            done = set(elements)
-            for g in candidates:
-                if g in done:
-                    continue
-                # mark HgH, the union of the left cosets xH over x in Hg
-                right = left_coset(columns[g])
-                for x in right:
-                    if x not in done:
-                        done.update(left_coset(table[x]))
-                # <H, y> = <H, g> for every y in Hg; a y of larger order
-                # leaves fewer cosets to add to H, or to <y> when larger
-                y = g
-                if element_order[g] < exponent:
-                    y = max(right, key=element_order.__getitem__)
-                base = max(elements, powers[y], key=len)
-                joined = _coset_join(columns, table, base, gens + (y,))
-                if joined not in found:
-                    fresh.append((find_class(joined), gens + (y,)))
-        frontier = fresh
+    find_class(frozenset((IDENTITY,)), ())
+    candidates: list[int] = []  # one generator of each cyclic subgroup but 1
+    # joining member's mask -> its walk, as (mask of <v, H>, coset count)
+    walks: dict[int, list[tuple[int, int]]] = {}
+    for fs, _, within, gens in orbits:  # grows as the joins find classes
+        sub = found[fs]
+        rows = _walk(group, sub.elements, within)
+        walk = walks[sub.mask] = []
+        for joined, count, v in rows:
+            known = found.get(joined)
+            if known is None:
+                known = find_class(joined, gens + (v,))
+            walk.append((known.mask, count))
+        if not gens:  # H = 1, walked over G: one row per cyclic subgroup
+            candidates = [v for _, _, v in rows[1:]]
+        if len(within) == order:
+            continue
+        elements = sub.elements
+        left_coset = entries_at(elements)
+        # N(H), then every double coset HgH already joined
+        done = set(within)
+        for g in candidates:
+            if g in done:
+                continue
+            # mark HgH, the union of the left cosets xH over x in Hg
+            right = left_coset(columns[g])
+            for x in right:
+                if x not in done:
+                    done.update(left_coset(table[x]))
+            # <H, y> = <H, g> for every y in Hg; a y of larger order
+            # leaves fewer cosets to add to H, or to <y> when larger
+            y = g
+            if element_order[g] < exponent:
+                y = max(right, key=element_order.__getitem__)
+            base = max(elements, powers[y], key=len)
+            joined = _coset_join(columns, table, base, gens + (y,))
+            if joined not in found:
+                find_class(joined, gens + (y,))
 
+    # the trivial subgroup's walk holds every cyclic subgroup
+    cyclic = {mask for mask, _ in walks[1]}
     # N(H) may be found after H; the first g giving each member gHg^-1
     # gives its normalizer g N(H) g^-1
     normalizers: dict[int, Subgroup] = {}
     staged = []
-    for fs, orbit, fixing in orbits:
-        norm = found[fixing]
+    whole = found[frozenset(everything)]
+    for fs, orbit, fixing, _ in orbits:
+        norm = whole if len(fixing) == order else found[frozenset(fixing)]
         for conj, g in orbit.items():
             if g:  # g = 0, the first coset's representative, gives H
                 coset = map(table[g].__getitem__, norm.elements)
@@ -335,7 +441,7 @@ def enumerate_subgroups(
                 -len(members),
                 rep.elements,
                 members,
-                fs in cyclics,  # cyclicity is invariant under conjugation
+                found[fs].mask in cyclic,  # cyclicity is invariant under conjugation
                 is_elementary_abelian(group, rep),
             )
         )
@@ -351,7 +457,7 @@ def enumerate_subgroups(
     )
     if classes[0].order != 1 or classes[-1].order != group.order:
         raise RuntimeError("subgroup enumeration lost the trivial subgroup or the group")
-    return SubgroupLattice(group, classes, normalizers)
+    return SubgroupLattice(group, classes, normalizers, walks)
 
 
 def left_cosets(
@@ -377,11 +483,15 @@ def is_elementary_abelian(group: FiniteGroup, sub: Subgroup) -> bool:
     Then its elements other than 1 share one order p. Conversely, if they
     share one order, it is a prime p, since x^a has order q/a for a
     proper divisor a of the order q of x, and by Cauchy's theorem the
-    subgroup is a p-group.
+    subgroup is a p-group. It is then abelian when the group is, or when
+    p = 2 (xy = (xy)^-1 = y^-1 x^-1 = yx); else every pair is tested.
     """
     elems = sub.elements  # elems[0] is the identity
-    if len({group.element_order(x) for x in elems[1:]}) > 1:
+    orders = set(map(len, map(group.powers.__getitem__, elems[1:])))
+    if len(orders) > 1:
         return False
+    if group.is_abelian() or orders == {2}:
+        return True
     table = group.mul_table
     for i, a in enumerate(elems):
         row = table[a]

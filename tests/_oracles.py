@@ -11,7 +11,8 @@ every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
 builds every violation record by keyword. Normalizers are found by
 conjugating a subgroup by every group element, and the Weyl-group
-congruences are built from them, one closure per coset. The cyclic
+congruences and each subgroup's walk over its normalizer
+(``closure_walk``) are built from them, one closure per coset. The cyclic
 census is counted by walking the powers of every group element.
 Subgroups generated by a seed are closed by a word search
 (``generated_subgroup``), a second closure beside the library's
@@ -24,7 +25,9 @@ entry by entry in nested loops and validate each partial product of an
 abelian group, and ``pairwise_is_abelian`` is the earlier abelian test,
 which compares ab with ba for every pair of elements. ``loop_power`` and
 ``loop_element_order`` multiply one factor at a time, where the library
-reads each element's recorded powers.
+reads each element's recorded powers, and ``loop_perm_table`` composes
+two permutations point by point for every entry of a permutation
+group's table.
 """
 
 from __future__ import annotations
@@ -89,6 +92,32 @@ def loop_element_order(group: FiniteGroup, x: int) -> int:
         y = group.mul_table[y][x]
         n += 1
     return n
+
+
+def loop_perm_table(
+    degree: int, generators: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The multiplication table of the permutations that ``generators``
+    generate, with the ids of ``group_from_perm_generators`` (breadth-first
+    closure from the identity, generators in input order), each entry found
+    by composing the two permutations point by point."""
+    gens = [tuple(g) for g in generators]
+    identity = tuple(range(degree))
+    perms = [identity]
+    index = {identity: 0}
+    for base in perms:  # grows as the closure finds permutations
+        for g in gens:
+            nxt = tuple(base[p] for p in g)
+            if nxt not in index:
+                index[nxt] = len(perms)
+                perms.append(nxt)
+    n = len(perms)
+    table = [[0] * n for _ in range(n)]
+    for i, p in enumerate(perms):
+        row = table[i]
+        for j, q in enumerate(perms):
+            row[j] = index[tuple(p[x] for x in q)]
+    return table
 
 
 def loop_direct_product(
@@ -659,7 +688,7 @@ def closure_enumerate_subgroups(
     normalizers = {
         m.mask: by_elements[normalizer(group, m).elements] for m in by_elements.values()
     }
-    return SubgroupLattice(group, classes, normalizers)
+    return SubgroupLattice(group, classes, normalizers, {})
 
 
 def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
@@ -722,6 +751,25 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
                 )
             )
     return tuple(out)
+
+
+def closure_walk(lattice: SubgroupLattice, sub: Subgroup) -> tuple[tuple[int, int, int], ...]:
+    """U's walk over its brute-force normalizer N(U), from scratch: every
+    coset gU of N(U)/U is counted in the class of <U, g>, closed from U's
+    elements and g. Distinct cyclic subgroups <gU> of N(U)/U give distinct
+    joins, so the rows are (mask of <U, g>, its class, coset count), one
+    per join, sorted."""
+    group = lattice.group
+    rows: dict[int, list[int]] = {}
+    covered: set[int] = set()
+    for g in normalizer(group, sub).elements:
+        if g in covered:
+            continue
+        covered.update(group.mul_table[g][u] for u in sub.elements)
+        joined = generated_subgroup(group, sub.elements + (g,))
+        row = rows.setdefault(joined.mask, [joined.mask, lattice.class_index_of(joined), 0])
+        row[2] += 1
+    return tuple(sorted(map(tuple, rows.values())))
 
 
 def closure_weyl_congruences(

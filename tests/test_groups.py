@@ -7,6 +7,7 @@ from _oracles import (
     generated_subgroup,
     is_closed_subset,
     loop_element_order,
+    loop_perm_table,
     loop_power,
     subgroup_from_elements,
     verify_group_axioms,
@@ -97,6 +98,36 @@ def test_powers_match_the_loop_oracle():
             assert g.element_order(x) == order
             for k in (-1, 0, 1, 2, order, order + 1, g.order):
                 assert g.power(x, k) == loop_power(g, x, k), (g.name, x, k)
+
+
+@pytest.mark.parametrize("text", [*PERM_FILES.values(), "degree 1\n", "degree 1\n()\n"])
+def test_perm_tables_match_the_loop_oracle(text):
+    """The per-column itemgetters give the table of composing the two
+    permutations point by point, one point too."""
+    degree, gens = parse_permutation_file(text)
+    table = group_from_perm_generators(degree, gens).mul_table
+    assert table == tuple(map(tuple, loop_perm_table(degree, gens)))
+
+
+def test_tables_of_bools_and_integral_floats_give_the_int_group():
+    """Entries that are not ints are copied through int, as are tables
+    whose rows mix them with ints; an int table is kept as tuples."""
+    q8 = build_group(parse_group_spec("Q8")).mul_table
+    rows = [list(row) for row in q8]
+    for table, other in (
+        ([[0, 1], [1, 0]], [[False, True], [True, False]]),
+        ([[0, 1], [1, 0]], [[0.0, 1.0], [1, 0]]),
+        (rows, [[float(x) for x in row] for row in rows]),
+    ):
+        expected = FiniteGroup("int", table)
+        group = FiniteGroup("other", other)
+        assert group.mul_table == expected.mul_table == tuple(map(tuple, table))
+        assert {type(x) for row in group.mul_table for x in row} == {int}
+        assert group.inv_table == expected.inv_table
+        assert group.powers == expected.powers
+        assert group.is_abelian() == expected.is_abelian()
+    # rows that are already int tuples are kept, not copied
+    assert all(a is b for a, b in zip(FiniteGroup("q8", q8).mul_table, q8))
 
 
 def test_order_of_product_is_symmetric():

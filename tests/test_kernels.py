@@ -16,7 +16,9 @@ congruences, marks solve) must agree on every vector tried.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from math import gcd, lcm
 
 import pytest
@@ -25,6 +27,7 @@ from _oracles import (
     BurnsideElement,
     closure_dress_congruences,
     closure_enumerate_subgroups,
+    closure_walk,
     closure_weyl_congruences,
     element_walk_census,
     ghost_of,
@@ -206,18 +209,64 @@ def test_random_degree_six_group_matches_closure_oracles(seed):
 @pytest.mark.parametrize("name", ["S4", "S5"])
 def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
     """After the pair system, no Weyl row walks a subgroup: each class reads
-    a member the pair congruences walked, and gives the same row as the
-    representative's own walk on a fresh lattice. In S4, two classes have
-    a member the pair system walks but not the representative."""
+    a member that enumeration or the pair congruences walked, and gives the
+    same row as on a fresh lattice. In S4, two classes have a member the
+    pair system walks but not the representative."""
     group = _perm_file_group(name, tmp_path)
     fresh = weyl_congruences(enumerate_subgroups(group))
     lattice = enumerate_subgroups(group)
     dress_congruences(lattice)
-    walked, _ = burnside_ring._walks(lattice)
+    walked = lattice.walks
     before = set(walked)
     assert len(before) > 1
     assert weyl_congruences(lattice) == fresh
     assert set(walked) == before
+
+
+def _assert_walks_match_scratch_walks(lattice):
+    """Enumeration keeps one walk per class, of the member that joined,
+    and each equals U's walk over N(U) closed from scratch; so does the
+    walk of every other member, walked on demand."""
+    by_mask = {sub.mask: sub for sub in lattice.all_subgroups}
+    recorded = dict(lattice.walks)
+    assert sorted(lattice.class_index_of(by_mask[u]) for u in recorded) == list(
+        range(lattice.class_count)
+    )
+    for u_mask, walk in recorded.items():
+        sub = by_mask[u_mask]
+        assert walk[0] == (u_mask, lattice.class_index_of(sub), 1)
+        assert tuple(sorted(walk)) == closure_walk(lattice, sub)
+    for sub in lattice.all_subgroups:
+        assert tuple(sorted(lattice.walk(sub))) == closure_walk(lattice, sub)
+    assert lattice.walks.keys() == by_mask.keys()
+
+
+@pytest.mark.parametrize("text", CATALOG_UP_TO_64)
+def test_catalog_walks_match_scratch_walks(text):
+    _assert_walks_match_scratch_walks(enumerate_subgroups(build_group(parse_group_spec(text))))
+
+
+@pytest.mark.parametrize("name", sorted(PERM_FILES))
+def test_perm_file_walks_match_scratch_walks(name, tmp_path):
+    _assert_walks_match_scratch_walks(enumerate_subgroups(_perm_file_group(name, tmp_path)))
+
+
+def test_lattices_are_freed_by_reference_counting():
+    """Nothing a lattice keeps, walks and cached congruences included,
+    refers back to it, so it goes with its last reference and no cycle
+    waits for the garbage collector."""
+    group = build_group(parse_group_spec("D(16)"))
+    gc.disable()
+    try:
+        lattice = enumerate_subgroups(group)
+        artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN)
+        dress_congruences(lattice)
+        weyl_congruences(lattice)
+        ref = weakref.ref(lattice)
+        del lattice
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _fields(violation):
