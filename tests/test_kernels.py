@@ -37,7 +37,6 @@ from _oracles import (
 )
 from burnside import (
     CongruenceViolation,
-    burnside_ring,
     GhostVector,
     SubgroupFamily,
     artin_exponent,
