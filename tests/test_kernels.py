@@ -11,7 +11,10 @@ Artin-exponent witnesses (every violation, in order, every field) as the
 per-congruence loops. Every normalizer the enumeration records must be
 the brute-force {g : gUg^-1 = U}, the Weyl rows must equal those built
 from such normalizers, and the three membership routes (Weyl rows, pair
-congruences, marks solve) must agree on every vector tried.
+congruences, marks solve) must agree on every vector tried. Every walk
+of a subgroup over its normalizer, kept by enumeration or made on
+demand, must equal one closed from scratch, and a lattice must be freed
+by reference counting alone.
 """
 
 from __future__ import annotations
