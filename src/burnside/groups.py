@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 DEFAULT_PERM_ORDER_CAP = 1024
 
@@ -134,6 +134,16 @@ def subgroup_mask(elements: Collection[int]) -> int:
     for x in elements:
         flags[x] = 1
     return int(flags.translate(_BIT_DIGITS)[::-1], 2)
+
+
+def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A C-speed callable taking a table row to the tuple of its entries at
+    ``positions``; with a subgroup's elements as positions, row x of the
+    multiplication table gives the left coset xU, column y the right coset Uy."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return itemgetter(*positions)
 
 
 class Subgroup:
@@ -273,12 +283,9 @@ def group_from_perm_generators(
                 index[nxt] = len(perms)
                 perms.append(nxt)
         pos += 1
-    if degree == 1:  # one point: itemgetter(0) would give an entry, not a tuple
-        table = [[0]]
-    else:
-        # row p, column q: the permutation (p[q[0]], p[q[1]], ...)
-        getters = [itemgetter(*q) for q in perms]
-        table = [[index[get(p)] for get in getters] for p in perms]
+    # row p, column q: the permutation (p[q[0]], p[q[1]], ...)
+    getters = [entries_at(q) for q in perms]
+    table = [[index[get(p)] for get in getters] for p in perms]
     return FiniteGroup(
         name or f"perm-group(degree {degree})",
         table,

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import wraps
 from itertools import filterfalse
 from math import gcd
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .arith import prime_power
@@ -35,6 +35,7 @@ from .groups import (
     CapExceededError,
     FiniteGroup,
     Subgroup,
+    entries_at,
     subgroup_mask,
 )
 
@@ -222,16 +223,6 @@ def conjugate_mask(group: FiniteGroup, elements: Iterable[int], g: int) -> int:
     return subgroup_mask([table[grow[u]][gi] for u in elements])
 
 
-def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """A C-speed callable taking a table row to the tuple of its entries at
-    ``positions``; with a subgroup's elements as positions, row x of the
-    multiplication table gives the left coset xU, column y the right coset Uy."""
-    if len(positions) == 1:
-        (only,) = positions
-        return lambda row: (row[only],)
-    return itemgetter(*positions)
-
-
 def _coset_join(
     columns: Sequence[Sequence[int]],
     rows: Sequence[Sequence[int]],
@@ -292,11 +283,6 @@ def _walk(
         m = 2  # v is not in U
         while cycle[m % len(cycle)] not in u_set:
             m += 1
-        if m == 2:  # the one coset vU generates <vU>
-            coset = coset_of(table[v])
-            covered.update(coset)
-            rows.append((u_set.union(coset), 1, v))
-            continue
         cosets = [coset_of(table[p]) for p in cycle[1:m]]
         count = 0
         for e, coset in enumerate(cosets, 1):

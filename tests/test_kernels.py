@@ -210,17 +210,30 @@ def test_random_degree_six_group_matches_closure_oracles(seed):
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
 def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
-    """After the pair system, no Weyl row walks a subgroup: each class reads
-    a member that enumeration or the pair congruences walked, and gives the
-    same row as on a fresh lattice. In S4, two classes have a member the
-    pair system walks but not the representative."""
+    """No Weyl row walks a subgroup: each class reads a member already
+    walked, by enumeration or for the pair congruences, and gives the same
+    row as on a fresh lattice. After the pair system, every class of
+    index > 1 with several members has its representative's walk dropped
+    for another member's, so a Weyl row that walked the representative
+    would add a walk."""
     group = _perm_file_group(name, tmp_path)
-    fresh = weyl_congruences(enumerate_subgroups(group))
+    lattice = enumerate_subgroups(group)
+    walked = lattice.walks
+    before = set(walked)
+    fresh = weyl_congruences(lattice)
+    assert set(walked) == before
     lattice = enumerate_subgroups(group)
     dress_congruences(lattice)
     walked = lattice.walks
+    assert len(walked) > lattice.class_count
+    dropped = 0
+    for cls in lattice.classes:
+        if len(cls.members) > 1 and group.order // (len(cls.members) * cls.order) > 1:
+            lattice.walk(cls.members[-1])
+            walked.pop(cls.representative.mask, None)
+            dropped += 1
+    assert dropped > 1
     before = set(walked)
-    assert len(before) > 1
     assert weyl_congruences(lattice) == fresh
     assert set(walked) == before
 
