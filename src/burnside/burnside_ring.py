@@ -38,12 +38,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .arith import prime_power
 from .lattice import (
@@ -53,6 +51,9 @@ from .lattice import (
     lattice_cached,
     left_cosets,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GhostVector:
@@ -145,9 +146,11 @@ class CongruenceViolation(NamedTuple):
 _violation_from_row = partial(tuple.__new__, CongruenceViolation)
 
 
-@dataclass(frozen=True)
-class CongruenceCertificate:
-    """Outcome of the full Dress congruence system; holds iff no violations."""
+class CongruenceCertificate(NamedTuple):
+    """Outcome of the full Dress congruence system; holds iff no violations.
+
+    A named tuple: it equals the plain tuple (holds, violations).
+    """
 
     holds: bool
     violations: tuple[CongruenceViolation, ...]
@@ -364,6 +367,9 @@ def marks_membership(
     entry of y = |G|*c. The matrix is always invertible because the
     diagonal is positive.
     """
+    # imported here: fractions loads decimal, which no other command needs
+    from fractions import Fraction
+
     _check_vector(lattice, x)
     y = _scaled_solve(lattice, x)
     order = lattice.group.order

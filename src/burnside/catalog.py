@@ -15,12 +15,11 @@ the grammar should spell it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from math import prod
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
 from .groups import (
@@ -37,30 +36,42 @@ class SpecParseError(ValueError):
     """A group-spec string could not be parsed or has invalid parameters."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _SpecFields(NamedTuple):
+    kind: str
+    params: tuple
+
+
+class GroupSpec(_SpecFields):
     """Symbolic description of a catalog group; build with :func:`build_group`.
 
     ``kind`` names an entry of ``_KINDS`` and ``params`` are its
     parameters, e.g. ``GroupSpec("cyclic", (2, 3))`` for C(2^3),
     ``GroupSpec("dihedral", (16,))`` or ``GroupSpec("direct_product", (a, b))``.
+
+    A named tuple: it equals the plain tuple (kind, params). Every way
+    of making one, ``_make`` and ``_replace`` included, checks the
+    parameters and raises SpecParseError on bad ones.
     """
 
-    kind: str
-    params: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        entry = _KINDS.get(self.kind)
+    def __new__(cls, kind: str, params: tuple = ()) -> GroupSpec:
+        entry = _KINDS.get(kind)
         if entry is None:
-            raise SpecParseError(f"unknown group kind {self.kind!r}")
+            raise SpecParseError(f"unknown group kind {kind!r}")
         # A check's signature is its kind's arity, so a wrong parameter
         # count (or type) fails here as a TypeError.
         try:
-            problem = entry.check(*self.params)
+            problem = entry.check(*params)
         except TypeError:
-            problem = f"{self.kind} spec cannot take parameters {self.params!r}"
+            problem = f"{kind} spec cannot take parameters {params!r}"
         if problem:
             raise SpecParseError(problem)
+        return super().__new__(cls, kind, params)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> GroupSpec:  # _replace calls it too
+        return cls(*iterable)
 
     def order(self) -> int | None:
         """Nominal order, or None for perm-file specs (unknown before closure)."""

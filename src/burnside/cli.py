@@ -11,7 +11,6 @@ finds at least one disagreement row, 130 on interrupt.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -30,6 +29,7 @@ from .exponent import (
     closed_form_exponent,
     verify_main_theorem,
 )
+from .groups import DEFAULT_PERM_ORDER_CAP
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupFamily,
@@ -64,10 +64,15 @@ def _lattice_for(spec_text: str) -> SubgroupLattice:
     spec = parse_group_spec(spec_text)
     cap = _enumeration_cap()
     check_enumeration_cap(spec.order(), cap)
-    return enumerate_subgroups(build_group(spec), cap=cap)
+    # a perm spec's order is known only after its closure, which stops at
+    # the enumeration cap instead of building a table enumeration refuses
+    group = build_group(spec, perm_order_cap=min(cap, DEFAULT_PERM_ORDER_CAP))
+    return enumerate_subgroups(group, cap=cap)
 
 
 def _emit_json(command: str, group_spec: str | None, payload) -> None:
+    import json  # imported here: only --json output needs it, not start-up
+
     envelope = {
         "command": command,
         "group_spec": group_spec,

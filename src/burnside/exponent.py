@@ -13,9 +13,7 @@ by group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .arith import divisors, prime_power
 from .burnside_ring import (
@@ -44,15 +42,16 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class DivisorWitness:
-    """A congruence violated by divisor*indicator, proving that divisor is too small."""
+class DivisorWitness(NamedTuple):
+    """A congruence violated by divisor*indicator, proving that divisor is too small.
+
+    A named tuple: it equals the plain tuple (divisor, violation).
+    """
 
     divisor: int
     violation: CongruenceViolation
 
 
-@dataclass(frozen=True)
 class ExponentResult:
     """An Artin exponent, verified by two routes when it is computed.
 
@@ -60,17 +59,55 @@ class ExponentResult:
     the first pair congruence that d times the indicator violates. It
     needs the whole pair system, so it is built on first access and then
     kept; reading only the exponent never builds it.
+
+    A read-only record, not a tuple: equality, hash and repr use
+    (exponent, family, family_classes, method) and leave the lattice out.
     """
 
-    exponent: int
-    family: SubgroupFamily
-    family_classes: frozenset[int]
-    method: str
-    lattice: SubgroupLattice = field(repr=False, compare=False)
+    __slots__ = ("exponent", "family", "family_classes", "method", "lattice", "_certificate")
 
-    @cached_property
+    def __init__(
+        self,
+        exponent: int,
+        family: SubgroupFamily,
+        family_classes: frozenset[int],
+        method: str,
+        lattice: SubgroupLattice,
+    ) -> None:
+        init = object.__setattr__
+        init(self, "exponent", exponent)
+        init(self, "family", family)
+        init(self, "family_classes", family_classes)
+        init(self, "method", method)
+        init(self, "lattice", lattice)
+        init(self, "_certificate", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple[int, SubgroupFamily, frozenset[int], str]:
+        return (self.exponent, self.family, self.family_classes, self.method)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ExponentResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ExponentResult(exponent={self.exponent!r}, family={self.family!r}, "
+            f"family_classes={self.family_classes!r}, method={self.method!r})"
+        )
+
+    @property
     def certificate(self) -> tuple[DivisorWitness, ...]:
-        return _divisor_witnesses(self.lattice, self.family, self.exponent)
+        if self._certificate is None:
+            witnesses = _divisor_witnesses(self.lattice, self.family, self.exponent)
+            object.__setattr__(self, "_certificate", witnesses)
+        return self._certificate
 
 
 def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostVector:
@@ -184,8 +221,13 @@ def closed_form_exponent(group: FiniteGroup) -> tuple[int, str]:
     return order // p, "c"
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(NamedTuple):
+    """One catalog group: the computed exponent beside the closed form.
+
+    A named tuple: it equals the plain tuple
+    (spec, order, brute_force, closed_form, case).
+    """
+
     spec: str
     order: int
     brute_force: int
@@ -197,8 +239,12 @@ class TheoremRow:
         return self.brute_force == self.closed_form
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
+    """Every row of one catalog sweep.
+
+    A named tuple: it equals the plain tuple (max_order, rows).
+    """
+
     max_order: int
     rows: tuple[TheoremRow, ...]
 
@@ -220,12 +266,17 @@ def verify_main_theorem(
     Weyl congruences, and the closed-form prediction. Disagreements are
     reported, never suppressed.
     """
-    rows = []
-    for spec in standard_catalog(max_order):
-        order = spec.order()
-        if order is None or order > max_order:
-            continue
+    selected = [
+        (spec, order)
+        for spec in standard_catalog(max_order)
+        if (order := spec.order()) is not None and order <= max_order
+    ]
+    # every cap is checked before any group is built, so an order over the
+    # cap fails at once rather than after the smaller groups
+    for _, order in selected:
         check_enumeration_cap(order, enumeration_cap)
+    rows = []
+    for spec, order in selected:
         group = build_group(spec)
         lattice = enumerate_subgroups(group, cap=enumeration_cap)
         brute = artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN).exponent

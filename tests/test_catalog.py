@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +210,24 @@ def test_parse_and_build_errors():
     for kind, params in (("dihedral", ()), ("cyclic", (2,)), ("perm", ("a", "b"))):
         with pytest.raises(SpecParseError):
             GroupSpec(kind, params)
+
+
+def test_every_spec_constructor_checks_its_parameters():
+    c2 = GroupSpec("cyclic", (2, 1))
+    assert c2 == ("cyclic", (2, 1)) and GroupSpec._make(c2) == c2
+    assert c2._replace(params=(3, 2)) == GroupSpec("cyclic", (3, 2))
+    assert pickle.loads(pickle.dumps(c2)) == c2 and copy.deepcopy(c2) == c2
+    message = "cyclic group needs a prime base, got C(4^1)"
+    for make in (
+        lambda: GroupSpec("cyclic", (4, 1)),
+        lambda: GroupSpec._make(("cyclic", (4, 1))),
+        lambda: c2._replace(params=(4, 1)),
+    ):
+        with pytest.raises(SpecParseError) as err:
+            make()
+        assert str(err.value) == message
+    with pytest.raises(SpecParseError, match="unknown group kind 'bogus'"):
+        c2._replace(kind="bogus")
 
 
 @pytest.mark.parametrize(

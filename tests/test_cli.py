@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from burnside import burnside_ring, cli, verify_main_theorem
+from burnside import burnside_ring, cli, groups, verify_main_theorem
 from burnside.cli import ENUM_CAP_ENV, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 EA23_NONMEMBER = "5,1,2,0,3,1,1,0,2,1,0,1,1,0,1,1"
 # violates 12 pair congruences; D(16) has non-normal subgroups that are not
@@ -314,6 +315,20 @@ def test_cap_is_checked_before_the_table_is_built(capsys, monkeypatch):
     assert err == "error: group order 1048576 exceeds the enumeration cap 256\n"
 
 
+def test_perm_closure_stops_at_the_enumeration_cap(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group table was built although it exceeds the cap")
+
+    # S6 has order 720: above the enumeration cap 256, below the perm cap 1024
+    monkeypatch.setattr(groups, "FiniteGroup", refuse)
+    code, out, err = run_cli(capsys, "lattice", f"perm:{DATA / 's6.perm'}")
+    assert (code, out) == (1, "")
+    assert err == "error: closure exceeds the order cap 256\n"
+    monkeypatch.setenv(ENUM_CAP_ENV, "100")
+    code, _, err = run_cli(capsys, "lattice", f"perm:{DATA / 's6.perm'}")
+    assert (code, err) == (1, "error: closure exceeds the order cap 100\n")
+
+
 def test_enumeration_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "8")
     code, _, err = run_cli(capsys, "lattice", "D16")
@@ -350,6 +365,20 @@ def test_closed_output_pipe_exits_quietly():
         os.close(write_fd)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_start_up_imports_only_what_commands_run():
+    # -S: no site hooks, so every module found was loaded by the import
+    lazy = ("dataclasses", "inspect", "fractions", "decimal", "json")
+    script = f"import sys, burnside.cli; print(*[m for m in {lazy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
 
 
 def test_interrupt_exits_130(monkeypatch):

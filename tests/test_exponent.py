@@ -4,6 +4,7 @@ import pytest
 
 from _oracles import check_family_closure, divisor_search_exponent
 from burnside import (
+    CapExceededError,
     Congruence,
     GhostVector,
     SubgroupFamily,
@@ -12,6 +13,7 @@ from burnside import (
     build_group,
     closed_form_exponent,
     dress_membership,
+    enumerate_subgroups,
     indicator_vector,
     parse_group_spec,
     select_family,
@@ -99,6 +101,39 @@ def test_certificate_covers_proper_divisors(lattice_of):
         assert witness.violation.residue != 0
     trivial = artin_exponent(lattice_of("EA(2,2)"), EA)
     assert trivial.certificate == ()
+
+
+def test_certificate_is_built_once_and_kept(lattice_of, monkeypatch):
+    calls = []
+    witnesses = exponent._divisor_witnesses
+
+    def counted(*args):
+        calls.append(args)
+        return witnesses(*args)
+
+    monkeypatch.setattr(exponent, "_divisor_witnesses", counted)
+    result = artin_exponent(lattice_of("Q16"), EA)
+    assert calls == []
+    first = result.certificate
+    assert result.certificate is first
+    assert len(calls) == 1
+
+
+def test_result_equality_hash_and_repr_leave_the_lattice_out(lattice_of):
+    cached = artin_exponent(lattice_of("Q8"), EA)
+    fresh = artin_exponent(enumerate_subgroups(build_group(parse_group_spec("Q8"))), EA)
+    assert cached.lattice is not fresh.lattice
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh)
+    assert "SubgroupLattice" not in repr(cached)
+    assert repr(cached) == (
+        "ExponentResult(exponent=4, family=<SubgroupFamily.ELEMENTARY_ABELIAN: 'ea'>, "
+        f"family_classes={cached.family_classes!r}, method='marks+dress')"
+    )
+    assert cached != artin_exponent(lattice_of("Q8"), SubgroupFamily.CYCLIC)
+    assert cached != artin_exponent(lattice_of("D8"), EA)
+    with pytest.raises(AttributeError):
+        cached.exponent = 2
 
 
 @pytest.mark.parametrize("family", list(SubgroupFamily), ids=lambda f: f.name.lower())
@@ -209,6 +244,15 @@ def test_verify_rows_follow_catalog_order():
     report = verify_main_theorem(16)
     orders = [row.order for row in report.rows]
     assert orders == sorted(orders)
+
+
+def test_verify_main_theorem_checks_every_cap_before_any_build(monkeypatch):
+    def refuse(spec, **_):
+        raise AssertionError(f"built {spec.text()} before checking the cap")
+
+    monkeypatch.setattr(exponent, "build_group", refuse)
+    with pytest.raises(CapExceededError, match="group order 9 exceeds the enumeration cap 8"):
+        verify_main_theorem(16, enumeration_cap=8)
 
 
 def test_family_closure_property(lattice_of):
