@@ -40,6 +40,7 @@ from .exponent import (
     abelian_closed_form_exponent,
     artin_exponent,
     closed_form_exponent,
+    divisor_witnesses,
     indicator_vector,
     verify_main_theorem,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
     "direct_product",
+    "divisor_witnesses",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",

@@ -272,9 +272,9 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     x is in the Burnside ring iff, for every class U, sum over gU in
     N(U)/U of x(<g, U>) is 0 mod |N(U) : U|: the congruence of the pair
     (U, N(U)), with v_class the class of N(U), summing a member's whole
-    walk (``SubgroupLattice.walks``). Conjugates give the same row, so a
-    member already walked, by enumeration or for the pair congruences, is
-    read, else the representative.
+    walk (``SubgroupLattice.walks``) by class. Conjugates give the same
+    row, so a member already walked, by enumeration or for the pair
+    congruences, is read, else the representative.
     The index is |G| / (|class| * |U|); classes of index 1 give no row.
     """
     order = lattice.group.order
@@ -285,9 +285,13 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         if index == 1:
             continue
         member = next((m for m in cls.members if m.mask in walks), cls.representative)
-        norm_mask = lattice.normalizer(member).mask
-        terms = _terms_within(lattice.walk(member), norm_mask)
-        rows.append(Congruence(cls.class_index, lattice._class_by_mask[norm_mask], index, terms))
+        # every row of a walk over N(U) lies in N(U): no mask test
+        counts: dict[int, int] = {}
+        for _, joined_class, count in lattice.walk(member):
+            counts[joined_class] = counts.get(joined_class, 0) + count
+        terms = tuple(sorted(counts.items()))
+        norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
+        rows.append(Congruence(cls.class_index, norm_class, index, terms))
     return tuple(rows)
 
 

@@ -27,6 +27,7 @@ from .catalog import build_group, parse_group_spec, standard_catalog
 from .exponent import (
     artin_exponent,
     closed_form_exponent,
+    divisor_witnesses,
     verify_main_theorem,
 )
 from .groups import DEFAULT_PERM_ORDER_CAP
@@ -39,12 +40,6 @@ from .lattice import (
 )
 
 ENUM_CAP_ENV = "BURNSIDE_ENUM_CAP"
-
-_FAMILIES = {
-    "ea": SubgroupFamily.ELEMENTARY_ABELIAN,
-    "cyclic": SubgroupFamily.CYCLIC,
-    "all": SubgroupFamily.ALL,
-}
 
 
 def _enumeration_cap() -> int:
@@ -100,11 +95,7 @@ def _violation_text(v: CongruenceViolation) -> str:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    specs = [
-        s
-        for s in standard_catalog(args.max_order)
-        if s.order() is not None and s.order() <= args.max_order
-    ]
+    specs = standard_catalog(args.max_order)
     if args.json:
         payload = [
             {
@@ -210,7 +201,7 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 def cmd_exponent(args: argparse.Namespace) -> int:
     lattice = _lattice_for(args.group)
-    family = _FAMILIES[args.family]
+    family = SubgroupFamily(args.family)
     result = artin_exponent(lattice, family)
     group = lattice.group
     closed: tuple[int, str] | None
@@ -238,7 +229,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
         if args.certify:
             payload["certificate"] = [
                 {"divisor": w.divisor, "violation": _violation_payload(w.violation)}
-                for w in result.certificate
+                for w in divisor_witnesses(lattice, result)
             ]
         _emit_json("exponent", args.group, payload)
     else:
@@ -249,7 +240,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
             agrees = "yes" if closed[0] == result.exponent else "no"
             print(f"closed form: {closed[0]} (case {closed[1]}), agrees: {agrees}")
         if args.certify:
-            for w in result.certificate:
+            for w in divisor_witnesses(lattice, result):
                 print(f"d = {w.divisor}: violates {_violation_text(w.violation)}")
     return 0
 
@@ -322,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponent", help="Artin exponent for a subgroup family")
     p.add_argument("group")
-    p.add_argument("--family", choices=sorted(_FAMILIES), default="ea")
+    p.add_argument("--family", choices=sorted(f.value for f in SubgroupFamily), default="ea")
     p.add_argument("--certify", action="store_true", help="print per-divisor violations")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exponent)

@@ -4,11 +4,11 @@ The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
 ring element. Three routes take part: the integer marks solve gives the
 exponent, the Weyl congruences verify it, and the pair congruences give
-the divisor witnesses of the certificate, built only when it is read. A
-closed-form table (abelian index formula, the quaternion/dihedral/
-semidihedral special values, and the order-over-p fallback) is
-implemented separately so brute force can be compared against it group
-by group.
+the divisor witnesses of the certificate, built only when
+``divisor_witnesses`` is called. A closed-form table (abelian index
+formula, the quaternion/dihedral/semidihedral special values, and the
+order-over-p fallback) is implemented separately so brute force can be
+compared against it group by group.
 """
 
 from __future__ import annotations
@@ -52,62 +52,18 @@ class DivisorWitness(NamedTuple):
     violation: CongruenceViolation
 
 
-class ExponentResult:
+class ExponentResult(NamedTuple):
     """An Artin exponent, verified by two routes when it is computed.
 
-    ``certificate`` holds, for every proper divisor d of the exponent,
-    the first pair congruence that d times the indicator violates. It
-    needs the whole pair system, so it is built on first access and then
-    kept; reading only the exponent never builds it.
-
-    A read-only record, not a tuple: equality, hash and repr use
-    (exponent, family, family_classes, method) and leave the lattice out.
+    ``divisor_witnesses`` gives its certificate from the lattice. A named
+    tuple: it equals the plain tuple (exponent, family, family_classes,
+    method).
     """
 
-    __slots__ = ("exponent", "family", "family_classes", "method", "lattice", "_certificate")
-
-    def __init__(
-        self,
-        exponent: int,
-        family: SubgroupFamily,
-        family_classes: frozenset[int],
-        method: str,
-        lattice: SubgroupLattice,
-    ) -> None:
-        init = object.__setattr__
-        init(self, "exponent", exponent)
-        init(self, "family", family)
-        init(self, "family_classes", family_classes)
-        init(self, "method", method)
-        init(self, "lattice", lattice)
-        init(self, "_certificate", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple[int, SubgroupFamily, frozenset[int], str]:
-        return (self.exponent, self.family, self.family_classes, self.method)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ExponentResult:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ExponentResult(exponent={self.exponent!r}, family={self.family!r}, "
-            f"family_classes={self.family_classes!r}, method={self.method!r})"
-        )
-
-    @property
-    def certificate(self) -> tuple[DivisorWitness, ...]:
-        if self._certificate is None:
-            witnesses = _divisor_witnesses(self.lattice, self.family, self.exponent)
-            object.__setattr__(self, "_certificate", witnesses)
-        return self._certificate
+    exponent: int
+    family: SubgroupFamily
+    family_classes: frozenset[int]
+    method: str
 
 
 def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostVector:
@@ -127,9 +83,8 @@ def artin_exponent(
     The marks route gives the exponent directly, as ``minimal_multiplier``
     of the indicator. The Weyl congruences re-derive it as the
     ``least_multiplier`` of the rows the indicator violates; a
-    disagreement between the routes raises. The divisor witnesses come
-    from the third route, the pair congruences, and only when the
-    result's ``certificate`` is read.
+    disagreement between the routes raises. The pair congruences are not
+    built here: ``divisor_witnesses`` reads them for the certificate.
     """
     b = indicator_vector(lattice, family)
     exponent = minimal_multiplier(lattice, b)
@@ -145,7 +100,6 @@ def artin_exponent(
         family=family,
         family_classes=select_family(lattice, family),
         method="marks+dress",
-        lattice=lattice,
     )
 
 
@@ -161,16 +115,20 @@ def _check_route(
         )
 
 
-def _divisor_witnesses(
-    lattice: SubgroupLattice, family: SubgroupFamily, exponent: int
+def divisor_witnesses(
+    lattice: SubgroupLattice, result: ExponentResult
 ) -> tuple[DivisorWitness, ...]:
-    """One pass over the pair congruences the indicator violates.
+    """The certificate of an exponent that ``artin_exponent`` computed on
+    this lattice: one pass over the pair congruences the indicator violates.
 
     Their ``least_multiplier`` must give the exponent again, or this
     raises. For every proper divisor d of the exponent the pass records
-    the first congruence that d times the indicator violates.
+    the first congruence that d times the indicator violates, and the
+    witnesses come sorted by divisor.
     """
-    violations = dress_membership(lattice, indicator_vector(lattice, family)).violations
+    exponent = result.exponent
+    b = indicator_vector(lattice, result.family)
+    violations = dress_membership(lattice, b).violations
     _check_route(exponent, violations, "congruences")
     witnesses: list[DivisorWitness] = []
     pending = divisors(exponent)[:-1]
@@ -266,17 +224,13 @@ def verify_main_theorem(
     Weyl congruences, and the closed-form prediction. Disagreements are
     reported, never suppressed.
     """
-    selected = [
-        (spec, order)
-        for spec in standard_catalog(max_order)
-        if (order := spec.order()) is not None and order <= max_order
-    ]
+    specs = standard_catalog(max_order)
     # every cap is checked before any group is built, so an order over the
     # cap fails at once rather than after the smaller groups
-    for _, order in selected:
-        check_enumeration_cap(order, enumeration_cap)
+    for spec in specs:
+        check_enumeration_cap(spec.order(), enumeration_cap)
     rows = []
-    for spec, order in selected:
+    for spec in specs:
         group = build_group(spec)
         lattice = enumerate_subgroups(group, cap=enumeration_cap)
         brute = artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN).exponent
@@ -284,7 +238,7 @@ def verify_main_theorem(
         rows.append(
             TheoremRow(
                 spec=spec.text(),
-                order=order,
+                order=group.order,
                 brute_force=brute,
                 closed_form=predicted,
                 case=case,

@@ -7,9 +7,12 @@ is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
 is not immutable: on first use it fills one lazy cache (table of marks,
 pair and Weyl congruences) and walks of the subgroups that enumeration
-did not walk over their normalizers. The values are deterministic, so
-threads sharing a lattice see the same results, but concurrent first
-calls may each compute them.
+did not walk over their normalizers. That cache is the only one: an
+``ExponentResult`` is a plain record that keeps no lattice, and
+``divisor_witnesses`` reads its certificate from the lattice's pair
+congruences. A lattice copies and pickles with its cache. The values
+are deterministic, so threads sharing a lattice see the same results,
+but concurrent first calls may each compute them.
 """
 
 from __future__ import annotations

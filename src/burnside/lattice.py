@@ -202,14 +202,15 @@ def lattice_cached(
     build: Callable[[SubgroupLattice], T]
 ) -> Callable[[SubgroupLattice], T]:
     """Make a function of a lattice alone compute once per lattice: its
-    value is kept in the lattice's cache, keyed by the function."""
+    value is kept in the lattice's cache, keyed by the decorated function,
+    the one its module exports, so a lattice with a filled cache pickles."""
 
     @wraps(build)
     def get(lattice: SubgroupLattice) -> T:
         try:
-            return lattice._derived[build]
+            return lattice._derived[get]
         except KeyError:
-            value = lattice._derived[build] = build(lattice)
+            value = lattice._derived[get] = build(lattice)
             return value
 
     return get

@@ -40,6 +40,7 @@ EXPORTS = [
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
     "direct_product",
+    "divisor_witnesses",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",

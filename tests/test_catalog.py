@@ -310,9 +310,12 @@ def test_catalog_contents():
         "ES-(3)",
     ):
         assert expected in specs
-    orders = [s.order() for s in standard_catalog(64)]
-    assert orders == sorted(orders)
-    assert all(o <= 64 for o in orders)
+    # callers take the catalog as is, with no filter of their own
+    for max_order in (-1, 0, 1, 7, 64, 100, 256):
+        orders = [s.order() for s in standard_catalog(max_order)]
+        assert orders == sorted(orders)
+        assert all(o is not None and o <= max_order for o in orders)
+    assert standard_catalog(-1) == standard_catalog(0) == ()
 
 
 # Atoms of order <= 64 in every kind the grammar spells, plus the

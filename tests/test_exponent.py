@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from _oracles import check_family_closure, divisor_search_exponent
@@ -12,12 +15,15 @@ from burnside import (
     artin_exponent,
     build_group,
     closed_form_exponent,
+    divisor_witnesses,
+    dress_congruences,
     dress_membership,
     enumerate_subgroups,
     indicator_vector,
     parse_group_spec,
     select_family,
     standard_catalog,
+    table_of_marks,
     verify_main_theorem,
     weyl_congruences,
 )
@@ -95,34 +101,18 @@ def test_exponent_divides_group_order(lattice_of):
 
 
 def test_certificate_covers_proper_divisors(lattice_of):
-    result = artin_exponent(lattice_of("Q8"), EA)
-    assert [w.divisor for w in result.certificate] == [1, 2]
-    for witness in result.certificate:
+    lattice = lattice_of("Q8")
+    certificate = divisor_witnesses(lattice, artin_exponent(lattice, EA))
+    assert [w.divisor for w in certificate] == [1, 2]
+    for witness in certificate:
         assert witness.violation.residue != 0
-    trivial = artin_exponent(lattice_of("EA(2,2)"), EA)
-    assert trivial.certificate == ()
-
-
-def test_certificate_is_built_once_and_kept(lattice_of, monkeypatch):
-    calls = []
-    witnesses = exponent._divisor_witnesses
-
-    def counted(*args):
-        calls.append(args)
-        return witnesses(*args)
-
-    monkeypatch.setattr(exponent, "_divisor_witnesses", counted)
-    result = artin_exponent(lattice_of("Q16"), EA)
-    assert calls == []
-    first = result.certificate
-    assert result.certificate is first
-    assert len(calls) == 1
+    trivial = lattice_of("EA(2,2)")
+    assert divisor_witnesses(trivial, artin_exponent(trivial, EA)) == ()
 
 
 def test_result_equality_hash_and_repr_leave_the_lattice_out(lattice_of):
     cached = artin_exponent(lattice_of("Q8"), EA)
     fresh = artin_exponent(enumerate_subgroups(build_group(parse_group_spec("Q8"))), EA)
-    assert cached.lattice is not fresh.lattice
     assert cached == fresh and hash(cached) == hash(fresh)
     assert repr(cached) == repr(fresh)
     assert "SubgroupLattice" not in repr(cached)
@@ -136,12 +126,31 @@ def test_result_equality_hash_and_repr_leave_the_lattice_out(lattice_of):
         cached.exponent = 2
 
 
+def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
+    lattice = enumerate_subgroups(build_group(parse_group_spec("Q16")))
+    result = artin_exponent(lattice, EA)
+    report = verify_main_theorem(16)
+    derived = (table_of_marks(lattice).rows, dress_congruences(lattice), weyl_congruences(lattice))
+    kernels = {table_of_marks, dress_congruences, weyl_congruences}
+    round_trips = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for round_trip in round_trips:
+        assert round_trip(result) == result
+        assert round_trip(report) == report
+        clone = round_trip(lattice)
+        # the cache comes along, keyed by the exported kernels
+        assert set(clone._derived) == kernels
+        rows = (table_of_marks(clone).rows, dress_congruences(clone), weyl_congruences(clone))
+        assert rows == derived
+        assert divisor_witnesses(clone, result) == divisor_witnesses(lattice, result)
+
+
 @pytest.mark.parametrize("family", list(SubgroupFamily), ids=lambda f: f.name.lower())
 def test_one_pass_exponent_matches_divisor_search(family, lattice_of):
     for spec in standard_catalog(64):
         lattice = lattice_of(spec.text())
         result = artin_exponent(lattice, family)
-        assert (result.exponent, result.certificate) == divisor_search_exponent(
+        certificate = divisor_witnesses(lattice, result)
+        assert (result.exponent, certificate) == divisor_search_exponent(
             lattice, family
         ), spec.text()
 
@@ -297,7 +306,7 @@ def test_certificate_raises_when_the_pair_route_disagrees(lattice_of, monkeypatc
     skewed = (Congruence(0, lattice.class_count - 1, 8, ((0, 1),)),)
     monkeypatch.setattr(burnside_ring, "dress_congruences", lambda _: skewed)
     with pytest.raises(RuntimeError, match="marks give 4, congruences give 8"):
-        result.certificate
+        divisor_witnesses(lattice, result)
 
 
 # Observed cyclic-family exponents by spec kind; every other catalog

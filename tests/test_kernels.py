@@ -44,6 +44,7 @@ from burnside import (
     SubgroupFamily,
     artin_exponent,
     build_group,
+    divisor_witnesses,
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
@@ -326,7 +327,8 @@ def _assert_dress_route_matches_loops(lattice, vectors):
         result = artin_exponent(lattice, family)
         exponent, witnesses = loop_dress_exponent(lattice, family)
         assert result.exponent == exponent
-        assert [(w.divisor, _fields(w.violation)) for w in result.certificate] == [
+        certificate = divisor_witnesses(lattice, result)
+        assert [(w.divisor, _fields(w.violation)) for w in certificate] == [
             (w.divisor, _fields(w.violation)) for w in witnesses
         ]
 
