@@ -40,13 +40,12 @@ from bisect import bisect_left
 from collections import Counter
 from functools import partial
 from math import gcd, lcm
-from operator import index
+from operator import index, itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .arith import prime_power
+from .arith import divisors, prime_power
 from .lattice import (
     SubgroupLattice,
-    Walk,
     conjugate_mask,
     lattice_cached,
     left_cosets,
@@ -208,16 +207,6 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
-def _terms_within(rows: Walk, v_mask: int) -> tuple[tuple[int, int], ...]:
-    """The rows whose join lies in V, summed by class as sorted
-    (class_index, coset_count) pairs: the cosets vU of V/U by <v, U>."""
-    counts: dict[int, int] = {}
-    for joined, cls, count in rows:
-        if joined & v_mask == joined:
-            counts[cls] = counts.get(cls, 0) + count
-    return tuple(sorted(counts.items()))
-
-
 @lattice_cached
 def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """All Dress congruences for the lattice, one per conjugacy class of pairs.
@@ -227,9 +216,10 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     smaller subgroups contained in V (bitmask tests over the order-sorted
     subgroup list), deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
-    normal in V iff V lies in the normalizer N(U) the lattice recorded,
-    and the terms are the rows of U's walk over N(U)
-    (``SubgroupLattice.walk``) whose join lies in V.
+    normal in V iff V lies in the normalizer N(U) the lattice recorded.
+    A pair of prime index p has the terms ((U, 1), (V, p - 1)); any other
+    pair's terms are the rows of U's walk over N(U) (``SubgroupLattice.walk``)
+    whose join lies in V, read off a copy sorted by class once per U.
     """
     group = lattice.group
     abelian = group.is_abelian()
@@ -237,6 +227,9 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     class_of = lattice._class_by_mask
     normalizer_of = lattice._normalizers
     sub_orders = [sub.order for sub in subgroups]
+    record = partial(tuple.__new__, Congruence)
+    powers = {d: prime_power(d) for d in divisors(group.order)}
+    sorted_walks: dict[int, list] = {}  # U's mask -> U's walk sorted by class
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
@@ -252,16 +245,28 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         seen_orbit: set[int] = set()
         below = bisect_left(sub_orders, v_order)
         for sub in [s for s in subgroups[:below] if s.mask & v_mask == s.mask]:
-            index = v_order // sub.order
+            index = v_order // len(sub.elements)
             u_mask = sub.mask
-            if prime_power(index) is None or u_mask in seen_orbit:
+            if powers[index] is None or u_mask in seen_orbit:
                 continue
-            if normalizer_of[u_mask].mask & v_mask != v_mask:
+            if not abelian and normalizer_of[u_mask].mask & v_mask != v_mask:
                 continue
             for g in conjugators:
                 seen_orbit.add(conjugate_mask(group, sub.elements, g))
-            terms = _terms_within(lattice.walk(sub), v_mask)
-            out.append(Congruence(class_of[u_mask], cls.class_index, index, terms))
+            u_class = class_of[u_mask]
+            if powers[index][1] == 1:
+                terms = ((u_class, 1), (cls.class_index, index - 1))
+            else:
+                rows = sorted_walks.get(u_mask)
+                if rows is None:
+                    rows = sorted_walks[u_mask] = sorted(lattice.walk(sub), key=itemgetter(1))
+                counts: dict[int, int] = {}
+                for joined, joined_class, count in rows:
+                    if joined & v_mask == joined:
+                        counts[joined_class] = counts.get(joined_class, 0) + count
+                terms = tuple(counts.items())
+            # made in the order the membership loop reads them, adjacent in memory
+            out.append(record((u_class, cls.class_index, index, terms)))
     return tuple(out)
 
 
@@ -377,9 +382,11 @@ def marks_membership(
     _check_vector(lattice, x)
     y = _scaled_solve(lattice, x)
     order = lattice.group.order
+    # a Fraction costs a gcd: build one per distinct value of y
+    coefficient = {v: Fraction(v, order) for v in set(y)}
     return (
-        all(v % order == 0 for v in y),
-        tuple(Fraction(v, order) for v in y),
+        all(v % order == 0 for v in coefficient),
+        tuple(map(coefficient.__getitem__, y)),
     )
 
 

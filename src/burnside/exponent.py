@@ -124,8 +124,11 @@ def divisor_witnesses(
     Their ``least_multiplier`` must give the exponent again, or this
     raises. For every proper divisor d of the exponent the pass records
     the first congruence that d times the indicator violates, and the
-    witnesses come sorted by divisor.
+    witnesses come sorted by divisor. A result whose family classes are
+    not this lattice's raises ValueError.
     """
+    if result.family_classes != select_family(lattice, result.family):
+        raise ValueError("the exponent was not computed on this lattice")
     exponent = result.exponent
     b = indicator_vector(lattice, result.family)
     violations = dress_membership(lattice, b).violations

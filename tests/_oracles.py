@@ -9,8 +9,10 @@ a time. The closure-based lattice enumeration and Dress congruence
 system below are the library's earlier implementations, which rebuild
 every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
-builds every violation record by keyword. Normalizers are found by
-conjugating a subgroup by every group element, and the Weyl-group
+builds every violation record by keyword, and ``scan_dress_congruences``
+is the earlier pair system over the lattice's walks, which filters U's
+whole walk by V's mask and tests the index for every pair. Normalizers
+are found by conjugating a subgroup by every group element, and the Weyl-group
 congruences and each subgroup's walk over its normalizer
 (``closure_walk``) are built from them, one closure per coset. The cyclic
 census is counted by walking the powers of every group element.
@@ -32,6 +34,7 @@ group's table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -60,7 +63,13 @@ from burnside import (
 )
 from burnside.arith import divisors, prime_power
 from burnside.groups import IDENTITY
-from burnside.lattice import DEFAULT_ENUMERATION_CAP, SubgroupClass
+from burnside.lattice import (
+    DEFAULT_ENUMERATION_CAP,
+    SubgroupClass,
+    Walk,
+    conjugate_mask,
+    left_cosets,
+)
 
 
 def pairwise_is_abelian(group: FiniteGroup) -> bool:
@@ -750,6 +759,62 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
                     terms=tuple(sorted(counts.items())),
                 )
             )
+    return tuple(out)
+
+
+def _terms_within(rows: Walk, v_mask: int) -> tuple[tuple[int, int], ...]:
+    """The rows whose join lies in V, summed by class as sorted
+    (class_index, coset_count) pairs: the cosets vU of V/U by <v, U>."""
+    counts: dict[int, int] = {}
+    for joined, cls, count in rows:
+        if joined & v_mask == joined:
+            counts[cls] = counts.get(cls, 0) + count
+    return tuple(sorted(counts.items()))
+
+
+def scan_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
+    """The reference scan for ``dress_congruences``: every pair walks U.
+
+    Pairs (U, V) with U normal in V and (V : U) a prime power above 1 are
+    enumerated with V running over class representatives and U over the
+    smaller subgroups contained in V (bitmask tests over the order-sorted
+    subgroup list), deduplicated by conjugacy under the normalizer of V;
+    simultaneously conjugate pairs yield identical congruences. U is
+    normal in V iff V lies in the normalizer N(U) the lattice recorded,
+    and the terms are the rows of U's walk over N(U)
+    (``SubgroupLattice.walk``) whose join lies in V.
+    """
+    group = lattice.group
+    abelian = group.is_abelian()
+    subgroups = lattice.all_subgroups
+    class_of = lattice._class_by_mask
+    normalizer_of = lattice._normalizers
+    sub_orders = [sub.order for sub in subgroups]
+    out: list[Congruence] = []
+    for cls in lattice.classes:
+        v_rep = cls.representative
+        v_order = v_rep.order
+        if v_order == 1:
+            continue
+        v_mask = v_rep.mask
+        # g and gv conjugate a subgroup normal in V alike, so one g per
+        # left coset of V in N(V) sweeps each orbit
+        conjugators = () if abelian else [
+            g for g, _ in left_cosets(group, normalizer_of[v_mask].elements, v_rep.elements)
+        ]
+        seen_orbit: set[int] = set()
+        below = bisect_left(sub_orders, v_order)
+        for sub in [s for s in subgroups[:below] if s.mask & v_mask == s.mask]:
+            index = v_order // sub.order
+            u_mask = sub.mask
+            if prime_power(index) is None or u_mask in seen_orbit:
+                continue
+            if normalizer_of[u_mask].mask & v_mask != v_mask:
+                continue
+            for g in conjugators:
+                seen_orbit.add(conjugate_mask(group, sub.elements, g))
+            terms = _terms_within(lattice.walk(sub), v_mask)
+            out.append(Congruence(class_of[u_mask], cls.class_index, index, terms))
     return tuple(out)
 
 

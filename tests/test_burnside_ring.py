@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ from burnside import (
     parse_group_spec,
     table_of_marks,
 )
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 SMALL_GROUPS = ["C1", "C(2^2)", "C(3^2)", "C12", "EA(2,3)", "C4xC2", "D8", "Q8", "SD(16)"]
 
@@ -324,3 +328,26 @@ def test_ghost_vector_rejects_non_integers(lattice_of):
             GhostVector(lattice, (bad, 1))
     assert (v * True).values == (2, 1) and (False * v).values == (0, 0)
     assert GhostVector(lattice, (True, 3)).values == (1, 3)
+
+
+def test_membership_benchmark_sizes_match_the_pinned_ones():
+    """The sizes bench/data/expected.json pins for the membership set-up
+    lattices, counted in process; every diagonal mark is positive and the
+    sparse rows keep only nonzero marks right of it."""
+    pinned = json.loads((BENCH_DATA / "expected.json").read_text(encoding="utf-8"))
+    specs = {"EA(2,5)": "EA(2,5)", "C8xC8xC2": "C8xC8xC2", "S5": f"perm:{BENCH_DATA / 's5.perm'}"}
+    assert pinned["membership_sizes"].keys() == specs.keys()
+    for name, text in specs.items():
+        lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
+        congruences = dress_congruences(lattice)
+        rows = table_of_marks(lattice).rows
+        assert all(diag > 0 and all(m for _, m in tail) for diag, tail in rows)
+        sizes = {
+            "order": lattice.group.order,
+            "subgroups": len(lattice.all_subgroups),
+            "classes": lattice.class_count,
+            "congruences": len(congruences),
+            "congruence_terms": sum(len(c.terms) for c in congruences),
+            "marks_nonzero": sum(1 + len(tail) for _, tail in rows),
+        }
+        assert sizes == pinned["membership_sizes"][name], name

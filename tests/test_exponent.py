@@ -110,6 +110,17 @@ def test_certificate_covers_proper_divisors(lattice_of):
     assert divisor_witnesses(trivial, artin_exponent(trivial, EA)) == ()
 
 
+def test_certificate_refuses_a_result_of_another_lattice(lattice_of):
+    """D(8) and Q(8) both have exponent 4; a Q(8) result must not pass for
+    a D(8) one, whose elementary abelian classes differ."""
+    d8, q8 = lattice_of("D8"), lattice_of("Q8")
+    with pytest.raises(ValueError, match="not computed on this lattice"):
+        divisor_witnesses(d8, artin_exponent(q8, EA))
+    with pytest.raises(ValueError, match="not computed on this lattice"):
+        divisor_witnesses(q8, artin_exponent(d8, EA))
+    assert divisor_witnesses(d8, artin_exponent(d8, EA))
+
+
 def test_result_equality_hash_and_repr_leave_the_lattice_out(lattice_of):
     cached = artin_exponent(lattice_of("Q8"), EA)
     fresh = artin_exponent(enumerate_subgroups(build_group(parse_group_spec("Q8"))), EA)

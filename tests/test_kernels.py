@@ -3,7 +3,8 @@ independent implementations kept in ``_oracles``.
 
 The coset-wise enumeration must give the same classes (same order, same
 members, same flags) and the power-walk Dress system the same congruences
-(same order, same terms) as joins closed from scratch. Every stored mark
+(same order, same terms) as joins closed from scratch and as the earlier
+scan that filters U's walk for every pair. Every stored mark
 must equal the count of fixed cosets, and the Weyl row for U = 1 must
 equal the census counted by walking every element's powers. The shared
 congruence-sum loop must give the same membership certificates and
@@ -23,6 +24,7 @@ import gc
 import random
 import weakref
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -37,8 +39,10 @@ from _oracles import (
     loop_dress_exponent,
     loop_dress_membership,
     mark,
+    scan_dress_congruences,
 )
 from burnside import (
+    Congruence,
     CongruenceViolation,
     GhostVector,
     SubgroupFamily,
@@ -57,6 +61,7 @@ from burnside import (
     table_of_marks,
     weyl_congruences,
 )
+from burnside.arith import is_prime
 
 CATALOG_UP_TO_64 = [spec.text() for spec in standard_catalog(64)]
 CATALOG_UP_TO_32 = [spec.text() for spec in standard_catalog(32)]
@@ -209,14 +214,43 @@ def test_random_degree_six_group_matches_closure_oracles(seed):
     _assert_matches_oracles(_random_degree_six_group(seed))
 
 
+# the catalog, which holds EA(2,5), and the other two set-up lattices of the
+# membership benchmark
+BENCH_S5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "s5.perm"
+PAIR_SCAN_SPECS = [spec.text() for spec in standard_catalog(128)] + [
+    "C8xC8xC2",
+    f"perm:{BENCH_S5}",
+]
+
+
+def _assert_pairs_equal_the_reference_scan(group):
+    """The pair congruences equal the earlier scan, which walks U and
+    filters its walk for every pair: same records, same order, each a
+    ``Congruence``."""
+    congruences = dress_congruences(enumerate_subgroups(group))
+    assert congruences == scan_dress_congruences(enumerate_subgroups(group))
+    assert all(type(c) is Congruence for c in congruences)
+
+
+@pytest.mark.parametrize("text", PAIR_SCAN_SPECS)
+def test_pair_congruences_equal_the_reference_scan(text):
+    _assert_pairs_equal_the_reference_scan(build_group(parse_group_spec(text)))
+
+
+@pytest.mark.parametrize("name", sorted(PERM_FILES))
+def test_perm_file_pair_congruences_equal_the_reference_scan(name, tmp_path):
+    _assert_pairs_equal_the_reference_scan(_perm_file_group(name, tmp_path))
+
+
 @pytest.mark.parametrize("name", ["S4", "S5"])
 def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
     """No Weyl row walks a subgroup: each class reads a member already
     walked, by enumeration or for the pair congruences, and gives the same
-    row as on a fresh lattice. After the pair system, every class of
-    index > 1 with several members has its representative's walk dropped
-    for another member's, so a Weyl row that walked the representative
-    would add a walk."""
+    row as on a fresh lattice. The pair system walks only U's of pairs of
+    index other than a prime. After it, every class of index > 1 with
+    several members has its representative's walk dropped for another
+    member's, so a Weyl row that walked the representative would add a
+    walk."""
     group = _perm_file_group(name, tmp_path)
     lattice = enumerate_subgroups(group)
     walked = lattice.walks
@@ -226,7 +260,9 @@ def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
     lattice = enumerate_subgroups(group)
     dress_congruences(lattice)
     walked = lattice.walks
-    assert len(walked) > lattice.class_count
+    assert {lattice._class_by_mask[u] for u in walked.keys() - before} <= {
+        c.u_class for c in dress_congruences(lattice) if not is_prime(c.index)
+    }
     dropped = 0
     for cls in lattice.classes:
         if len(cls.members) > 1 and group.order // (len(cls.members) * cls.order) > 1:
