@@ -10,6 +10,9 @@ Every kind of spec is one ``_Kind`` entry in ``_KINDS``: its parameter
 check, nominal order, canonical text, abelian flag and builder. A new
 kind adds its entry there, plus a (pattern, kind) pair in ``_ATOMS`` if
 the grammar should spell it.
+
+``classify_maximal_cyclic_2group`` tells D, Q, SD and M apart by their
+numbers of involutions, read off a built group's element orders.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
 from .groups import (
-    DEFAULT_PERM_ORDER_CAP,
+    DEFAULT_ENUMERATION_CAP,
     IDENTITY,
     FiniteGroup,
     direct_product,
@@ -259,7 +262,7 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
-def build_group(spec: GroupSpec, *, perm_order_cap: int = DEFAULT_PERM_ORDER_CAP) -> FiniteGroup:
+def build_group(spec: GroupSpec, *, perm_order_cap: int = DEFAULT_ENUMERATION_CAP) -> FiniteGroup:
     """Realize a GroupSpec as a FiniteGroup whose order equals the nominal order."""
     return _KINDS[spec.kind].build(spec.text(), perm_order_cap, *spec.params)
 
@@ -276,50 +279,27 @@ class MaximalCyclicType(Enum):
 
 
 def classify_maximal_cyclic_2group(group: FiniteGroup) -> MaximalCyclicType:
-    """Identify which of the four two-generator relation sets a 2-group satisfies.
+    """Identify a 2-group with an element of half its order by its involutions.
 
-    Cyclic groups report CYCLIC. A nonabelian group of order 2^n with an
-    element g of order 2^(n-1) is matched against the quaternion,
-    dihedral, modular, and semidihedral relations over all candidate
-    (g, h) pairs. Everything else is NOT_MAXIMAL_CYCLIC. Groups of odd
-    order are rejected.
+    A cyclic group is CYCLIC; an abelian group, or one with no element of
+    order |G|/2, is NOT_MAXIMAL_CYCLIC. A nonabelian group of order 2^n >= 8
+    with a cyclic subgroup of index 2 is quaternion, dihedral, semidihedral
+    or modular (Gorenstein, *Finite Groups*, Thm 5.4.4), with 1, 2^(n-1) + 1,
+    2^(n-2) + 1 and 3 involutions, distinct for n >= 4; the last two kinds
+    start at order 16. Odd orders are rejected.
     """
-    n = group.order
-    if n == 1:
+    order = group.order
+    if order & (order - 1):
+        raise ValueError(f"classification needs a group of 2-power order, got {order}")
+    element_orders = list(map(len, group.powers))
+    if order in element_orders:
         return MaximalCyclicType.CYCLIC
-    pp = prime_power(n)
-    if pp is None or pp[0] != 2:
-        raise ValueError(f"classification needs a group of 2-power order, got {n}")
-    if max(map(len, group.powers)) == n:
-        return MaximalCyclicType.CYCLIC
-    if group.is_abelian():
+    if group.is_abelian() or order // 2 not in element_orders:
         return MaximalCyclicType.NOT_MAXIMAL_CYCLIC
-    exp = pp[1]
-    half = n // 2
-    quarter = half // 2
-    table = group.mul_table
-    for g, powers in enumerate(group.powers):
-        if len(powers) != half:
-            continue
-        in_cyc = frozenset(powers)
-        g_inv = powers[half - 1]
-        g_quarter = powers[quarter]
-        g_mod = powers[(1 + quarter) % half]
-        g_semi = powers[(quarter - 1) % half]
-        for h in group.elements():
-            if h in in_cyc:
-                continue
-            hh = table[h][h]
-            conj = table[table[h][g]][group.inv_table[h]]
-            if hh == g_quarter and conj == g_inv:
-                return MaximalCyclicType.QUATERNION
-            if hh == 0 and conj == g_inv:
-                return MaximalCyclicType.DIHEDRAL
-            if exp >= 4 and hh == 0 and conj == g_mod:
-                return MaximalCyclicType.MODULAR
-            if exp >= 4 and hh == 0 and conj == g_semi:
-                return MaximalCyclicType.SEMIDIHEDRAL
-    return MaximalCyclicType.NOT_MAXIMAL_CYCLIC
+    kinds = {1: MaximalCyclicType.QUATERNION, order // 2 + 1: MaximalCyclicType.DIHEDRAL}
+    if order >= 16:
+        kinds |= {order // 4 + 1: MaximalCyclicType.SEMIDIHEDRAL, 3: MaximalCyclicType.MODULAR}
+    return kinds.get(element_orders.count(2), MaximalCyclicType.NOT_MAXIMAL_CYCLIC)
 
 
 # One (pattern, kind) pair per atom; "Xn" and "X(n)" share a pattern.

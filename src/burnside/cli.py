@@ -30,7 +30,6 @@ from .exponent import (
     divisor_witnesses,
     verify_main_theorem,
 )
-from .groups import DEFAULT_PERM_ORDER_CAP
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupFamily,
@@ -61,7 +60,7 @@ def _lattice_for(spec_text: str) -> SubgroupLattice:
     check_enumeration_cap(spec.order(), cap)
     # a perm spec's order is known only after its closure, which stops at
     # the enumeration cap instead of building a table enumeration refuses
-    group = build_group(spec, perm_order_cap=min(cap, DEFAULT_PERM_ORDER_CAP))
+    group = build_group(spec, perm_order_cap=cap)
     return enumerate_subgroups(group, cap=cap)
 
 

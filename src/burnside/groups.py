@@ -22,7 +22,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-DEFAULT_PERM_ORDER_CAP = 1024
+# default order cap of subgroup enumeration and of permutation closure, one
+# value so that a permutation group closed under it is one enumeration takes
+DEFAULT_ENUMERATION_CAP = 256
 
 IDENTITY = 0
 
@@ -94,19 +96,10 @@ class FiniteGroup:
         self.powers = tuple(powers)
         self._abelian = columns == table
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inv_table[a]
-
     def power(self, x: int, k: int) -> int:
         """x^k for any integer k; negative k gives a power of x^-1."""
         cycle = self.powers[x]
         return cycle[k % len(cycle)]
-
-    def element_order(self, x: int) -> int:
-        return len(self.powers[x])
 
     def elements(self) -> range:
         return range(self.order)
@@ -252,7 +245,7 @@ def group_from_perm_generators(
     degree: int,
     generators: Sequence[Sequence[int]],
     *,
-    order_cap: int = DEFAULT_PERM_ORDER_CAP,
+    order_cap: int = DEFAULT_ENUMERATION_CAP,
     name: str | None = None,
 ) -> FiniteGroup:
     """Close a set of permutations of ``{0..degree-1}`` into a multiplication table.
@@ -299,7 +292,7 @@ def group_from_perm_generators(
 def load_permutation_group(
     path: str,
     *,
-    order_cap: int = DEFAULT_PERM_ORDER_CAP,
+    order_cap: int = DEFAULT_ENUMERATION_CAP,
     name: str | None = None,
 ) -> FiniteGroup:
     """Read a generator file (see :func:`parse_permutation_file`) and close it."""

@@ -30,7 +30,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .arith import prime_power
-from .groups import (
+from .groups import (  # DEFAULT_ENUMERATION_CAP is re-exported
+    DEFAULT_ENUMERATION_CAP,
     IDENTITY,
     CapExceededError,
     FiniteGroup,
@@ -38,8 +39,6 @@ from .groups import (
     entries_at,
     subgroup_mask,
 )
-
-DEFAULT_ENUMERATION_CAP = 256
 
 T = TypeVar("T")
 
@@ -149,20 +148,6 @@ class SubgroupLattice:
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    def class_index_of(self, sub: Subgroup | Iterable[int]) -> int:
-        """The class of a subgroup of this lattice, given as a Subgroup or its elements."""
-        if isinstance(sub, Subgroup):
-            mask = sub.mask
-        else:
-            ids = {int(x) for x in sub}
-            # range-checked first: the mask of a huge id would be huge
-            in_range = all(0 <= x < self.group.order for x in ids)
-            mask = subgroup_mask(ids) if in_range else -1
-        try:
-            return self._class_by_mask[mask]
-        except KeyError:
-            raise ValueError("subgroup does not belong to this lattice") from None
 
     def normalizer(self, sub: Subgroup) -> Subgroup:
         """N(U), the largest subgroup in which U is normal, as recorded when

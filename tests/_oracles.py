@@ -29,7 +29,11 @@ which compares ab with ba for every pair of elements. ``loop_power`` and
 ``loop_element_order`` multiply one factor at a time, where the library
 reads each element's recorded powers, and ``loop_perm_table`` composes
 two permutations point by point for every entry of a permutation
-group's table.
+group's table. ``search_maximal_cyclic_2group`` is the earlier
+classifier of 2-groups with a cyclic subgroup of index 2, which tries
+every pair (g, h) against the four two-generator relation sets, where
+the library counts involutions, and ``class_index_of`` looks a
+subgroup's class up by its elements, which only tests need.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from burnside import (
     FiniteGroup,
     GhostVector,
     GroupSpec,
+    MaximalCyclicType,
     Subgroup,
     SubgroupFamily,
     SubgroupLattice,
@@ -62,7 +67,7 @@ from burnside import (
     table_of_marks,
 )
 from burnside.arith import divisors, prime_power
-from burnside.groups import IDENTITY
+from burnside.groups import IDENTITY, subgroup_mask
 from burnside.lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupClass,
@@ -407,6 +412,68 @@ def check_family_closure(lattice: SubgroupLattice, family: SubgroupFamily) -> bo
     )
 
 
+def class_index_of(lattice: SubgroupLattice, sub: Subgroup | Iterable[int]) -> int:
+    """The class of a subgroup of the lattice, given as a Subgroup or its elements."""
+    if isinstance(sub, Subgroup):
+        mask = sub.mask
+    else:
+        ids = {int(x) for x in sub}
+        # range-checked first: the mask of a huge id would be huge
+        in_range = all(0 <= x < lattice.group.order for x in ids)
+        mask = subgroup_mask(ids) if in_range else -1
+    try:
+        return lattice._class_by_mask[mask]
+    except KeyError:
+        raise ValueError("subgroup does not belong to this lattice") from None
+
+
+def search_maximal_cyclic_2group(group: FiniteGroup) -> MaximalCyclicType:
+    """Identify which of the four two-generator relation sets a 2-group satisfies.
+
+    Cyclic groups report CYCLIC. A nonabelian group of order 2^n with an
+    element g of order 2^(n-1) is matched against the quaternion,
+    dihedral, modular, and semidihedral relations over all candidate
+    (g, h) pairs. Everything else is NOT_MAXIMAL_CYCLIC. Groups of odd
+    order are rejected.
+    """
+    n = group.order
+    if n == 1:
+        return MaximalCyclicType.CYCLIC
+    pp = prime_power(n)
+    if pp is None or pp[0] != 2:
+        raise ValueError(f"classification needs a group of 2-power order, got {n}")
+    if max(map(len, group.powers)) == n:
+        return MaximalCyclicType.CYCLIC
+    if group.is_abelian():
+        return MaximalCyclicType.NOT_MAXIMAL_CYCLIC
+    exp = pp[1]
+    half = n // 2
+    quarter = half // 2
+    table = group.mul_table
+    for g, powers in enumerate(group.powers):
+        if len(powers) != half:
+            continue
+        in_cyc = frozenset(powers)
+        g_inv = powers[half - 1]
+        g_quarter = powers[quarter]
+        g_mod = powers[(1 + quarter) % half]
+        g_semi = powers[(quarter - 1) % half]
+        for h in group.elements():
+            if h in in_cyc:
+                continue
+            hh = table[h][h]
+            conj = table[table[h][g]][group.inv_table[h]]
+            if hh == g_quarter and conj == g_inv:
+                return MaximalCyclicType.QUATERNION
+            if hh == 0 and conj == g_inv:
+                return MaximalCyclicType.DIHEDRAL
+            if exp >= 4 and hh == 0 and conj == g_mod:
+                return MaximalCyclicType.MODULAR
+            if exp >= 4 and hh == 0 and conj == g_semi:
+                return MaximalCyclicType.SEMIDIHEDRAL
+    return MaximalCyclicType.NOT_MAXIMAL_CYCLIC
+
+
 def element_walk_census(lattice: SubgroupLattice) -> tuple[int, ...]:
     """counts[k] = number of group elements generating a class-k cyclic
     subgroup, by walking the powers of every element."""
@@ -419,7 +486,7 @@ def element_walk_census(lattice: SubgroupLattice) -> tuple[int, ...]:
         while y != 0:
             elems.add(y)
             y = table[y][g]
-        counts[lattice.class_index_of(elems)] += 1
+        counts[class_index_of(lattice, elems)] += 1
     return tuple(counts)
 
 
@@ -748,12 +815,12 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
                 key = (sset, min(coset))
                 if key not in joins:
                     joined = generated_subgroup(group, sub.elements + (min(coset),))
-                    joins[key] = lattice.class_index_of(joined)
+                    joins[key] = class_index_of(lattice, joined)
                 cls_idx = joins[key]
                 counts[cls_idx] = counts.get(cls_idx, 0) + 1
             out.append(
                 Congruence(
-                    u_class=lattice.class_index_of(sub),
+                    u_class=class_index_of(lattice, sub),
                     v_class=cls.class_index,
                     index=v_rep.order // sub.order,
                     terms=tuple(sorted(counts.items())),
@@ -832,7 +899,7 @@ def closure_walk(lattice: SubgroupLattice, sub: Subgroup) -> tuple[tuple[int, in
             continue
         covered.update(group.mul_table[g][u] for u in sub.elements)
         joined = generated_subgroup(group, sub.elements + (g,))
-        row = rows.setdefault(joined.mask, [joined.mask, lattice.class_index_of(joined), 0])
+        row = rows.setdefault(joined.mask, [joined.mask, class_index_of(lattice, joined), 0])
         row[2] += 1
     return tuple(sorted(map(tuple, rows.values())))
 
@@ -858,9 +925,9 @@ def closure_weyl_congruences(
                 continue
             covered.update(group.mul_table[g][u] for u in rep.elements)
             joined = generated_subgroup(group, rep.elements + (g,))
-            cls_idx = lattice.class_index_of(joined)
+            cls_idx = class_index_of(lattice, joined)
             counts[cls_idx] = counts.get(cls_idx, 0) + 1
         out.append(
-            (cls.class_index, lattice.class_index_of(norm), index, tuple(sorted(counts.items())))
+            (cls.class_index, class_index_of(lattice, norm), index, tuple(sorted(counts.items())))
         )
     return tuple(out)

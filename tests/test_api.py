@@ -1,10 +1,12 @@
 """The package's public names: the exact export list, every name that the
 acceptance suite imports or the benchmark harness reads off the package,
-and no exported name that only the tests and ``__init__.py`` use."""
+and no exported name, nor public method or property of an exported
+class, that only the tests and ``__init__.py`` use."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -94,9 +96,31 @@ def _names_used(path: Path) -> set[str]:
     return used
 
 
-def test_every_export_is_used_by_the_package_acceptance_suite_or_benchmark():
+def _names_used_outside_the_tests() -> set[str]:
+    """The names read by the package (``__init__.py`` aside), the benchmark
+    harness and the acceptance suite."""
     package = ROOT / "src" / "burnside"
     files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     files += [ROOT / "bench" / "run.py", ROOT / "tests" / "test_acceptance.py"]
-    used = set().union(*map(_names_used, files))
+    return set().union(*map(_names_used, files))
+
+
+def test_every_export_is_used_by_the_package_acceptance_suite_or_benchmark():
+    used = _names_used_outside_the_tests()
     assert [name for name in burnside.__all__ if name not in used] == []
+
+
+def test_every_public_method_of_an_export_is_used_outside_the_tests():
+    """Methods and properties that only tests call belong in the tests.
+    A name also read as a local variable (say ``inv``) passes unseen."""
+    used = _names_used_outside_the_tests()
+    methods = [
+        (name, attr)
+        for name in burnside.__all__
+        if inspect.isclass(cls := getattr(burnside, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_")
+        and (isinstance(value, (property, classmethod, staticmethod)) or inspect.isfunction(value))
+    ]
+    assert len(methods) > 10
+    assert [(name, attr) for name, attr in methods if attr not in used] == []

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import conjugate, loop_build_group, pairwise_is_abelian, verify_group_axioms
+from _oracles import (
+    conjugate,
+    loop_build_group,
+    pairwise_is_abelian,
+    search_maximal_cyclic_2group,
+    verify_group_axioms,
+)
 from burnside import (
     GroupSpec,
     MaximalCyclicType,
@@ -22,14 +28,14 @@ from burnside import (
 def test_cyclic_build_has_full_order_element():
     g = build_group(GroupSpec("cyclic", (2, 3)))
     assert g.order == 8
-    assert max(g.element_order(x) for x in g.elements()) == 8
+    assert max(len(g.powers[x]) for x in g.elements()) == 8
 
 
 def test_quaternion8_has_unique_involution():
     g = build_group(GroupSpec("quaternion", (8,)))
     assert g.order == 8
     assert not g.is_abelian()
-    assert sum(1 for x in g.elements() if g.element_order(x) == 2) == 1
+    assert sum(1 for x in g.elements() if len(g.powers[x]) == 2) == 1
 
 
 def test_semidihedral16_relation():
@@ -37,24 +43,24 @@ def test_semidihedral16_relation():
     assert g.order == 16
     assert not g.is_abelian()
     a, h = g.generators
-    assert g.element_order(a) == 8
+    assert len(g.powers[a]) == 8
     assert conjugate(g, h, a) == g.power(a, 3)
 
 
 def test_modular16_relation():
     g = build_group(GroupSpec("modular", (16,)))
     a, h = g.generators
-    assert g.element_order(a) == 8
-    assert g.element_order(h) == 2
+    assert len(g.powers[a]) == 8
+    assert len(g.powers[h]) == 2
     assert conjugate(g, h, a) == g.power(a, 5)
 
 
 def test_dihedral_relations():
     g = build_group(GroupSpec("dihedral", (16,)))
     a, h = g.generators
-    assert g.element_order(a) == 8
-    assert g.element_order(h) == 2
-    assert conjugate(g, h, a) == g.inv(a)
+    assert len(g.powers[a]) == 8
+    assert len(g.powers[h]) == 2
+    assert conjugate(g, h, a) == g.inv_table[a]
 
 
 def test_extraspecial_plus_is_exponent_p():
@@ -68,7 +74,7 @@ def test_extraspecial_minus_has_exponent_p_squared():
     g = build_group(GroupSpec("extraspecial_minus", (3,)))
     assert g.order == 27
     assert not g.is_abelian()
-    assert max(g.element_order(x) for x in g.elements()) == 9
+    assert max(len(g.powers[x]) for x in g.elements()) == 9
 
 
 def test_nominal_orders_and_axioms_across_catalog():
@@ -142,6 +148,35 @@ def test_classification_of_two_groups(builder, expected):
     assert classify_maximal_cyclic_2group(build_group(builder)) is expected
 
 
+# 2-groups that only products or permutations give, beside the catalog's
+CLASSIFIED_PRODUCTS = [
+    "D(256)", "Q(256)", "SD(256)", "M(256)", "Q8xC2", "D8xC2", "D8xC4", "Q16xC2",
+    "SD16xC2", "M16xC2", "Q8xQ8", "D8xD8", "M(32)xC2", "C4xC4xC2",
+]
+CLASSIFIED_PERM_FILES = {
+    "D8": "degree 4\n(0 1 2 3)\n(0 2)\n",
+    "Q8": "degree 8\n(0 1 2 3)(4 5 6 7)\n(0 4 2 6)(1 7 3 5)\n",
+    "SD16": "degree 8\n(0 1 2 3 4 5 6 7)\n(1 3)(2 6)(5 7)\n",
+    "C2wrC2wrC2": "degree 8\n(0 1)\n(0 2)(1 3)\n(0 4)(1 5)(2 6)(3 7)\n",
+}
+
+
+def test_classification_equals_the_generator_pair_search(tmp_path):
+    """The involution count names the type that the search over (g, h)
+    pairs finds, on every catalog 2-group up to order 256, on products and
+    on permutation groups, and every type occurs."""
+    groups = [build_group(s) for s in standard_catalog(256) if s.order() & (s.order() - 1) == 0]
+    groups += [build_group(parse_group_spec(text)) for text in CLASSIFIED_PRODUCTS]
+    for name, text in CLASSIFIED_PERM_FILES.items():
+        path = tmp_path / f"{name}.perm"
+        path.write_text(text, encoding="utf-8")
+        groups.append(build_group(parse_group_spec(f"perm:{path}")))
+    found = [(g.name, classify_maximal_cyclic_2group(g)) for g in groups]
+    assert found == [(g.name, search_maximal_cyclic_2group(g)) for g in groups]
+    assert {kind for _, kind in found} == set(MaximalCyclicType)
+    assert [g.order for g in groups[-4:]] == [8, 8, 16, 128]
+
+
 def test_classification_abelian_with_large_cyclic_part():
     # C8 x C2 has an element of half the group order but is abelian.
     g = build_group(parse_group_spec("C8xC2"))
@@ -183,7 +218,7 @@ def test_parse_composite_cyclic_orders():
     spec = parse_group_spec("C6")
     assert spec.kind == "abelian_product"
     assert build_group(spec).order == 6
-    assert max(build_group(spec).element_order(x) for x in range(6)) == 6
+    assert max(map(len, build_group(spec).powers)) == 6
 
 
 def test_parse_and_build_errors():

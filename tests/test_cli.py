@@ -319,7 +319,7 @@ def test_perm_closure_stops_at_the_enumeration_cap(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a group table was built although it exceeds the cap")
 
-    # S6 has order 720: above the enumeration cap 256, below the perm cap 1024
+    # S6 has order 720, above the default cap 256
     monkeypatch.setattr(groups, "FiniteGroup", refuse)
     code, out, err = run_cli(capsys, "lattice", f"perm:{DATA / 's6.perm'}")
     assert (code, out) == (1, "")
@@ -327,6 +327,32 @@ def test_perm_closure_stops_at_the_enumeration_cap(capsys, monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "100")
     code, _, err = run_cli(capsys, "lattice", f"perm:{DATA / 's6.perm'}")
     assert (code, err) == (1, "error: closure exceeds the order cap 100\n")
+
+
+def test_perm_closure_takes_the_whole_cap_above_the_default(monkeypatch, tmp_path):
+    """BURNSIDE_ENUM_CAP bounds a perm spec's closure as it is, with no lower
+    ceiling: S6 x C2 (order 1440) closes under a cap of 2000. The run stops
+    at the first table entry after the closure, so no table is built."""
+
+    class ClosureDone(Exception):
+        pass
+
+    def stop(row):
+        raise ClosureDone
+
+    closed = []
+
+    def record(perm):  # called once for each element of the closure
+        closed.append(perm)
+        return stop
+
+    path = tmp_path / "s6xc2.perm"
+    path.write_text("degree 8\n(0 1 2 3 4 5)\n(0 1)\n(6 7)\n", encoding="utf-8")
+    monkeypatch.setenv(ENUM_CAP_ENV, "2000")
+    monkeypatch.setattr(groups, "entries_at", record)
+    with pytest.raises(ClosureDone):
+        run(["lattice", f"perm:{path}"])
+    assert len(closed) == 1440
 
 
 def test_enumeration_cap_env_override(capsys, monkeypatch):

@@ -37,7 +37,7 @@ PERM_FILES = {
 def test_trivial_closure():
     g = group_from_perm_generators(1, [])
     assert g.order == 1
-    assert g.mul(0, 0) == 0
+    assert g.mul_table[0][0] == 0
 
 
 def test_symmetric_group_on_three_points():
@@ -50,13 +50,13 @@ def test_symmetric_group_on_three_points():
 def test_four_cycle_gives_cyclic_group():
     g = group_from_perm_generators(4, [(1, 2, 3, 0)])
     assert g.order == 4
-    assert sorted(g.element_order(x) for x in g.elements()) == [1, 2, 4, 4]
+    assert sorted(len(g.powers[x]) for x in g.elements()) == [1, 2, 4, 4]
 
 
 def test_identity_is_element_zero():
     g = group_from_perm_generators(3, S3_GENS)
     for x in g.elements():
-        assert g.mul(0, x) == x == g.mul(x, 0)
+        assert g.mul_table[0][x] == x == g.mul_table[x][0]
 
 
 def test_rejects_non_bijective_generator():
@@ -71,13 +71,13 @@ def test_rejects_closure_beyond_cap():
 
 def test_element_orders():
     c8 = build_group(parse_group_spec("C(2^3)"))
-    assert c8.element_order(0) == 1
-    assert c8.element_order(1) == 8
+    assert len(c8.powers[0]) == 1
+    assert len(c8.powers[1]) == 8
     q8 = build_group(parse_group_spec("Q8"))
     # the second presentation generator squares to the half-turn, so it has order 4
     g, h = q8.generators
-    assert q8.mul(h, h) == q8.power(g, 2)
-    assert q8.element_order(h) == 4
+    assert q8.mul_table[h][h] == q8.power(g, 2)
+    assert len(q8.powers[h]) == 4
 
 
 def _power_oracle_groups():
@@ -95,7 +95,7 @@ def test_powers_match_the_loop_oracle():
         for x in g.elements():
             order = loop_element_order(g, x)
             assert g.powers[x] == tuple(loop_power(g, x, k) for k in range(order)), g.name
-            assert g.element_order(x) == order
+            assert len(g.powers[x]) == order
             for k in (-1, 0, 1, 2, order, order + 1, g.order):
                 assert g.power(x, k) == loop_power(g, x, k), (g.name, x, k)
 
@@ -135,7 +135,7 @@ def test_order_of_product_is_symmetric():
         g = build_group(parse_group_spec(text))
         for x in g.elements():
             for y in g.elements():
-                assert g.element_order(g.mul(x, y)) == g.element_order(g.mul(y, x))
+                assert len(g.powers[g.mul_table[x][y]]) == len(g.powers[g.mul_table[y][x]])
 
 
 def test_generated_subgroup_empty_seed():
@@ -147,7 +147,7 @@ def test_generated_subgroup_in_cyclic_group():
     c27 = build_group(parse_group_spec("C(3^3)"))
     for x in c27.elements():
         sub = generated_subgroup(c27, [x])
-        assert sub.order == c27.element_order(x)
+        assert sub.order == len(c27.powers[x])
 
 
 def test_generated_subgroup_whole_quaternion_group():
@@ -179,7 +179,7 @@ def test_conjugation_moves_reflection_subgroup():
     moved = conjugate_subgroup(d8, refl, g)
     assert moved != refl
     assert moved.order == 2
-    assert moved == generated_subgroup(d8, [d8.mul(d8.power(g, 2), h)])
+    assert moved == generated_subgroup(d8, [d8.mul_table[d8.power(g, 2)][h]])
 
 
 def test_conjugate_subgroup_preserves_order():
