@@ -28,7 +28,8 @@ multiplier that satisfies them, for the congruences and the solve alike.
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
 ``marks`` command). The table and both congruence systems are cached on
-the lattice through ``lattice_cached``.
+the lattice through ``lattice_cached``; a ghost vector keeps its own
+solve y, which ``marks_membership`` and ``minimal_multiplier`` both read.
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -59,10 +60,13 @@ class GhostVector:
     """One integer per subgroup class, in the lattice's canonical class order.
 
     Values and scalars are taken through ``operator.index``, so a float or
-    a fraction raises TypeError instead of being truncated.
+    a fraction raises TypeError instead of being truncated. The first marks
+    solve y of the vector is kept in a private slot, tied to the lattice and
+    ``values`` it solved, and read by ``marks_membership`` and
+    ``minimal_multiplier``; copies and pickles leave it out.
     """
 
-    __slots__ = ("lattice", "values")
+    __slots__ = ("lattice", "values", "_solved")
 
     def __init__(self, lattice: SubgroupLattice, values: Iterable[int]) -> None:
         vals = tuple(map(index, values))
@@ -72,6 +76,10 @@ class GhostVector:
             )
         self.lattice = lattice
         self.values = vals
+        self._solved: tuple = ()  # (lattice, values, y) once solved
+
+    def __reduce__(self):
+        return GhostVector, (self.lattice, self.values)
 
     def __mul__(self, n: int) -> "GhostVector":
         if not isinstance(n, int):
@@ -346,11 +354,14 @@ def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:
 
     Each step divides by a diagonal mark; the quotient is an integer
     because |G| times the inverse table of marks is integral, and a
-    nonzero remainder raises instead of being assumed away.
+    nonzero remainder raises instead of being assumed away. The result is
+    kept on x, and read back while x keeps the lattice and values it solved.
     """
+    values = x.values
+    if (kept := x._solved) and kept[0] is lattice and kept[1] is values:
+        return kept[2]
     rows = table_of_marks(lattice).rows
     order = lattice.group.order
-    values = x.values
     y = [0] * len(rows)
     for i in range(len(rows) - 1, -1, -1):
         diag, tail = rows[i]
@@ -363,7 +374,8 @@ def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:
                 f"inexact division by the mark {diag} of class {i}: remainder {r}"
             )
         y[i] = q
-    return tuple(y)
+    x._solved = kept = (lattice, values, tuple(y))
+    return kept[2]
 
 
 def marks_membership(
@@ -374,7 +386,8 @@ def marks_membership(
     Returns (is_member, coefficients); the vector is a member exactly
     when every coefficient is an integer, that is when |G| divides every
     entry of y = |G|*c. The matrix is always invertible because the
-    diagonal is positive.
+    diagonal is positive. The solve y is the one kept on x, shared with
+    ``minimal_multiplier``.
     """
     # imported here: fractions loads decimal, which no other command needs
     from fractions import Fraction
@@ -401,11 +414,12 @@ def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
 
 def minimal_multiplier(lattice: SubgroupLattice, x: GhostVector) -> int:
     """Least n >= 1 with n*x in the Burnside ring, read off the pairs
-    (y_i, |G|) of the integer marks solve by ``least_multiplier``.
-    Rejects the zero vector.
+    (y_i, |G|) of the integer marks solve by ``least_multiplier``, one
+    pair per distinct y_i. The solve y is the one kept on x, shared with
+    ``marks_membership``. Rejects the zero vector.
     """
     _check_vector(lattice, x)
     if not any(x.values):
         raise ValueError("minimal multiplier of the zero vector is not defined")
     order = lattice.group.order
-    return least_multiplier((y, order) for y in _scaled_solve(lattice, x))
+    return least_multiplier((y, order) for y in set(_scaled_solve(lattice, x)))

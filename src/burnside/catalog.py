@@ -7,9 +7,9 @@ order k modulo N (``_cyclic_extension``). A small grammar turns CLI
 text such as ``C(2^3)``, ``Q8`` or ``C4xC2`` into :class:`GroupSpec` values.
 
 Every kind of spec is one ``_Kind`` entry in ``_KINDS``: its parameter
-check, nominal order, canonical text, abelian flag and builder. A new
-kind adds its entry there, plus a (pattern, kind) pair in ``_ATOMS`` if
-the grammar should spell it.
+check, order as (base, exponent) pairs, canonical text, abelian flag and
+builder. A new kind adds its entry there, plus a (pattern, kind) pair in
+``_ATOMS`` if the grammar should spell it.
 
 ``classify_maximal_cyclic_2group`` tells D, Q, SD and M apart by their
 numbers of involutions, read off a built group's element orders.
@@ -29,6 +29,7 @@ from .groups import (
     DEFAULT_ENUMERATION_CAP,
     IDENTITY,
     FiniteGroup,
+    check_enumeration_cap,
     direct_product,
     load_permutation_group,
     product_table,
@@ -78,7 +79,8 @@ class GroupSpec(_SpecFields):
 
     def order(self) -> int | None:
         """Nominal order, or None for perm-file specs (unknown before closure)."""
-        return _KINDS[self.kind].order(*self.params)
+        powers = _KINDS[self.kind].powers(*self.params)
+        return None if powers is None else prod([b**e for b, e in powers])
 
     def text(self) -> str:
         """Canonical spelling in the CLI grammar."""
@@ -155,7 +157,7 @@ class _Kind(NamedTuple):
     ``build`` takes the group's name and the perm order cap first."""
 
     check: Callable[..., str | None]  # the error message, or None if valid
-    order: Callable[..., int | None]
+    powers: Callable[..., tuple[tuple[int, int], ...] | None]  # the order, as (b, e) pairs
     text: Callable[..., str]
     abelian: Callable[..., bool | None]
     build: Callable[..., FiniteGroup]
@@ -180,7 +182,7 @@ def _two_generator_kind(
         lambda order: None
         if order >= 1 << least and order & (order - 1) == 0
         else f"{kind} groups are defined for orders 2^n with n >= {least}, got {order}",
-        lambda order: order,
+        lambda order: ((order, 1),),
         lambda order: f"{letter}({order})",
         lambda order: False,
         build,
@@ -196,7 +198,7 @@ def _extraspecial_kind(sign: str, builder: Callable[[int, str], FiniteGroup]) ->
             f"extraspecial kinds need an odd prime, got {p}; "
             "the order-8 cases are D(8) and Q(8)"
         ),
-        lambda p: p ** 3,
+        lambda p: ((p, 3),),
         lambda p: f"ES{sign}({p})",
         lambda p: False,
         lambda name, cap, p: builder(p, name),
@@ -208,7 +210,7 @@ _KINDS: dict[str, _Kind] = {
         lambda p, n: None
         if is_prime(p) and n >= 0
         else f"cyclic group needs a prime base, got C({p}^{n})",
-        lambda p, n: p ** n,
+        lambda p, n: ((p, n),),
         lambda p, n: f"C({p}^{n})" if n else "C1",
         lambda p, n: True,
         lambda name, cap, p, n: _cyclic_group(p ** n, name),
@@ -218,7 +220,7 @@ _KINDS: dict[str, _Kind] = {
         lambda p, k: None
         if is_prime(p) and k >= 1
         else f"invalid elementary abelian parameters ({p},{k})",
-        lambda p, k: p ** k,
+        lambda p, k: ((p, k),),
         lambda p, k: f"EA({p},{k})",
         lambda p, k: True,
         lambda name, cap, p, k: _abelian_product_group([p] * k, name),
@@ -229,7 +231,7 @@ _KINDS: dict[str, _Kind] = {
              for m in ms if prime_power(m) is None),
             None,
         ),
-        lambda *ms: prod(ms),
+        lambda *ms: tuple((m, 1) for m in ms),
         lambda *ms: "x".join(f"C{m}" for m in ms) if ms else "C1",
         lambda *ms: True,
         lambda name, cap, *ms: _abelian_product_group(ms, name),
@@ -245,7 +247,8 @@ _KINDS: dict[str, _Kind] = {
         lambda a, b: None
         if isinstance(a, GroupSpec) and isinstance(b, GroupSpec)
         else "direct product factors must be GroupSpecs",
-        lambda a, b: None if None in (orders := (a.order(), b.order())) else prod(orders),
+        lambda *ab: None if None in (pw := [_KINDS[s.kind].powers(*s.params) for s in ab])
+        else pw[0] + pw[1],
         lambda a, b: f"{a.text()}x{b.text()}",
         lambda a, b: None if None in (flags := (a.is_abelian(), b.is_abelian())) else all(flags),
         lambda name, cap, a, b: direct_product(
@@ -335,36 +338,45 @@ def _cyclic_of_order(m: int) -> GroupSpec:
     return _abelian(sorted((p ** k for p, k in factorize(m)), reverse=True))
 
 
-def _parse_atom(atom: str, pos: int) -> GroupSpec:
+def _at(pos: int, make: Callable, *args):
+    """make(*args); a ValueError becomes a SpecParseError at the position."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SpecParseError(f"at position {pos}: {exc}") from None
+
+
+def _read_atom(atom: str, pos: int) -> tuple[str | None, tuple[int, ...]]:
+    """The atom's kind (None for Cn) and integer literals, not yet checked."""
     for pattern, kind in _ATOMS:
-        m = pattern.fullmatch(atom)
-        if not m:
-            continue
-        try:
-            params = tuple(int(g) for g in m.groups() if g is not None)
-            return GroupSpec(kind, params) if kind else _cyclic_of_order(*params)
-        except ValueError as exc:  # SpecParseError, or an over-long number
-            raise SpecParseError(f"at position {pos}: {exc}") from None
+        if m := pattern.fullmatch(atom):
+            return kind, _at(pos, tuple, (int(g) for g in m.groups() if g is not None))
     raise SpecParseError(f"cannot parse group spec atom {atom!r} at position {pos}")
 
 
-def parse_group_spec(text: str) -> GroupSpec:
+def parse_group_spec(text: str, *, cap: int | None = None) -> GroupSpec:
     """Parse the CLI grammar: named families, bare aliases (Q8), products with 'x',
-    and ``perm:<path>`` for a permutation generator file."""
+    and ``perm:<path>`` for a permutation generator file. With ``cap``, the
+    order the literals name is checked against it (``check_enumeration_cap``)
+    before any literal is tested for primality or factorized."""
     stripped = text.strip()
     if not stripped:
         raise SpecParseError("empty group spec")
     if stripped.lower().startswith("perm:"):
         return GroupSpec("perm", (stripped[5:].strip(),))
     compact = re.sub(r"\s+", "", stripped)
-    atoms: list[tuple[str, int]] = []
+    atoms = []  # (position, kind, literals)
     pos = 0
     for part in re.split(r"[xX]", compact):
         if not part:
             raise SpecParseError(f"empty factor at position {pos} in {text!r}")
-        atoms.append((part.upper(), pos))
+        atoms.append((pos, *_read_atom(part.upper(), pos)))
         pos += len(part) + 1
-    specs = [_parse_atom(atom, p) for atom, p in atoms]
+    if cap is not None:  # Cn names its order n, as a one-factor abelian product does
+        kinds = [(_KINDS[kind or "abelian_product"], lits) for _, kind, lits in atoms]
+        check_enumeration_cap([pw for k, lits in kinds for pw in k.powers(*lits)], cap)
+    specs = [_at(pos, GroupSpec, kind, lits) if kind else _at(pos, _cyclic_of_order, *lits)
+             for pos, kind, lits in atoms]
     folds = [_KINDS[s.kind].factors for s in specs]
     if all(folds):
         return _abelian([m for s, fold in zip(specs, folds) for m in fold(*s.params)])

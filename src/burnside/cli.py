@@ -34,7 +34,6 @@ from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupFamily,
     SubgroupLattice,
-    check_enumeration_cap,
     enumerate_subgroups,
 )
 
@@ -55,11 +54,10 @@ def _enumeration_cap() -> int:
 
 
 def _lattice_for(spec_text: str) -> SubgroupLattice:
-    spec = parse_group_spec(spec_text)
     cap = _enumeration_cap()
-    check_enumeration_cap(spec.order(), cap)
-    # a perm spec's order is known only after its closure, which stops at
-    # the enumeration cap instead of building a table enumeration refuses
+    # the parser checks the order its literals name; a perm spec's order is
+    # known only after its closure, which stops at the enumeration cap
+    spec = parse_group_spec(spec_text, cap=cap)
     group = build_group(spec, perm_order_cap=cap)
     return enumerate_subgroups(group, cap=cap)
 

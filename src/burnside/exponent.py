@@ -31,11 +31,10 @@ from .catalog import (
     classify_maximal_cyclic_2group,
     standard_catalog,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_enumeration_cap
 from .lattice import (
     SubgroupFamily,
     SubgroupLattice,
-    check_enumeration_cap,
     enumerate_subgroups,
     maximal_elementary_abelian,
     select_family,

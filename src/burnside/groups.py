@@ -7,18 +7,20 @@ is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
 is not immutable: on first use it fills one lazy cache (table of marks,
 pair and Weyl congruences) and walks of the subgroups that enumeration
-did not walk over their normalizers. That cache is the only one: an
-``ExponentResult`` is a plain record that keeps no lattice, and
-``divisor_witnesses`` reads its certificate from the lattice's pair
-congruences. A lattice copies and pickles with its cache. The values
-are deterministic, so threads sharing a lattice see the same results,
-but concurrent first calls may each compute them.
+did not walk over their normalizers. The only other cache is a ghost
+vector's first marks solve; an ``ExponentResult`` keeps no lattice, and
+``divisor_witnesses`` reads the lattice's pair congruences. A lattice
+copies and pickles with its cache, a vector without. The values are
+deterministic, so threads sharing a lattice or a vector see the same
+results, but concurrent first calls may each compute them.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from itertools import chain
+from math import prod
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -31,6 +33,29 @@ IDENTITY = 0
 
 class CapExceededError(ValueError):
     """A computation would exceed a configured order cap."""
+
+
+def check_enumeration_cap(
+    order: int | Sequence[tuple[int, int]] | None, cap: int | None = None
+) -> None:
+    """Reject an order above the cap (default DEFAULT_ENUMERATION_CAP) before
+    any table is built; an unknown order (None) passes. Given as (base,
+    exponent) pairs, the order is not multiplied out once above the cap, and
+    one too long for decimal is named by its powers, as in 2^10000000."""
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if order is None or isinstance(order, int) and order <= limit:
+        return
+    powers = ((order, 1),) if isinstance(order, int) else order
+    # b**e > limit once b > limit or e >= limit.bit_length() (b >= 2), so
+    # clamping both keeps the product's side of the cap and bounds its size
+    if prod(min(b, limit + 1) ** min(e, limit.bit_length()) for b, e in powers) > limit:
+        # over 14300 bits, which e*(bits of b - 1) bound from below, an int
+        # has over 4300 digits, more than str() converts by default
+        text = "*".join(f"{b}^{e}" if e != 1 else str(b) for b, e in powers)
+        if sum(e * (b.bit_length() - 1) for b, e in powers) <= 14300:
+            with suppress(ValueError):
+                text = str(prod(b**e for b, e in powers))
+        raise CapExceededError(f"group order {text} exceeds the enumeration cap {limit}")
 
 
 class FiniteGroup:

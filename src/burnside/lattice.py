@@ -33,9 +33,9 @@ from .arith import prime_power
 from .groups import (  # DEFAULT_ENUMERATION_CAP is re-exported
     DEFAULT_ENUMERATION_CAP,
     IDENTITY,
-    CapExceededError,
     FiniteGroup,
     Subgroup,
+    check_enumeration_cap,
     entries_at,
     subgroup_mask,
 )
@@ -235,14 +235,6 @@ def _coset_join(
                 reps.append(y)
                 seen.update(right_coset(columns[y]))
     return frozenset(seen)
-
-
-def check_enumeration_cap(order: int | None, cap: int | None = None) -> None:
-    """Reject an order above the cap (default DEFAULT_ENUMERATION_CAP) before
-    any table is built; an unknown order (None) passes."""
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if order is not None and order > limit:
-        raise CapExceededError(f"group order {order} exceeds the enumeration cap {limit}")
 
 
 def _walk(

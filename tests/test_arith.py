@@ -2,7 +2,7 @@
 
 ``is_prime``, ``prime_power`` and ``factorize`` share one least-prime-factor
 search, and ``prime_power`` reads the exponent off the size of n, so the
-checks cover every n up to 10**4 and, for large k, the numbers p**k,
+checks cover every n below 20000 and, for large k, the numbers p**k,
 p**k + 1 and p**k * q, where dividing out one factor at a time was slow.
 """
 
@@ -17,9 +17,10 @@ from burnside.catalog import GroupSpec, parse_group_spec
 
 
 def _brute_factorize(n: int) -> list[tuple[int, int]]:
+    """Plain trial division by every d up to the square root of what is left."""
     out = []
     d = 2
-    while n > 1:
+    while d * d <= n:
         if n % d == 0:
             k = 0
             while n % d == 0:
@@ -27,12 +28,12 @@ def _brute_factorize(n: int) -> list[tuple[int, int]]:
                 k += 1
             out.append((d, k))
         d += 1
-    return out
+    return out + [(n, 1)] * (n > 1)
 
 
 def test_small_numbers_match_brute_force():
     assert factorize(1) == [] and prime_power(1) is None and not is_prime(1)
-    for n in range(2, 10**4 + 1):
+    for n in range(2, 20000):
         factors = _brute_factorize(n)
         assert factorize(n) == factors
         assert is_prime(n) == (factors == [(n, 1)])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -29,6 +31,7 @@ from burnside import (
     marks_membership,
     minimal_multiplier,
     parse_group_spec,
+    standard_catalog,
     table_of_marks,
 )
 
@@ -351,3 +354,115 @@ def test_membership_benchmark_sizes_match_the_pinned_ones():
             "marks_nonzero": sum(1 + len(tail) for _, tail in rows),
         }
         assert sizes == pinned["membership_sizes"][name], name
+
+
+# the lattices the membership benchmark sets up: EA(2,5), C8xC8xC2 and S5
+SETUP_SPECS = ["EA(2,5)", "C8xC8xC2", f"perm:{BENCH_DATA / 's5.perm'}"]
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Count back-substitutions: each one reads the table of marks once,
+    and nothing else on the marks route does."""
+    calls = [0]
+    real = burnside_ring.table_of_marks
+
+    def counted(lattice):
+        calls[0] += 1
+        return real(lattice)
+
+    monkeypatch.setattr(burnside_ring, "table_of_marks", counted)
+    return calls
+
+
+def _some_vectors(lattice, rng, count=4):
+    n = lattice.class_count
+    vectors = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(count)]
+    vectors.append([0] * (n - 1) + [1])
+    return [GhostVector(lattice, v) for v in vectors if any(v)]
+
+
+@pytest.mark.parametrize("text", SETUP_SPECS)
+def test_marks_route_solves_each_vector_once(text, lattice_of, monkeypatch):
+    lattice = lattice_of(text)
+    calls = _count_solves(monkeypatch)
+    for vector in _some_vectors(lattice, random.Random(11)):
+        before = calls[0]
+        marks_membership(lattice, vector)
+        minimal_multiplier(lattice, vector)
+        marks_membership(lattice, vector)
+        dress_membership(lattice, vector)
+        assert calls[0] - before == 1
+        # a multiple is a new vector and is solved afresh
+        tripled = vector * 3
+        assert minimal_multiplier(lattice, tripled) == minimal_multiplier(
+            lattice, GhostVector(lattice, tripled.values)
+        )
+        assert calls[0] - before == 3
+
+
+@pytest.mark.parametrize("text", SETUP_SPECS)
+def test_replaced_values_are_solved_again(text, lattice_of, monkeypatch):
+    lattice = lattice_of(text)
+    rng = random.Random(5)
+    first, second = _some_vectors(lattice, rng, count=2)[:2]
+    vector = GhostVector(lattice, first.values)
+    marks_membership(lattice, vector)
+    calls = _count_solves(monkeypatch)
+    vector.values = second.values
+    assert marks_membership(lattice, vector) == marks_membership(lattice, second)
+    assert minimal_multiplier(lattice, vector) == minimal_multiplier(lattice, second)
+    assert calls[0] == 2
+    # an equal tuple that is another object is solved again too
+    vector.values = tuple(list(second.values))
+    assert marks_membership(lattice, vector) == marks_membership(lattice, second)
+    assert calls[0] == 3
+
+
+def test_replaced_lattice_is_solved_again(lattice_of):
+    # C(2^2) and C(3^2) both have three classes, with different marks
+    c4, c9 = lattice_of("C(2^2)"), lattice_of("C(3^2)")
+    vector = GhostVector(c4, (1, 1, 1))
+    assert minimal_multiplier(c4, vector) == 1
+    vector.lattice = c9
+    fresh = GhostVector(c9, (1, 1, 1))
+    assert marks_membership(c9, vector) == marks_membership(c9, fresh)
+    assert minimal_multiplier(c9, vector) == minimal_multiplier(c9, fresh) == 1
+    vector.values = (1, 0, 0)
+    assert minimal_multiplier(c9, vector) == 9
+
+
+@pytest.mark.parametrize(
+    "text", [spec.text() for spec in standard_catalog(64)] + SETUP_SPECS
+)
+def test_kept_and_fresh_solves_agree(text, lattice_of):
+    lattice = lattice_of(text)
+    for kept in _some_vectors(lattice, random.Random(text)):
+        verdict = marks_membership(lattice, kept)
+        multiplier = minimal_multiplier(lattice, kept)
+        for _ in range(2):  # both calls now read the kept solve
+            fresh = GhostVector(lattice, kept.values)
+            assert marks_membership(lattice, kept) == verdict == marks_membership(lattice, fresh)
+            fresh = GhostVector(lattice, kept.values)
+            assert minimal_multiplier(lattice, kept) == multiplier == minimal_multiplier(
+                lattice, fresh
+            )
+        assert multiplier == lcm(*(c.denominator for c in verdict[1]))
+        assert verdict[0] == (multiplier == 1) == dress_membership(lattice, kept).holds
+
+
+def test_a_kept_solve_changes_no_identity_copy_or_pickle(lattice_of):
+    lattice = lattice_of("Q8")
+    values = (6, 2, 0, 2, 0, 1)
+    solved, unsolved = GhostVector(lattice, values), GhostVector(lattice, values)
+    result = (marks_membership(lattice, solved), minimal_multiplier(lattice, solved))
+    assert solved == unsolved and hash(solved) == hash(unsolved)
+    assert repr(solved) == repr(unsolved) == f"GhostVector({values})"
+    assert pickle.dumps(solved) == pickle.dumps(unsolved)
+    for make in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        a, b = make(solved), make(unsolved)
+        assert a.values == b.values == values and repr(a) == repr(b)
+        assert (a == solved) == (b == unsolved) == (a.lattice is lattice)
+        for v in (a, b):
+            got = (marks_membership(v.lattice, v), minimal_multiplier(v.lattice, v))
+            assert got == result
+    assert copy.copy(solved) == solved and hash(copy.copy(solved)) == hash(solved)

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from burnside import burnside_ring, cli, groups, verify_main_theorem
+from burnside import burnside_ring, catalog, cli, groups, verify_main_theorem
 from burnside.cli import ENUM_CAP_ENV, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -313,6 +314,54 @@ def test_cap_is_checked_before_the_table_is_built(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "lattice", "C(2^20)")
     assert code == 1
     assert err == "error: group order 1048576 exceeds the enumeration cap 256\n"
+
+
+# Literals far above the cap. Primality tests of the first two took seconds
+# of trial division, and the last three name orders too long for decimal.
+HUGE_LITERALS = [
+    ("C100000000000031", "100000000000031"),
+    ("C(100000000000031^1)", "100000000000031"),
+    ("C(2^10000000)", "2^10000000"),
+    ("EA(3,10000)", "3^10000"),
+    ("C(2^1000000000)", "2^1000000000"),
+]
+
+
+@pytest.mark.parametrize("spec, order", HUGE_LITERALS, ids=[s for s, _ in HUGE_LITERALS])
+def test_huge_literals_stop_at_the_cap_at_once(spec, order, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lattice", spec)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == f"error: group order {order} exceeds the enumeration cap 256\n"
+
+
+def test_cap_is_checked_before_any_literal_is_tested(capsys, monkeypatch):
+    def refuse(n, *_):
+        raise AssertionError(f"tested or factorized {n} although it exceeds the cap")
+
+    monkeypatch.setattr(catalog, "is_prime", refuse)
+    monkeypatch.setattr(catalog, "factorize", refuse)
+    for spec in ("C1000003", "C(1000003^1)", "ES+(1009)", "C4xC1000003", "D(1000)"):
+        code, _, err = run_cli(capsys, "lattice", spec)
+        assert code == 1 and "exceeds the enumeration cap 256" in err, spec
+    monkeypatch.setenv(ENUM_CAP_ENV, "1000")
+    code, _, err = run_cli(capsys, "lattice", "D(1000)")
+    assert (code, err) == (1, "error: at position 0: dihedral groups are defined for "
+                              "orders 2^n with n >= 3, got 1000\n")
+
+
+def test_cap_message_prints_every_order_that_fits_in_decimal(capsys):
+    # 2^14000 has 4215 digits, under Python's default limit of 4300 for
+    # str(); 2^14300 has 4305, so it is named by its powers
+    for spec, order in (
+        ("C(2^14000)", str(2**14000)),
+        ("C(2^20)xC100000000000031", str(2**20 * 100000000000031)),
+        ("C(2^14300)", "2^14300"),
+        ("C(2^20000)xC3xEA(5,2)", "2^20000*3*5^2"),
+    ):
+        code, _, err = run_cli(capsys, "lattice", spec)
+        assert (code, err) == (1, f"error: group order {order} exceeds the enumeration cap 256\n")
 
 
 def test_perm_closure_stops_at_the_enumeration_cap(capsys, monkeypatch):

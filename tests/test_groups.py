@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import prod
+
 import pytest
 
 from _oracles import (
@@ -24,6 +26,7 @@ from burnside import (
     parse_permutation_file,
     standard_catalog,
 )
+from burnside.groups import check_enumeration_cap
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
 
@@ -287,3 +290,25 @@ def test_invalid_table_messages(table, message):
     with pytest.raises(ValueError) as info:
         FiniteGroup("bad", table)
     assert str(info.value) == message
+
+
+def test_cap_check_on_powers_matches_the_multiplied_order():
+    """An order given as powers is judged as the product would be, and the
+    message names that product in decimal."""
+    for cap in (1, 2, 7, 8, 255, 256, 1000):
+        for base in (*range(12), 255, 257, 2**70 + 1):
+            for exponent in range(12):
+                for rest in ((), ((3, 2),), ((1, 10**12),)):
+                    powers = ((base, exponent), *rest)
+                    order = prod(b**e for b, e in powers)
+                    if order <= cap:
+                        check_enumeration_cap(powers, cap)
+                        continue
+                    with pytest.raises(CapExceededError) as err:
+                        check_enumeration_cap(powers, cap)
+                    assert str(err.value) == (
+                        f"group order {order} exceeds the enumeration cap {cap}"
+                    )
+    check_enumeration_cap(None, 1)
+    with pytest.raises(CapExceededError, match="^group order 257 exceeds the enumeration cap 256$"):
+        check_enumeration_cap(257)
