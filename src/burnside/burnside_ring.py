@@ -18,12 +18,14 @@ G-set:
   be exact; x is a member exactly when |G| divides every y_i.
 
 All three are expected to agree on every input; that agreement is part
-of the test suite. Both congruence systems are ``Congruence`` records,
-read off the walks of subgroups U over N(U) that the lattice keeps
-(``SubgroupLattice.walk``: enumeration walked one member of every class,
-and any other member is walked on demand), and summed by one loop
-(``violation_rows``); ``least_multiplier`` turns sums into the least
-multiplier that satisfies them, for the congruences and the solve alike.
+of the test suite. The Artin exponent reads the Weyl congruences alone;
+the marks solve serves the ``marks`` and ``member`` commands. Both
+congruence systems are ``Congruence`` records, read off the walks of
+subgroups U over N(U) that the lattice keeps (``SubgroupLattice.walk``:
+enumeration walked one member of every class, and any other member is
+walked on demand), and summed by one loop (``violation_rows``);
+``least_multiplier`` turns sums into the least multiplier that satisfies
+them, for the congruences and the solve alike.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
@@ -289,6 +291,7 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     row, so a member already walked, by enumeration or for the pair
     congruences, is read, else the representative.
     The index is |G| / (|class| * |U|); classes of index 1 give no row.
+    A walk whose coset counts do not sum to the index raises RuntimeError.
     """
     order = lattice.group.order
     walks = lattice.walks
@@ -302,6 +305,8 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         counts: dict[int, int] = {}
         for _, joined_class, count in lattice.walk(member):
             counts[joined_class] = counts.get(joined_class, 0) + count
+        if (cosets := sum(counts.values())) != index:
+            raise RuntimeError(f"class {cls.class_index}'s walk counts {cosets} of {index} cosets")
         terms = tuple(sorted(counts.items()))
         norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
         rows.append(Congruence(cls.class_index, norm_class, index, terms))

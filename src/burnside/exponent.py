@@ -2,18 +2,18 @@
 
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
-ring element. Three routes take part: the integer marks solve gives the
-exponent, the Weyl congruences verify it, and the pair congruences give
-the divisor witnesses of the certificate, built only when
-``divisor_witnesses`` is called. A closed-form table (abelian index
-formula, the quaternion/dihedral/semidihedral special values, and the
-order-over-p fallback) is implemented separately so brute force can be
-compared against it group by group.
+ring element. The Weyl congruences give it (Dress's characterisation),
+with no marks solve. The pair congruences check it and give the divisor
+witnesses of the certificate, built only when ``divisor_witnesses`` is
+called. A closed-form table (abelian index formula, the
+quaternion/dihedral/semidihedral special values, and the order-over-p
+fallback) is implemented separately so brute force can be compared
+against it group by group.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .arith import divisors, prime_power
 from .burnside_ring import (
@@ -21,7 +21,6 @@ from .burnside_ring import (
     GhostVector,
     dress_membership,
     least_multiplier,
-    minimal_multiplier,
     violation_rows,
     weyl_congruences,
 )
@@ -52,11 +51,12 @@ class DivisorWitness(NamedTuple):
 
 
 class ExponentResult(NamedTuple):
-    """An Artin exponent, verified by two routes when it is computed.
+    """An Artin exponent, computed from the Weyl congruences.
 
-    ``divisor_witnesses`` gives its certificate from the lattice. A named
-    tuple: it equals the plain tuple (exponent, family, family_classes,
-    method).
+    ``divisor_witnesses`` checks it against the pair congruences and gives
+    its certificate from the lattice. ``method`` is the label that the JSON
+    output prints, "marks+dress". A named tuple: it equals the plain tuple
+    (exponent, family, family_classes, method).
     """
 
     exponent: int
@@ -79,39 +79,21 @@ def artin_exponent(
 ) -> ExponentResult:
     """Least n with n times the family indicator inside the Burnside ring.
 
-    The marks route gives the exponent directly, as ``minimal_multiplier``
-    of the indicator. The Weyl congruences re-derive it as the
-    ``least_multiplier`` of the rows the indicator violates; a
-    disagreement between the routes raises. The pair congruences are not
-    built here: ``divisor_witnesses`` reads them for the certificate.
+    By Dress's characterisation it is the ``least_multiplier`` of the Weyl
+    rows that the indicator violates: the lcm of w_U / gcd(s_U, w_U) over
+    the family classes U, with w_U = |N(U) : U| and s_U the cosets gU in
+    N(U)/U with <g, U> in the family. A row outside the family sums to 0,
+    as each family is closed under subgroups. ``divisor_witnesses`` builds
+    the pair congruences for the certificate.
     """
     b = indicator_vector(lattice, family)
-    exponent = minimal_multiplier(lattice, b)
-    order = lattice.group.order
-    if order % exponent:
-        raise RuntimeError(
-            f"computed exponent {exponent} does not divide the group order {order}"
-        )
-    weyl_violations = violation_rows(weyl_congruences(lattice), b.values)
-    _check_route(exponent, weyl_violations, "Weyl congruences")
+    violations = violation_rows(weyl_congruences(lattice), b.values)
     return ExponentResult(
-        exponent=exponent,
+        exponent=least_multiplier((total, index) for _, _, index, total, _ in violations),
         family=family,
         family_classes=select_family(lattice, family),
         method="marks+dress",
     )
-
-
-def _check_route(
-    exponent: int, violations: Iterable[tuple[int, int, int, int, int]], route: str
-) -> None:
-    """Raise unless the ``least_multiplier`` of the violation rows (u, v,
-    index, sum, residue) is the marks route's exponent."""
-    confirmed = least_multiplier((total, index) for _, _, index, total, _ in violations)
-    if confirmed != exponent:
-        raise RuntimeError(
-            f"membership routes disagree: marks give {exponent}, {route} give {confirmed}"
-        )
 
 
 def divisor_witnesses(
@@ -120,18 +102,23 @@ def divisor_witnesses(
     """The certificate of an exponent that ``artin_exponent`` computed on
     this lattice: one pass over the pair congruences the indicator violates.
 
-    Their ``least_multiplier`` must give the exponent again, or this
-    raises. For every proper divisor d of the exponent the pass records
-    the first congruence that d times the indicator violates, and the
-    witnesses come sorted by divisor. A result whose family classes are
-    not this lattice's raises ValueError.
+    Their ``least_multiplier`` must give the exponent of the Weyl rows
+    again, or this raises RuntimeError. For every proper divisor d of the
+    exponent the pass records the first congruence that d times the
+    indicator violates, and the witnesses come sorted by divisor. A result
+    whose family classes are not this lattice's raises ValueError.
     """
     if result.family_classes != select_family(lattice, result.family):
         raise ValueError("the exponent was not computed on this lattice")
     exponent = result.exponent
     b = indicator_vector(lattice, result.family)
     violations = dress_membership(lattice, b).violations
-    _check_route(exponent, violations, "congruences")
+    confirmed = least_multiplier((total, index) for _, _, index, total, _ in violations)
+    if confirmed != exponent:
+        raise RuntimeError(
+            f"membership routes disagree: Weyl congruences give {exponent}, "
+            f"pair congruences give {confirmed}"
+        )
     witnesses: list[DivisorWitness] = []
     pending = divisors(exponent)[:-1]
     for u_class, v_class, index, total, _ in violations:
@@ -222,8 +209,8 @@ def verify_main_theorem(
     """Brute-force exponents versus closed forms over the whole catalog.
 
     Every catalog group of prime-power order up to ``max_order`` gets a
-    row with the exponent computed by the marks solve and verified by the
-    Weyl congruences, and the closed-form prediction. Disagreements are
+    row with the exponent that ``artin_exponent`` reads off the Weyl
+    congruences, and the closed-form prediction. Disagreements are
     reported, never suppressed.
     """
     specs = standard_catalog(max_order)

@@ -34,6 +34,9 @@ classifier of 2-groups with a cyclic subgroup of index 2, which tries
 every pair (g, h) against the four two-generator relation sets, where
 the library counts involutions, and ``class_index_of`` looks a
 subgroup's class up by its elements, which only tests need.
+``family_rows`` counts each family class's Weyl row (w_U, s_U) from the
+multiplication table by a rule for each family, where the library sums
+the walks.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from burnside import (
     minimal_multiplier,
     table_of_marks,
 )
-from burnside.arith import divisors, prime_power
+from burnside.arith import divisors, is_prime, prime_power
 from burnside.groups import IDENTITY, subgroup_mask
 from burnside.lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -616,6 +619,75 @@ def divisor_search_exponent(
             return d, tuple(witnesses)
         failed.append((d, certificate.violations[0]))
     raise AssertionError("|G| times any indicator is a Burnside ring element")
+
+
+def family_rows(
+    lattice: SubgroupLattice, family: SubgroupFamily
+) -> tuple[tuple[int, int, int], ...]:
+    """(class, w_U, s_U) for every class U of the family, counted from the
+    multiplication table alone, with neither the walks nor the marks.
+
+    w_U = |N(U) : U| counts the elements g with gUg^-1 = U, tried one by
+    one, and s_U is the number of cosets gU in N(U)/U with <g, U> in the
+    family. Whether U is in the family is decided from element orders and
+    commutation, not from the class flags. The count follows one rule per
+    family:
+
+    * elementary abelian, U = 1: the elements of order 1 or of prime order;
+    * elementary abelian, U of exponent p: <g, U> is elementary abelian
+      exactly when g centralizes U and g^p = 1, and then so is every element
+      of gU, so s_U = #{g in C(U) : g^p = 1} / |U|;
+    * cyclic, U = <u>: <g, U> is cyclic exactly when g centralizes u and
+      |<g> meet <u>| = gcd(|g|, |u|), since the abelian group <g, u> has
+      order |g| |u| / |<g> meet <u>| and exponent lcm(|g|, |u|), and the
+      whole coset gU qualifies with g, so s_U = #{such g in C(u)} / |U|;
+    * all subgroups: s_U = w_U.
+
+    By Dress's characterisation the family's Artin exponent is the lcm of
+    w_U / gcd(s_U, w_U) over these rows.
+    """
+    group = lattice.group
+    table = group.mul_table
+    inv = group.inv_table
+    cyclic = []  # the element set of <g>, for each g
+    for g in group.elements():
+        powers, y = {IDENTITY}, g
+        while y != IDENTITY:
+            powers.add(y)
+            y = table[y][g]
+        cyclic.append(frozenset(powers))
+    rows = []
+    for cls in lattice.classes:
+        u = cls.representative.elements
+        u_set = set(u)
+        orders = {len(cyclic[x]) for x in u[1:]}
+        gens = [x for x in u if len(cyclic[x]) == len(u)]
+        if family is SubgroupFamily.CYCLIC and not gens:
+            continue
+        if family is SubgroupFamily.ELEMENTARY_ABELIAN and (
+            len(orders) > 1 or any(table[x][y] != table[y][x] for x in u for y in u)
+        ):
+            continue
+        normalizing = sum(
+            all(table[table[g][x]][inv[g]] in u_set for x in u) for g in group.elements()
+        )
+        w = normalizing // len(u)
+        centralizer = [
+            g for g in group.elements() if all(table[g][x] == table[x][g] for x in u)
+        ]
+        if family is SubgroupFamily.ALL:
+            s = w
+        elif family is SubgroupFamily.CYCLIC:
+            c = cyclic[gens[0]]
+            s = sum(len(cyclic[g] & c) == gcd(len(cyclic[g]), len(c)) for g in centralizer)
+            s //= len(u)
+        elif not orders:  # U = 1
+            s = sum(len(c) == 1 or is_prime(len(c)) for c in cyclic)
+        else:
+            (p,) = orders
+            s = sum(p % len(cyclic[g]) == 0 for g in centralizer) // len(u)
+        rows.append((cls.class_index, w, s))
+    return tuple(rows)
 
 
 def loop_dress_membership(

@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from burnside import burnside_ring, catalog, cli, groups, verify_main_theorem
+from burnside import (
+    SubgroupFamily,
+    artin_exponent,
+    burnside_ring,
+    catalog,
+    cli,
+    groups,
+    standard_catalog,
+    verify_main_theorem,
+)
 from burnside.cli import ENUM_CAP_ENV, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,6 +108,23 @@ def test_output_matches_golden_file(argv, golden, exit_code, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == exit_code and err == ""
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_the_exponent_path_never_runs_the_marks_solve(monkeypatch, capsys, lattice_of):
+    def refuse(*_):
+        raise AssertionError("the table of marks was built or solved")
+
+    monkeypatch.setattr(burnside_ring, "table_of_marks", refuse)
+    monkeypatch.setattr(burnside_ring, "_scaled_solve", refuse)
+    for spec in standard_catalog(64):
+        for family in SubgroupFamily:
+            artin_exponent(lattice_of(spec.text()), family)
+    assert len(verify_main_theorem(64).rows) == 48
+    for argv, golden, exit_code in GOLDEN_RUNS:
+        if argv[0] == "exponent":
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (exit_code, "")
+            assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_exponent_without_certify_never_builds_the_pair_system(monkeypatch, capsys):

@@ -61,8 +61,8 @@ def test_exponent_of_cyclic_groups(lattice_of):
 # Exponents of the nonabelian 2-power witnesses, frozen from two
 # independent derivations: the Cauchy-Frobenius-Burnside congruence pins
 # the lower bound and an explicit integral preimage of e*indicator under
-# the marks matrix pins the upper bound. Both in-code routes re-verify
-# each value on every run.
+# the marks matrix pins the upper bound. The Weyl rows give each value,
+# and the tests compare the marks solve and the family-row count with it.
 FROZEN_NONABELIAN = {
     "Q8": 4,
     "D8": 4,
@@ -299,24 +299,13 @@ def test_indicator_vector_values_are_zero_one(lattice_of):
         assert value == (1 if idx in selected else 0)
 
 
-def test_exponent_raises_when_the_weyl_route_disagrees(lattice_of, monkeypatch):
-    lattice = lattice_of("Q8")
-    rows = weyl_congruences(lattice)
-    # the U = 1 row with every coset moved onto the whole group
-    _, v_class, index, _ = rows[0]
-    skewed = ((0, v_class, index, ((lattice.class_count - 1, index - 1), (0, 1))),) + rows[1:]
-    monkeypatch.setattr(exponent, "weyl_congruences", lambda _: skewed)
-    with pytest.raises(RuntimeError, match="marks give 4, Weyl congruences give"):
-        artin_exponent(lattice, EA)
-
-
 def test_certificate_raises_when_the_pair_route_disagrees(lattice_of, monkeypatch):
     lattice = lattice_of("Q8")
     result = artin_exponent(lattice, EA)
     # one pair congruence that no multiple of the indicator below 8 satisfies
     skewed = (Congruence(0, lattice.class_count - 1, 8, ((0, 1),)),)
     monkeypatch.setattr(burnside_ring, "dress_congruences", lambda _: skewed)
-    with pytest.raises(RuntimeError, match="marks give 4, congruences give 8"):
+    with pytest.raises(RuntimeError, match="Weyl congruences give 4, pair congruences give 8"):
         divisor_witnesses(lattice, result)
 
 

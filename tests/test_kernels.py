@@ -12,10 +12,12 @@ Artin-exponent witnesses (every violation, in order, every field) as the
 per-congruence loops. Every normalizer the enumeration records must be
 the brute-force {g : gUg^-1 = U}, the Weyl rows must equal those built
 from such normalizers, and the three membership routes (Weyl rows, pair
-congruences, marks solve) must agree on every vector tried. Every walk
-of a subgroup over its normalizer, kept by enumeration or made on
-demand, must equal one closed from scratch, and a lattice must be freed
-by reference counting alone.
+congruences, marks solve) must agree on every vector tried. For every
+family, the Weyl rows of the family's classes must equal the rows counted
+from the multiplication table alone, and the Artin exponent the marks
+solve's and those rows' multiplier. Every walk of a subgroup over its
+normalizer, kept by enumeration or made on demand, must equal one closed
+from scratch, and a lattice must be freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from _oracles import (
     closure_walk,
     closure_weyl_congruences,
     element_walk_census,
+    family_rows,
     ghost_of,
     loop_dress_exponent,
     loop_dress_membership,
@@ -55,15 +58,18 @@ from burnside import (
     enumerate_subgroups,
     group_from_perm_generators,
     indicator_vector,
+    load_permutation_group,
     marks_membership,
     minimal_multiplier,
     parse_group_spec,
+    select_family,
     standard_catalog,
     table_of_marks,
     weyl_congruences,
 )
 from burnside.arith import is_prime
 
+CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
 CATALOG_UP_TO_64 = [spec.text() for spec in standard_catalog(64)]
 CATALOG_UP_TO_32 = [spec.text() for spec in standard_catalog(32)]
 
@@ -218,7 +224,7 @@ def test_random_degree_six_group_matches_closure_oracles(seed):
 # the catalog, which holds EA(2,5), and the other two set-up lattices of the
 # membership benchmark
 BENCH_S5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "s5.perm"
-PAIR_SCAN_SPECS = [spec.text() for spec in standard_catalog(128)] + [
+PAIR_SCAN_SPECS = CATALOG_UP_TO_128 + [
     "C8xC8xC2",
     f"perm:{BENCH_S5}",
 ]
@@ -274,6 +280,17 @@ def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
     before = set(walked)
     assert weyl_congruences(lattice) == fresh
     assert set(walked) == before
+
+
+def test_weyl_rows_raise_on_a_walk_that_misses_cosets():
+    """A Weyl row's coset counts must sum to its index |G| / (|class| |U|):
+    the walk of U = 1 in Q(8) counts 1 + 1 + 2 + 2 + 2 cosets, and without
+    its last row it counts 6 of 8."""
+    lattice = enumerate_subgroups(build_group(parse_group_spec("Q8")))
+    u_mask = lattice.classes[0].representative.mask
+    lattice.walks[u_mask] = lattice.walks[u_mask][:-1]
+    with pytest.raises(RuntimeError, match="class 0's walk counts 6 of 8 cosets"):
+        weyl_congruences(lattice)
 
 
 def _assert_walks_match_scratch_walks(lattice):
@@ -450,3 +467,51 @@ def test_random_two_generator_group_three_routes_agree(seed):
 def test_random_degree_six_group_three_routes_agree(seed):
     lattice = enumerate_subgroups(_random_degree_six_group(seed))
     _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(seed), 2))
+
+
+S6 = Path(__file__).resolve().parent / "data" / "s6.perm"
+
+
+def _assert_family_rows_match_the_weyl_rows(lattice):
+    """For each family, the Weyl rows of the family's classes, as (class,
+    index, indicator sum), are the walk-free counts of ``family_rows`` of
+    index above 1, and the Artin exponent equals the marks route's
+    ``minimal_multiplier`` of the indicator and the lcm of those counts."""
+    rows = weyl_congruences(lattice)
+    for family in SubgroupFamily:
+        counted = family_rows(lattice, family)
+        selected = select_family(lattice, family)
+        assert {k for k, _, _ in counted} == selected
+        b = indicator_vector(lattice, family)
+        weyl = [
+            (u, q, sum(c * b.values[k] for k, c in terms))
+            for u, _, q, terms in rows
+            if u in selected
+        ]
+        assert weyl == [row for row in counted if row[1] > 1]
+        exponent = artin_exponent(lattice, family).exponent
+        assert exponent == minimal_multiplier(lattice, b)
+        assert exponent == lcm(*(w // gcd(s, w) for _, w, s in counted))
+
+
+@pytest.mark.parametrize("text", CATALOG_UP_TO_128)
+def test_catalog_family_rows_match_the_weyl_rows(text, lattice_of):
+    _assert_family_rows_match_the_weyl_rows(lattice_of(text))
+
+
+@pytest.mark.parametrize("path", [BENCH_S5, S6], ids=["S5", "S6"])
+def test_perm_file_family_rows_match_the_weyl_rows(path):
+    group = load_permutation_group(str(path), order_cap=1000)
+    _assert_family_rows_match_the_weyl_rows(enumerate_subgroups(group, cap=1000))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_two_generator_group_family_rows_match_the_weyl_rows(seed):
+    lattice = enumerate_subgroups(_random_two_generator_group(seed))
+    _assert_family_rows_match_the_weyl_rows(lattice)
+
+
+@pytest.mark.parametrize("seed", DEGREE_SIX_SEEDS)
+def test_random_degree_six_group_family_rows_match_the_weyl_rows(seed):
+    lattice = enumerate_subgroups(_random_degree_six_group(seed))
+    _assert_family_rows_match_the_weyl_rows(lattice)
