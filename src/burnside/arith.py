@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import log
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _least_prime_factor(n: int, start: int = 3) -> int:
-    """The least prime dividing n >= 2 (n itself if prime); odd trial divisors
-    start at ``start``, which must not exceed the least odd prime factor of n."""
+    """The least prime dividing n >= 2 (n itself if prime, found at once
+    below _MR_BOUND); odd trial divisors start at ``start``, which must not
+    exceed the least odd prime factor of n."""
     if n % 2 == 0:
         return 2
+    if n < _MR_BOUND and is_prime(n):
+        return n
     d = start
     while d * d <= n:
         if n % d == 0:
@@ -19,7 +29,20 @@ def _least_prime_factor(n: int, start: int = 3) -> int:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime_factor(n) == n
+    """Exact: by Miller-Rabin below _MR_BOUND, by trial division above it."""
+    if n >= _MR_BOUND:
+        return _least_prime_factor(n) == n
+    if n < 2 or n % 2 == 0 or n in _MR_BASES:
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        # n is a strong probable prime to base a iff x = a^d is 1 or one of
+        # x, x^2, ..., x^(2^(s-1)) is -1
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
+            return False
+    return True
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -1,7 +1,9 @@
 """Concrete finite groups backed by full multiplication tables.
 
 Elements are integer ids in ``range(order)`` and id 0 is always the
-identity. A group records the powers of each element once, when it is
+identity. The public ``FiniteGroup`` constructor validates its table;
+package builders hand over tables valid by construction, which tests
+check. A group records the powers of each element once, when it is
 built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
@@ -58,19 +60,49 @@ def check_enumeration_cap(
         raise CapExceededError(f"group order {text} exceeds the enumeration cap {limit}")
 
 
+def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The table as int tuples, once checked; a ValueError names the first fault."""
+    order = len(mul_table)
+    if order == 0:
+        raise ValueError("multiplication table is empty")
+    if set(map(type, chain.from_iterable(mul_table))) <= {int}:
+        table = tuple(map(tuple, mul_table))
+    else:  # bools, integral floats and other entries are copied through int
+        table = tuple(tuple(map(int, row)) for row in mul_table)
+    full = frozenset(range(order))
+    for i, row in enumerate(table):
+        if len(row) != order:
+            raise ValueError(f"row {i} has length {len(row)}, expected {order}")
+        if frozenset(row) != full:
+            raise ValueError(f"row {i} is not a permutation of the elements")
+    columns = tuple(zip(*table))
+    for j, column in enumerate(columns):
+        if frozenset(column) != full:
+            raise ValueError(f"column {j} is not a permutation of the elements")
+    ids = tuple(range(order))
+    if table[IDENTITY] != ids or columns[IDENTITY] != ids:
+        raise ValueError("element 0 does not act as the identity")
+    # row x holds the right inverse of x, column x its left inverse
+    for x, column in enumerate(columns):
+        if column[table[x].index(IDENTITY)] != IDENTITY:
+            raise ValueError(f"element {x} has no two-sided inverse")
+    return table
+
+
 class FiniteGroup:
     """Finite group defined by a complete multiplication table.
 
-    The table is validated for shape, identity behaviour, and
-    cancellation (each row and column is a permutation). Associativity
-    is not checked, because that is cubic in the order; the test suite
-    checks it for every group the catalog builds. Entries are kept as
-    given when they are all ints, else copied through ``int``. The group
-    is abelian iff the table equals its transpose, which the column check
-    builds.
-    ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements of <x>, up
-    to x^(n-1) for the order n of x, walked once down column x (y -> yx);
-    the walk returns to 1 because the column is a permutation.
+    The public constructor validates the table for shape, identity
+    behaviour, and cancellation (each row and column is a permutation).
+    Associativity is not checked, because that is cubic in the order;
+    the test suite checks it for every group the catalog builds. Entries
+    are kept as given when they are all ints, else copied through
+    ``int``. Package builders pass int tables valid by construction to
+    ``_from_valid_table``, which checks nothing; tests run the public
+    checks on all of them. The group is abelian iff the table equals its
+    transpose. ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements
+    of <x>, up to x^(n-1) = x^-1 for the order n of x, walked once down
+    column x (y -> yx); the walk returns to 1 as the column is a permutation.
     """
 
     __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "powers", "_abelian")
@@ -82,36 +114,20 @@ class FiniteGroup:
         *,
         generators: Sequence[int] | None = None,
     ) -> None:
-        order = len(mul_table)
-        if order == 0:
-            raise ValueError("multiplication table is empty")
-        if set(map(type, chain.from_iterable(mul_table))) <= {int}:
-            table = tuple(map(tuple, mul_table))
-        else:  # bools, integral floats and other entries are copied through int
-            table = tuple(tuple(map(int, row)) for row in mul_table)
-        full = frozenset(range(order))
-        for i, row in enumerate(table):
-            if len(row) != order:
-                raise ValueError(f"row {i} has length {len(row)}, expected {order}")
-            if frozenset(row) != full:
-                raise ValueError(f"row {i} is not a permutation of the elements")
-        columns = tuple(zip(*table))
-        for j, column in enumerate(columns):
-            if frozenset(column) != full:
-                raise ValueError(f"column {j} is not a permutation of the elements")
-        ids = tuple(range(order))
-        if table[IDENTITY] != ids or columns[IDENTITY] != ids:
-            raise ValueError("element 0 does not act as the identity")
-        # row x holds the right inverse of x, column x its left inverse
-        inv = tuple(row.index(IDENTITY) for row in table)
-        for x, column in enumerate(columns):
-            if column[inv[x]] != IDENTITY:
-                raise ValueError(f"element {x} has no two-sided inverse")
+        self._fill(name, _validated_table(mul_table), generators)
+
+    @classmethod
+    def _from_valid_table(cls, name: str, table: list, generators: list | None) -> FiniteGroup:
+        group = cls.__new__(cls)
+        group._fill(name, tuple(table), generators)
+        return group
+
+    def _fill(self, name: str, table: tuple, generators: Sequence[int] | None) -> None:
         self.name = str(name)
-        self.order = order
+        self.order = len(table)
         self.mul_table = table
-        self.inv_table = inv
         self.generators = None if generators is None else tuple(int(g) for g in generators)
+        columns = tuple(zip(*table))
         powers = []
         for column in columns:
             walk = [IDENTITY]
@@ -119,6 +135,7 @@ class FiniteGroup:
                 walk.append(y)
             powers.append(tuple(walk))
         self.powers = tuple(powers)
+        self.inv_table = tuple(cycle[-1] for cycle in powers)
         self._abelian = columns == table
 
     def power(self, x: int, k: int) -> int:
@@ -217,11 +234,8 @@ def product_table(
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
     """Direct product with element ids packed as a*|G2| + b."""
     gens = [g * g2.order for g in g1.generators or ()] + list(g2.generators or ())
-    return FiniteGroup(
-        name or f"{g1.name}x{g2.name}",
-        product_table(g1.mul_table, g2.mul_table),
-        generators=gens or None,
-    )
+    table = product_table(g1.mul_table, g2.mul_table)
+    return FiniteGroup._from_valid_table(name or f"{g1.name}x{g2.name}", table, gens or None)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -306,12 +320,9 @@ def group_from_perm_generators(
         pos += 1
     # row p, column q: the permutation (p[q[0]], p[q[1]], ...)
     getters = [entries_at(q) for q in perms]
-    table = [[index[get(p)] for get in getters] for p in perms]
-    return FiniteGroup(
-        name or f"perm-group(degree {degree})",
-        table,
-        generators=[index[g] for g in gens],
-    )
+    table = [tuple([index[get(p)] for get in getters]) for p in perms]
+    name = name or f"perm-group(degree {degree})"
+    return FiniteGroup._from_valid_table(name, table, [index[g] for g in gens])
 
 
 def load_permutation_group(

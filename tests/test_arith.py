@@ -4,6 +4,8 @@
 search, and ``prime_power`` reads the exponent off the size of n, so the
 checks cover every n below 20000 and, for large k, the numbers p**k,
 p**k + 1 and p**k * q, where dividing out one factor at a time was slow.
+Primes below 3317044064679887385961981 are found by Miller-Rabin, so
+strong pseudoprimes to many of its bases are checked too.
 """
 
 from __future__ import annotations
@@ -68,4 +70,18 @@ def test_large_powers_match_brute_force(p, k):
 def test_huge_cyclic_power_parses_quickly():
     start = time.perf_counter()
     assert parse_group_spec("C(2^100000)xC1") == GroupSpec("cyclic", (2, 100000))
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "n", [3215031751, 3825123056546413051, 318665857834031151167461]
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    """Strong pseudoprimes to the first 4, 11 and 12 prime bases."""
+    assert not is_prime(n)
+
+
+def test_large_prime_literal_parses_quickly_without_a_cap():
+    start = time.perf_counter()
+    assert parse_group_spec("C100000000000031") == GroupSpec("cyclic", (100000000000031, 1))
     assert time.perf_counter() - start < 0.5

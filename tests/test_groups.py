@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,9 @@ from burnside import (
     parse_permutation,
     parse_permutation_file,
     standard_catalog,
+    verify_main_theorem,
 )
+from burnside import groups as groups_module
 from burnside.groups import check_enumeration_cap
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
@@ -312,3 +315,57 @@ def test_cap_check_on_powers_matches_the_multiplied_order():
     check_enumeration_cap(None, 1)
     with pytest.raises(CapExceededError, match="^group order 257 exceeds the enumeration cap 256$"):
         check_enumeration_cap(257)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BUILT_SPECS = [
+    *(spec.text() for spec in standard_catalog(256)),
+    "ES+(7)",
+    "ES-(7)",
+    "Q8xC2",
+    "D8xC3xQ8",
+    f"perm:{ROOT / 'bench' / 'data' / 's5.perm'}",
+]
+
+
+def _built_groups():
+    """Every kind of table the package builds without the public checks:
+    catalog specs, products of specs, perm closures, and the direct
+    product of two perm groups."""
+    for text in BUILT_SPECS:
+        yield text, build_group(parse_group_spec(text))
+    s6 = ROOT / "tests" / "data" / "s6.perm"
+    yield "S6", build_group(parse_group_spec(f"perm:{s6}"), perm_order_cap=1000)
+    s3 = group_from_perm_generators(3, S3_GENS)
+    yield "S3xS4", direct_product(s3, group_from_perm_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]))
+
+
+def test_built_tables_pass_the_public_checks():
+    """Package builders skip the public constructor's checks; each table
+    they make passes those checks and gives the same group through them,
+    and is associative by Light's test on its generators."""
+    for text, group in _built_groups():
+        checked = FiniteGroup(group.name, group.mul_table, generators=group.generators)
+        assert checked.mul_table == group.mul_table, text
+        assert checked.inv_table == group.inv_table, text
+        assert group.inv_table == tuple(row.index(0) for row in group.mul_table), text
+        assert checked.powers == group.powers, text
+        assert checked.is_abelian() == group.is_abelian(), text
+        assert checked.generators == group.generators, text
+        assert type(group.mul_table) is tuple and all(type(r) is tuple for r in group.mul_table)
+        verify_group_axioms(group, generators=group.generators)
+
+
+def test_builders_never_call_the_public_checks(monkeypatch):
+    """With the public validation patched to raise, every catalog group up
+    to order 256 still builds and verify_main_theorem(128) still runs."""
+
+    def refuse(mul_table):
+        raise AssertionError("a package builder ran the public table checks")
+
+    monkeypatch.setattr(groups_module, "_validated_table", refuse)
+    with pytest.raises(AssertionError):
+        FiniteGroup("C1", [[0]])
+    for spec in standard_catalog(256):
+        assert build_group(spec).order == spec.order()
+    assert len(verify_main_theorem(128).rows) == len(standard_catalog(128))
