@@ -60,8 +60,9 @@ def check_enumeration_cap(
         raise CapExceededError(f"group order {text} exceeds the enumeration cap {limit}")
 
 
-def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The table as int tuples, once checked; a ValueError names the first fault."""
+def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
+    """The table as int tuples and its columns, once checked; a ValueError
+    names the first fault."""
     order = len(mul_table)
     if order == 0:
         raise ValueError("multiplication table is empty")
@@ -86,7 +87,7 @@ def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
     for x, column in enumerate(columns):
         if column[table[x].index(IDENTITY)] != IDENTITY:
             raise ValueError(f"element {x} has no two-sided inverse")
-    return table
+    return table, columns
 
 
 class FiniteGroup:
@@ -114,20 +115,21 @@ class FiniteGroup:
         *,
         generators: Sequence[int] | None = None,
     ) -> None:
-        self._fill(name, _validated_table(mul_table), generators)
+        self._fill(name, *_validated_table(mul_table), generators)
 
     @classmethod
     def _from_valid_table(cls, name: str, table: list, generators: list | None) -> FiniteGroup:
-        group = cls.__new__(cls)
-        group._fill(name, tuple(table), generators)
+        group, table = cls.__new__(cls), tuple(table)
+        group._fill(name, table, tuple(zip(*table)), generators)
         return group
 
-    def _fill(self, name: str, table: tuple, generators: Sequence[int] | None) -> None:
+    def _fill(
+        self, name: str, table: tuple, columns: tuple, generators: Sequence[int] | None
+    ) -> None:
         self.name = str(name)
         self.order = len(table)
         self.mul_table = table
         self.generators = None if generators is None else tuple(int(g) for g in generators)
-        columns = tuple(zip(*table))
         powers = []
         for column in columns:
             walk = [IDENTITY]

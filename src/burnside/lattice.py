@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import wraps
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from math import gcd
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -258,18 +258,16 @@ def _walk(
     for v in filterfalse(covered.__contains__, within):
         # vU has order m, the least m >= 1 with v^m in U
         cycle = powers[v]
-        if cycle[2 % len(cycle)] in u_set:  # m = 2, as v is not in U
-            coset = coset_of(table[v])
-            covered.update(coset)
-            rows.append((u_set.union(coset), 1, v))
-            continue
-        m = 3
+        m = 2  # v is not in U
         while cycle[m % len(cycle)] not in u_set:
             m += 1
         cosets = [coset_of(table[p]) for p in cycle[1:m]]
-        generating = [coset for e, coset in enumerate(cosets, 1) if gcd(e, m) == 1]
-        covered.update(chain.from_iterable(generating))
-        rows.append((u_set.union(*cosets), len(generating), v))
+        count = 0
+        for e, coset in enumerate(cosets, 1):
+            if gcd(e, m) == 1:
+                count += 1
+                covered.update(coset)
+        rows.append((u_set.union(*cosets), count, v))
     return rows
 
 

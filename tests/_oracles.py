@@ -36,16 +36,14 @@ the library counts involutions, and ``class_index_of`` looks a
 subgroup's class up by its elements, which only tests need.
 ``family_rows`` counts each family class's Weyl row (w_U, s_U) from the
 multiplication table by a rule for each family, where the library sums
-the walks. ``reference_walk`` is the library's earlier walk of a
-subgroup over its normalizer, which takes every coset through the
-general loop, where the library short-cuts cosets of order 2.
+the walks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, filterfalse
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -72,7 +70,7 @@ from burnside import (
     table_of_marks,
 )
 from burnside.arith import divisors, is_prime, prime_power
-from burnside.groups import IDENTITY, entries_at, subgroup_mask
+from burnside.groups import IDENTITY, subgroup_mask
 from burnside.lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupClass,
@@ -1005,37 +1003,3 @@ def closure_weyl_congruences(
             (cls.class_index, class_index_of(lattice, norm), index, tuple(sorted(counts.items())))
         )
     return tuple(out)
-
-
-def reference_walk(
-    group: FiniteGroup, elements: Sequence[int], within: Iterable[int]
-) -> list[tuple[frozenset[int], int, int]]:
-    """The walk of U, given by its elements, over a subgroup N in which it
-    is normal, given by its elements in ascending order.
-
-    One row (elements of <v, U>, coset count, v) per cyclic subgroup <vU>
-    of N/U, U itself first with v the identity. No join is closed from
-    generators: <v, U> is the union of the cosets v^k U up to the first
-    power v^m inside U, and the phi(m) cosets v^k U with k prime to m all
-    generate it, so they are counted in one row and never walked again.
-    """
-    table = group.mul_table
-    powers = group.powers
-    coset_of = entries_at(elements)  # row x of the table -> xU
-    u_set = frozenset(elements)
-    rows = [(u_set, 1, IDENTITY)]
-    covered = set(elements)
-    for v in filterfalse(covered.__contains__, within):
-        # vU has order m, the least m >= 1 with v^m in U
-        cycle = powers[v]
-        m = 2  # v is not in U
-        while cycle[m % len(cycle)] not in u_set:
-            m += 1
-        cosets = [coset_of(table[p]) for p in cycle[1:m]]
-        count = 0
-        for e, coset in enumerate(cosets, 1):
-            if gcd(e, m) == 1:
-                count += 1
-                covered.update(coset)
-        rows.append((u_set.union(*cosets), count, v))
-    return rows

@@ -17,9 +17,7 @@ family, the Weyl rows of the family's classes must equal the rows counted
 from the multiplication table alone, and the Artin exponent the marks
 solve's and those rows' multiplier. Every walk of a subgroup over its
 normalizer, kept by enumeration or made on demand, must equal one closed
-from scratch and, row for row in order, the earlier walk that takes
-cosets of order 2 through the general loop, and a lattice must be freed
-by reference counting alone.
+from scratch, and a lattice must be freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from _oracles import (
     loop_dress_exponent,
     loop_dress_membership,
     mark,
-    reference_walk,
     scan_dress_congruences,
 )
 from burnside import (
@@ -70,7 +67,6 @@ from burnside import (
     table_of_marks,
     weyl_congruences,
 )
-from burnside import lattice as lattice_module
 from burnside.arith import is_prime
 
 CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
@@ -323,46 +319,6 @@ def test_catalog_walks_match_scratch_walks(text):
 @pytest.mark.parametrize("name", sorted(PERM_FILES))
 def test_perm_file_walks_match_scratch_walks(name, tmp_path):
     _assert_walks_match_scratch_walks(enumerate_subgroups(_perm_file_group(name, tmp_path)))
-
-
-def _assert_walks_equal_the_reference_walk(group, monkeypatch):
-    """Every walk the lattice makes, by enumeration or on demand for a
-    member enumeration did not walk, gives the reference walk's rows in
-    the same order."""
-    walk = lattice_module._walk
-    calls = []
-
-    def recording(group, elements, within):
-        rows = walk(group, elements, within)
-        calls.append((elements, within, rows))
-        return rows
-
-    monkeypatch.setattr(lattice_module, "_walk", recording)
-    lattice = enumerate_subgroups(group)
-    for sub in lattice.all_subgroups:
-        lattice.walk(sub)
-    assert len(calls) == len(lattice.all_subgroups)
-    for elements, within, rows in calls:
-        assert rows == reference_walk(group, elements, within)
-
-
-@pytest.mark.parametrize("text", CATALOG_UP_TO_128 + [f"perm:{BENCH_S5}"])
-def test_catalog_walks_equal_the_reference_walk(text, monkeypatch):
-    _assert_walks_equal_the_reference_walk(build_group(parse_group_spec(text)), monkeypatch)
-
-
-def test_perm_file_walks_equal_the_reference_walk(tmp_path, monkeypatch):
-    _assert_walks_equal_the_reference_walk(_perm_file_group("S3xS3", tmp_path), monkeypatch)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_random_two_generator_group_walks_equal_the_reference_walk(seed, monkeypatch):
-    _assert_walks_equal_the_reference_walk(_random_two_generator_group(seed), monkeypatch)
-
-
-@pytest.mark.parametrize("seed", DEGREE_SIX_SEEDS)
-def test_random_degree_six_group_walks_equal_the_reference_walk(seed, monkeypatch):
-    _assert_walks_equal_the_reference_walk(_random_degree_six_group(seed), monkeypatch)
 
 
 def test_lattices_are_freed_by_reference_counting():
