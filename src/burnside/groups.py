@@ -93,17 +93,17 @@ def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
 class FiniteGroup:
     """Finite group defined by a complete multiplication table.
 
-    The public constructor validates the table for shape, identity
-    behaviour, and cancellation (each row and column is a permutation).
-    Associativity is not checked, because that is cubic in the order;
-    the test suite checks it for every group the catalog builds. Entries
-    are kept as given when they are all ints, else copied through
-    ``int``. Package builders pass int tables valid by construction to
-    ``_from_valid_table``, which checks nothing; tests run the public
-    checks on all of them. The group is abelian iff the table equals its
-    transpose. ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements
-    of <x>, up to x^(n-1) = x^-1 for the order n of x, walked once down
-    column x (y -> yx); the walk returns to 1 as the column is a permutation.
+    The public constructor validates the table for shape, identity behaviour
+    and cancellation (each row and column is a permutation), but not
+    associativity, which is cubic in the order. Entries are kept as given
+    when they are all ints, else copied through ``int``. Package builders
+    pass int tables valid by construction to ``_from_valid_table``, which
+    checks nothing. Tests run the public checks and an associativity check
+    on each catalog table up to order 256 and on sample perm closures and
+    products. The group is abelian iff the table equals its transpose.
+    ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements of <x>, up
+    to x^(n-1) = x^-1 for the order n of x, walked once down column x
+    (y -> yx); the walk returns to 1 as the column is a permutation.
     """
 
     __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "powers", "_abelian")
