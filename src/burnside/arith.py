@@ -3,33 +3,40 @@
 from __future__ import annotations
 
 from itertools import accumulate
-from math import log
+from math import isqrt, log
 
 
 # Miller-Rabin to the first 13 prime bases is exact below _MR_BOUND
 # (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+# trial division stops at this divisor, so no number takes longer than
+# 2**19 trial divisions to factor or to be given up on
+_TRIAL_BOUND = 2**20
 
 
 def _least_prime_factor(n: int, start: int = 3) -> int:
     """The least prime dividing n >= 2 (n itself if prime, found at once
     below _MR_BOUND); odd trial divisors start at ``start``, which must not
-    exceed the least odd prime factor of n."""
+    exceed the least odd prime factor of n. A number above _TRIAL_BOUND**2
+    with no prime factor up to _TRIAL_BOUND raises ValueError."""
     if n % 2 == 0:
         return 2
     if n < _MR_BOUND and is_prime(n):
         return n
-    d = start
-    while d * d <= n:
+    for d in range(start, min(isqrt(n), _TRIAL_BOUND) + 1, 2):
         if n % d == 0:
             return d
-        d += 2
+    if n > _TRIAL_BOUND**2:
+        raise ValueError(
+            f"cannot factor a {n.bit_length()}-bit number with no prime factor up to 2^20"
+        )
     return n
 
 
 def is_prime(n: int) -> bool:
-    """Exact: by Miller-Rabin below _MR_BOUND, by trial division above it."""
+    """Exact: by Miller-Rabin below _MR_BOUND, by trial division above it
+    (ValueError if that finds no factor up to _TRIAL_BOUND)."""
     if n >= _MR_BOUND:
         return _least_prime_factor(n) == n
     if n < 2 or n % 2 == 0 or n in _MR_BASES:

@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import partial
 from math import gcd, lcm
-from operator import index, itemgetter
+from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .arith import divisors, prime_power
@@ -104,7 +104,7 @@ class GhostVector:
         return f"GhostVector({self.values})"
 
 
-class TableOfMarks:
+class TableOfMarks(NamedTuple):
     """The table of marks, kept as its nonzero entries row by row.
 
     Entry (i, j) is the number of cosets in G/U_j fixed by U_i. It is
@@ -112,13 +112,10 @@ class TableOfMarks:
     class order an entry survives only when i <= j; row 0 holds the
     indices |G : U_j| and the diagonal holds |N(U_j) : U_j|. ``rows[i]``
     is (diagonal mark, ((j, mark), ...)) with the nonzero marks right of
-    the diagonal in ascending j, the form the triangular solve reads.
-    """
+    the diagonal in ascending j, the form the triangular solve reads. A
+    named tuple: it equals the plain tuple (rows,)."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]) -> None:
-        self.rows = rows
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -132,9 +129,6 @@ class TableOfMarks:
                 row[j] = m
             dense.append(tuple(row))
         return tuple(dense)
-
-    def __repr__(self) -> str:
-        return f"TableOfMarks({len(self.rows)}x{len(self.rows)})"
 
 
 class CongruenceViolation(NamedTuple):
@@ -229,7 +223,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     normal in V iff V lies in the normalizer N(U) the lattice recorded.
     A pair of prime index p has the terms ((U, 1), (V, p - 1)); any other
     pair's terms are the rows of U's walk over N(U) (``SubgroupLattice.walk``)
-    whose join lies in V, read off a copy sorted by class once per U.
+    whose join lies in V, summed by class in the walk's class order.
     """
     group = lattice.group
     abelian = group.is_abelian()
@@ -239,7 +233,6 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     sub_orders = [sub.order for sub in subgroups]
     record = partial(tuple.__new__, Congruence)
     powers = {d: prime_power(d) for d in divisors(group.order)}
-    sorted_walks: dict[int, list] = {}  # U's mask -> U's walk sorted by class
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
@@ -267,11 +260,8 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             if powers[index][1] == 1:
                 terms = ((u_class, 1), (cls.class_index, index - 1))
             else:
-                rows = sorted_walks.get(u_mask)
-                if rows is None:
-                    rows = sorted_walks[u_mask] = sorted(lattice.walk(sub), key=itemgetter(1))
                 counts: dict[int, int] = {}
-                for joined, joined_class, count in rows:
+                for joined, joined_class, count in lattice.walk(sub):
                     if joined & v_mask == joined:
                         counts[joined_class] = counts.get(joined_class, 0) + count
                 terms = tuple(counts.items())
@@ -307,7 +297,7 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             counts[joined_class] = counts.get(joined_class, 0) + count
         if (cosets := sum(counts.values())) != index:
             raise RuntimeError(f"class {cls.class_index}'s walk counts {cosets} of {index} cosets")
-        terms = tuple(sorted(counts.items()))
+        terms = tuple(counts.items())
         norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
         rows.append(Congruence(cls.class_index, norm_class, index, terms))
     return tuple(rows)

@@ -251,7 +251,7 @@ _KINDS: dict[str, _Kind] = {
         lambda a, b: f"{a.text()}x{b.text()}",
         lambda a, b: None if None in (flags := (a.is_abelian(), b.is_abelian())) else all(flags),
         lambda name, cap, a, b: direct_product(
-            build_group(a, perm_order_cap=cap), build_group(b, perm_order_cap=cap), name=name
+            build_group(a, cap=cap), build_group(b, cap=cap), name=name
         ),
     ),
     "perm": _Kind(
@@ -264,9 +264,16 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
-def build_group(spec: GroupSpec, *, perm_order_cap: int = DEFAULT_ENUMERATION_CAP) -> FiniteGroup:
-    """Realize a GroupSpec as a FiniteGroup whose order equals the nominal order."""
-    return _KINDS[spec.kind].build(spec.text(), perm_order_cap, *spec.params)
+def build_group(spec: GroupSpec, *, cap: int | None = None) -> FiniteGroup:
+    """Realize a GroupSpec as a FiniteGroup whose order equals the nominal order.
+
+    The order is checked against the cap (default DEFAULT_ENUMERATION_CAP)
+    before any table is built; a perm closure, whose order is known only
+    once closed, stops at the cap."""
+    kind = _KINDS[spec.kind]
+    check_enumeration_cap(kind.powers(*spec.params), cap)
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    return kind.build(spec.text(), limit, *spec.params)
 
 
 class MaximalCyclicType(Enum):

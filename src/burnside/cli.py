@@ -58,7 +58,7 @@ def _lattice_for(spec_text: str) -> SubgroupLattice:
     # the parser checks the order its literals name; a perm spec's order is
     # known only after its closure, which stops at the enumeration cap
     spec = parse_group_spec(spec_text, cap=cap)
-    group = build_group(spec, perm_order_cap=cap)
+    group = build_group(spec, cap=cap)
     return enumerate_subgroups(group, cap=cap)
 
 

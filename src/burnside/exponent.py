@@ -220,7 +220,7 @@ def verify_main_theorem(
         check_enumeration_cap(spec.order(), enumeration_cap)
     rows = []
     for spec in specs:
-        group = build_group(spec)
+        group = build_group(spec, cap=enumeration_cap)
         lattice = enumerate_subgroups(group, cap=enumeration_cap)
         brute = artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN).exponent
         predicted, case = closed_form_exponent(group)

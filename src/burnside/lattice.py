@@ -12,9 +12,9 @@ never joined. The orbit pass also yields N(H), and H is joined with the
 elements of N(H) by walking it (``_walk``): one row per cyclic subgroup
 of N(H)/H, each the union of the cosets v^k H, with no closure. Only the
 double cosets HgH outside N(H) are joined by closure (``_coset_join``).
-The walks are the lattice's cyclic data: kept as plain rows on the
-lattice, they give the Weyl and pair congruences their terms, and a
-conjugate that was not walked is walked on demand by the same code.
+The walks are the lattice's cyclic data: kept as plain rows in class
+order on the lattice, they give the Weyl and pair congruences their
+terms, and a conjugate that was not walked is walked on demand.
 Each subgroup is one ``Subgroup``, built with its bitmask when the orbit
 pass finds it and shared by the classes and the lattice; every member's
 normalizer is a reference to the lattice's own ``Subgroup``.
@@ -26,8 +26,8 @@ from enum import Enum
 from functools import wraps
 from itertools import filterfalse
 from math import gcd
-from operator import attrgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .arith import prime_power
 from .groups import (  # DEFAULT_ENUMERATION_CAP is re-exported
@@ -51,40 +51,27 @@ class SubgroupFamily(Enum):
     ALL = "all"
 
 
-class SubgroupClass:
-    """One conjugacy class of subgroups with its structural flags."""
+class SubgroupClass(NamedTuple):
+    """One conjugacy class of subgroups, its members sorted by elements and
+    the first the representative. A named tuple: it equals the plain tuple
+    (class_index, members, is_cyclic, is_elementary_abelian)."""
 
-    __slots__ = (
-        "class_index",
-        "representative",
-        "members",
-        "order",
-        "is_cyclic",
-        "is_elementary_abelian",
-        "is_normal",
-    )
+    class_index: int
+    members: tuple[Subgroup, ...]
+    is_cyclic: bool
+    is_elementary_abelian: bool
 
-    def __init__(
-        self,
-        class_index: int,
-        members: tuple[Subgroup, ...],
-        *,
-        is_cyclic: bool,
-        is_elementary_abelian: bool,
-    ) -> None:
-        self.class_index = class_index
-        self.members = members
-        self.representative = members[0]
-        self.order = members[0].order
-        self.is_cyclic = is_cyclic
-        self.is_elementary_abelian = is_elementary_abelian
-        self.is_normal = len(members) == 1
+    @property
+    def representative(self) -> Subgroup:
+        return self.members[0]
 
-    def __repr__(self) -> str:
-        return (
-            f"SubgroupClass(index={self.class_index}, order={self.order}, "
-            f"size={len(self.members)})"
-        )
+    @property
+    def order(self) -> int:
+        return self.members[0].order
+
+    @property
+    def is_normal(self) -> bool:
+        return len(self.members) == 1
 
 
 # a walk is its rows, a row (mask of <v, U>, its class, coset count)
@@ -103,13 +90,13 @@ class SubgroupLattice:
 
     ``walks`` maps the mask of a subgroup U to its walk over N(U): one row
     (mask of <v, U>, class of <v, U>, coset count) per cyclic subgroup
-    <vU> of N(U)/U, U itself first, the count being the cosets that
-    generate it. The rows of prime index over U are covers of U in the
-    lattice, and in a p-group, where every maximal subgroup is normal of
-    index p, they are all of its covers. The constructor takes a dict of
-    walks as (mask, count) rows, resolves their classes in place and keeps
-    the dict; ``walk`` reads one, walking a subgroup whose walk is not
-    kept yet. Data derived from the whole lattice (the table of marks, the
+    <vU> of N(U)/U, the count being the cosets that generate it, in class
+    order with U itself first (rows of one class stay in walk order). The
+    rows of prime index over U are covers of U in the lattice, and in a
+    p-group, where every maximal subgroup is normal of index p, they are
+    all of its covers. The constructor takes a dict of walks as (mask,
+    count) rows, resolves and sorts them in place and keeps the dict;
+    ``walk`` reads one, walking a subgroup whose walk is not kept yet. Data derived from the whole lattice (the table of marks, the
     pair and the Weyl congruences) is built on first use and kept in one
     cache, filled only through ``lattice_cached``. Nothing the lattice
     keeps refers back to it, so reference counting frees it.
@@ -172,9 +159,10 @@ class SubgroupLattice:
 
     def _resolved(self, rows: Iterable[tuple[int, int]]) -> Walk:
         """Walk rows given as (mask of <v, U>, coset count), with the class of
-        <v, U> put in between."""
+        <v, U> put in between, sorted by class. The sort is stable, and U's
+        class is the least in its walk, so U stays first."""
         class_of = self._class_by_mask
-        return tuple([(j, class_of[j], count) for j, count in rows])
+        return tuple(sorted([(j, class_of[j], count) for j, count in rows], key=itemgetter(1)))
 
     def __repr__(self) -> str:
         return (

@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import burnside
@@ -124,3 +125,43 @@ def test_every_public_method_of_an_export_is_used_outside_the_tests():
     ]
     assert len(methods) > 10
     assert [(name, attr) for name, attr in methods if attr not in used] == []
+
+
+def _own_init(cls: type) -> ast.FunctionDef | None:
+    """The ``__init__`` defined in the class's own body, if any."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return next(
+        (node for node in tree.body[0].body
+         if isinstance(node, ast.FunctionDef) and node.name == "__init__"),
+        None,
+    )
+
+
+def _stores_only_attributes(init: ast.FunctionDef) -> bool:
+    """Every statement of the body is an assignment to ``self.<attr>``."""
+    for stmt in init.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            return False
+        for target in targets:
+            if not (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                return False
+    return True
+
+
+def test_exported_records_are_named_tuples():
+    """An exported class whose constructor only stores attributes is a
+    hand-written record: it must be a NamedTuple, which equals its plain
+    tuple and needs no ``__slots__``, ``__init__`` or ``__repr__``.
+    Constructors that validate or compute are not records."""
+    inits = {
+        name: init
+        for name in burnside.__all__
+        if inspect.isclass(cls := getattr(burnside, name)) and (init := _own_init(cls))
+    }
+    assert {"GhostVector", "Subgroup", "FiniteGroup", "SubgroupLattice"} <= inits.keys()
+    assert [name for name, init in inits.items() if _stores_only_attributes(init)] == []

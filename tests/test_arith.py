@@ -15,7 +15,7 @@ import time
 import pytest
 
 from burnside.arith import factorize, is_prime, prime_power
-from burnside.catalog import GroupSpec, parse_group_spec
+from burnside.catalog import GroupSpec, SpecParseError, parse_group_spec
 
 
 def _brute_factorize(n: int) -> list[tuple[int, int]]:
@@ -85,3 +85,20 @@ def test_large_prime_literal_parses_quickly_without_a_cap():
     start = time.perf_counter()
     assert parse_group_spec("C100000000000031") == GroupSpec("cyclic", (100000000000031, 1))
     assert time.perf_counter() - start < 0.5
+
+
+def test_trial_division_stops_past_its_bound():
+    """A number with no prime factor up to 2^20 that Miller-Rabin does not
+    prove prime is given up on, not trial-divided for hours: the literal
+    factors as 399165290221 * 798330580441. Below the bound it factors."""
+    start = time.perf_counter()
+    with pytest.raises(SpecParseError, match="no prime factor up to 2\\^20"):
+        parse_group_spec("C318665857834031151167461")
+    for n in (318665857834031151167461, 2**89 - 1):
+        with pytest.raises(ValueError):
+            prime_power(n)
+        with pytest.raises(ValueError):
+            factorize(n)
+    assert time.perf_counter() - start < 2
+    assert factorize(1048573 * 1048571 * 3) == [(3, 1), (1048571, 1), (1048573, 1)]
+    assert prime_power(1048573**2) == (1048573, 2)

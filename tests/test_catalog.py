@@ -100,8 +100,9 @@ def test_nominal_orders_and_axioms_across_catalog():
 )
 def test_build_matches_the_loop_oracle(spec):
     """Every table, generator list and abelian flag equals the one built
-    entry by entry in nested loops and checked pair by pair."""
-    group, oracle = build_group(spec), loop_build_group(spec)
+    entry by entry in nested loops and checked pair by pair. ES+(7) and
+    ES-(7), of order 343, are over the default cap."""
+    group, oracle = build_group(spec, cap=1000), loop_build_group(spec)
     assert group.name == oracle.name
     assert group.mul_table == oracle.mul_table
     assert group.generators == oracle.generators

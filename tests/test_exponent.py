@@ -143,10 +143,16 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
     report = verify_main_theorem(16)
     derived = (table_of_marks(lattice).rows, dress_congruences(lattice), weyl_congruences(lattice))
     kernels = {table_of_marks, dress_congruences, weyl_congruences}
+    # the class and marks records are named tuples, equal to their plain tuples
+    records = (*lattice.classes, table_of_marks(lattice))
+    plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]
+    assert list(records) == plain + [(derived[0],)]
     round_trips = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
     for round_trip in round_trips:
         assert round_trip(result) == result
         assert round_trip(report) == report
+        assert round_trip(records) == records
+        assert [type(r) for r in round_trip(records)] == [type(r) for r in records]
         clone = round_trip(lattice)
         # the cache comes along, keyed by the exported kernels
         assert set(clone._derived) == kernels

@@ -18,6 +18,7 @@ from _oracles import (
 from burnside import (
     CapExceededError,
     FiniteGroup,
+    GroupSpec,
     Subgroup,
     build_group,
     direct_product,
@@ -73,6 +74,17 @@ def test_rejects_non_bijective_generator():
 def test_rejects_closure_beyond_cap():
     with pytest.raises(CapExceededError):
         group_from_perm_generators(3, S3_GENS, order_cap=4)
+
+
+def test_build_group_checks_the_cap_before_building_a_table():
+    """A catalog order over the cap is rejected before its table exists,
+    as a perm closure stops at it; a product is checked on its whole order."""
+    spec = GroupSpec("cyclic", (2, 11))
+    with pytest.raises(CapExceededError, match="^group order 2048 exceeds the enumeration cap 256$"):
+        build_group(spec)
+    assert build_group(spec, cap=2048).order == 2048
+    with pytest.raises(CapExceededError, match="^group order 512 exceeds the enumeration cap 256$"):
+        build_group(parse_group_spec("D16xC(2^5)"))
 
 
 def test_element_orders():
@@ -332,10 +344,10 @@ def _built_groups():
     """Every kind of table the package builds without the public checks:
     catalog specs, products of specs, perm closures, and the direct
     product of two perm groups."""
-    for text in BUILT_SPECS:
-        yield text, build_group(parse_group_spec(text))
+    for text in BUILT_SPECS:  # ES+(7) and ES-(7), of order 343, are over the default cap
+        yield text, build_group(parse_group_spec(text), cap=1000)
     s6 = ROOT / "tests" / "data" / "s6.perm"
-    yield "S6", build_group(parse_group_spec(f"perm:{s6}"), perm_order_cap=1000)
+    yield "S6", build_group(parse_group_spec(f"perm:{s6}"), cap=1000)
     s3 = group_from_perm_generators(3, S3_GENS)
     yield "S3xS4", direct_product(s3, group_from_perm_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]))
 

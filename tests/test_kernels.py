@@ -120,6 +120,15 @@ def _assert_matches_oracles(group):
             for sub in cls.members:
                 assert sub.mask == sum(1 << x for x in sub.elements)
                 assert class_index_of(lat, sub) == cls.class_index
+    # every walk, kept by enumeration or made on demand, is in class order
+    # with U's own row first
+    for sub in lattice.all_subgroups:
+        lattice.walk(sub)
+    assert len(lattice.walks) == len(lattice.all_subgroups)
+    for u_mask, walk in lattice.walks.items():
+        classes = [c for _, c, _ in walk]
+        assert walk[0] == (u_mask, lattice._class_by_mask[u_mask], 1)
+        assert classes == sorted(classes)
 
 
 def _census_row(lattice):
