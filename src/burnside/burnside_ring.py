@@ -189,17 +189,15 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     """
     classes = lattice.classes
     order = lattice.group.order
+    orders = [cls.order for cls in classes]
     reps = [cls.representative.mask for cls in classes]
     tails: list[list[tuple[int, int]]] = [[] for _ in classes]
     diagonal = []
-    smaller = 0  # classes[:smaller] are the classes of order below the current one
     for j, cls_j in enumerate(classes):
-        while classes[smaller].order < cls_j.order:
-            smaller += 1
         masks = [m.mask for m in cls_j.members]
-        per_conjugate = order // (len(masks) * cls_j.order)
+        per_conjugate = order // (len(masks) * orders[j])
         diagonal.append(per_conjugate)
-        below = reps[:smaller]
+        below = reps[:bisect_left(orders, orders[j])]  # the classes of smaller order
         contained = [i for mask in masks for i, r in enumerate(below) if r & mask == r]
         for i, conjugates in Counter(contained).items():
             tails[i].append((j, conjugates * per_conjugate))
