@@ -96,10 +96,11 @@ class SubgroupLattice:
     p-group, where every maximal subgroup is normal of index p, they are
     all of its covers. The constructor takes a dict of walks as (mask,
     count) rows, resolves and sorts them in place and keeps the dict;
-    ``walk`` reads one, walking a subgroup whose walk is not kept yet. Data derived from the whole lattice (the table of marks, the
-    pair and the Weyl congruences) is built on first use and kept in one
-    cache, filled only through ``lattice_cached``. Nothing the lattice
-    keeps refers back to it, so reference counting frees it.
+    ``walk`` reads one, walking a subgroup whose walk is not kept yet.
+    Data derived from the whole lattice (the table of marks, the pair and
+    the Weyl congruences) is built on first use and kept in one cache,
+    filled only through ``lattice_cached``. Nothing the lattice keeps
+    refers back to it, so reference counting frees it.
     """
 
     __slots__ = (
