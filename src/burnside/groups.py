@@ -24,7 +24,7 @@ from contextlib import suppress
 from itertools import chain
 from math import prod
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # default order cap of subgroup enumeration and of permutation closure, one
 # value so that a permutation group closed under it is one enumeration takes
@@ -104,6 +104,8 @@ class FiniteGroup:
     ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements of <x>, up
     to x^(n-1) = x^-1 for the order n of x, walked once down column x
     (y -> yx); the walk returns to 1 as the column is a permutation.
+    ``generators`` (None when unknown) is never checked to generate the
+    group, and subgroup enumeration does not read it.
     """
 
     __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "powers", "_abelian")
@@ -155,25 +157,10 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-# bytes.translate table turning 0/1 flags into the binary digits "0"/"1"
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def subgroup_mask(elements: Collection[int]) -> int:
+def subgroup_mask(elements: Iterable[int]) -> int:
     """The bitmask of a set of element ids: bit x is set iff x is in the set.
-
-    The set is written as 0/1 flags, which are parsed as one binary
-    numeral in C; that is several times faster than or-ing in one
-    shifted bit per element. Raises ValueError on a negative id.
-    """
-    if not elements:
-        return 0
-    if min(elements) < 0:
-        raise ValueError("element ids must be nonnegative")
-    flags = bytearray(max(elements) + 1)
-    for x in elements:
-        flags[x] = 1
-    return int(flags.translate(_BIT_DIGITS)[::-1], 2)
+    Raises ValueError on a negative id."""
+    return sum(map((1).__lshift__, set(elements)))
 
 
 def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -193,9 +180,18 @@ class Subgroup:
     __slots__ = ("elements", "mask")
 
     def __init__(self, elements: Iterable[int]) -> None:
-        elems = tuple(sorted({int(x) for x in elements}))
-        self.mask = subgroup_mask(elems)
-        self.elements = elems
+        members = {int(x) for x in elements}
+        self.mask = subgroup_mask(members)
+        self.elements = tuple(sorted(members))
+
+    @classmethod
+    def _of(cls, members: frozenset[int]) -> Subgroup:
+        """The subgroup with the given element ids, known to be nonnegative
+        ints, as enumeration finds them: no id is converted or checked."""
+        sub = cls.__new__(cls)
+        sub.elements = tuple(sorted(members))
+        sub.mask = sum(map((1).__lshift__, members))
+        return sub
 
     @property
     def member_set(self) -> frozenset[int]:
@@ -234,10 +230,13 @@ def product_table(
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
-    """Direct product with element ids packed as a*|G2| + b."""
-    gens = [g * g2.order for g in g1.generators or ()] + list(g2.generators or ())
+    """Direct product with element ids packed as a*|G2| + b. Its generators
+    are known only when both factors' are."""
+    gens = None
+    if g1.generators is not None and g2.generators is not None:
+        gens = [g * g2.order for g in g1.generators] + list(g2.generators)
     table = product_table(g1.mul_table, g2.mul_table)
-    return FiniteGroup._from_valid_table(name or f"{g1.name}x{g2.name}", table, gens or None)
+    return FiniteGroup._from_valid_table(name or f"{g1.name}x{g2.name}", table, gens)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -8,16 +8,18 @@ is the whole group.
 
 Enumeration joins one member H of each conjugacy class; the orbit pass
 that first finds a class registers every other member, conjugates are
-never joined. The orbit pass also yields N(H), and H is joined with the
+never joined. A normal H, found by conjugating its generators, skips the
+orbit pass. The orbit pass also yields N(H), and H is joined with the
 elements of N(H) by walking it (``_walk``): one row per cyclic subgroup
 of N(H)/H, each the union of the cosets v^k H, with no closure. Only the
-double cosets HgH outside N(H) are joined by closure (``_coset_join``).
-The walks are the lattice's cyclic data: kept as plain rows in class
-order on the lattice, they give the Weyl and pair congruences their
-terms, and a conjugate that was not walked is walked on demand.
-Each subgroup is one ``Subgroup``, built with its bitmask when the orbit
-pass finds it and shared by the classes and the lattice; every member's
-normalizer is a reference to the lattice's own ``Subgroup``.
+double cosets HgH outside N(H) are joined by closure (``_coset_join``),
+and in a p-group not even those. The walks are the lattice's cyclic
+data: kept as plain rows in class order on the lattice, they give the
+Weyl and pair congruences their terms, and a conjugate that was not
+walked is walked on demand. Each subgroup is one ``Subgroup``, built
+once with its bitmask when its class is found and shared by the classes
+and the lattice; every member's normalizer is a reference to the
+lattice's own ``Subgroup``.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ class SubgroupLattice:
         <v, U> put in between, sorted by class. The sort is stable, and U's
         class is the least in its walk, so U stays first."""
         class_of = self._class_by_mask
-        return tuple(sorted([(j, class_of[j], count) for j, count in rows], key=itemgetter(1)))
+        walk = [(j, class_of[j], count) for j, count in rows]
+        walk.sort(key=itemgetter(1))
+        return tuple(walk)
 
     def __repr__(self) -> str:
         return (
@@ -273,8 +277,13 @@ def enumerate_subgroups(
     conjugate gHg^-1 as found, and only H joins further. That loses no
     class, since if K = <H, c> and R = xHx^-1 is the member of H's class
     that joins, then xKx^-1 = <R, xcx^-1>. The orbit pass also gives
-    N(H), the set of elements fixing H under conjugation (G throughout
-    when the group is abelian).
+    N(H), the set of elements fixing H under conjugation. It is skipped
+    when H is normal (its orbit is {H} and N(H) = G): always when the
+    group is abelian, and else when s h s^-1 is in H for every h in the
+    generators H was found from and every s in one generator of each
+    cyclic subgroup (read off the trivial subgroup's walk, below), which
+    together generate G. ``group.generators`` is never read, as nothing
+    checks it.
 
     The joins with g in N(H) are read off H's walk over N(H) (``_walk``),
     with no closure: <H, g> is the preimage of the cyclic subgroup <gH> of
@@ -286,9 +295,13 @@ def enumerate_subgroups(
     candidate per double coset outside N(H) is tried, replaced by an
     element y of largest order in Hc. That join is built coset-wise (see
     ``_coset_join``) from the elements of H or of <y>, whichever is
-    larger. A normal H (N(H) = G) has no such double coset. The dedupe
-    key of the joins is the element set, kept only while the enumeration
-    runs. Each joining member's walk is kept on the lattice
+    larger. A normal H (N(H) = G) has no such double coset, and a p-group
+    tries none: there every K != 1 has a maximal subgroup H, normal of
+    index p, and for the member R = xHx^-1 that joins, xKx^-1 <= N(R) is
+    <R, v> for any v in xKx^-1 outside R, a row of R's walk, so by
+    induction on |K| the walks alone find every class. The dedupe key of
+    the joins is the element set, kept only while the enumeration runs.
+    Each joining member's walk is kept on the lattice
     (``SubgroupLattice.walks``), so every class has a walked member. N(H)
     may be found after H, so every member's normalizer is looked up once
     the joins are done. Groups larger than the cap are rejected.
@@ -313,10 +326,14 @@ def enumerate_subgroups(
 
     def find_class(fs: frozenset[int], gens: tuple[int, ...]) -> Subgroup:
         """Register H and every conjugate gHg^-1 as found; queue H to join."""
-        sub = found[fs] = Subgroup(fs)
+        sub = found[fs] = Subgroup._of(fs)
         orbit = {fs: 0}
-        fixing: Sequence[int] = everything  # in an abelian group, N(H) = G
-        if not abelian:
+        fixing: Sequence[int] = everything  # N(H) = G when H is normal
+        # H is normal iff s h s^-1 is in H for s and h in generating sets
+        # of G and H; the candidates generate G (none yet for H = 1)
+        if not abelian and not all(
+            fs.issuperset(map(conj, map(row, gens))) for row, conj in conjugators
+        ):
             # gHg^-1 depends only on the left coset gH, and the cosets
             # that fix H make up N(H)
             fixing = []
@@ -325,29 +342,36 @@ def enumerate_subgroups(
                 conj = frozenset(map(columns[inv[g]].__getitem__, coset))
                 if conj not in orbit:
                     orbit[conj] = g
-                    found[conj] = Subgroup(conj)
+                    found[conj] = Subgroup._of(conj)
                 if conj == fs:
                     fixing.extend(coset)
             fixing.sort()
         orbits.append((fs, orbit, fixing, gens))
         return sub
 
-    find_class(frozenset((IDENTITY,)), ())
     candidates: list[int] = []  # one generator of each cyclic subgroup but 1
+    # (row s, column s^-1) of each candidate s: x -> sx and x -> x s^-1
+    conjugators: list[tuple[Callable[[int], int], Callable[[int], int]]] = []
+    # in a p-group the walks alone find every class (see the docstring)
+    p_group = prime_power(order) is not None
+    find_class(frozenset((IDENTITY,)), ())
     # joining member's mask -> its walk, as (mask of <v, H>, coset count)
     walks: dict[int, list[tuple[int, int]]] = {}
     for fs, _, within, gens in orbits:  # grows as the joins find classes
         sub = found[fs]
         rows = _walk(group, sub.elements, within)
+        if not gens:  # H = 1, walked over G: one row per cyclic subgroup
+            candidates = [v for _, _, v in rows[1:]]
+            conjugators = [
+                (table[s].__getitem__, columns[inv[s]].__getitem__) for s in candidates
+            ]
         walk = walks[sub.mask] = []
         for joined, count, v in rows:
             known = found.get(joined)
             if known is None:
                 known = find_class(joined, gens + (v,))
             walk.append((known.mask, count))
-        if not gens:  # H = 1, walked over G: one row per cyclic subgroup
-            candidates = [v for _, _, v in rows[1:]]
-        if len(within) == order:
+        if p_group or len(within) == order:
             continue
         elements = sub.elements
         left_coset = entries_at(elements)

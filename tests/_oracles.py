@@ -155,15 +155,17 @@ def loop_direct_product(
                 col = a2 * o2
                 for b2 in range(o2):
                     row[col + b2] = base + r2[b2]
-    gens: list[int] = []
-    for g in g1.generators or ():
-        gens.append(g * o2)
-    for g in g2.generators or ():
-        gens.append(g)
+    gens: list[int] | None = None  # known only when both factors' are
+    if g1.generators is not None and g2.generators is not None:
+        gens = []
+        for g in g1.generators:
+            gens.append(g * o2)
+        for g in g2.generators:
+            gens.append(g)
     return FiniteGroup(
         name or f"{g1.name}x{g2.name}",
         table,
-        generators=gens or None,
+        generators=gens,
     )
 
 

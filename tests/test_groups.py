@@ -9,6 +9,7 @@ from _oracles import (
     conjugate_subgroup,
     generated_subgroup,
     is_closed_subset,
+    loop_direct_product,
     loop_element_order,
     loop_perm_table,
     loop_power,
@@ -31,7 +32,7 @@ from burnside import (
 )
 from burnside import catalog as catalog_module
 from burnside import groups as groups_module
-from burnside.groups import check_enumeration_cap
+from burnside.groups import check_enumeration_cap, subgroup_mask
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
 
@@ -221,6 +222,10 @@ def test_subgroup_carries_its_bitmask():
     assert Subgroup([]).mask == 0
     with pytest.raises(ValueError):
         Subgroup([-1, 0])
+    assert subgroup_mask([4, 0, 2, 2, 4, 0]) == 0b10101
+    assert subgroup_mask([]) == 0
+    with pytest.raises(ValueError):
+        subgroup_mask([3, -1, 0])
 
 
 def test_subgroup_validation():
@@ -239,6 +244,19 @@ def test_direct_product_structure():
     assert prod.order == 24
     assert not prod.is_abelian()
     verify_group_axioms(prod, generators=prod.generators)
+
+
+def test_direct_product_generators_need_both_factors():
+    """A factor built with no generators leaves the product's unknown, so
+    the other factor's alone are not claimed to generate it."""
+    c3 = FiniteGroup("C3", [[(a + b) % 3 for b in range(3)] for a in range(3)])
+    c2 = build_group(parse_group_spec("C2"))
+    for product in (direct_product, loop_direct_product):
+        assert product(c3, c2).generators is None
+        assert product(c2, c3).generators is None
+        known = product(build_group(parse_group_spec("C3")), c2)
+        assert known.generators == (2, 1)
+        assert generated_subgroup(known, known.generators).order == 6
 
 
 def test_verify_group_axioms_rejects_bad_table():

@@ -12,6 +12,7 @@ from _oracles import (
 )
 from burnside import (
     CapExceededError,
+    FiniteGroup,
     Subgroup,
     build_group,
     enumerate_subgroups,
@@ -22,8 +23,10 @@ from burnside import (
     parse_group_spec,
     parse_permutation_file,
     select_family,
+    standard_catalog,
     SubgroupFamily,
 )
+from burnside.arith import prime_power
 
 ORACLE_GROUPS = [
     "C1",
@@ -42,7 +45,10 @@ ORACLE_GROUPS = [
     "C4xC4",
 ]
 
-S5_FILE = "degree 5\n(0 1 2 3 4)\n(0 1)\n"
+PERM_FILES = {
+    "S4": "degree 4\n(0 1 2 3)\n(0 1)\n",
+    "S5": "degree 5\n(0 1 2 3 4)\n(0 1)\n",
+}
 
 
 @pytest.mark.parametrize("text", ORACLE_GROUPS)
@@ -233,15 +239,8 @@ def test_symmetric_group_lattices():
     assert sum(1 for c in lattice.classes if not c.is_normal) == 7
 
 
-@pytest.mark.parametrize("name, most", [("D(128)", 250), ("S5", 160)])
-def test_enumeration_joins_one_subgroup_per_class(name, most, monkeypatch):
-    """Conjugates are registered by the orbit pass, never joined: D(128)
-    has 134 subgroups in 20 classes, S5 156 in 19. Joining every subgroup
-    found tries 2808 and 1510 joins."""
-    if name == "S5":
-        group = group_from_perm_generators(*parse_permutation_file(S5_FILE))
-    else:
-        group = build_group(parse_group_spec(name))
+def _enumeration_joins(group, monkeypatch):
+    """The closure joins that enumerating the group makes."""
     joins = []
     coset_join = lattice_module._coset_join
 
@@ -251,7 +250,49 @@ def test_enumeration_joins_one_subgroup_per_class(name, most, monkeypatch):
 
     monkeypatch.setattr(lattice_module, "_coset_join", counting)
     enumerate_subgroups(group)
-    assert 0 < len(joins) <= most
+    return joins
+
+
+@pytest.mark.parametrize("name, most", [("S4", 15), ("S5", 160)])
+def test_enumeration_joins_one_subgroup_per_class(name, most, monkeypatch):
+    """Conjugates are registered by the orbit pass, never joined: S5 has
+    156 subgroups in 19 classes, and joining every subgroup found tries
+    1510 joins. S4 (30 subgroups in 11 classes) is solvable but not a
+    p-group, so its walks alone do not find every class either."""
+    group = group_from_perm_generators(*parse_permutation_file(PERM_FILES[name]))
+    assert 0 < len(_enumeration_joins(group, monkeypatch)) <= most
+
+
+NONABELIAN_P_GROUPS = [
+    spec.text()
+    for spec in standard_catalog(128)
+    if not spec.is_abelian() and prime_power(spec.order()) is not None
+]
+
+
+@pytest.mark.parametrize("name", NONABELIAN_P_GROUPS)
+def test_p_groups_close_no_joins(name, monkeypatch):
+    """In a p-group the walks find every class: D(128), with 134 subgroups
+    in 20 classes, made 114 joins when the double cosets were joined."""
+    group = build_group(parse_group_spec(name))
+    assert _enumeration_joins(group, monkeypatch) == []
+
+
+@pytest.mark.parametrize("generators", [[1], None])
+@pytest.mark.parametrize("text", ["D16", "SD(16)", "ES+(3)"])
+def test_enumeration_does_not_read_the_generators(text, generators, lattice_of):
+    """The public constructor never checks ``generators``: a list that does
+    not generate the group, or none, gives the catalog-built lattice."""
+    built = lattice_of(text)
+    lattice = enumerate_subgroups(FiniteGroup(text, built.group.mul_table, generators=generators))
+    assert lattice.classes == built.classes
+    assert [m.mask for c in lattice.classes for m in c.members] == [
+        m.mask for c in built.classes for m in c.members
+    ]
+    assert lattice.all_subgroups == built.all_subgroups
+    for sub in built.all_subgroups:
+        assert lattice.normalizer(sub) == built.normalizer(sub)
+        assert lattice.walk(sub) == built.walk(sub)
 
 
 def test_subgroup_masks_and_class_lookup(lattice_of):
