@@ -258,7 +258,7 @@ def test_enumeration_joins_one_subgroup_per_class(name, most, monkeypatch):
     """Conjugates are registered by the orbit pass, never joined: S5 has
     156 subgroups in 19 classes, and joining every subgroup found tries
     1510 joins. S4 (30 subgroups in 11 classes) is solvable but not a
-    p-group, so its walks alone do not find every class either."""
+    p-group, so it still tries the double-coset joins."""
     group = group_from_perm_generators(*parse_permutation_file(PERM_FILES[name]))
     assert 0 < len(_enumeration_joins(group, monkeypatch)) <= most
 
