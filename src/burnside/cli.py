@@ -4,8 +4,8 @@ verify-main-theorem.
 Output is deterministic: JSON payloads use sorted keys and the canonical
 class order, so running a subcommand twice on the same input is
 byte-identical. Exit codes: 0 success, 1 domain error (bad spec, cap
-exceeded) or closed output pipe, 2 usage error, 3 when verify-main-theorem
-finds at least one disagreement row, 130 on interrupt.
+exceeded), memory exhausted or closed output pipe, 2 usage error, 3 when
+verify-main-theorem finds at least one disagreement row, 130 on interrupt.
 """
 
 from __future__ import annotations
@@ -336,6 +336,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # the frames that held the memory are unwound, so printing can work
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

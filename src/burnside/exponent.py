@@ -3,12 +3,12 @@
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
 ring element. The Weyl congruences give it (Dress's characterisation),
-with no marks solve. The pair congruences check it and give the divisor
-witnesses of the certificate, built only when ``divisor_witnesses`` is
-called. A closed-form table (abelian index formula, the
-quaternion/dihedral/semidihedral special values, and the order-over-p
-fallback) is implemented separately so brute force can be compared
-against it group by group.
+with no marks solve, and the same rows give the divisor witnesses of its
+certificate; neither reads the pair congruences, whose agreement with
+the Weyl rows the tests check. A closed-form table (abelian index
+formula, the quaternion/dihedral/semidihedral special values, and the
+order-over-p fallback) is implemented separately so brute force can be
+compared against it group by group.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .arith import divisors, prime_power
 from .burnside_ring import (
     CongruenceViolation,
     GhostVector,
-    dress_membership,
     least_multiplier,
     violation_rows,
     weyl_congruences,
@@ -53,9 +52,11 @@ class DivisorWitness(NamedTuple):
 class ExponentResult(NamedTuple):
     """An Artin exponent, computed from the Weyl congruences.
 
-    ``divisor_witnesses`` checks it against the pair congruences and gives
-    its certificate from the lattice. ``method`` is the label that the JSON
-    output prints, "marks+dress". A named tuple: it equals the plain tuple
+    ``divisor_witnesses`` gives its certificate from the same rows of the
+    lattice. ``method`` is the label that the JSON output prints,
+    "marks+dress"; it stays so, though the marks are not read, because
+    acceptance criterion 4 (``tests/test_acceptance.py``) reads it. A
+    named tuple: it equals the plain tuple
     (exponent, family, family_classes, method).
     """
 
@@ -83,8 +84,8 @@ def artin_exponent(
     rows that the indicator violates: the lcm of w_U / gcd(s_U, w_U) over
     the family classes U, with w_U = |N(U) : U| and s_U the cosets gU in
     N(U)/U with <g, U> in the family. A row outside the family sums to 0,
-    as each family is closed under subgroups. ``divisor_witnesses`` builds
-    the pair congruences for the certificate.
+    as each family is closed under subgroups. ``divisor_witnesses`` reads
+    the same rows for the certificate.
     """
     b = indicator_vector(lattice, family)
     violations = violation_rows(weyl_congruences(lattice), b.values)
@@ -100,36 +101,27 @@ def divisor_witnesses(
     lattice: SubgroupLattice, result: ExponentResult
 ) -> tuple[DivisorWitness, ...]:
     """The certificate of an exponent that ``artin_exponent`` computed on
-    this lattice: one pass over the pair congruences the indicator violates.
+    this lattice, read from the same Weyl rows.
 
-    Their ``least_multiplier`` must give the exponent of the Weyl rows
-    again, or this raises RuntimeError. For every proper divisor d of the
-    exponent the pass records the first congruence that d times the
-    indicator violates, and the witnesses come sorted by divisor. A result
-    whose family classes are not this lattice's raises ValueError.
+    For each proper divisor d of the exponent, in ascending order, the
+    witness is the first row that d times the indicator violates: the row
+    of a class U, with v_class the class of N(U). The exponent is the lcm
+    of the rows' quotients w_U / gcd(s_U, w_U), so each proper divisor
+    misses one of them and has a witness. A result whose family classes
+    or exponent are not this lattice's raises ValueError.
     """
-    if result.family_classes != select_family(lattice, result.family):
-        raise ValueError("the exponent was not computed on this lattice")
-    exponent = result.exponent
     b = indicator_vector(lattice, result.family)
-    violations = dress_membership(lattice, b).violations
-    confirmed = least_multiplier((total, index) for _, _, index, total, _ in violations)
-    if confirmed != exponent:
-        raise RuntimeError(
-            f"membership routes disagree: Weyl congruences give {exponent}, "
-            f"pair congruences give {confirmed}"
-        )
-    witnesses: list[DivisorWitness] = []
-    pending = divisors(exponent)[:-1]
-    for u_class, v_class, index, total, _ in violations:
-        for d in pending:
-            if d * total % index:
-                violation = CongruenceViolation(
-                    u_class, v_class, index, d * total, d * total % index
-                )
-                witnesses.append(DivisorWitness(d, violation))
-        pending = [d for d in pending if d * total % index == 0]
-    witnesses.sort(key=lambda w: w.divisor)
+    violations = violation_rows(weyl_congruences(lattice), b.values)
+    exponent = result.exponent
+    read = least_multiplier((total, index) for _, _, index, total, _ in violations)
+    if result.family_classes != select_family(lattice, result.family) or read != exponent:
+        raise ValueError("the exponent was not computed on this lattice")
+    witnesses = []
+    for d in divisors(exponent)[:-1]:
+        # the check above leaves a row whose quotient d misses
+        u_class, v_class, index, total, _ = next(r for r in violations if d * r[3] % r[2])
+        violation = CongruenceViolation(u_class, v_class, index, d * total, d * total % index)
+        witnesses.append(DivisorWitness(d, violation))
     return tuple(witnesses)
 
 

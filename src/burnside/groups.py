@@ -11,7 +11,7 @@ is not immutable: on first use it fills one lazy cache (table of marks,
 pair and Weyl congruences) and walks of the subgroups that enumeration
 did not walk over their normalizers. The only other cache is a ghost
 vector's first marks solve; an ``ExponentResult`` keeps no lattice, and
-``divisor_witnesses`` reads the lattice's pair congruences. A lattice
+``divisor_witnesses`` reads the lattice's Weyl congruences. A lattice
 copies and pickles with its cache, a vector without. The values are
 deterministic, so threads sharing a lattice or a vector see the same
 results, but concurrent first calls may each compute them.
@@ -87,28 +87,54 @@ def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
     for x, column in enumerate(columns):
         if column[table[x].index(IDENTITY)] != IDENTITY:
             raise ValueError(f"element {x} has no two-sided inverse")
+    _check_associative(table)
     return table, columns
+
+
+def _check_associative(table: tuple) -> None:
+    """Light's test: (x g) y = x (g y) for all x, y and every g of a set
+    whose left-to-right products reach every element. The g that pass are
+    closed under products, so the table is associative. The set is greedy:
+    an element not reached from the identity joins it, so a group needs at
+    most log2 of its order. Per x and g, the row of xg is compared with row
+    x read at the positions of row g."""
+    reached, gens = {IDENTITY}, []
+    for x in range(len(table)):
+        if x not in reached:
+            gens.append(x)
+            frontier = set(reached)
+            while frontier:
+                frontier = {table[h][g] for h in frontier for g in gens} - reached
+                reached |= frontier
+    for g in gens:
+        right = itemgetter(*table[g])
+        for x, row in enumerate(table):
+            if (left := table[row[g]]) != (product := right(row)):
+                y = next(y for y, (a, b) in enumerate(zip(left, product)) if a != b)
+                raise ValueError(f"associativity fails at ({x}, {g}, {y})")
 
 
 class FiniteGroup:
     """Finite group defined by a complete multiplication table.
 
-    The public constructor validates the table for shape, identity behaviour
-    and cancellation (each row and column is a permutation), but not
-    associativity, which is cubic in the order. Entries are kept as given
-    when they are all ints, else copied through ``int``. Package builders
-    pass int tables valid by construction to ``_from_valid_table``, which
-    checks nothing. Tests run the public checks and an associativity check
-    on each catalog table up to order 256 and on sample perm closures and
-    products. The group is abelian iff the table equals its transpose.
-    ``powers[x]`` is the tuple (1, x, x^2, ...) of the elements of <x>, up
-    to x^(n-1) = x^-1 for the order n of x, walked once down column x
-    (y -> yx); the walk returns to 1 as the column is a permutation.
-    ``generators`` (None when unknown) is never checked to generate the
-    group, and subgroup enumeration does not read it.
+    The public constructor validates the table for shape, identity behaviour,
+    cancellation (each row and column is a permutation), two-sided inverses
+    and associativity (Light's test). Entries are kept as given when they
+    are all ints, else copied through ``int``. Package builders pass int
+    tables valid by construction to ``_from_valid_table``, which checks
+    nothing. Tests run the public checks on each catalog table up to order
+    256 and on sample perm closures and products. ``columns`` is the
+    transposed table, kept for enumeration's right cosets and conjugates;
+    the group is abelian iff it equals the table, and then it is the table
+    object itself. ``powers[x]`` is the tuple (1, x, x^2, ...) of the
+    elements of <x>, up to x^(n-1) = x^-1 for the order n of x, walked
+    once down column x (y -> yx); the walk returns to 1 as the column is
+    a permutation. ``generators`` (None when unknown) is never checked to
+    generate the group, and subgroup enumeration does not read it.
     """
 
-    __slots__ = ("name", "order", "mul_table", "inv_table", "generators", "powers", "_abelian")
+    __slots__ = ("name", "order", "mul_table", "columns", "inv_table", "generators", "powers",
+                 "_abelian")
 
     def __init__(
         self,
@@ -131,6 +157,8 @@ class FiniteGroup:
         self.name = str(name)
         self.order = len(table)
         self.mul_table = table
+        self._abelian = columns == table
+        self.columns = table if self._abelian else columns
         self.generators = None if generators is None else tuple(int(g) for g in generators)
         powers = []
         for column in columns:
@@ -140,7 +168,6 @@ class FiniteGroup:
             powers.append(tuple(walk))
         self.powers = tuple(powers)
         self.inv_table = tuple(cycle[-1] for cycle in powers)
-        self._abelian = columns == table
 
     def power(self, x: int, k: int) -> int:
         """x^k for any integer k; negative k gives a power of x^-1."""

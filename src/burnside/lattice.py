@@ -310,7 +310,7 @@ def enumerate_subgroups(
     order = group.order
     table = group.mul_table
     abelian = group.is_abelian()
-    columns = table if abelian else tuple(zip(*table))  # the transposed table
+    columns = group.columns  # the transposed table
     inv = group.inv_table
     powers = group.powers
     element_order = [len(p) for p in powers]

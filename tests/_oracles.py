@@ -36,7 +36,8 @@ the library counts involutions, and ``class_index_of`` looks a
 subgroup's class up by its elements, which only tests need.
 ``family_rows`` counts each family class's Weyl row (w_U, s_U) from the
 multiplication table by a rule for each family, where the library sums
-the walks.
+the walks, and ``family_witnesses`` reads the exponent's certificate off
+those rows.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from burnside import (
     dress_membership,
     indicator_vector,
     is_elementary_abelian,
-    minimal_multiplier,
     table_of_marks,
 )
 from burnside.arith import divisors, is_prime, prime_power
@@ -600,26 +600,13 @@ def fraction_minimal_multiplier(lattice: SubgroupLattice, x: GhostVector) -> int
     return lcm(*(c.denominator for c in fraction_marks_solve(lattice, x)[1]))
 
 
-def divisor_search_exponent(
-    lattice: SubgroupLattice, family: SubgroupFamily
-) -> tuple[int, tuple[DivisorWitness, ...]]:
-    """Artin exponent and certificate by trying the divisors d of |G| in turn.
-
-    The exponent is the first d for which d times the family indicator
-    passes every Dress congruence. The certificate holds, for each proper
-    divisor of the exponent, the first congruence that d times the
-    indicator violates.
-    """
+def divisor_search_exponent(lattice: SubgroupLattice, family: SubgroupFamily) -> int:
+    """Artin exponent by trying the divisors d of |G| in turn: the first d
+    for which d times the family indicator passes every Dress congruence."""
     b = indicator_vector(lattice, family)
-    failed = []
     for d in divisors(lattice.group.order):
-        certificate = dress_membership(lattice, d * b)
-        if certificate.holds:
-            witnesses = (
-                DivisorWitness(f, violation) for f, violation in failed if d % f == 0
-            )
-            return d, tuple(witnesses)
-        failed.append((d, certificate.violations[0]))
+        if dress_membership(lattice, d * b).holds:
+            return d
     raise AssertionError("|G| times any indicator is a Burnside ring element")
 
 
@@ -692,6 +679,28 @@ def family_rows(
     return tuple(rows)
 
 
+def family_witnesses(
+    lattice: SubgroupLattice, family: SubgroupFamily
+) -> tuple[DivisorWitness, ...]:
+    """The certificate from the rows of ``family_rows``: for each proper
+    divisor d of the lcm of their quotients w_U / gcd(s_U, w_U), the first
+    row in class order with d*s_U not divisible by w_U, as the violation
+    (U, class of N(U), w_U, d*s_U, d*s_U mod w_U). N(U) is found by
+    conjugating U by every element (``normalizer``), and its class looked
+    up by its elements."""
+    group = lattice.group
+    rows = family_rows(lattice, family)
+    witnesses = []
+    for d in divisors(lcm(*(w // gcd(s, w) for _, w, s in rows)))[:-1]:
+        u_class, w, s = next(row for row in rows if d * row[2] % row[1])
+        norm = normalizer(group, lattice.classes[u_class].representative)
+        violation = CongruenceViolation(
+            u_class, class_index_of(lattice, norm), w, d * s, d * s % w
+        )
+        witnesses.append(DivisorWitness(d, violation))
+    return tuple(witnesses)
+
+
 def loop_dress_membership(
     lattice: SubgroupLattice, x: GhostVector
 ) -> CongruenceCertificate:
@@ -717,43 +726,18 @@ def loop_dress_membership(
     return CongruenceCertificate(holds=not violations, violations=tuple(violations))
 
 
-def loop_dress_exponent(
-    lattice: SubgroupLattice, family: SubgroupFamily
-) -> tuple[int, tuple[DivisorWitness, ...]]:
-    """Congruence-route exponent and certificate by a per-congruence loop.
-
-    Each congruence of index q and indicator sum s needs q / gcd(s, q) to
-    divide the exponent; for every proper divisor d of the marks-route
-    exponent, the witness is the first congruence that d times the
-    indicator violates.
-    """
-    b = indicator_vector(lattice, family)
-    values = b.values
+def loop_dress_exponent(lattice: SubgroupLattice, family: SubgroupFamily) -> int:
+    """Congruence-route exponent by a per-congruence loop: each pair
+    congruence of index q and indicator sum s needs q / gcd(s, q) to
+    divide the exponent, which is the lcm of those needs."""
+    values = indicator_vector(lattice, family).values
     confirmed = 1
-    pending = divisors(minimal_multiplier(lattice, b))[:-1]
-    witnesses = []
     for cong in dress_congruences(lattice):
         total = 0
         for cls, count in cong.terms:
             total += count * values[cls]
-        index = cong.index
-        need = index // gcd(total, index)
-        if need == 1:
-            continue
-        confirmed = lcm(confirmed, need)
-        for d in pending:
-            if d % need:
-                violation = CongruenceViolation(
-                    u_class=cong.u_class,
-                    v_class=cong.v_class,
-                    index=index,
-                    lhs_sum=d * total,
-                    residue=d * total % index,
-                )
-                witnesses.append(DivisorWitness(d, violation))
-        pending = [d for d in pending if d % need == 0]
-    witnesses.sort(key=lambda w: w.divisor)
-    return confirmed, tuple(witnesses)
+        confirmed = lcm(confirmed, cong.index // gcd(total, cong.index))
+    return confirmed
 
 
 def closure_enumerate_subgroups(

@@ -5,10 +5,9 @@ import pickle
 
 import pytest
 
-from _oracles import check_family_closure, divisor_search_exponent
+from _oracles import check_family_closure, divisor_search_exponent, family_witnesses
 from burnside import (
     CapExceededError,
-    Congruence,
     GhostVector,
     SubgroupFamily,
     abelian_closed_form_exponent,
@@ -27,7 +26,7 @@ from burnside import (
     verify_main_theorem,
     weyl_congruences,
 )
-from burnside import burnside_ring, exponent
+from burnside import exponent
 from burnside.arith import prime_power
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
@@ -166,10 +165,9 @@ def test_one_pass_exponent_matches_divisor_search(family, lattice_of):
     for spec in standard_catalog(64):
         lattice = lattice_of(spec.text())
         result = artin_exponent(lattice, family)
+        assert result.exponent == divisor_search_exponent(lattice, family), spec.text()
         certificate = divisor_witnesses(lattice, result)
-        assert (result.exponent, certificate) == divisor_search_exponent(
-            lattice, family
-        ), spec.text()
+        assert certificate == family_witnesses(lattice, family), spec.text()
 
 
 def test_exponent_one_iff_family_covers_everything(lattice_of):
@@ -305,14 +303,14 @@ def test_indicator_vector_values_are_zero_one(lattice_of):
         assert value == (1 if idx in selected else 0)
 
 
-def test_certificate_raises_when_the_pair_route_disagrees(lattice_of, monkeypatch):
+def test_certificate_refuses_an_exponent_its_rows_do_not_give(lattice_of):
+    """The Weyl rows of Q(8) give 4; a result claiming 8 on the same family
+    classes is not this lattice's, and never gets a certificate."""
     lattice = lattice_of("Q8")
     result = artin_exponent(lattice, EA)
-    # one pair congruence that no multiple of the indicator below 8 satisfies
-    skewed = (Congruence(0, lattice.class_count - 1, 8, ((0, 1),)),)
-    monkeypatch.setattr(burnside_ring, "dress_congruences", lambda _: skewed)
-    with pytest.raises(RuntimeError, match="Weyl congruences give 4, pair congruences give 8"):
-        divisor_witnesses(lattice, result)
+    with pytest.raises(ValueError, match="not computed on this lattice"):
+        divisor_witnesses(lattice, result._replace(exponent=8))
+    assert [w.divisor for w in divisor_witnesses(lattice, result)] == [1, 2]
 
 
 # Observed cyclic-family exponents by spec kind; every other catalog

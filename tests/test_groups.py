@@ -277,6 +277,28 @@ def test_verify_group_axioms_rejects_bad_table():
         verify_group_axioms(g)
 
 
+# Latin squares with identity 0 and two-sided inverses that are not
+# associative: the order-5 loop's "subgroups" have orders 2 and 4, and the
+# order-6 loop came from a seeded random search over such squares.
+NON_ASSOCIATIVE_LOOPS = {
+    "order5": ("01234", "10342", "24013", "32401", "43120"),
+    "order6": ("012345", "105234", "230451", "324510", "453102", "541023"),
+}
+
+
+@pytest.mark.parametrize("rows", NON_ASSOCIATIVE_LOOPS.values(), ids=list(NON_ASSOCIATIVE_LOOPS))
+def test_public_constructor_rejects_a_non_associative_loop(rows, monkeypatch):
+    table = [[int(c) for c in row] for row in rows]
+    with pytest.raises(ValueError, match=r"associativity fails at \(1, 1, 2\)"):
+        FiniteGroup("loop", table)
+    assert table[table[1][1]][2] != table[1][table[1][2]]
+    # every other public check passes
+    monkeypatch.setattr(groups_module, "_check_associative", lambda table: None)
+    loop = FiniteGroup("loop", table)
+    with pytest.raises(ValueError, match="associativity fails"):
+        verify_group_axioms(loop)
+
+
 def test_parse_permutation_cycles():
     assert parse_permutation("(0 1 2)(3 4)", 5) == (1, 2, 0, 4, 3)
     assert parse_permutation("()", 3) == (0, 1, 2)
@@ -385,6 +407,8 @@ def test_built_tables_pass_the_public_checks():
         assert group.inv_table == tuple(row.index(0) for row in group.mul_table), text
         assert checked.powers == group.powers, text
         assert checked.is_abelian() == group.is_abelian(), text
+        assert checked.columns == group.columns == tuple(zip(*group.mul_table)), text
+        assert (group.columns is group.mul_table) == group.is_abelian(), text
         assert checked.generators == group.generators, text
         assert type(group.mul_table) is tuple and all(type(r) is tuple for r in group.mul_table)
         verify_group_axioms(group, generators=group.generators)

@@ -39,6 +39,7 @@ from _oracles import (
     closure_weyl_congruences,
     element_walk_census,
     family_rows,
+    family_witnesses,
     ghost_of,
     loop_dress_exponent,
     loop_dress_membership,
@@ -388,11 +389,10 @@ def _assert_dress_route_matches_loops(lattice, vectors):
         )
     for family in SubgroupFamily:
         result = artin_exponent(lattice, family)
-        exponent, witnesses = loop_dress_exponent(lattice, family)
-        assert result.exponent == exponent
+        assert result.exponent == loop_dress_exponent(lattice, family)
         certificate = divisor_witnesses(lattice, result)
         assert [(w.divisor, _fields(w.violation)) for w in certificate] == [
-            (w.divisor, _fields(w.violation)) for w in witnesses
+            (w.divisor, _fields(w.violation)) for w in family_witnesses(lattice, family)
         ]
 
 
