@@ -92,6 +92,17 @@ GOLDEN_RUNS = [
     (("marks", "ES-(3)"), "marks-ESminus3.txt", 0),
     (("marks", "ES+(3)", "--json"), "marks-ESplus3.json", 0),
     (("lattice", "Q(64)", "--json"), "lattice-Q64.json", 0),
+    # not a p-group: no closed-form line, closed_form null
+    (("exponent", "D(8)xC3"), "exponent-D8xC3.txt", 0),
+    (("exponent", "D(8)xC3", "--json"), "exponent-D8xC3.json", 0),
+    # a family other than ea hides the closed form
+    (("exponent", "Q8", "--family", "all"), "exponent-Q8-all.txt", 0),
+    (("exponent", "Q8", "--family", "all", "--json"), "exponent-Q8-all.json", 0),
+    # a member: no first violated congruence
+    (("member", "C2", "--vector", "3,1"), "member-C2-3-1.txt", 0),
+    (("member", "C2", "--vector", "3,1", "--json"), "member-C2-3-1.json", 0),
+    (("verify-main-theorem", "--max-order", "4"), "verify-main-theorem-4.txt", 0),
+    (("verify-main-theorem", "--max-order", "4", "--json"), "verify-main-theorem-4.json", 0),
 ]
 
 
