@@ -98,17 +98,10 @@ def _cyclic_table(m: int) -> list[tuple[int, ...]]:
     return [ids[a:] + ids[:a] for a in ids]
 
 
-def _cyclic_group(m: int, name: str) -> FiniteGroup:
-    gens = [1] if m > 1 else []
-    return FiniteGroup._from_valid_table(name, _cyclic_table(m), gens)
-
-
 def _abelian_product_group(orders: Sequence[int], name: str) -> FiniteGroup:
-    # one table, not each partial product; the generator of factor i, 1
-    # there and 0 elsewhere, packs to the order of the factors after it
+    # one table, not each partial product
     table = reduce(product_table, map(_cyclic_table, orders), [(0,)])
-    gens = [prod(orders[i + 1 :]) for i in range(len(orders))]
-    return FiniteGroup._from_valid_table(name, table, gens)
+    return FiniteGroup._from_valid_table(name, table)
 
 
 def _cyclic_extension(
@@ -141,14 +134,14 @@ def _extraspecial_plus_group(p: int, name: str) -> FiniteGroup:
     # which sends (y, z) to (y, z + y).
     twist = tuple(y * p + (z + y) % p for y in range(p) for z in range(p))
     table = _cyclic_extension(product_table(_cyclic_table(p), _cyclic_table(p)), p, twist)
-    return FiniteGroup._from_valid_table(name, table, [p * p, p])
+    return FiniteGroup._from_valid_table(name, table)
 
 
 def _extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
     # <g> = C_(p^2) extended by h of order p with h g h^-1 = g^(1+p)
     twist = tuple(c * (1 + p) % (p * p) for c in range(p * p))
     table = _cyclic_extension(_cyclic_table(p * p), p, twist)
-    return FiniteGroup._from_valid_table(name, table, [1, p * p])
+    return FiniteGroup._from_valid_table(name, table)
 
 
 class _Kind(NamedTuple):
@@ -175,7 +168,7 @@ def _two_generator_kind(
         m = order // 2
         r, shift = twist(m), m // 2 if quaternion else 0
         table = _cyclic_extension(_cyclic_table(m), 2, tuple(c * r % m for c in range(m)), shift)
-        return FiniteGroup._from_valid_table(name, table, [1, m])
+        return FiniteGroup._from_valid_table(name, table)
 
     return _Kind(
         lambda order: None
@@ -212,7 +205,7 @@ _KINDS: dict[str, _Kind] = {
         lambda p, n: ((p, n),),
         lambda p, n: f"C({p}^{n})" if n else "C1",
         lambda p, n: True,
-        lambda name, cap, p, n: _cyclic_group(p ** n, name),
+        lambda name, cap, p, n: FiniteGroup._from_valid_table(name, _cyclic_table(p ** n)),
         factors=lambda p, n: (p ** n,) if n else (),
     ),
     "elementary_abelian": _Kind(

@@ -1,9 +1,10 @@
 """Command-line interface: catalog, lattice, marks, member, exponent,
 verify-main-theorem.
 
-Output is deterministic: JSON payloads use sorted keys and the canonical
-class order, so running a subcommand twice on the same input is
-byte-identical. Exit codes: 0 success, 1 domain error (bad spec, cap
+Each subcommand builds one payload: ``--json`` prints it in an envelope,
+and the text output is rendered from that same payload. Output is
+deterministic: JSON payloads use sorted keys and the canonical class
+order, so running a subcommand twice on the same input is byte-identical. Exit codes: 0 success, 1 domain error (bad spec, cap
 exceeded), memory exhausted or closed output pipe, 2 usage error, 3 when
 verify-main-theorem finds at least one disagreement row, 130 on interrupt.
 """
@@ -62,51 +63,52 @@ def _lattice_for(spec_text: str) -> SubgroupLattice:
     return enumerate_subgroups(group, cap=cap)
 
 
-def _emit_json(command: str, group_spec: str | None, payload) -> None:
-    import json  # imported here: only --json output needs it, not start-up
+def _emit(args: argparse.Namespace, command: str, group_spec: str | None, payload, text) -> None:
+    """Print the payload: as the JSON envelope under ``--json``, else as the
+    lines that ``text(payload)`` renders from it."""
+    if args.json:
+        import json  # imported here: only --json output needs it, not start-up
 
-    envelope = {
-        "command": command,
-        "group_spec": group_spec,
-        "payload": payload,
-        "tool_version": __version__,
-    }
-    print(json.dumps(envelope, sort_keys=True, indent=2))
-
-
-def _violation_payload(v: CongruenceViolation) -> dict:
-    return {
-        "u_class": v.u_class,
-        "v_class": v.v_class,
-        "index": v.index,
-        "sum": v.lhs_sum,
-        "residue": v.residue,
-    }
+        envelope = {
+            "command": command,
+            "group_spec": group_spec,
+            "payload": payload,
+            "tool_version": __version__,
+        }
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+    else:
+        for line in text(payload):
+            print(line)
 
 
-def _violation_text(v: CongruenceViolation) -> str:
-    return (
-        f"U class {v.u_class}, V class {v.v_class}, index {v.index}, "
-        f"sum {v.lhs_sum}, residue {v.residue}"
-    )
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+# the JSON keys of a CongruenceViolation's fields, in field order, and the
+# text line rendered from them
+_VIOLATION_KEYS = ("u_class", "v_class", "index", "sum", "residue")
+_VIOLATION_TEXT = (
+    "U class {u_class}, V class {v_class}, index {index}, sum {sum}, residue {residue}"
+)
+
+
+def _violation(v: CongruenceViolation) -> dict:
+    return dict(zip(_VIOLATION_KEYS, v))
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    specs = standard_catalog(args.max_order)
-    if args.json:
-        payload = [
-            {
-                "spec": s.text(),
-                "order": s.order(),
-                "abelian": s.is_abelian(),
-            }
-            for s in specs
-        ]
-        _emit_json("catalog", None, payload)
-    else:
+    payload = [
+        {"spec": s.text(), "order": s.order(), "abelian": s.is_abelian()}
+        for s in standard_catalog(args.max_order)
+    ]
+
+    def text(specs):
         for s in specs:
-            abelian = "abelian" if s.is_abelian() else "nonabelian"
-            print(f"{s.text():<16} order {s.order():>4}  {abelian}")
+            abelian = "abelian" if s["abelian"] else "nonabelian"
+            yield f"{s['spec']:<16} order {s['order']:>4}  {abelian}"
+
+    _emit(args, "catalog", None, payload, text)
     return 0
 
 
@@ -123,37 +125,35 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         }
         for c in lattice.classes
     ]
-    if args.json:
-        _emit_json("lattice", args.group, {"group": lattice.group.name, "classes": rows})
-    else:
-        print(
-            f"{lattice.group.name}: {len(lattice.all_subgroups)} subgroups "
-            f"in {lattice.class_count} classes"
-        )
-        for r in rows:
-            print(
+
+    def text(p):
+        subgroups = sum(r["size"] for r in p["classes"])
+        yield f"{p['group']}: {subgroups} subgroups in {len(p['classes'])} classes"
+        for r in p["classes"]:
+            yield (
                 f"class {r['index']:>3}: order {r['order']:>4}, size {r['size']:>3}, "
-                f"normal={'yes' if r['normal'] else 'no'}, "
-                f"cyclic={'yes' if r['cyclic'] else 'no'}, "
-                f"elementary-abelian={'yes' if r['elementary_abelian'] else 'no'}"
+                f"normal={_yes(r['normal'])}, cyclic={_yes(r['cyclic'])}, "
+                f"elementary-abelian={_yes(r['elementary_abelian'])}"
             )
+
+    _emit(args, "lattice", args.group, {"group": lattice.group.name, "classes": rows}, text)
     return 0
 
 
 def cmd_marks(args: argparse.Namespace) -> int:
     lattice = _lattice_for(args.group)
-    entries = table_of_marks(lattice).entries
-    if args.json:
-        payload = {
-            "group": lattice.group.name,
-            "class_orders": [c.order for c in lattice.classes],
-            "matrix": [list(row) for row in entries],
-        }
-        _emit_json("marks", args.group, payload)
-    else:
-        width = max(len(str(v)) for row in entries for v in row)
-        for row in entries:
-            print(" ".join(f"{v:>{width}}" for v in row))
+    payload = {
+        "group": lattice.group.name,
+        "class_orders": [c.order for c in lattice.classes],
+        "matrix": table_of_marks(lattice).entries,
+    }
+
+    def text(p):
+        width = max(len(str(v)) for row in p["matrix"] for v in row)
+        for row in p["matrix"]:
+            yield " ".join(f"{v:>{width}}" for v in row)
+
+    _emit(args, "marks", args.group, payload, text)
     return 0
 
 
@@ -170,29 +170,28 @@ def cmd_member(args: argparse.Namespace) -> int:
     vector = _parse_vector(args.vector, lattice)
     certificate = dress_membership(lattice, vector)
     is_member, coefficients = marks_membership(lattice, vector)
-    first = certificate.violations[0] if certificate.violations else None
-    if args.json:
-        payload = {
-            "vector": list(vector.values),
-            "dress": {
-                "holds": certificate.holds,
-                "first_violation": None if first is None else _violation_payload(first),
-            },
-            "marks": {
-                "is_member": is_member,
-                "coefficients": [str(c) for c in coefficients],
-            },
-            "agree": certificate.holds == is_member,
-        }
-        _emit_json("member", args.group, payload)
-    else:
-        print(f"vector: {','.join(str(v) for v in vector.values)}")
-        verdict = "member" if certificate.holds else "not a member"
-        print(f"congruence test: {verdict}")
-        print(f"marks test: {'member' if is_member else 'not a member'}")
-        print("coefficients: " + ", ".join(str(c) for c in coefficients))
-        if first is not None:
-            print(f"first violated congruence: {_violation_text(first)}")
+    violations = certificate.violations
+    payload = {
+        "vector": list(vector.values),
+        "dress": {
+            "holds": certificate.holds,
+            "first_violation": _violation(violations[0]) if violations else None,
+        },
+        "marks": {"is_member": is_member, "coefficients": [str(c) for c in coefficients]},
+        "agree": certificate.holds == is_member,
+    }
+
+    def text(p):
+        verdict = {True: "member", False: "not a member"}
+        yield f"vector: {','.join(map(str, p['vector']))}"
+        yield f"congruence test: {verdict[p['dress']['holds']]}"
+        yield f"marks test: {verdict[p['marks']['is_member']]}"
+        yield "coefficients: " + ", ".join(p["marks"]["coefficients"])
+        if p["dress"]["first_violation"] is not None:
+            first = _VIOLATION_TEXT.format(**p["dress"]["first_violation"])
+            yield f"first violated congruence: {first}"
+
+    _emit(args, "member", args.group, payload, text)
     return 0
 
 
@@ -200,79 +199,59 @@ def cmd_exponent(args: argparse.Namespace) -> int:
     lattice = _lattice_for(args.group)
     family = SubgroupFamily(args.family)
     result = artin_exponent(lattice, family)
-    group = lattice.group
-    closed: tuple[int, str] | None
-    try:
-        closed = closed_form_exponent(group)
-    except ValueError:
-        closed = None
-    show_closed = closed is not None and family is SubgroupFamily.ELEMENTARY_ABELIAN
-    if args.json:
-        payload = {
-            "family": args.family,
-            "exponent": result.exponent,
-            "method": result.method,
-            "family_classes": sorted(result.family_classes),
-            "closed_form": (
-                {
-                    "value": closed[0],
-                    "case": closed[1],
-                    "agrees": closed[0] == result.exponent,
-                }
-                if show_closed
-                else None
-            ),
-        }
-        if args.certify:
-            payload["certificate"] = [
-                {"divisor": w.divisor, "violation": _violation_payload(w.violation)}
-                for w in divisor_witnesses(lattice, result)
-            ]
-        _emit_json("exponent", args.group, payload)
-    else:
-        print(f"group: {group.name}")
-        print(f"family: {args.family}")
-        print(f"e = {result.exponent}")
-        if show_closed:
-            agrees = "yes" if closed[0] == result.exponent else "no"
-            print(f"closed form: {closed[0]} (case {closed[1]}), agrees: {agrees}")
-        if args.certify:
-            for w in divisor_witnesses(lattice, result):
-                print(f"d = {w.divisor}: violates {_violation_text(w.violation)}")
+    closed = None
+    if family is SubgroupFamily.ELEMENTARY_ABELIAN:
+        try:
+            value, case = closed_form_exponent(lattice.group)
+            closed = {"value": value, "case": case, "agrees": value == result.exponent}
+        except ValueError:
+            pass
+    payload = {
+        "family": args.family,
+        "exponent": result.exponent,
+        "method": result.method,
+        "family_classes": sorted(result.family_classes),
+        "closed_form": closed,
+    }
+    if args.certify:
+        payload["certificate"] = [
+            {"divisor": w.divisor, "violation": _violation(w.violation)}
+            for w in divisor_witnesses(lattice, result)
+        ]
+
+    def text(p):
+        yield f"group: {lattice.group.name}"
+        yield f"family: {p['family']}"
+        yield f"e = {p['exponent']}"
+        if p["closed_form"] is not None:
+            c = p["closed_form"]
+            yield f"closed form: {c['value']} (case {c['case']}), agrees: {_yes(c['agrees'])}"
+        for w in p.get("certificate", ()):
+            yield f"d = {w['divisor']}: violates {_VIOLATION_TEXT.format(**w['violation'])}"
+
+    _emit(args, "exponent", args.group, payload, text)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_main_theorem(args.max_order, enumeration_cap=_enumeration_cap())
-    if args.json:
-        payload = {
-            "max_order": report.max_order,
-            "all_agree": report.all_agree,
-            "rows": [
-                {
-                    "spec": r.spec,
-                    "order": r.order,
-                    "brute_force": r.brute_force,
-                    "closed_form": r.closed_form,
-                    "case": r.case,
-                    "agree": r.agree,
-                }
-                for r in report.rows
-            ],
-        }
-        _emit_json("verify-main-theorem", None, payload)
-    else:
-        print(f"{'group':<16} {'order':>5} {'brute':>6} {'closed':>6} {'case':>4} agree")
-        for r in report.rows:
-            print(
-                f"{r.spec:<16} {r.order:>5} {r.brute_force:>6} {r.closed_form:>6} "
-                f"{r.case:>4} {'yes' if r.agree else 'NO'}"
+    payload = {
+        "max_order": report.max_order,
+        "all_agree": report.all_agree,
+        "rows": [{**r._asdict(), "agree": r.agree} for r in report.rows],
+    }
+
+    def text(p):
+        yield f"{'group':<16} {'order':>5} {'brute':>6} {'closed':>6} {'case':>4} agree"
+        for r in p["rows"]:
+            yield (
+                f"{r['spec']:<16} {r['order']:>5} {r['brute_force']:>6} {r['closed_form']:>6} "
+                f"{r['case']:>4} {'yes' if r['agree'] else 'NO'}"
             )
-        bad = report.disagreements()
-        if bad:
-            print(f"disagreements: {len(bad)}")
-        else:
-            print("all rows agree")
+        bad = sum(not r["agree"] for r in p["rows"])
+        yield f"disagreements: {bad}" if bad else "all rows agree"
+
+    _emit(args, "verify-main-theorem", None, payload, text)
     return 3 if report.disagreements() else 0
 
 
@@ -289,30 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list the built-in catalog groups")
     p.add_argument("--max-order", type=int, default=64)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("lattice", help="subgroup class census of a group")
     p.add_argument("group", help="group spec, e.g. C(2^3), Q8, C4xC2, perm:<file>")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("marks", help="table of marks in canonical class order")
     p.add_argument("group")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_marks)
 
     p = sub.add_parser("member", help="test a ghost vector for membership")
     p.add_argument("group")
     p.add_argument("--vector", required=True, help="comma-separated integers, one per class")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("exponent", help="Artin exponent for a subgroup family")
     p.add_argument("group")
     p.add_argument("--family", choices=sorted(f.value for f in SubgroupFamily), default="ea")
     p.add_argument("--certify", action="store_true", help="print per-divisor violations")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser(
@@ -320,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare brute-force exponents against the closed forms over the catalog",
     )
     p.add_argument("--max-order", type=int, default=16)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
+    # added last, so every subcommand's usage ends in [--json]
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -129,37 +129,26 @@ class FiniteGroup:
     object itself. ``powers[x]`` is the tuple (1, x, x^2, ...) of the
     elements of <x>, up to x^(n-1) = x^-1 for the order n of x, walked
     once down column x (y -> yx); the walk returns to 1 as the column is
-    a permutation. ``generators`` (None when unknown) is never checked to
-    generate the group, and subgroup enumeration does not read it.
+    a permutation.
     """
 
-    __slots__ = ("name", "order", "mul_table", "columns", "inv_table", "generators", "powers",
-                 "_abelian")
+    __slots__ = ("name", "order", "mul_table", "columns", "inv_table", "powers", "_abelian")
 
-    def __init__(
-        self,
-        name: str,
-        mul_table: Sequence[Sequence[int]],
-        *,
-        generators: Sequence[int] | None = None,
-    ) -> None:
-        self._fill(name, *_validated_table(mul_table), generators)
+    def __init__(self, name: str, mul_table: Sequence[Sequence[int]]) -> None:
+        self._fill(name, *_validated_table(mul_table))
 
     @classmethod
-    def _from_valid_table(cls, name: str, table: list, generators: list | None) -> FiniteGroup:
+    def _from_valid_table(cls, name: str, table: list) -> FiniteGroup:
         group, table = cls.__new__(cls), tuple(table)
-        group._fill(name, table, tuple(zip(*table)), generators)
+        group._fill(name, table, tuple(zip(*table)))
         return group
 
-    def _fill(
-        self, name: str, table: tuple, columns: tuple, generators: Sequence[int] | None
-    ) -> None:
+    def _fill(self, name: str, table: tuple, columns: tuple) -> None:
         self.name = str(name)
         self.order = len(table)
         self.mul_table = table
         self._abelian = columns == table
         self.columns = table if self._abelian else columns
-        self.generators = None if generators is None else tuple(int(g) for g in generators)
         powers = []
         for column in columns:
             walk = [IDENTITY]
@@ -257,13 +246,9 @@ def product_table(
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
-    """Direct product with element ids packed as a*|G2| + b. Its generators
-    are known only when both factors' are."""
-    gens = None
-    if g1.generators is not None and g2.generators is not None:
-        gens = [g * g2.order for g in g1.generators] + list(g2.generators)
+    """Direct product with element ids packed as a*|G2| + b."""
     table = product_table(g1.mul_table, g2.mul_table)
-    return FiniteGroup._from_valid_table(name or f"{g1.name}x{g2.name}", table, gens)
+    return FiniteGroup._from_valid_table(name or f"{g1.name}x{g2.name}", table)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -350,7 +335,7 @@ def group_from_perm_generators(
     getters = [entries_at(q) for q in perms]
     table = [tuple([index[get(p)] for get in getters]) for p in perms]
     name = name or f"perm-group(degree {degree})"
-    return FiniteGroup._from_valid_table(name, table, [index[g] for g in gens])
+    return FiniteGroup._from_valid_table(name, table)
 
 
 def load_permutation_group(

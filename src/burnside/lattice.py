@@ -13,10 +13,10 @@ orbit pass. The orbit pass also yields N(H), and H is joined with the
 elements of N(H) by walking it (``_walk``): one row per cyclic subgroup
 of N(H)/H, each the union of the cosets v^k H, with no closure. Only the
 double cosets HgH outside N(H) are joined by closure (``_coset_join``),
-and in a p-group not even those. The walks are the lattice's cyclic
-data: kept as plain rows in class order on the lattice, they give the
-Weyl and pair congruences their terms, and a conjugate that was not
-walked is walked on demand. Each subgroup is one ``Subgroup``, built
+and in a group whose order makes it solvable not even those. The walks
+are the lattice's cyclic data: kept as plain rows in class order on the
+lattice, they give the Weyl and pair congruences their terms, and a
+conjugate that was not walked is walked on demand. Each subgroup is one ``Subgroup``, built
 once with its bitmask when its class is found and shared by the classes
 and the lattice; every member's normalizer is a reference to the
 lattice's own ``Subgroup``.
@@ -31,7 +31,7 @@ from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .arith import prime_power
+from .arith import factorize, prime_power
 from .groups import (  # DEFAULT_ENUMERATION_CAP is re-exported
     DEFAULT_ENUMERATION_CAP,
     IDENTITY,
@@ -282,8 +282,7 @@ def enumerate_subgroups(
     group is abelian, and else when s h s^-1 is in H for every h in the
     generators H was found from and every s in one generator of each
     cyclic subgroup (read off the trivial subgroup's walk, below), which
-    together generate G. ``group.generators`` is never read, as nothing
-    checks it.
+    together generate G.
 
     The joins with g in N(H) are read off H's walk over N(H) (``_walk``),
     with no closure: <H, g> is the preimage of the cyclic subgroup <gH> of
@@ -295,16 +294,22 @@ def enumerate_subgroups(
     candidate per double coset outside N(H) is tried, replaced by an
     element y of largest order in Hc. That join is built coset-wise (see
     ``_coset_join``) from the elements of H or of <y>, whichever is
-    larger. A normal H (N(H) = G) has no such double coset, and a p-group
-    tries none: there every K != 1 has a maximal subgroup H, normal of
-    index p, and for the member R = xHx^-1 that joins, xKx^-1 <= N(R) is
+    larger. A normal H (N(H) = G) has no such double coset, and a
+    solvable group tries none: there every K != 1 is solvable, so K/K' is
+    a nontrivial abelian group and K has a normal subgroup H of prime
+    index p; for the member R = xHx^-1 that joins, xKx^-1 <= N(R) is
     <R, v> for any v in xKx^-1 outside R, a row of R's walk, so by
-    induction on |K| the walks alone find every class. The dedupe key of
+    induction on |K| the walks alone find every class. Solvability is
+    read off the order alone: an odd order (Feit-Thompson) or one with at
+    most two prime factors (Burnside's p^a q^b theorem). A solvable group
+    of another order, such as S4 x C5, still joins. The dedupe key of
     the joins is the element set, kept only while the enumeration runs.
     Each joining member's walk is kept on the lattice
     (``SubgroupLattice.walks``), so every class has a walked member. N(H)
     may be found after H, so every member's normalizer is looked up once
-    the joins are done. Groups larger than the cap are rejected.
+    the joins are done. Groups larger than the cap are rejected, and a
+    found set whose size does not divide |G| raises RuntimeError
+    (Lagrange), as only a table that skipped the public checks gives one.
     """
     check_enumeration_cap(group.order, cap)
     order = group.order
@@ -326,6 +331,10 @@ def enumerate_subgroups(
 
     def find_class(fs: frozenset[int], gens: tuple[int, ...]) -> Subgroup:
         """Register H and every conjugate gHg^-1 as found; queue H to join."""
+        if order % len(fs):  # Lagrange, asserted: one modulo per class
+            raise RuntimeError(
+                f"a subgroup of order {len(fs)} does not divide {order}: not a group"
+            )
         sub = found[fs] = Subgroup._of(fs)
         orbit = {fs: 0}
         fixing: Sequence[int] = everything  # N(H) = G when H is normal
@@ -352,8 +361,10 @@ def enumerate_subgroups(
     candidates: list[int] = []  # one generator of each cyclic subgroup but 1
     # (row s, column s^-1) of each candidate s: x -> sx and x -> x s^-1
     conjugators: list[tuple[Callable[[int], int], Callable[[int], int]]] = []
-    # in a p-group the walks alone find every class (see the docstring)
-    p_group = prime_power(order) is not None
+    # in a solvable group the walks alone find every class (see the
+    # docstring); an odd order (Feit-Thompson) or one with at most two
+    # prime factors (Burnside's p^a q^b theorem) makes the group solvable
+    solvable = order % 2 == 1 or len(factorize(order)) <= 2
     find_class(frozenset((IDENTITY,)), ())
     # joining member's mask -> its walk, as (mask of <v, H>, coset count)
     walks: dict[int, list[tuple[int, int]]] = {}
@@ -371,7 +382,7 @@ def enumerate_subgroups(
             if known is None:
                 known = find_class(joined, gens + (v,))
             walk.append((known.mask, count))
-        if p_group or len(within) == order:
+        if solvable or len(within) == order:
             continue
         elements = sub.elements
         left_coset = entries_at(elements)

@@ -155,24 +155,12 @@ def loop_direct_product(
                 col = a2 * o2
                 for b2 in range(o2):
                     row[col + b2] = base + r2[b2]
-    gens: list[int] | None = None  # known only when both factors' are
-    if g1.generators is not None and g2.generators is not None:
-        gens = []
-        for g in g1.generators:
-            gens.append(g * o2)
-        for g in g2.generators:
-            gens.append(g)
-    return FiniteGroup(
-        name or f"{g1.name}x{g2.name}",
-        table,
-        generators=gens,
-    )
+    return FiniteGroup(name or f"{g1.name}x{g2.name}", table)
 
 
 def loop_cyclic_group(m: int, name: str) -> FiniteGroup:
     table = [[(a + b) % m for b in range(m)] for a in range(m)]
-    gens = [1] if m > 1 else []
-    return FiniteGroup(name, table, generators=gens)
+    return FiniteGroup(name, table)
 
 
 def loop_abelian_product_group(orders: Sequence[int], name: str) -> FiniteGroup:
@@ -200,7 +188,7 @@ def loop_two_generator_2group(order: int, r: int, quaternion: bool, name: str) -
                     if quaternion and e == 2:
                         t = (t + m // 2) % m
                     row[c + m * d] = t + m * (e % 2)
-    return FiniteGroup(name, table, generators=[1, m])
+    return FiniteGroup(name, table)
 
 
 def loop_extraspecial_plus_group(p: int, name: str) -> FiniteGroup:
@@ -223,7 +211,7 @@ def loop_extraspecial_plus_group(p: int, name: str) -> FiniteGroup:
                                 (y1 + y2) % p,
                                 (z1 + z2 + x1 * y2) % p,
                             )
-    return FiniteGroup(name, table, generators=[enc(1, 0, 0), enc(0, 1, 0)])
+    return FiniteGroup(name, table)
 
 
 def loop_extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
@@ -241,7 +229,7 @@ def loop_extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
                 t = (a + c * rb) % p2
                 for d in range(p):
                     row[c + p2 * d] = t + p2 * ((b + d) % p)
-    return FiniteGroup(name, table, generators=[1, p2])
+    return FiniteGroup(name, table)
 
 
 # h g h^-1 = g^twist(m) in the two-generator 2-groups, g of order m = |G|/2

@@ -48,6 +48,10 @@ ORACLE_GROUPS = [
 PERM_FILES = {
     "S4": "degree 4\n(0 1 2 3)\n(0 1)\n",
     "S5": "degree 5\n(0 1 2 3 4)\n(0 1)\n",
+    "A5": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n",
+    "S3xS3": "degree 6\n(0 1 2)\n(0 1)\n(3 4 5)\n(3 4)\n",
+    "S4xC5": "degree 9\n(0 1 2 3)\n(0 1)\n(4 5 6 7 8)\n",
+    "F21xC5": "degree 12\n(0 1 2 3 4 5 6)\n(1 2 4)(3 6 5)\n(7 8 9 10 11)\n",
 }
 
 
@@ -146,7 +150,7 @@ def test_normalizer_edge_cases(lattice_of):
     trivial = lattice.classes[0].representative
     assert lattice.normalizer(whole) is whole
     assert lattice.normalizer(trivial) is whole
-    reflection = generated_subgroup(group, [group.generators[1]])
+    reflection = generated_subgroup(group, [group.order // 2])  # h, by _cyclic_extension ids
     assert lattice.normalizer(reflection).order == 4
     with pytest.raises(ValueError, match="does not belong to this lattice"):
         lattice.normalizer(Subgroup([0, 1]))
@@ -253,14 +257,29 @@ def _enumeration_joins(group, monkeypatch):
     return joins
 
 
-@pytest.mark.parametrize("name, most", [("S4", 15), ("S5", 160)])
+def _named_group(name):
+    if name in PERM_FILES:
+        return group_from_perm_generators(*parse_permutation_file(PERM_FILES[name]))
+    return build_group(parse_group_spec(name))
+
+
+@pytest.mark.parametrize("name, most", [("S5", 160), ("A5", 60), ("S4xC5", 60)])
 def test_enumeration_joins_one_subgroup_per_class(name, most, monkeypatch):
     """Conjugates are registered by the orbit pass, never joined: S5 has
     156 subgroups in 19 classes, and joining every subgroup found tries
-    1510 joins. S4 (30 subgroups in 11 classes) is solvable but not a
-    p-group, so it still tries the double-coset joins."""
-    group = group_from_perm_generators(*parse_permutation_file(PERM_FILES[name]))
-    assert 0 < len(_enumeration_joins(group, monkeypatch)) <= most
+    1510 joins. S5 and A5 are not solvable, and S4 x C5 (order 120) is
+    solvable by no rule read off its order, so all three still try the
+    double-coset joins."""
+    assert 0 < len(_enumeration_joins(_named_group(name), monkeypatch)) <= most
+
+
+@pytest.mark.parametrize("name", ["S4", "S3xS3", "D(8)xC3xQ(8)", "F21xC5"])
+def test_solvable_orders_close_no_joins(name, monkeypatch):
+    """An order with at most two prime factors, or an odd order (F21 x C5,
+    of order 105), makes the group solvable, and there the walks find every
+    class: the four groups closed 15, 36, 420 and 6 joins when their double
+    cosets were joined."""
+    assert _enumeration_joins(_named_group(name), monkeypatch) == []
 
 
 NONABELIAN_P_GROUPS = [
@@ -278,13 +297,23 @@ def test_p_groups_close_no_joins(name, monkeypatch):
     assert _enumeration_joins(group, monkeypatch) == []
 
 
-@pytest.mark.parametrize("generators", [[1], None])
+def test_enumeration_asserts_lagrange():
+    """The order-5 loop below is not associative, and it has closed subsets
+    of orders 2 and 4. The public constructor rejects it by Light's test;
+    enumerating the unchecked table raises on the first such subset."""
+    table = [tuple(map(int, row)) for row in ("01234", "10342", "24013", "32401", "43120")]
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup("loop", table)
+    with pytest.raises(RuntimeError, match="order 2 does not divide 5"):
+        enumerate_subgroups(FiniteGroup._from_valid_table("loop", table))
+
+
 @pytest.mark.parametrize("text", ["D16", "SD(16)", "ES+(3)"])
-def test_enumeration_does_not_read_the_generators(text, generators, lattice_of):
-    """The public constructor never checks ``generators``: a list that does
-    not generate the group, or none, gives the catalog-built lattice."""
+def test_public_constructor_gives_the_catalog_lattice(text, lattice_of):
+    """A table that goes through the public constructor's checks gives the
+    lattice of the catalog build, which skips them."""
     built = lattice_of(text)
-    lattice = enumerate_subgroups(FiniteGroup(text, built.group.mul_table, generators=generators))
+    lattice = enumerate_subgroups(FiniteGroup(text, built.group.mul_table))
     assert lattice.classes == built.classes
     assert [m.mask for c in lattice.classes for m in c.members] == [
         m.mask for c in built.classes for m in c.members
