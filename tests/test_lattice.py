@@ -308,11 +308,16 @@ def test_enumeration_asserts_lagrange():
         enumerate_subgroups(FiniteGroup._from_valid_table("loop", table))
 
 
+@pytest.mark.parametrize("generators", [[1], None])
 @pytest.mark.parametrize("text", ["D16", "SD(16)", "ES+(3)"])
-def test_public_constructor_gives_the_catalog_lattice(text, lattice_of):
-    """A table that goes through the public constructor's checks gives the
-    lattice of the catalog build, which skips them."""
+def test_enumeration_does_not_read_the_generators(text, generators, lattice_of):
+    """The public constructor takes no generator list, so none can steer
+    enumeration: the table alone, through the constructor's checks, gives
+    the lattice of the catalog build, which skips them."""
     built = lattice_of(text)
+    if generators is not None:
+        with pytest.raises(TypeError, match="generators"):
+            FiniteGroup(text, built.group.mul_table, generators=generators)
     lattice = enumerate_subgroups(FiniteGroup(text, built.group.mul_table))
     assert lattice.classes == built.classes
     assert [m.mask for c in lattice.classes for m in c.members] == [
