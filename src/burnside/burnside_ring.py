@@ -30,8 +30,10 @@ them, for the congruences and the solve alike.
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
 ``marks`` command). The table and both congruence systems are cached on
-the lattice through ``lattice_cached``; a ghost vector keeps its own
-solve y, which ``marks_membership`` and ``minimal_multiplier`` both read.
+the lattice through ``lattice_cached``, and so are the down-sets (the
+subgroups inside each class representative) that the table and the pair
+congruences both read; a ghost vector keeps its own solve y, which
+``marks_membership`` and ``minimal_multiplier`` both read.
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -43,10 +45,11 @@ from bisect import bisect_left
 from collections import Counter
 from functools import partial
 from math import gcd, lcm
-from operator import index
+from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .arith import divisors, prime_power
+from .groups import Subgroup
 from .lattice import (
     SubgroupLattice,
     conjugate_mask,
@@ -176,31 +179,49 @@ class Congruence(NamedTuple):
 
 
 @lattice_cached
+def _down_sets(lattice: SubgroupLattice) -> tuple[list[Subgroup], ...]:
+    """Per class, the subgroups of smaller order inside its representative,
+    in ``all_subgroups`` order: one bitmask scan of the order-sorted list
+    per class, read by the table of marks and the pair congruences alike."""
+    subgroups = lattice.all_subgroups
+    sub_orders = [len(sub.elements) for sub in subgroups]
+    down = []
+    for cls in lattice.classes:
+        v_rep = cls.members[0]
+        v_mask = v_rep.mask
+        below = subgroups[:bisect_left(sub_orders, len(v_rep.elements))]
+        down.append([s for s in below if s.mask & v_mask == s.mask])
+    return tuple(down)
+
+
+@lattice_cached
 def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     """The table of marks, computed once per lattice and cached.
 
-    Equivalent to coset-by-coset fixed point counting: the cosets of G/V
-    fall into groups of |N(V)|/|V| sharing the same conjugate of V, so
-    each conjugate containing U_i contributes that many fixed cosets.
-    Only classes of smaller order can be properly contained, and the
-    containment tests run on the subgroups' bitmasks. Columns
+    Equivalent to coset-by-coset fixed point counting: U_i fixes gV_j iff
+    g^-1 U_i g lies in V_j, and each conjugate of U_i is g^-1 U_i g for
+    |N(U_i)| = |G| / |class i| elements g, so the mark is the number of
+    members of class i inside V_j, read off V_j's down-set (``_down_sets``),
+    times |G| / (|class i| |V_j|). That division is asserted exact, and a
+    remainder raises RuntimeError. The diagonal is |N(V_j) : V_j|. Columns
     are filled in ascending order, so every row's nonzero marks come out
     sorted without a dense row ever existing.
     """
     classes = lattice.classes
     order = lattice.group.order
-    orders = [cls.order for cls in classes]
-    reps = [cls.representative.mask for cls in classes]
+    class_of = lattice._class_by_mask.__getitem__
+    mask_of = attrgetter("mask")
+    sizes = [len(cls.members) for cls in classes]
     tails: list[list[tuple[int, int]]] = [[] for _ in classes]
     diagonal = []
-    for j, cls_j in enumerate(classes):
-        masks = [m.mask for m in cls_j.members]
-        per_conjugate = order // (len(masks) * orders[j])
-        diagonal.append(per_conjugate)
-        below = reps[:bisect_left(orders, orders[j])]  # the classes of smaller order
-        contained = [i for mask in masks for i, r in enumerate(below) if r & mask == r]
-        for i, conjugates in Counter(contained).items():
-            tails[i].append((j, conjugates * per_conjugate))
+    for cls, down in zip(classes, _down_sets(lattice)):
+        j, v_order = cls.class_index, len(cls.members[0].elements)
+        diagonal.append(order // (sizes[j] * v_order))
+        for i, conjugates in Counter(map(class_of, map(mask_of, down))).items():
+            mark, r = divmod(conjugates * order, sizes[i] * v_order)
+            if r:
+                raise RuntimeError(f"inexact mark of class {i} in class {j}: remainder {r}")
+            tails[i].append((j, mark))
     return TableOfMarks(tuple(zip(diagonal, map(tuple, tails))))
 
 
@@ -215,8 +236,8 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
 
     Pairs (U, V) with U normal in V and (V : U) a prime power above 1 are
     enumerated with V running over class representatives and U over the
-    smaller subgroups contained in V (bitmask tests over the order-sorted
-    subgroup list), deduplicated by conjugacy under the normalizer of V;
+    smaller subgroups contained in V (V's down-set, ``_down_sets``),
+    deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
     normal in V iff V lies in the normalizer N(U) the lattice recorded.
     A pair of prime index p has the terms ((U, 1), (V, p - 1)); any other
@@ -225,14 +246,12 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """
     group = lattice.group
     abelian = group.is_abelian()
-    subgroups = lattice.all_subgroups
     class_of = lattice._class_by_mask
     normalizer_of = lattice._normalizers
-    sub_orders = [sub.order for sub in subgroups]
     record = partial(tuple.__new__, Congruence)
     powers = {d: prime_power(d) for d in divisors(group.order)}
     out: list[Congruence] = []
-    for cls in lattice.classes:
+    for cls, down in zip(lattice.classes, _down_sets(lattice)):
         v_rep = cls.representative
         v_order = v_rep.order
         if v_order == 1:
@@ -244,8 +263,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             g for g, _ in left_cosets(group, normalizer_of[v_mask].elements, v_rep.elements)
         ]
         seen_orbit: set[int] = set()
-        below = bisect_left(sub_orders, v_order)
-        for sub in [s for s in subgroups[:below] if s.mask & v_mask == s.mask]:
+        for sub in down:
             index = v_order // len(sub.elements)
             u_mask = sub.mask
             if powers[index] is None or u_mask in seen_orbit:

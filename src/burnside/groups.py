@@ -305,7 +305,9 @@ def group_from_perm_generators(
     Element ids follow the breadth-first closure order from the
     generators in input order, with the identity first, so tables are
     reproducible. Raises CapExceededError if the closure would exceed
-    ``order_cap``.
+    ``order_cap``. The closure composes each element with each generator
+    once; the table is read off the Cayley graph it finds, with no
+    further composing or hashing of permutations.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -318,22 +320,30 @@ def group_from_perm_generators(
     identity = tuple(range(degree))
     perms: list[tuple[int, ...]] = [identity]
     index: dict[tuple[int, ...], int] = {identity: 0}
-    pos = 0
-    while pos < len(perms):
-        base = perms[pos]
-        for g in gens:
+    # moves[i][k]: the id of element k times generator i; parents[q - 1]:
+    # (q', i) for the element q' and generator i whose product found q
+    moves: list[list[int]] = [[] for _ in gens]
+    parents: list[tuple[int, int]] = []
+    for k, base in enumerate(perms):  # grows as the closure finds elements
+        for i, g in enumerate(gens):
             nxt = tuple(base[p] for p in g)
-            if nxt not in index:
+            j = index.get(nxt)
+            if j is None:
                 if len(perms) >= order_cap:
                     raise CapExceededError(
                         f"closure exceeds the order cap {order_cap}"
                     )
-                index[nxt] = len(perms)
+                j = index[nxt] = len(perms)
                 perms.append(nxt)
-        pos += 1
-    # row p, column q: the permutation (p[q[0]], p[q[1]], ...)
-    getters = [entries_at(q) for q in perms]
-    table = [tuple([index[get(p)] for get in getters]) for p in perms]
+                parents.append((k, i))
+            moves[i].append(j)
+    # row p, column q: the permutation (p[q[0]], p[q[1]], ...). Column q
+    # holds x*q for every x; for q = q' g, x*q = (x*q')*g, so it is column
+    # q' read through the moves of g, one gather per element
+    columns = [tuple(range(len(perms)))]
+    for k, i in parents:
+        columns.append(entries_at(columns[k])(moves[i]))
+    table = list(zip(*columns))
     name = name or f"perm-group(degree {degree})"
     return FiniteGroup._from_valid_table(name, table)
 

@@ -100,9 +100,10 @@ class SubgroupLattice:
     count) rows, resolves and sorts them in place and keeps the dict;
     ``walk`` reads one, walking a subgroup whose walk is not kept yet.
     Data derived from the whole lattice (the table of marks, the pair and
-    the Weyl congruences) is built on first use and kept in one cache,
-    filled only through ``lattice_cached``. Nothing the lattice keeps
-    refers back to it, so reference counting frees it.
+    the Weyl congruences, the down-sets the first two share) is built on
+    first use and kept in one cache, filled only through
+    ``lattice_cached``. Nothing the lattice keeps refers back to it, so
+    reference counting frees it.
     """
 
     __slots__ = (
@@ -185,11 +186,10 @@ def lattice_cached(
 
     @wraps(build)
     def get(lattice: SubgroupLattice) -> T:
-        try:
-            return lattice._derived[get]
-        except KeyError:
+        value = lattice._derived.get(get, get)  # get itself marks a miss
+        if value is get:
             value = lattice._derived[get] = build(lattice)
-            return value
+        return value
 
     return get
 
@@ -254,6 +254,11 @@ def _walk(
         m = 2  # v is not in U
         while cycle[m % len(cycle)] not in u_set:
             m += 1
+        if m == 2:  # vU alone generates <vU>: one coset, counted once
+            coset = coset_of(table[v])
+            covered.update(coset)
+            rows.append((u_set.union(coset), 1, v))
+            continue
         cosets = [coset_of(table[p]) for p in cycle[1:m]]
         count = 0
         for e, coset in enumerate(cosets, 1):

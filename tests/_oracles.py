@@ -29,11 +29,15 @@ which compares ab with ba for every pair of elements. ``loop_power`` and
 ``loop_element_order`` multiply one factor at a time, where the library
 reads each element's recorded powers, and ``loop_perm_table`` composes
 two permutations point by point for every entry of a permutation
-group's table. ``search_maximal_cyclic_2group`` is the earlier
+group's table, where the library gathers each column from its parent's
+column in the closure. ``search_maximal_cyclic_2group`` is the earlier
 classifier of 2-groups with a cyclic subgroup of index 2, which tries
 every pair (g, h) against the four two-generator relation sets, where
 the library counts involutions, and ``class_index_of`` looks a
 subgroup's class up by its elements, which only tests need.
+``scan_table_of_marks`` is the earlier table of marks, which tests every
+member of a class against the smaller classes' representatives, where
+the library reads each representative's down-set.
 ``family_rows`` counts each family class's Weyl row (w_U, s_U) from the
 multiplication table by a rule for each family, where the library sums
 the walks, and ``family_witnesses`` reads the exponent's certificate off
@@ -43,6 +47,7 @@ those rows.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -561,6 +566,28 @@ def mark(lattice: SubgroupLattice, i: int, j: int) -> int:
     return fixed_coset_count(
         lattice.group, classes[i].representative, classes[j].representative
     )
+
+
+def scan_table_of_marks(lattice: SubgroupLattice) -> tuple:
+    """The table of marks' rows by the earlier scan: every member of class
+    j is tested against each representative of a smaller class, and each
+    conjugate of V_j containing U_i adds |N(V_j) : V_j| fixed cosets.
+    The rows have the form of ``TableOfMarks.rows``."""
+    classes = lattice.classes
+    order = lattice.group.order
+    orders = [cls.order for cls in classes]
+    reps = [cls.representative.mask for cls in classes]
+    tails: list[list[tuple[int, int]]] = [[] for _ in classes]
+    diagonal = []
+    for j, cls_j in enumerate(classes):
+        masks = [m.mask for m in cls_j.members]
+        per_conjugate = order // (len(masks) * orders[j])
+        diagonal.append(per_conjugate)
+        below = reps[:bisect_left(orders, orders[j])]  # the classes of smaller order
+        contained = [i for mask in masks for i, r in enumerate(below) if r & mask == r]
+        for i, conjugates in Counter(contained).items():
+            tails[i].append((j, conjugates * per_conjugate))
+    return tuple(zip(diagonal, map(tuple, tails)))
 
 
 def fraction_marks_solve(

@@ -427,20 +427,19 @@ def test_perm_closure_stops_at_the_enumeration_cap(capsys, monkeypatch):
 
 def test_perm_closure_takes_the_whole_cap_above_the_default(monkeypatch, tmp_path):
     """BURNSIDE_ENUM_CAP bounds a perm spec's closure as it is, with no lower
-    ceiling: S6 x C2 (order 1440) closes under a cap of 2000. The run stops
-    at the first table entry after the closure, so no table is built."""
+    ceiling: S6 x C2 (order 1440) closes under a cap of 2000. The table is
+    gathered column by column once the closure is done, and the first
+    gather reads the identity's column, one entry per element; the run
+    stops there, so no table is built."""
 
     class ClosureDone(Exception):
         pass
 
-    def stop(row):
+    gathered = []
+
+    def record(column):  # the first column read is the identity's
+        gathered.append(tuple(column))
         raise ClosureDone
-
-    closed = []
-
-    def record(perm):  # called once for each element of the closure
-        closed.append(perm)
-        return stop
 
     path = tmp_path / "s6xc2.perm"
     path.write_text("degree 8\n(0 1 2 3 4 5)\n(0 1)\n(6 7)\n", encoding="utf-8")
@@ -448,7 +447,7 @@ def test_perm_closure_takes_the_whole_cap_above_the_default(monkeypatch, tmp_pat
     monkeypatch.setattr(groups, "entries_at", record)
     with pytest.raises(ClosureDone):
         run(["lattice", f"perm:{path}"])
-    assert len(closed) == 1440
+    assert gathered == [tuple(range(1440))]
 
 
 def test_enumeration_cap_env_override(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from burnside import (
 )
 from burnside import exponent
 from burnside.arith import prime_power
+from burnside.burnside_ring import _down_sets
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
 
@@ -141,7 +142,8 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
     result = artin_exponent(lattice, EA)
     report = verify_main_theorem(16)
     derived = (table_of_marks(lattice).rows, dress_congruences(lattice), weyl_congruences(lattice))
-    kernels = {table_of_marks, dress_congruences, weyl_congruences}
+    # the table of marks and the pair congruences share the down-sets
+    kernels = {table_of_marks, dress_congruences, weyl_congruences, _down_sets}
     # the class and marks records are named tuples, equal to their plain tuples
     records = (*lattice.classes, table_of_marks(lattice))
     plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]

@@ -124,8 +124,8 @@ def test_powers_match_the_loop_oracle():
 
 @pytest.mark.parametrize("text", [*PERM_FILES.values(), "degree 1\n", "degree 1\n()\n"])
 def test_perm_tables_match_the_loop_oracle(text):
-    """The per-column itemgetters give the table of composing the two
-    permutations point by point, one point too."""
+    """The columns gathered off the closure's Cayley graph give the table
+    of composing the two permutations point by point, one point too."""
     degree, gens = parse_permutation_file(text)
     table = group_from_perm_generators(degree, gens).mul_table
     assert table == tuple(map(tuple, loop_perm_table(degree, gens)))

@@ -4,9 +4,10 @@ independent implementations kept in ``_oracles``.
 The coset-wise enumeration must give the same classes (same order, same
 members, same flags) and the power-walk Dress system the same congruences
 (same order, same terms) as joins closed from scratch and as the earlier
-scan that filters U's walk for every pair. Every stored mark
-must equal the count of fixed cosets, and the Weyl row for U = 1 must
-equal the census counted by walking every element's powers. The shared
+scan that filters U's walk for every pair. Every stored mark must equal
+the count of fixed cosets and the earlier scan's mark, every permutation
+table the one that composes each entry's permutations, and the Weyl row
+for U = 1 the census counted by walking every element's powers. The shared
 congruence-sum loop must give the same membership certificates and
 Artin-exponent witnesses (every violation, in order, every field) as the
 per-congruence loops. Every normalizer the enumeration records must be
@@ -43,8 +44,10 @@ from _oracles import (
     ghost_of,
     loop_dress_exponent,
     loop_dress_membership,
+    loop_perm_table,
     mark,
     scan_dress_congruences,
+    scan_table_of_marks,
 )
 from burnside import (
     Congruence,
@@ -69,6 +72,8 @@ from burnside import (
     weyl_congruences,
 )
 from burnside.arith import is_prime
+from burnside.burnside_ring import _down_sets
+from burnside.groups import parse_permutation_file
 
 CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
 CATALOG_UP_TO_64 = [spec.text() for spec in standard_catalog(64)]
@@ -169,12 +174,15 @@ def _random_permutation(rng: random.Random, degree: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-def _random_two_generator_group(seed, degree=None):
+def _random_generators(seed, degree=None):
     rng = random.Random(seed)
     if degree is None:
         degree = rng.randint(2, 5)
-    gens = [_random_permutation(rng, degree) for _ in range(2)]
-    return group_from_perm_generators(degree, gens)
+    return degree, [_random_permutation(rng, degree) for _ in range(2)]
+
+
+def _random_two_generator_group(seed, degree=None):
+    return group_from_perm_generators(*_random_generators(seed, degree))
 
 
 # seeds whose two random permutations of degree 6 generate a group of
@@ -234,6 +242,7 @@ def test_random_degree_six_group_matches_closure_oracles(seed):
 # the catalog, which holds EA(2,5), and the other two set-up lattices of the
 # membership benchmark
 BENCH_S5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "s5.perm"
+S6 = Path(__file__).resolve().parent / "data" / "s6.perm"
 PAIR_SCAN_SPECS = CATALOG_UP_TO_128 + [
     "C8xC8xC2",
     f"perm:{BENCH_S5}",
@@ -257,6 +266,50 @@ def test_pair_congruences_equal_the_reference_scan(text):
 @pytest.mark.parametrize("name", sorted(PERM_FILES))
 def test_perm_file_pair_congruences_equal_the_reference_scan(name, tmp_path):
     _assert_pairs_equal_the_reference_scan(_perm_file_group(name, tmp_path))
+
+
+# (degree, generators, cap) of the permutation groups whose tables and
+# marks are compared with the earlier constructions
+PERM_GENERATOR_SETS = {
+    "S5": (*parse_permutation_file(BENCH_S5.read_text()), 256),
+    "S6": (*parse_permutation_file(S6.read_text()), 1000),
+    **{f"random-{seed}": (*_random_generators(seed), 256) for seed in range(12)},
+    **{f"degree6-{seed}": (*_random_generators(seed, 6), 256) for seed in DEGREE_SIX_SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", list(PERM_GENERATOR_SETS))
+def test_perm_tables_equal_the_composed_tables(name):
+    """The table gathered column by column off the closure's Cayley graph
+    equals the one that composes the two permutations of every entry."""
+    degree, gens, cap = PERM_GENERATOR_SETS[name]
+    table = group_from_perm_generators(degree, gens, order_cap=cap).mul_table
+    assert table == tuple(map(tuple, loop_perm_table(degree, gens)))
+
+
+@pytest.mark.parametrize("text", [*CATALOG_UP_TO_128, "D(8)xC3xQ(8)"])
+def test_marks_rows_equal_the_reference_scan(text, lattice_of):
+    lattice = lattice_of(text)
+    assert table_of_marks(lattice).rows == scan_table_of_marks(lattice)
+
+
+@pytest.mark.parametrize("name", list(PERM_GENERATOR_SETS))
+def test_perm_group_marks_rows_equal_the_reference_scan(name):
+    degree, gens, cap = PERM_GENERATOR_SETS[name]
+    lattice = enumerate_subgroups(group_from_perm_generators(degree, gens, order_cap=cap), cap=cap)
+    assert table_of_marks(lattice).rows == scan_table_of_marks(lattice)
+
+
+def test_an_inexact_mark_raises():
+    """S3's marks are read off the down-sets; with one transposition left
+    out of the whole group's down-set, class C2 has 2 of its 3 members
+    in S3, and 2 * 6 / (3 * 6) is no integer."""
+    lattice = enumerate_subgroups(group_from_perm_generators(3, [(1, 2, 0), (1, 0, 2)]))
+    down = list(_down_sets(lattice))
+    down[-1] = down[-1][:1] + down[-1][2:]  # the first is the trivial subgroup
+    lattice._derived[_down_sets] = tuple(down)
+    with pytest.raises(RuntimeError, match="inexact mark of class 1 in class 3: remainder 12"):
+        table_of_marks(lattice)
 
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
@@ -476,9 +529,6 @@ def test_random_two_generator_group_three_routes_agree(seed):
 def test_random_degree_six_group_three_routes_agree(seed):
     lattice = enumerate_subgroups(_random_degree_six_group(seed))
     _assert_three_routes_agree(lattice, _seeded_vectors(lattice, random.Random(seed), 2))
-
-
-S6 = Path(__file__).resolve().parent / "data" / "s6.perm"
 
 
 def _assert_family_rows_match_the_weyl_rows(lattice):

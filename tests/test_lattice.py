@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from burnside import (
     select_family,
     standard_catalog,
     SubgroupFamily,
+    artin_exponent,
 )
 from burnside.arith import prime_power
 
@@ -306,6 +308,55 @@ def test_enumeration_asserts_lagrange():
         FiniteGroup("loop", table)
     with pytest.raises(RuntimeError, match="order 2 does not divide 5"):
         enumerate_subgroups(FiniteGroup._from_valid_table("loop", table))
+
+
+def _random_loop(seed: int, order: int) -> list[tuple[int, ...]]:
+    """A Latin square with identity 0, filled cell by cell in row order
+    from seeded random candidates, backtracking on a dead end."""
+    rng = random.Random(seed)
+    table = [[i if j == 0 else j if i == 0 else None for j in range(order)] for i in range(order)]
+    cells = [(i, j) for i in range(1, order) for j in range(1, order)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = {*table[i][:j], *(table[r][j] for r in range(i))}
+        options = [x for x in range(order) if x not in used]
+        rng.shuffle(options)
+        for x in options:
+            table[i][j] = x
+            if fill(k + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return [tuple(row) for row in table]
+
+
+# the order and seed of the random loop below, fixed before it was first run
+RANDOM_LOOP = (6, 0)
+
+
+def test_public_constructor_rejects_a_seeded_random_loop():
+    order, seed = RANDOM_LOOP
+    with pytest.raises(ValueError):
+        FiniteGroup("loop", _random_loop(seed, order))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="the unchecked loop gives 8 'subgroups' in 4 classes and exponent 3 without an error",
+)
+def test_an_unchecked_random_loop_raises_in_enumeration_or_the_exponent():
+    """A table that skipped the public checks should fail an asserted
+    identity (Lagrange in enumeration, the Weyl-row sums in the exponent)
+    rather than give a lattice and an exponent; this seed gives both."""
+    order, seed = RANDOM_LOOP
+    loop = FiniteGroup._from_valid_table("loop", _random_loop(seed, order))
+    with pytest.raises(RuntimeError):
+        artin_exponent(enumerate_subgroups(loop), SubgroupFamily.ELEMENTARY_ABELIAN)
 
 
 @pytest.mark.parametrize("generators", [[1], None])

@@ -1,0 +1,135 @@
+"""Time named stages of two source trees side by side, in one process.
+
+Each tree's ``src/burnside`` is imported under its own package name
+(``burnside_a``, ``burnside_b``), so both run in the same interpreter,
+on the same heap and the same CPU. Each pair times one sample of a stage
+on each tree, alternating which tree goes first, and a sample is the
+total over the stage's inputs. Work a stage does not time (parsing,
+building the lattice a marks stage reads) is done afresh for every
+sample, so no sample reads a cache another one filled. The two trees'
+outputs of every pair must be equal, else the tool stops. Printed per
+stage: each tree's min and median, the median over pairs of the ratio
+b/a, and the pairs b wins (strictly faster). Standard library only.
+
+Stages:
+  perm       close the permutation files into tables (S5; S6 under cap 1000)
+  enumerate  enumerate_subgroups on each --groups spec (order cap 1000)
+  marks      table_of_marks on a fresh lattice of each --groups spec
+  pairs      dress_congruences on a fresh lattice of each --groups spec
+  setup      table_of_marks then dress_congruences, as one sample
+  sweep      build, enumerate and the ea-family Artin exponent over
+             standard_catalog(128), as verify-main-theorem runs them
+
+Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
+           [--stages perm,enumerate,marks,pairs,setup,sweep]
+           [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm']
+
+Group specs are separated by semicolons, as specs hold commas.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERM_FILES = ((ROOT / "bench" / "data" / "s5.perm", 256), (ROOT / "tests" / "data" / "s6.perm", 1000))
+GROUPS = f"EA(2,5);C8xC8xC2;perm:{ROOT / 'bench' / 'data' / 's5.perm'}"
+CAP = 1000  # the order cap of builds and enumerations, so that S6 (720) runs
+STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "sweep")
+
+
+def load_tree(tree: str, name: str):
+    """The package at TREE/src/burnside, imported as ``name``."""
+    init = Path(tree).resolve() / "src" / "burnside" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def stage(B, which: str, groups: list[str]):
+    """(prepare, timed, key): prepare() makes the untimed inputs of one
+    sample, timed(inputs) runs the stage on them, and key(output) is what
+    must be equal on both trees."""
+    build = lambda: [B.build_group(B.parse_group_spec(text), cap=CAP) for text in groups]
+    lattices = lambda: [B.enumerate_subgroups(g, cap=CAP) for g in build()]
+    same = lambda out: out
+    if which == "perm":
+        files = [(B.parse_permutation_file(path.read_text()), cap) for path, cap in PERM_FILES]
+        timed = lambda inputs: [
+            B.group_from_perm_generators(d, gens, order_cap=cap) for (d, gens), cap in inputs
+        ]
+        return lambda: files, timed, lambda gs: [g.mul_table for g in gs]
+    if which == "enumerate":
+        census = lambda ls: [[c.members[0].elements for c in l.classes] for l in ls]
+        return build, lambda gs: [B.enumerate_subgroups(g, cap=CAP) for g in gs], census
+    if which == "marks":
+        return lattices, lambda ls: [B.table_of_marks(l).rows for l in ls], same
+    if which == "pairs":
+        return lattices, lambda ls: [B.dress_congruences(l) for l in ls], same
+    if which == "setup":
+        timed = lambda ls: [(B.table_of_marks(l).rows, B.dress_congruences(l)) for l in ls]
+        return lattices, timed, same
+    if which == "sweep":
+        specs = B.standard_catalog(128)
+        family = B.SubgroupFamily.ELEMENTARY_ABELIAN
+        timed = lambda ss: [
+            B.artin_exponent(B.enumerate_subgroups(B.build_group(s)), family).exponent
+            for s in ss
+        ]
+        return lambda: specs, timed, same
+    raise SystemExit(f"unknown stage {which!r}; known: {', '.join(STAGES)}")
+
+
+def sample(prepare, timed, key) -> tuple[float, object]:
+    inputs = prepare()
+    gc.collect()
+    start = time.perf_counter()
+    out = timed(inputs)
+    return time.perf_counter() - start, key(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--stages", default=",".join(STAGES))
+    parser.add_argument("--groups", default=GROUPS)
+    args = parser.parse_args(argv)
+    trees = (load_tree(args.tree_a, "burnside_a"), load_tree(args.tree_b, "burnside_b"))
+    groups = args.groups.split(";")
+    print(f"a = {args.tree_a}\nb = {args.tree_b}\n{args.pairs} pairs, times in ms")
+    print(f"{'stage':<10} {'a min':>9} {'a median':>9} {'b min':>9} {'b median':>9} {'b/a':>7} {'b wins':>7}")
+    for which in args.stages.split(","):
+        stages = [stage(B, which, groups) for B in trees]
+        times: tuple[list[float], list[float]] = ([], [])
+        for p in range(args.pairs):
+            outs = [None, None]
+            for side in (0, 1) if p % 2 == 0 else (1, 0):
+                elapsed, outs[side] = sample(*stages[side])
+                times[side].append(elapsed)
+            if outs[0] != outs[1]:
+                raise SystemExit(f"{which}: the trees disagree")
+        a, b = times
+        ratio = statistics.median(y / x for x, y in zip(a, b))
+        wins = sum(y < x for x, y in zip(a, b))
+        print(
+            f"{which:<10} {min(a) * 1e3:9.3f} {statistics.median(a) * 1e3:9.3f} "
+            f"{min(b) * 1e3:9.3f} {statistics.median(b) * 1e3:9.3f} {ratio:7.3f} "
+            f"{wins:>3}/{len(a)}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
