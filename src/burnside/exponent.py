@@ -19,9 +19,9 @@ from .arith import divisors, prime_power
 from .burnside_ring import (
     CongruenceViolation,
     GhostVector,
+    _weyl_plan,
     least_multiplier,
     violation_rows,
-    weyl_congruences,
 )
 from .catalog import (
     MaximalCyclicType,
@@ -88,7 +88,7 @@ def artin_exponent(
     the same rows for the certificate.
     """
     b = indicator_vector(lattice, family)
-    violations = violation_rows(weyl_congruences(lattice), b.values)
+    violations = violation_rows(_weyl_plan(lattice), b.values)
     return ExponentResult(
         exponent=least_multiplier((total, index) for _, _, index, total, _ in violations),
         family=family,
@@ -111,7 +111,7 @@ def divisor_witnesses(
     or exponent are not this lattice's raises ValueError.
     """
     b = indicator_vector(lattice, result.family)
-    violations = violation_rows(weyl_congruences(lattice), b.values)
+    violations = violation_rows(_weyl_plan(lattice), b.values)
     exponent = result.exponent
     read = least_multiplier((total, index) for _, _, index, total, _ in violations)
     if result.family_classes != select_family(lattice, result.family) or read != exponent:

@@ -8,13 +8,14 @@ built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
 is not immutable: on first use it fills one lazy cache (table of marks,
-pair and Weyl congruences) and walks of the subgroups that enumeration
-did not walk over their normalizers. The only other cache is a ghost
-vector's first marks solve; an ``ExponentResult`` keeps no lattice, and
-``divisor_witnesses`` reads the lattice's Weyl congruences. A lattice
-copies and pickles with its cache, a vector without. The values are
-deterministic, so threads sharing a lattice or a vector see the same
-results, but concurrent first calls may each compute them.
+pair and Weyl congruences, the plans that sum them) and walks of the
+subgroups that enumeration did not walk over their normalizers. The
+only other cache is a ghost vector's first marks solve; an
+``ExponentResult`` keeps no lattice, and ``divisor_witnesses`` reads the
+lattice's Weyl congruences. A lattice copies and pickles with its cache,
+a vector without. The values are deterministic, so threads sharing a
+lattice or a vector see the same results, but concurrent first calls
+may each compute them.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ class FiniteGroup:
     object itself. ``powers[x]`` is the tuple (1, x, x^2, ...) of the
     elements of <x>, up to x^(n-1) = x^-1 for the order n of x, walked
     once down column x (y -> yx); the walk returns to 1 as the column is
-    a permutation.
+    a permutation, and one that has not within |G| steps raises
+    RuntimeError.
     """
 
     __slots__ = ("name", "order", "mul_table", "columns", "inv_table", "powers", "_abelian")
@@ -138,22 +140,28 @@ class FiniteGroup:
         self._fill(name, *_validated_table(mul_table))
 
     @classmethod
-    def _from_valid_table(cls, name: str, table: list) -> FiniteGroup:
+    def _from_valid_table(cls, name: str, table: list, columns: tuple | None = None) -> FiniteGroup:
+        """A builder that holds the columns as tuples hands them over."""
         group, table = cls.__new__(cls), tuple(table)
-        group._fill(name, table, tuple(zip(*table)))
+        group._fill(name, table, tuple(zip(*table)) if columns is None else columns)
         return group
 
     def _fill(self, name: str, table: tuple, columns: tuple) -> None:
         self.name = str(name)
-        self.order = len(table)
+        self.order = order = len(table)
         self.mul_table = table
         self._abelian = columns == table
         self.columns = table if self._abelian else columns
         powers = []
-        for column in columns:
-            walk = [IDENTITY]
-            while (y := column[walk[-1]]) != IDENTITY:
+        for x, column in enumerate(columns):
+            walk, y = [IDENTITY], column[IDENTITY]
+            for _ in range(order):
+                if y == IDENTITY:
+                    break
                 walk.append(y)
+                y = column[y]
+            else:
+                raise RuntimeError(f"the powers of element {x} never reach the identity")
             powers.append(tuple(walk))
         self.powers = tuple(powers)
         self.inv_table = tuple(cycle[-1] for cycle in powers)
@@ -343,9 +351,8 @@ def group_from_perm_generators(
     columns = [tuple(range(len(perms)))]
     for k, i in parents:
         columns.append(entries_at(columns[k])(moves[i]))
-    table = list(zip(*columns))
     name = name or f"perm-group(degree {degree})"
-    return FiniteGroup._from_valid_table(name, table)
+    return FiniteGroup._from_valid_table(name, list(zip(*columns)), tuple(columns))
 
 
 def load_permutation_group(

@@ -9,12 +9,15 @@ a time. The closure-based lattice enumeration and Dress congruence
 system below are the library's earlier implementations, which rebuild
 every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
-builds every violation record by keyword, and ``scan_dress_congruences``
-is the earlier pair system over the lattice's walks, which filters U's
-whole walk by V's mask and tests the index for every pair. Normalizers
-are found by conjugating a subgroup by every group element, and the Weyl-group
-congruences and each subgroup's walk over its normalizer
-(``closure_walk``) are built from them, one closure per coset. The cyclic
+builds every violation record by keyword; ``record_violation_rows`` is
+the earlier shared loop, which multiplies each term of a record by its
+coset count where the library reads a plan of positions; and
+``scan_dress_congruences`` is the earlier pair system over the lattice's
+walks, which filters U's whole walk by V's mask and tests the index for
+every pair. Normalizers are found by conjugating a subgroup by every
+group element, and the Weyl-group congruences and each subgroup's walk
+over its normalizer (``closure_walk``) are built from them, one closure
+per coset. The cyclic
 census is counted by walking the powers of every group element.
 Subgroups generated by a seed are closed by a word search
 (``generated_subgroup``), a second closure beside the library's
@@ -739,6 +742,24 @@ def loop_dress_membership(
                 )
             )
     return CongruenceCertificate(holds=not violations, violations=tuple(violations))
+
+
+def record_violation_rows(
+    congruences: Iterable[Congruence], values: Sequence[int]
+) -> list[tuple[int, int, int, int, int]]:
+    """The earlier congruence-sum loop over the ``Congruence`` records: each
+    term's coset count times its class's value, as plain tuples (u_class,
+    v_class, index, sum, residue) for the congruences violated, in order."""
+    rows = []
+    append = rows.append
+    for u_class, v_class, index, terms in congruences:
+        total = 0
+        for cls, count in terms:
+            total += count * values[cls]
+        residue = total % index
+        if residue:
+            append((u_class, v_class, index, total, residue))
+    return rows
 
 
 def loop_dress_exponent(lattice: SubgroupLattice, family: SubgroupFamily) -> int:

@@ -28,7 +28,7 @@ from burnside import (
 )
 from burnside import exponent
 from burnside.arith import prime_power
-from burnside.burnside_ring import _down_sets
+from burnside.burnside_ring import _down_sets, _dress_plan, _weyl_plan
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
 
@@ -141,9 +141,18 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
     lattice = enumerate_subgroups(build_group(parse_group_spec("Q16")))
     result = artin_exponent(lattice, EA)
     report = verify_main_theorem(16)
-    derived = (table_of_marks(lattice).rows, dress_congruences(lattice), weyl_congruences(lattice))
-    # the table of marks and the pair congruences share the down-sets
-    kernels = {table_of_marks, dress_congruences, weyl_congruences, _down_sets}
+    indicator = indicator_vector(lattice, EA).values
+    derived = (
+        table_of_marks(lattice).rows,
+        dress_congruences(lattice),
+        weyl_congruences(lattice),
+        dress_membership(lattice, GhostVector(lattice, indicator)),
+    )
+    # the table of marks and the pair congruences share the down-sets, and
+    # each congruence system is summed through a plan made on first use
+    kernels = {
+        table_of_marks, dress_congruences, weyl_congruences, _down_sets, _dress_plan, _weyl_plan
+    }
     # the class and marks records are named tuples, equal to their plain tuples
     records = (*lattice.classes, table_of_marks(lattice))
     plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]
@@ -157,7 +166,12 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
         clone = round_trip(lattice)
         # the cache comes along, keyed by the exported kernels
         assert set(clone._derived) == kernels
-        rows = (table_of_marks(clone).rows, dress_congruences(clone), weyl_congruences(clone))
+        rows = (
+            table_of_marks(clone).rows,
+            dress_congruences(clone),
+            weyl_congruences(clone),
+            dress_membership(clone, GhostVector(clone, indicator)),
+        )
         assert rows == derived
         assert divisor_witnesses(clone, result) == divisor_witnesses(lattice, result)
 

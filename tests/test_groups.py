@@ -131,6 +131,15 @@ def test_perm_tables_match_the_loop_oracle(text):
     assert table == tuple(map(tuple, loop_perm_table(degree, gens)))
 
 
+def test_a_power_walk_that_never_reaches_the_identity_raises():
+    """The tables a builder hands over are not checked, but a column that is
+    not a permutation, so that the powers of its element never return to the
+    identity, stops the walk after |G| steps with an error naming it."""
+    table = [(0, 1, 2), (1, 2, 2), (2, 2, 2)]  # column 1 walks 0, 1, 2, 2, ...
+    with pytest.raises(RuntimeError, match="element 1 never reach the identity"):
+        FiniteGroup._from_valid_table("stuck", table)
+
+
 def test_tables_of_bools_and_integral_floats_give_the_int_group():
     """Entries that are not ints are copied through int, as are tables
     whose rows mix them with ints; an int table is kept as tuples."""

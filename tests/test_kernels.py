@@ -10,8 +10,11 @@ table the one that composes each entry's permutations, and the Weyl row
 for U = 1 the census counted by walking every element's powers. The shared
 congruence-sum loop must give the same membership certificates and
 Artin-exponent witnesses (every violation, in order, every field) as the
-per-congruence loops. Every normalizer the enumeration records must be
-the brute-force {g : gUg^-1 = U}, the Weyl rows must equal those built
+per-congruence loops, and the plans of positions it reads the same
+violations as the earlier loop over the records, on members, perturbed
+members, negative vectors and vectors of 10^40 in size. Every
+normalizer the enumeration records must be the brute-force
+{g : gUg^-1 = U}, the Weyl rows must equal those built
 from such normalizers, and the three membership routes (Weyl rows, pair
 congruences, marks solve) must agree on every vector tried. For every
 family, the Weyl rows of the family's classes must equal the rows counted
@@ -46,6 +49,7 @@ from _oracles import (
     loop_dress_membership,
     loop_perm_table,
     mark,
+    record_violation_rows,
     scan_dress_congruences,
     scan_table_of_marks,
 )
@@ -71,8 +75,8 @@ from burnside import (
     table_of_marks,
     weyl_congruences,
 )
-from burnside.arith import is_prime
-from burnside.burnside_ring import _down_sets
+from burnside.arith import divisors, is_prime
+from burnside.burnside_ring import _down_sets, _dress_plan, _weyl_plan, violation_rows
 from burnside.groups import parse_permutation_file
 
 CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
@@ -281,10 +285,13 @@ PERM_GENERATOR_SETS = {
 @pytest.mark.parametrize("name", list(PERM_GENERATOR_SETS))
 def test_perm_tables_equal_the_composed_tables(name):
     """The table gathered column by column off the closure's Cayley graph
-    equals the one that composes the two permutations of every entry."""
+    equals the one that composes the two permutations of every entry, and
+    the columns the group was handed are that table's columns."""
     degree, gens, cap = PERM_GENERATOR_SETS[name]
-    table = group_from_perm_generators(degree, gens, order_cap=cap).mul_table
-    assert table == tuple(map(tuple, loop_perm_table(degree, gens)))
+    group = group_from_perm_generators(degree, gens, order_cap=cap)
+    assert group.mul_table == tuple(map(tuple, loop_perm_table(degree, gens)))
+    assert group.columns == tuple(zip(*group.mul_table))
+    assert all(type(column) is tuple for column in group.columns)
 
 
 @pytest.mark.parametrize("text", [*CATALOG_UP_TO_128, "D(8)xC3xQ(8)"])
@@ -485,6 +492,77 @@ def test_random_vectors_with_thousands_of_violations_match_loops(lattice_of):
     vectors = [GhostVector(lattice, [rng.randint(-5, 5) for _ in range(n)]) for _ in range(4)]
     assert all(len(dress_membership(lattice, v).violations) > 2000 for v in vectors)
     _assert_dress_route_matches_loops(lattice, vectors)
+
+
+def _plan_vectors(lattice, rng):
+    """Members, members with one entry moved by one, their negatives,
+    uniform negative vectors, and members and uniform vectors at 10^40 in
+    size, perturbed or not."""
+    n = lattice.class_count
+    big = 10**40
+    vectors = []
+    for _ in range(2):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        member = list(ghost_of(lattice, BurnsideElement(lattice, coeffs)).values)
+        perturbed = list(member)
+        perturbed[rng.randrange(n)] += rng.choice((-1, 1))
+        vectors += [member, perturbed, [-v for v in member], [-v for v in perturbed]]
+        vectors.append([rng.randint(-5, -1) for _ in range(n)])
+        vectors.append([big * v for v in member])
+        vectors.append([big * v + rng.randint(-2, 2) for v in member])
+        vectors.append([rng.choice((-big, big)) + rng.randint(-5, 5) for _ in range(n)])
+    return [GhostVector(lattice, v) for v in vectors]
+
+
+def _assert_plans_sum_as_the_records(lattice, vectors):
+    """The position plans give the violations that the record loop gives:
+    every field, in order, for the pair congruences (``dress_membership``)
+    and the Weyl congruences, and the Artin exponent and its witnesses read
+    from the record loop's Weyl violations of each family indicator."""
+    pairs, weyl = dress_congruences(lattice), weyl_congruences(lattice)
+    for vector in vectors:
+        violations = dress_membership(lattice, vector).violations
+        assert violations == tuple(record_violation_rows(pairs, vector.values))
+        assert all(type(v) is CongruenceViolation for v in violations)
+        weyl_rows = violation_rows(_weyl_plan(lattice), vector.values)
+        assert weyl_rows == record_violation_rows(weyl, vector.values)
+    for family in SubgroupFamily:
+        rows = record_violation_rows(weyl, indicator_vector(lattice, family).values)
+        result = artin_exponent(lattice, family)
+        assert result.exponent == lcm(*(q // gcd(s, q) for _, _, q, s, _ in rows))
+        witnesses = []
+        for d in divisors(result.exponent)[:-1]:
+            u, v, q, s, _ = next(r for r in rows if d * r[3] % r[2])
+            witnesses.append((d, (u, v, q, d * s, d * s % q)))
+        assert list(divisor_witnesses(lattice, result)) == witnesses
+
+
+@pytest.mark.parametrize("text", [*CATALOG_UP_TO_128, "D(8)xC3xQ(8)"])
+def test_catalog_plans_sum_as_the_records(text, lattice_of):
+    lattice = lattice_of(text)
+    _assert_plans_sum_as_the_records(lattice, _plan_vectors(lattice, random.Random(10)))
+
+
+@pytest.mark.parametrize("name", list(PERM_GENERATOR_SETS))
+def test_perm_group_plans_sum_as_the_records(name):
+    degree, gens, cap = PERM_GENERATOR_SETS[name]
+    lattice = enumerate_subgroups(group_from_perm_generators(degree, gens, order_cap=cap), cap=cap)
+    _assert_plans_sum_as_the_records(lattice, _plan_vectors(lattice, random.Random(11)))
+
+
+@pytest.mark.parametrize("text", ["C(5^3)", "D(128)", f"perm:{BENCH_S5}", "ES+(5)"])
+def test_plans_scale_the_counts_above_one(text, lattice_of):
+    """Where coset counts above 1 occur, both plans list them, each once,
+    and read such a term from its scaled copy of the values."""
+    lattice = lattice_of(text)
+    for plan, records in ((_dress_plan, dress_congruences), (_weyl_plan, weyl_congruences)):
+        scales, rows = plan(lattice)
+        assert scales and len(set(scales)) == len(scales) and 1 not in scales
+        n = lattice.class_count
+        for (u, v, q, positions), congruence in zip(rows, records(lattice), strict=True):
+            assert (u, v, q) == congruence[:3]
+            read = [(at % n, scales[at // n - 1] if at >= n else 1) for at in positions]
+            assert read == list(congruence.terms)
 
 
 def _assert_three_routes_agree(lattice, vectors):

@@ -17,11 +17,15 @@ Stages:
   marks      table_of_marks on a fresh lattice of each --groups spec
   pairs      dress_congruences on a fresh lattice of each --groups spec
   setup      table_of_marks then dress_congruences, as one sample
+  queries    a seeded stream of member, perturbed and random vectors of
+             each --groups spec through dress_membership, marks_membership
+             and minimal_multiplier, on lattices that have answered one
+             query already, as the benchmark's passes after its first
   sweep      build, enumerate and the ea-family Artin exponent over
              standard_catalog(128), as verify-main-theorem runs them
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
-           [--stages perm,enumerate,marks,pairs,setup,sweep]
+           [--stages perm,enumerate,marks,pairs,setup,sweep,queries]
            [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm']
 
 Group specs are separated by semicolons, as specs hold commas.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import random
 import statistics
 import sys
 import time
@@ -41,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PERM_FILES = ((ROOT / "bench" / "data" / "s5.perm", 256), (ROOT / "tests" / "data" / "s6.perm", 1000))
 GROUPS = f"EA(2,5);C8xC8xC2;perm:{ROOT / 'bench' / 'data' / 's5.perm'}"
 CAP = 1000  # the order cap of builds and enumerations, so that S6 (720) runs
-STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "sweep")
+STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "sweep", "queries")
+VECTORS_PER_KIND = 12  # per lattice of the queries stage
 
 
 def load_tree(tree: str, name: str):
@@ -87,7 +93,46 @@ def stage(B, which: str, groups: list[str]):
             for s in ss
         ]
         return lambda: specs, timed, same
+    if which == "queries":
+        return lambda: query_stream(B, lattices()), lambda qs: [decide(B, l, x) for l, x in qs], same
     raise SystemExit(f"unknown stage {which!r}; known: {', '.join(STAGES)}")
+
+
+def query_stream(B, lattices) -> list:
+    """(lattice, vector) pairs, the same on every call and tree: per lattice,
+    members (the marks table times coefficients in [-3, 3]), members with
+    one entry moved by one and uniform vectors in [-5, 5], shuffled, none
+    zero. Each lattice first decides a unit vector, so caches made on first
+    use are filled before the timed stream."""
+    rng = random.Random(0)
+    stream = []
+    for lattice in lattices:
+        n = lattice.class_count
+        decide(B, lattice, B.GhostVector(lattice, [1] + [0] * (n - 1)))
+        rows = B.table_of_marks(lattice).rows
+        for kind in ("member", "perturbed", "random"):
+            for _ in range(VECTORS_PER_KIND):
+                if kind == "random":
+                    values = [rng.randint(-5, 5) for _ in range(n)]
+                else:
+                    c = [rng.randint(-3, 3) for _ in range(n)]
+                    values = [d * c[i] + sum(m * c[j] for j, m in tail) for i, (d, tail) in enumerate(rows)]
+                    if kind == "perturbed":
+                        values[rng.randrange(n)] += 1
+                if not any(values):  # the least multiplier rejects the zero vector
+                    values[0] = 1
+                stream.append((lattice, B.GhostVector(lattice, values)))
+    rng.shuffle(stream)
+    return stream
+
+
+def decide(B, lattice, vector) -> tuple:
+    """The membership-batch query: both routes and the least multiplier."""
+    return (
+        B.dress_membership(lattice, vector),
+        B.marks_membership(lattice, vector),
+        B.minimal_multiplier(lattice, vector),
+    )
 
 
 def sample(prepare, timed, key) -> tuple[float, object]:
