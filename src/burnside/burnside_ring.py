@@ -23,21 +23,22 @@ the marks solve serves the ``marks`` and ``member`` commands. Both
 congruence systems are ``Congruence`` records, read off the walks of
 subgroups U over N(U) that the lattice keeps (``SubgroupLattice.walk``:
 enumeration walked one member of every class, and any other member is
-walked on demand), and summed by one loop (``violation_rows``);
-``least_multiplier`` turns sums into the least multiplier that satisfies
-them, for the congruences and the solve alike. The loop reads each system
-through a plan of positions (``_plan``): the values are extended once by
-their multiples by each coset count above 1, so that every term is one
-list read, with no pair to unpack and no multiply. A plan is made on the
-first query that reads it, not with the records, so a lattice never
-queried holds none: for the 5395 pair congruences of EA(2,5) it takes
-about 3 ms (Python 3.11 on x86-64), one and a half passes of the
-record loop it replaces, and 0.8 MB.
+walked on demand); ``least_multiplier`` turns sums into the least
+multiplier that satisfies them, for the congruences and the solve alike.
+The Artin exponent sums each Weyl row over its terms once per call.
+``dress_membership``, which membership queries repeat, reads the pair
+congruences through a plan of positions (``_dress_plan``): the values
+are extended once by their multiples by each coset count above 1, so
+that every term is one list read, with no pair to unpack and no
+multiply. The plan is made on the first query that reads it, not with
+the records, so a lattice never queried holds none: for the 5395 pair
+congruences of EA(2,5) it takes about 3 ms (Python 3.11 on x86-64), one
+and a half passes of the record loop it replaces, and 0.8 MB.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
 ``marks`` command). The table and both congruence systems are cached on
-the lattice through ``lattice_cached``, and so are their plans and the
+the lattice through ``lattice_cached``, and so are the pair plan and the
 down-sets (the subgroups inside each class representative) that the
 table and the pair congruences both read; a ghost vector keeps its own
 solve y, which ``marks_membership`` and ``minimal_multiplier`` both read.
@@ -53,7 +54,7 @@ from collections import Counter
 from functools import partial
 from math import gcd, lcm
 from operator import attrgetter, index
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .arith import divisors, prime_power
 from .groups import Subgroup
@@ -328,53 +329,23 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
 
 @lattice_cached
 def _dress_plan(lattice: SubgroupLattice) -> tuple:
-    """The pair congruences as ``violation_rows`` reads them, made on first use."""
-    return _plan(dress_congruences(lattice), lattice.class_count)
-
-
-@lattice_cached
-def _weyl_plan(lattice: SubgroupLattice) -> tuple:
-    """The Weyl congruences as ``violation_rows`` reads them, made on first use."""
-    return _plan(weyl_congruences(lattice), lattice.class_count)
-
-
-def _plan(congruences: Iterable[Congruence], n: int) -> tuple:
-    """(scales, rows): the coset counts above 1, in the order first met, and
-    per congruence (u_class, v_class, index, positions). The positions index
-    the n values followed by one copy of them times each scale: term (c, k)
-    reads c when k = 1, else n * (s + 1) + c for k = scales[s]. Coset counts
-    sum to the index, so a row with as many terms as its index has every
-    count 1 and reads its classes as they stand."""
+    """The pair congruences as ``dress_membership`` sums them, made on first
+    use: (scales, rows), the coset counts above 1 in the order first met,
+    and per congruence (u_class, v_class, index, positions). The positions
+    index the n values followed by one copy of them times each scale: term
+    (c, k) reads c when k = 1, else n * (s + 1) + c for k = scales[s].
+    Coset counts sum to the index, so a row with as many terms as its index
+    has every count 1 and reads its classes as they stand."""
+    n = lattice.class_count
     offsets = {1: 0}
     rows = []
-    for u_class, v_class, index, terms in congruences:
+    for u_class, v_class, index, terms in dress_congruences(lattice):
         if len(terms) == index:
             positions, _ = zip(*terms)
         else:
             positions = tuple(offsets.setdefault(k, n * len(offsets)) + c for c, k in terms)
         rows.append((u_class, v_class, index, positions))
     return tuple(offsets)[1:], tuple(rows)
-
-
-def violation_rows(plan: tuple, values: Sequence[int]) -> list[CongruenceViolation]:
-    """Every congruence of a plan (``_plan``) that the ghost values violate,
-    in the plan's order, each with its sum and nonzero residue = sum % index;
-    congruences that hold leave no record. Each term is one list read: the
-    values are extended once by their multiples by each scale."""
-    scales, rows = plan
-    extended = list(values)
-    for k in scales:
-        extended += map(k.__mul__, values)
-    violations = []
-    append = violations.append
-    for u_class, v_class, index, positions in rows:
-        total = 0
-        for at in positions:
-            total += extended[at]
-        residue = total % index
-        if residue:
-            append(_violation_from_row((u_class, v_class, index, total, residue)))
-    return violations
 
 
 def least_multiplier(pairs: Iterable[tuple[int, int]]) -> int:
@@ -390,11 +361,27 @@ def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCert
     """Decide membership by checking every Dress congruence.
 
     The certificate lists every violated congruence in the deterministic
-    enumeration order; it holds exactly when the list is empty.
+    enumeration order, each with its sum and nonzero residue = sum % index;
+    it holds exactly when the list is empty. The congruences are read
+    through their plan (``_dress_plan``): the values are extended once by
+    their multiples by each scale, and each term is one list read.
     """
     _check_vector(lattice, x)
-    violations = tuple(violation_rows(_dress_plan(lattice), x.values))
-    return CongruenceCertificate(holds=not violations, violations=violations)
+    scales, rows = _dress_plan(lattice)
+    values = x.values
+    extended = list(values)
+    for k in scales:
+        extended += map(k.__mul__, values)
+    violations = []
+    append = violations.append
+    for u_class, v_class, index, positions in rows:
+        total = 0
+        for at in positions:
+            total += extended[at]
+        residue = total % index
+        if residue:
+            append(_violation_from_row((u_class, v_class, index, total, residue)))
+    return CongruenceCertificate(holds=not violations, violations=tuple(violations))
 
 
 def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:

@@ -4,7 +4,8 @@ verify-main-theorem.
 Each subcommand builds one payload: ``--json`` prints it in an envelope,
 and the text output is rendered from that same payload. Output is
 deterministic: JSON payloads use sorted keys and the canonical class
-order, so running a subcommand twice on the same input is byte-identical. Exit codes: 0 success, 1 domain error (bad spec, cap
+order, so running a subcommand twice on the same input is
+byte-identical. Exit codes: 0 success, 1 domain error (bad spec, cap
 exceeded), memory exhausted or closed output pipe, 2 usage error, 3 when
 verify-main-theorem finds at least one disagreement row, 130 on interrupt.
 """

@@ -5,7 +5,10 @@ which n times the family's indicator ghost vector is an actual Burnside
 ring element. The Weyl congruences give it (Dress's characterisation),
 with no marks solve, and the same rows give the divisor witnesses of its
 certificate; neither reads the pair congruences, whose agreement with
-the Weyl rows the tests check. A closed-form table (abelian index
+the Weyl rows the tests check. Each call sums the rows of the family
+classes once, over the terms whose class is in the family, straight
+from the ``Congruence`` records: no ghost vector is built and nothing
+new is cached on the lattice. A closed-form table (abelian index
 formula, the quaternion/dihedral/semidihedral special values, and the
 order-over-p fallback) is implemented separately so brute force can be
 compared against it group by group.
@@ -19,9 +22,8 @@ from .arith import divisors, prime_power
 from .burnside_ring import (
     CongruenceViolation,
     GhostVector,
-    _weyl_plan,
     least_multiplier,
-    violation_rows,
+    weyl_congruences,
 )
 from .catalog import (
     MaximalCyclicType,
@@ -74,6 +76,27 @@ def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostV
     )
 
 
+def _family_rows(lattice: SubgroupLattice, family: SubgroupFamily) -> tuple:
+    """(family classes, exponent, violated rows): the Weyl rows that the
+    family's indicator violates, as (u_class, v_class, w_U, s_U) in row
+    order, and their ``least_multiplier``. s_U counts the cosets of the
+    row's terms whose class lies in the family. A row whose U lies outside
+    the family is passed over, as its every term does too."""
+    selected = select_family(lattice, family)
+    inside = [c in selected for c in range(lattice.class_count)]
+    rows = []
+    for u_class, v_class, index, terms in weyl_congruences(lattice):
+        if not inside[u_class]:
+            continue
+        total = 0
+        for c, count in terms:
+            if inside[c]:
+                total += count
+        if total % index:
+            rows.append((u_class, v_class, index, total))
+    return selected, least_multiplier((total, index) for _, _, index, total in rows), rows
+
+
 def artin_exponent(
     lattice: SubgroupLattice,
     family: SubgroupFamily = SubgroupFamily.ELEMENTARY_ABELIAN,
@@ -87,39 +110,30 @@ def artin_exponent(
     as each family is closed under subgroups. ``divisor_witnesses`` reads
     the same rows for the certificate.
     """
-    b = indicator_vector(lattice, family)
-    violations = violation_rows(_weyl_plan(lattice), b.values)
-    return ExponentResult(
-        exponent=least_multiplier((total, index) for _, _, index, total, _ in violations),
-        family=family,
-        family_classes=select_family(lattice, family),
-        method="marks+dress",
-    )
+    selected, exponent, _ = _family_rows(lattice, family)
+    return ExponentResult(exponent, family, selected, "marks+dress")
 
 
 def divisor_witnesses(
     lattice: SubgroupLattice, result: ExponentResult
 ) -> tuple[DivisorWitness, ...]:
     """The certificate of an exponent that ``artin_exponent`` computed on
-    this lattice, read from the same Weyl rows.
+    this lattice, read from the same Weyl rows in one pass.
 
     For each proper divisor d of the exponent, in ascending order, the
     witness is the first row that d times the indicator violates: the row
     of a class U, with v_class the class of N(U). The exponent is the lcm
     of the rows' quotients w_U / gcd(s_U, w_U), so each proper divisor
     misses one of them and has a witness. A result whose family classes
-    or exponent are not this lattice's raises ValueError.
+    or exponent are not the ones that pass reads raises ValueError.
     """
-    b = indicator_vector(lattice, result.family)
-    violations = violation_rows(_weyl_plan(lattice), b.values)
-    exponent = result.exponent
-    read = least_multiplier((total, index) for _, _, index, total, _ in violations)
-    if result.family_classes != select_family(lattice, result.family) or read != exponent:
+    selected, exponent, rows = _family_rows(lattice, result.family)
+    if result.family_classes != selected or result.exponent != exponent:
         raise ValueError("the exponent was not computed on this lattice")
     witnesses = []
     for d in divisors(exponent)[:-1]:
         # the check above leaves a row whose quotient d misses
-        u_class, v_class, index, total, _ = next(r for r in violations if d * r[3] % r[2])
+        u_class, v_class, index, total = next(r for r in rows if d * r[3] % r[2])
         violation = CongruenceViolation(u_class, v_class, index, d * total, d * total % index)
         witnesses.append(DivisorWitness(d, violation))
     return tuple(witnesses)

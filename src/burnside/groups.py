@@ -8,8 +8,9 @@ built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
 is not immutable: on first use it fills one lazy cache (table of marks,
-pair and Weyl congruences, the plans that sum them) and walks of the
-subgroups that enumeration did not walk over their normalizers. The
+pair and Weyl congruences, the plan that sums the pair congruences) and
+walks of the subgroups that enumeration did not walk over their
+normalizers. The
 only other cache is a ghost vector's first marks solve; an
 ``ExponentResult`` keeps no lattice, and ``divisor_witnesses`` reads the
 lattice's Weyl congruences. A lattice copies and pickles with its cache,

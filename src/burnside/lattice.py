@@ -16,10 +16,10 @@ double cosets HgH outside N(H) are joined by closure (``_coset_join``),
 and in a group whose order makes it solvable not even those. The walks
 are the lattice's cyclic data: kept as plain rows in class order on the
 lattice, they give the Weyl and pair congruences their terms, and a
-conjugate that was not walked is walked on demand. Each subgroup is one ``Subgroup``, built
-once with its bitmask when its class is found and shared by the classes
-and the lattice; every member's normalizer is a reference to the
-lattice's own ``Subgroup``.
+conjugate that was not walked is walked on demand. Each subgroup is one
+``Subgroup``, built once with its bitmask when its class is found and
+shared by the classes and the lattice; every member's normalizer is a
+reference to the lattice's own ``Subgroup``.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +29,10 @@ from burnside import (
 )
 from burnside import exponent
 from burnside.arith import prime_power
-from burnside.burnside_ring import _down_sets, _dress_plan, _weyl_plan
+from burnside.burnside_ring import _down_sets, _dress_plan
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
+BENCH_S5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "s5.perm"
 
 
 def test_indicator_all_subgroups_is_all_ones(lattice_of):
@@ -149,10 +151,8 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
         dress_membership(lattice, GhostVector(lattice, indicator)),
     )
     # the table of marks and the pair congruences share the down-sets, and
-    # each congruence system is summed through a plan made on first use
-    kernels = {
-        table_of_marks, dress_congruences, weyl_congruences, _down_sets, _dress_plan, _weyl_plan
-    }
+    # the pair congruences are summed through a plan made on first use
+    kernels = {table_of_marks, dress_congruences, weyl_congruences, _down_sets, _dress_plan}
     # the class and marks records are named tuples, equal to their plain tuples
     records = (*lattice.classes, table_of_marks(lattice))
     plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]
@@ -317,6 +317,18 @@ def test_indicator_vector_values_are_zero_one(lattice_of):
     vector = indicator_vector(lattice, EA)
     for idx, value in enumerate(vector.values):
         assert value == (1 if idx in selected else 0)
+
+
+@pytest.mark.parametrize(
+    "text", ["Q(16)", "C8xC8xC2", f"perm:{BENCH_S5}"], ids=["Q(16)", "C8xC8xC2", "s5.perm"]
+)
+def test_the_exponent_and_its_witnesses_cache_only_the_weyl_rows(text):
+    """Every family's exponent and certificate sum the Weyl rows as they
+    stand: a fresh lattice keeps those rows, and nothing built from them."""
+    lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
+    for family in SubgroupFamily:
+        divisor_witnesses(lattice, artin_exponent(lattice, family))
+    assert set(lattice._derived) == {weyl_congruences}
 
 
 def test_certificate_refuses_an_exponent_its_rows_do_not_give(lattice_of):

@@ -76,7 +76,7 @@ from burnside import (
     weyl_congruences,
 )
 from burnside.arith import divisors, is_prime
-from burnside.burnside_ring import _down_sets, _dress_plan, _weyl_plan, violation_rows
+from burnside.burnside_ring import _down_sets, _dress_plan
 from burnside.groups import parse_permutation_file
 
 CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
@@ -515,17 +515,15 @@ def _plan_vectors(lattice, rng):
 
 
 def _assert_plans_sum_as_the_records(lattice, vectors):
-    """The position plans give the violations that the record loop gives:
-    every field, in order, for the pair congruences (``dress_membership``)
-    and the Weyl congruences, and the Artin exponent and its witnesses read
-    from the record loop's Weyl violations of each family indicator."""
+    """The pair plan gives the violations that the record loop gives: every
+    field, in order (``dress_membership``), and the Artin exponent and its
+    witnesses are those read from the record loop's Weyl violations of each
+    family indicator."""
     pairs, weyl = dress_congruences(lattice), weyl_congruences(lattice)
     for vector in vectors:
         violations = dress_membership(lattice, vector).violations
         assert violations == tuple(record_violation_rows(pairs, vector.values))
         assert all(type(v) is CongruenceViolation for v in violations)
-        weyl_rows = violation_rows(_weyl_plan(lattice), vector.values)
-        assert weyl_rows == record_violation_rows(weyl, vector.values)
     for family in SubgroupFamily:
         rows = record_violation_rows(weyl, indicator_vector(lattice, family).values)
         result = artin_exponent(lattice, family)
@@ -552,17 +550,16 @@ def test_perm_group_plans_sum_as_the_records(name):
 
 @pytest.mark.parametrize("text", ["C(5^3)", "D(128)", f"perm:{BENCH_S5}", "ES+(5)"])
 def test_plans_scale_the_counts_above_one(text, lattice_of):
-    """Where coset counts above 1 occur, both plans list them, each once,
-    and read such a term from its scaled copy of the values."""
+    """Where coset counts above 1 occur, the pair plan lists them, each
+    once, and reads such a term from its scaled copy of the values."""
     lattice = lattice_of(text)
-    for plan, records in ((_dress_plan, dress_congruences), (_weyl_plan, weyl_congruences)):
-        scales, rows = plan(lattice)
-        assert scales and len(set(scales)) == len(scales) and 1 not in scales
-        n = lattice.class_count
-        for (u, v, q, positions), congruence in zip(rows, records(lattice), strict=True):
-            assert (u, v, q) == congruence[:3]
-            read = [(at % n, scales[at // n - 1] if at >= n else 1) for at in positions]
-            assert read == list(congruence.terms)
+    scales, rows = _dress_plan(lattice)
+    assert scales and len(set(scales)) == len(scales) and 1 not in scales
+    n = lattice.class_count
+    for (u, v, q, positions), congruence in zip(rows, dress_congruences(lattice), strict=True):
+        assert (u, v, q) == congruence[:3]
+        read = [(at % n, scales[at // n - 1] if at >= n else 1) for at in positions]
+        assert read == list(congruence.terms)
 
 
 def _assert_three_routes_agree(lattice, vectors):

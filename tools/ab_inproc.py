@@ -23,12 +23,24 @@ Stages:
              query already, as the benchmark's passes after its first
   sweep      build, enumerate and the ea-family Artin exponent over
              standard_catalog(128), as verify-main-theorem runs them
+  exponent   artin_exponent then divisor_witnesses for each family on a
+             fresh lattice of each --groups spec, whose Weyl congruences
+             are built before the timer starts
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
-           [--stages perm,enumerate,marks,pairs,setup,sweep,queries]
+           [--stages perm,enumerate,marks,pairs,setup,sweep,queries,exponent]
            [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm']
 
 Group specs are separated by semicolons, as specs hold commas.
+
+A/B hygiene: this tool imports both trees into one process, so neither
+pays start-up in its stage times. An A/B that starts the CLI instead
+(``bench/run.py`` on two checkouts, or timed ``burnside`` commands)
+must first compile both trees, ``python -m compileall -q src`` in each:
+with ``PYTHONDONTWRITEBYTECODE=1`` set, a tree whose ``__pycache__`` is
+missing or stale recompiles the package on every start, which alone
+moved CLI start-up by about 28 ms (``verify-main-theorem --max-order
+4``, 115 against 87 ms on a 2-CPU x86-64 host, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PERM_FILES = ((ROOT / "bench" / "data" / "s5.perm", 256), (ROOT / "tests" / "data" / "s6.perm", 1000))
 GROUPS = f"EA(2,5);C8xC8xC2;perm:{ROOT / 'bench' / 'data' / 's5.perm'}"
 CAP = 1000  # the order cap of builds and enumerations, so that S6 (720) runs
-STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "sweep", "queries")
+STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "sweep", "queries", "exponent")
 VECTORS_PER_KIND = 12  # per lattice of the queries stage
 
 
@@ -95,6 +107,16 @@ def stage(B, which: str, groups: list[str]):
         return lambda: specs, timed, same
     if which == "queries":
         return lambda: query_stream(B, lattices()), lambda qs: [decide(B, l, x) for l, x in qs], same
+    if which == "exponent":
+        def with_rows():
+            ls = lattices()
+            for lattice in ls:
+                B.weyl_congruences(lattice)
+            return ls
+        timed = lambda ls: [certify(B, l, f) for l in ls for f in B.SubgroupFamily]
+        # the family enums of two trees are not equal: compare by name
+        key = lambda out: [(r.exponent, r.family.name, r.family_classes, w) for r, w in out]
+        return with_rows, timed, key
     raise SystemExit(f"unknown stage {which!r}; known: {', '.join(STAGES)}")
 
 
@@ -133,6 +155,12 @@ def decide(B, lattice, vector) -> tuple:
         B.marks_membership(lattice, vector),
         B.minimal_multiplier(lattice, vector),
     )
+
+
+def certify(B, lattice, family) -> tuple:
+    """The exponent --certify query: the exponent, then its witnesses."""
+    result = B.artin_exponent(lattice, family)
+    return result, B.divisor_witnesses(lattice, result)
 
 
 def sample(prepare, timed, key) -> tuple[float, object]:
