@@ -96,19 +96,23 @@ def divisors(n: int) -> list[int]:
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n as tuples in weakly decreasing order."""
+    """All partitions of n as tuples in weakly decreasing order, the largest
+    first part first. A depth-first search on an explicit stack: a closure
+    that called itself would hold a reference to itself, a cycle that only
+    the cyclic garbage collector frees."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [()]
     out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
+    # (what is left to split, the largest part allowed, the parts so far)
+    stack = [(n, n, ())]
+    while stack:
+        remaining, largest, prefix = stack.pop()
         if remaining == 0:
             out.append(prefix)
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, n, ())
+            continue
+        # pushed smallest part first, so the largest part is searched first
+        stack.extend(
+            (remaining - part, part, prefix + (part,))
+            for part in range(1, min(largest, remaining) + 1)
+        )
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from typing import Sequence
 
 from . import __version__
@@ -150,9 +151,12 @@ def cmd_marks(args: argparse.Namespace) -> int:
     }
 
     def text(p):
-        width = max(len(str(v)) for row in p["matrix"] for v in row)
+        # each distinct mark is formatted once, padded to the widest
+        cell = {v: str(v) for v in set(chain.from_iterable(p["matrix"]))}
+        width = max(map(len, cell.values()))
+        cell = {v: s.rjust(width) for v, s in cell.items()}
         for row in p["matrix"]:
-            yield " ".join(f"{v:>{width}}" for v in row)
+            yield " ".join(map(cell.__getitem__, row))
 
     _emit(args, "marks", args.group, payload, text)
     return 0

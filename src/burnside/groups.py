@@ -16,7 +16,10 @@ only other cache is a ghost vector's first marks solve; an
 lattice's Weyl congruences. A lattice copies and pickles with its cache,
 a vector without. The values are deterministic, so threads sharing a
 lattice or a vector see the same results, but concurrent first calls
-may each compute them.
+may each compute them. Enumeration and the lattice's builders pause the
+cyclic garbage collector, whose switch all threads share: a build that
+found it on switches it back on as it ends, even if another thread
+switched it off while the build ran (see ``lattice._collector_paused``).
 """
 
 from __future__ import annotations

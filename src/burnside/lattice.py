@@ -20,10 +20,18 @@ conjugate that was not walked is walked on demand. Each subgroup is one
 ``Subgroup``, built once with its bitmask when its class is found and
 shared by the classes and the lattice; every member's normalizer is a
 reference to the lattice's own ``Subgroup``.
+
+Enumeration and every builder of the lattice's derived data
+(``lattice_cached``) run with CPython's cyclic garbage collector paused
+(``_collector_paused``). They allocate tens of thousands of long-lived
+objects and make no reference cycles, so the collector's passes over
+them would free nothing; reference counting frees all they drop, and
+what they keep goes to the oldest generation unscanned.
 """
 
 from __future__ import annotations
 
+import gc
 from enum import Enum
 from functools import wraps
 from itertools import filterfalse
@@ -177,12 +185,60 @@ class SubgroupLattice:
         )
 
 
+def _collector_paused(build: Callable[..., T]) -> Callable[..., T]:
+    """Run a bulk builder with CPython's cyclic garbage collector paused.
+
+    The builders allocate tens of thousands of long-lived tuples, sets and
+    records, and every few hundred allocations the collector would rescan
+    them and free nothing. That is safe to skip: the package makes no
+    reference cycles (``tests/test_kernels.py`` builds and drops the whole
+    pipeline with the collector off and asserts that ``gc.collect()``
+    finds nothing), so reference counting alone frees what a build drops.
+    The collector is switched off only if it was on at entry, and back on
+    in a ``finally``; a nested build, or a caller that switched it off,
+    leaves the state alone.
+
+    A paused collector still counts allocations, so the first allocation
+    after a build would start a young-generation pass over everything the
+    build kept, which frees nothing either. Before switching the collector
+    back on, ``gc.freeze()`` then ``gc.unfreeze()`` move every tracked
+    object to the oldest generation unscanned and reset that count. The
+    caller's young objects move too, so a cycle among them is freed by
+    the next full collection rather than a young one. When the caller has
+    frozen objects (``gc.get_freeze_count()``) the move is skipped, as
+    ``gc.unfreeze()`` would release them.
+
+    The state is per interpreter, not per thread: if another thread calls
+    ``gc.disable()`` while a build runs, the build's exit switches the
+    collector back on, and a ``gc.freeze()`` from another thread between
+    the build's two calls is undone.
+    """
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+    return paused
+
+
 def lattice_cached(
     build: Callable[[SubgroupLattice], T]
 ) -> Callable[[SubgroupLattice], T]:
     """Make a function of a lattice alone compute once per lattice: its
     value is kept in the lattice's cache, keyed by the decorated function,
-    the one its module exports, so a lattice with a filled cache pickles."""
+    the one its module exports, so a lattice with a filled cache pickles.
+    The value is built with the cyclic collector paused
+    (``_collector_paused``); a cache hit does not touch the collector."""
+    build = _collector_paused(build)
 
     @wraps(build)
     def get(lattice: SubgroupLattice) -> T:
@@ -269,6 +325,7 @@ def _walk(
     return rows
 
 
+@_collector_paused
 def enumerate_subgroups(
     group: FiniteGroup, *, cap: int | None = None
 ) -> SubgroupLattice:

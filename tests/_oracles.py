@@ -40,7 +40,10 @@ the library counts involutions, and ``class_index_of`` looks a
 subgroup's class up by its elements, which only tests need.
 ``scan_table_of_marks`` is the earlier table of marks, which tests every
 member of a class against the smaller classes' representatives, where
-the library reads each representative's down-set.
+the library reads each representative's down-set, and
+``per_cell_marks_text`` the earlier ``marks`` text, which formats every
+cell with its own f-string, where the library formats each distinct
+mark once.
 ``family_rows`` counts each family class's Weyl row (w_U, s_U) from the
 multiplication table by a rule for each family, where the library sums
 the walks, and ``family_witnesses`` reads the exponent's certificate off
@@ -591,6 +594,13 @@ def scan_table_of_marks(lattice: SubgroupLattice) -> tuple:
         for i, conjugates in Counter(contained).items():
             tails[i].append((j, conjugates * per_conjugate))
     return tuple(zip(diagonal, map(tuple, tails)))
+
+
+def per_cell_marks_text(matrix: Sequence[Sequence[int]]) -> list[str]:
+    """The ``marks`` command's text lines, one f-string per cell, right
+    aligned to the widest mark."""
+    width = max(len(str(v)) for row in matrix for v in row)
+    return [" ".join(f"{v:>{width}}" for v in row) for row in matrix]
 
 
 def fraction_marks_solve(

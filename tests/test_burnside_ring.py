@@ -356,8 +356,10 @@ def test_membership_benchmark_sizes_match_the_pinned_ones():
         assert sizes == pinned["membership_sizes"][name], name
 
 
-# the lattices the membership benchmark sets up: EA(2,5), C8xC8xC2 and S5
+# the lattices the membership benchmark sets up: EA(2,5), C8xC8xC2 and S5,
+# with ids that do not hold the checkout's path
 SETUP_SPECS = ["EA(2,5)", "C8xC8xC2", f"perm:{BENCH_DATA / 's5.perm'}"]
+SETUP_IDS = ["EA(2,5)", "C8xC8xC2", "S5"]
 
 
 def _count_solves(monkeypatch) -> list[int]:
@@ -381,7 +383,7 @@ def _some_vectors(lattice, rng, count=4):
     return [GhostVector(lattice, v) for v in vectors if any(v)]
 
 
-@pytest.mark.parametrize("text", SETUP_SPECS)
+@pytest.mark.parametrize("text", SETUP_SPECS, ids=SETUP_IDS)
 def test_marks_route_solves_each_vector_once(text, lattice_of, monkeypatch):
     lattice = lattice_of(text)
     calls = _count_solves(monkeypatch)
@@ -400,7 +402,7 @@ def test_marks_route_solves_each_vector_once(text, lattice_of, monkeypatch):
         assert calls[0] - before == 3
 
 
-@pytest.mark.parametrize("text", SETUP_SPECS)
+@pytest.mark.parametrize("text", SETUP_SPECS, ids=SETUP_IDS)
 def test_replaced_values_are_solved_again(text, lattice_of, monkeypatch):
     lattice = lattice_of(text)
     rng = random.Random(5)
@@ -431,8 +433,11 @@ def test_replaced_lattice_is_solved_again(lattice_of):
     assert minimal_multiplier(c9, vector) == 9
 
 
+CATALOG_UP_TO_64 = [spec.text() for spec in standard_catalog(64)]
+
+
 @pytest.mark.parametrize(
-    "text", [spec.text() for spec in standard_catalog(64)] + SETUP_SPECS
+    "text", CATALOG_UP_TO_64 + SETUP_SPECS, ids=CATALOG_UP_TO_64 + SETUP_IDS
 )
 def test_kept_and_fresh_solves_agree(text, lattice_of):
     lattice = lattice_of(text)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import per_cell_marks_text
 from burnside import (
     SubgroupFamily,
     artin_exponent,
@@ -17,6 +18,7 @@ from burnside import (
     cli,
     groups,
     standard_catalog,
+    table_of_marks,
     verify_main_theorem,
 )
 from burnside.cli import ENUM_CAP_ENV, run
@@ -157,6 +159,15 @@ def test_the_exponent_path_never_builds_the_pair_system(monkeypatch, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (exit_code, "")
             assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [spec.text() for spec in standard_catalog(32)])
+def test_marks_text_equals_the_per_cell_renderer(text, capsys, lattice_of):
+    code, out, err = run_cli(capsys, "marks", text)
+    assert (code, err) == (0, "")
+    matrix = table_of_marks(lattice_of(text)).entries
+    assert out.splitlines() == per_cell_marks_text(matrix)
+    assert out.endswith("\n") and out.count("\n") == len(matrix)
 
 
 def test_exponent_elementary_abelian(capsys):

@@ -22,6 +22,11 @@ from the multiplication table alone, and the Artin exponent the marks
 solve's and those rows' multiplier. Every walk of a subgroup over its
 normalizer, kept by enumeration or made on demand, must equal one closed
 from scratch, and a lattice must be freed by reference counting alone.
+The whole pipeline, from listing the catalog to the exponent's witnesses,
+must leave nothing for the cyclic garbage collector, and enumeration and
+the cached builders must run with the collector paused, leave it in the
+state they found it, on return and on a raise, and leave no young pass
+for the allocations after them, unless the caller has frozen objects.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from _oracles import (
     scan_table_of_marks,
 )
 from burnside import (
+    CapExceededError,
     Congruence,
     CongruenceViolation,
     GhostVector,
@@ -75,9 +81,11 @@ from burnside import (
     table_of_marks,
     weyl_congruences,
 )
+from burnside import lattice as lattice_module
 from burnside.arith import divisors, is_prime
 from burnside.burnside_ring import _down_sets, _dress_plan
 from burnside.groups import parse_permutation_file
+from burnside.lattice import lattice_cached
 
 CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
 CATALOG_UP_TO_64 = [spec.text() for spec in standard_catalog(64)]
@@ -251,6 +259,7 @@ PAIR_SCAN_SPECS = CATALOG_UP_TO_128 + [
     "C8xC8xC2",
     f"perm:{BENCH_S5}",
 ]
+PAIR_SCAN_IDS = [*PAIR_SCAN_SPECS[:-1], "S5"]  # no checkout path in the id
 
 
 def _assert_pairs_equal_the_reference_scan(group):
@@ -262,7 +271,7 @@ def _assert_pairs_equal_the_reference_scan(group):
     assert all(type(c) is Congruence for c in congruences)
 
 
-@pytest.mark.parametrize("text", PAIR_SCAN_SPECS)
+@pytest.mark.parametrize("text", PAIR_SCAN_SPECS, ids=PAIR_SCAN_IDS)
 def test_pair_congruences_equal_the_reference_scan(text):
     _assert_pairs_equal_the_reference_scan(build_group(parse_group_spec(text)))
 
@@ -409,6 +418,114 @@ def test_lattices_are_freed_by_reference_counting():
         gc.enable()
 
 
+def _pipeline_lattices():
+    """The lattices of the catalog up to 64, S5, D(8)xC3xQ(8) and the
+    seeded permutation groups, built one at a time."""
+    # the catalog is listed here, not at import, as listing it is a stage
+    more = (f"perm:{BENCH_S5}", "D(8)xC3xQ(8)")
+    for spec in [*standard_catalog(64), *map(parse_group_spec, more)]:
+        yield enumerate_subgroups(build_group(spec))
+    for name, (degree, gens, cap) in PERM_GENERATOR_SETS.items():
+        if name not in ("S5", "S6"):
+            group = group_from_perm_generators(degree, gens, order_cap=cap)
+            yield enumerate_subgroups(group, cap=cap)
+
+
+def test_the_pipeline_leaves_no_cycle_for_the_collector():
+    """With the cyclic collector off, building and dropping every stage,
+    from the catalog to the exponent's witnesses, leaves nothing that
+    only the collector could free: reference counting frees it all, which
+    is what makes pausing the collector during builds safe."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for lattice in _pipeline_lattices():
+            table_of_marks(lattice)
+            dress_congruences(lattice)
+            weyl_congruences(lattice)
+            _dress_plan(lattice)
+            for family in SubgroupFamily:
+                vector = indicator_vector(lattice, family)
+                dress_membership(lattice, vector)
+                marks_membership(lattice, vector)
+                minimal_multiplier(lattice, vector)
+                divisor_witnesses(lattice, artin_exponent(lattice, family))
+        del lattice, vector
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+@lattice_cached
+def _collector_state(lattice):
+    return gc.isenabled()
+
+
+@lattice_cached
+def _failing_build(lattice):
+    raise RuntimeError("a build that fails")
+
+
+def test_builders_restore_the_collector_state(monkeypatch):
+    """Enumeration and the cached builders run with the collector paused,
+    and leave it as they found it, on return and on a raise: back on, or
+    still off when the caller had switched it off."""
+    group = build_group(parse_group_spec("D(16)"))
+    seen = []
+    real_walk = lattice_module._walk
+
+    def walk(*args):
+        seen.append(gc.isenabled())
+        return real_walk(*args)
+
+    monkeypatch.setattr(lattice_module, "_walk", walk)
+    builders = (_down_sets, table_of_marks, dress_congruences, weyl_congruences, _dress_plan)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            lattice = enumerate_subgroups(group)
+            assert seen and not any(seen) and gc.isenabled() is enabled
+            assert _collector_state(lattice) is False
+            for build in builders:
+                build(lattice)
+                assert gc.isenabled() is enabled
+            with pytest.raises(CapExceededError):
+                enumerate_subgroups(group, cap=8)
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="a build that fails"):
+                _failing_build(lattice)
+            assert gc.isenabled() is enabled
+            seen.clear()
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_build_leaves_no_young_pass_behind():
+    """What a build kept is moved to the oldest generation unscanned, so
+    the allocations after it start no young collection; when the caller
+    has frozen objects nothing is moved and they stay frozen."""
+    group = build_group(parse_group_spec("EA(2,4)"))
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect(0)  # far fewer than a young pass's allocations follow
+        young = gc.get_stats()[0]["collections"]
+        lattice = enumerate_subgroups(group)
+        table_of_marks(lattice)
+        after = [[] for _ in range(100)]
+        assert gc.get_stats()[0]["collections"] == young and len(after) == 100
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        dress_congruences(lattice)
+        assert gc.get_freeze_count() == frozen > 0
+    finally:
+        gc.unfreeze()
+        gc.enable() if was else gc.disable()
+
+
 def _fields(violation):
     return (
         violation.u_class,
@@ -548,7 +665,11 @@ def test_perm_group_plans_sum_as_the_records(name):
     _assert_plans_sum_as_the_records(lattice, _plan_vectors(lattice, random.Random(11)))
 
 
-@pytest.mark.parametrize("text", ["C(5^3)", "D(128)", f"perm:{BENCH_S5}", "ES+(5)"])
+@pytest.mark.parametrize(
+    "text",
+    ["C(5^3)", "D(128)", f"perm:{BENCH_S5}", "ES+(5)"],
+    ids=["C(5^3)", "D(128)", "S5", "ES+(5)"],
+)
 def test_plans_scale_the_counts_above_one(text, lattice_of):
     """Where coset counts above 1 occur, the pair plan lists them, each
     once, and reads such a term from its scaled copy of the values."""

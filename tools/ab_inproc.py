@@ -17,6 +17,9 @@ Stages:
   marks      table_of_marks on a fresh lattice of each --groups spec
   pairs      dress_congruences on a fresh lattice of each --groups spec
   setup      table_of_marks then dress_congruences, as one sample
+  build      what the membership benchmark's set-up times, as one sample
+             over all --groups specs: parse, build, enumerate,
+             table_of_marks, dress_congruences and the dense marks
   queries    a seeded stream of member, perturbed and random vectors of
              each --groups spec through dress_membership, marks_membership
              and minimal_multiplier, on lattices that have answered one
@@ -28,10 +31,16 @@ Stages:
              are built before the timer starts
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
-           [--stages perm,enumerate,marks,pairs,setup,sweep,queries,exponent]
+           [--stages perm,enumerate,marks,pairs,setup,build,sweep,queries,exponent]
            [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm']
 
 Group specs are separated by semicolons, as specs hold commas.
+
+Every sample starts with ``gc.collect()``, so no sample pays for the
+garbage of another. Enumeration and the lattice's cached builders pause
+the cyclic collector themselves (``lattice._collector_paused``); the
+``build`` stage times the whole set-up as the benchmark does, with the
+parsing, the group builds and the dense marks that run with it on.
 
 A/B hygiene: this tool imports both trees into one process, so neither
 pays start-up in its stage times. An A/B that starts the CLI instead
@@ -58,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PERM_FILES = ((ROOT / "bench" / "data" / "s5.perm", 256), (ROOT / "tests" / "data" / "s6.perm", 1000))
 GROUPS = f"EA(2,5);C8xC8xC2;perm:{ROOT / 'bench' / 'data' / 's5.perm'}"
 CAP = 1000  # the order cap of builds and enumerations, so that S6 (720) runs
-STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "sweep", "queries", "exponent")
+STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "build", "sweep", "queries", "exponent")
 VECTORS_PER_KIND = 12  # per lattice of the queries stage
 
 
@@ -97,6 +106,16 @@ def stage(B, which: str, groups: list[str]):
     if which == "setup":
         timed = lambda ls: [(B.table_of_marks(l).rows, B.dress_congruences(l)) for l in ls]
         return lattices, timed, same
+    if which == "build":
+        def timed(texts):
+            out = []
+            for text in texts:
+                group = B.build_group(B.parse_group_spec(text), cap=CAP)
+                lattice = B.enumerate_subgroups(group, cap=CAP)
+                marks = B.table_of_marks(lattice)
+                out.append((B.dress_congruences(lattice), marks.entries))
+            return out
+        return lambda: groups, timed, same
     if which == "sweep":
         specs = B.standard_catalog(128)
         family = B.SubgroupFamily.ELEMENTARY_ABELIAN
