@@ -2,9 +2,10 @@
 
 Concrete multiplication-table groups, full subgroup lattices, tables of
 marks, exact membership tests for the ghost ring (Dress congruences over
-pairs and over Weyl groups, and triangular marks inversion), and Artin
-exponents relative to a family of subgroups, together with a brute-force
-comparison harness for the closed-form exponent table.
+pairs, and triangular marks inversion), and Artin exponents relative to
+a family of subgroups, read off Dress's congruences over Weyl groups,
+together with a brute-force comparison harness for the closed-form
+exponent table.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +22,6 @@ from .burnside_ring import (
     marks_membership,
     minimal_multiplier,
     table_of_marks,
-    weyl_congruences,
 )
 from .catalog import (
     GroupSpec,
@@ -40,7 +40,6 @@ from .exponent import (
     abelian_closed_form_exponent,
     artin_exponent,
     closed_form_exponent,
-    divisor_witnesses,
     indicator_vector,
     verify_main_theorem,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
     "direct_product",
-    "divisor_witnesses",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",
@@ -111,5 +109,4 @@ __all__ = [
     "standard_catalog",
     "table_of_marks",
     "verify_main_theorem",
-    "weyl_congruences",
 ]

@@ -1,44 +1,43 @@
 """Marks, tables of marks, and exact membership tests for the Burnside ring.
 
 A ghost vector assigns one integer to each subgroup conjugacy class.
-Three independent routes decide whether it comes from an actual virtual
+Two independent routes decide whether it comes from an actual virtual
 G-set:
 
 * the pair congruences (``dress_congruences``): one per class of pairs
   U normal in V with prime-power index, summing x over the subgroups
   <v, U> for the cosets vU in V/U, modulo |V : U|;
-* the Weyl congruences (``weyl_congruences``): the congruence of the
-  pair (U, N(U)) for every class U, modulo |N(U) : U| (Dress's
-  characterisation; the row for U = 1 is the Cauchy-Frobenius-Burnside
-  relation);
 * the marks solve: the triangular table of marks is solved for the
   coefficients c, and membership read off from their integrality. Every
   entry of |G| times the inverse table of marks is an integer, so the
   solve runs on y = |G|*c in plain ints, with every division checked to
   be exact; x is a member exactly when |G| divides every y_i.
 
-All three are expected to agree on every input; that agreement is part
-of the test suite. The Artin exponent reads the Weyl congruences alone;
-the marks solve serves the ``marks`` and ``member`` commands. Both
-congruence systems are ``Congruence`` records, read off the walks of
-subgroups U over N(U) that the lattice keeps (``SubgroupLattice.walk``:
-enumeration walked one member of every class, and any other member is
-walked on demand); ``least_multiplier`` turns sums into the least
-multiplier that satisfies them, for the congruences and the solve alike.
-The Artin exponent sums each Weyl row over its terms once per call.
-``dress_membership``, which membership queries repeat, reads the pair
-congruences through a plan of positions (``_dress_plan``): the values
-are extended once by their multiples by each coset count above 1, so
-that every term is one list read, with no pair to unpack and no
-multiply. The plan is made on the first query that reads it, not with
-the records, so a lattice never queried holds none: for the 5395 pair
-congruences of EA(2,5) it takes about 3 ms (Python 3.11 on x86-64), one
-and a half passes of the record loop it replaces, and 0.8 MB.
+Both are expected to agree on every input, and with a third route that
+the tests keep, the Weyl congruences of Dress's characterisation (one
+per class U, over N(U)/U, modulo |N(U) : U|; the row for U = 1 is the
+Cauchy-Frobenius-Burnside relation, which ``cfb_check`` sums). The
+Artin exponent (``exponent``) sums the Weyl rows of the family classes
+straight off the walks; the marks solve serves the ``marks`` and
+``member`` commands. The pair congruences are ``Congruence`` records,
+read off the walks of subgroups U over N(U) that the lattice keeps
+(``SubgroupLattice.walk``: enumeration walked one member of every class,
+and any other member is walked on demand); ``least_multiplier`` turns
+sums into the least multiplier that satisfies them, for the congruences
+and the solve alike. ``dress_membership``, which membership queries
+repeat, reads the pair congruences through a plan of positions
+(``_dress_plan``): the values are extended once by their multiples by
+each coset count above 1, so that every term is one list read, with no
+pair to unpack and no multiply. The plan is made on the first query
+that reads it, not with the records, so a lattice never queried holds
+none: for the 5395 pair congruences of EA(2,5) it takes about 3 ms
+(Python 3.11 on x86-64), one and a half passes of the record loop it
+replaces, and 0.8 MB.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
-``marks`` command). The table and both congruence systems are cached on
-the lattice through ``lattice_cached``, and so are the pair plan and the
+``marks`` command). The table and the pair congruences are cached on the
+lattice through ``lattice_cached``, and so are the pair plan and the
 down-sets (the subgroups inside each class representative) that the
 table and the pair congruences both read; a ghost vector keeps its own
 solve y, which ``marks_membership`` and ``minimal_multiplier`` both read.
@@ -171,9 +170,8 @@ class CongruenceCertificate(NamedTuple):
 
 
 class Congruence(NamedTuple):
-    """One congruence: sum over cosets vU in V/U of x(class of <v, U>) mod (V:U).
-
-    A pair congruence has V/U of prime-power order; a Weyl row has V = N(U).
+    """One pair congruence: sum over cosets vU in V/U of x(class of <v, U>)
+    mod (V:U), with U normal in V and V/U of prime-power order.
 
     ``terms`` aggregates the cosets by the class of the generated
     subgroup, as (class_index, coset_count) pairs. A named tuple: it
@@ -292,39 +290,6 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             # made in the order the membership loop reads them, adjacent in memory
             out.append(record((u_class, cls.class_index, index, terms)))
     return tuple(out)
-
-
-@lattice_cached
-def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
-    """Dress's characterisation by Weyl groups, one congruence per class.
-
-    x is in the Burnside ring iff, for every class U, sum over gU in
-    N(U)/U of x(<g, U>) is 0 mod |N(U) : U|: the congruence of the pair
-    (U, N(U)), with v_class the class of N(U), summing a member's whole
-    walk (``SubgroupLattice.walks``) by class. Conjugates give the same
-    row, so a member already walked, by enumeration or for the pair
-    congruences, is read, else the representative.
-    The index is |G| / (|class| * |U|); classes of index 1 give no row.
-    A walk whose coset counts do not sum to the index raises RuntimeError.
-    """
-    order = lattice.group.order
-    walks = lattice.walks
-    rows = []
-    for cls in lattice.classes:
-        index = order // (len(cls.members) * cls.order)
-        if index == 1:
-            continue
-        member = next((m for m in cls.members if m.mask in walks), cls.representative)
-        # every row of a walk over N(U) lies in N(U): no mask test
-        counts: dict[int, int] = {}
-        for _, joined_class, count in lattice.walk(member):
-            counts[joined_class] = counts.get(joined_class, 0) + count
-        if (cosets := sum(counts.values())) != index:
-            raise RuntimeError(f"class {cls.class_index}'s walk counts {cosets} of {index} cosets")
-        terms = tuple(counts.items())
-        norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
-        rows.append(Congruence(cls.class_index, norm_class, index, terms))
-    return tuple(rows)
 
 
 @lattice_cached

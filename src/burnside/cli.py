@@ -27,12 +27,7 @@ from .burnside_ring import (
     table_of_marks,
 )
 from .catalog import build_group, parse_group_spec, standard_catalog
-from .exponent import (
-    artin_exponent,
-    closed_form_exponent,
-    divisor_witnesses,
-    verify_main_theorem,
-)
+from .exponent import _certified, closed_form_exponent, verify_main_theorem
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupFamily,
@@ -203,7 +198,7 @@ def cmd_member(args: argparse.Namespace) -> int:
 def cmd_exponent(args: argparse.Namespace) -> int:
     lattice = _lattice_for(args.group)
     family = SubgroupFamily(args.family)
-    result = artin_exponent(lattice, family)
+    result, witnesses = _certified(lattice, family)
     closed = None
     if family is SubgroupFamily.ELEMENTARY_ABELIAN:
         try:
@@ -221,7 +216,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
     if args.certify:
         payload["certificate"] = [
             {"divisor": w.divisor, "violation": _violation(w.violation)}
-            for w in divisor_witnesses(lattice, result)
+            for w in witnesses
         ]
 
     def text(p):

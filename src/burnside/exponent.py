@@ -2,16 +2,17 @@
 
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
-ring element. The Weyl congruences give it (Dress's characterisation),
-with no marks solve, and the same rows give the divisor witnesses of its
-certificate; neither reads the pair congruences, whose agreement with
-the Weyl rows the tests check. Each call sums the rows of the family
-classes once, over the terms whose class is in the family, straight
-from the ``Congruence`` records: no ghost vector is built and nothing
-new is cached on the lattice. A closed-form table (abelian index
-formula, the quaternion/dihedral/semidihedral special values, and the
-order-over-p fallback) is implemented separately so brute force can be
-compared against it group by group.
+ring element. Dress's characterisation gives it with no marks solve and
+no pair congruences: for each family class U, the Weyl row of U over
+N(U) is summed straight off a walked member's kept walk
+(``SubgroupLattice.walks``), and the same pass gives the divisor
+witnesses of its certificate. No congruence record is built and nothing
+is cached on the lattice; the tests check the rows against a Weyl-row
+oracle, the pair route and a count from the multiplication table. A
+closed-form table (abelian index formula, the quaternion/dihedral/
+semidihedral special values, and the order-over-p fallback) is
+implemented separately so brute force can be compared against it group
+by group.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import divisors, prime_power
-from .burnside_ring import (
-    CongruenceViolation,
-    GhostVector,
-    least_multiplier,
-    weyl_congruences,
-)
+from .burnside_ring import CongruenceViolation, GhostVector, least_multiplier
 from .catalog import (
     MaximalCyclicType,
     build_group,
@@ -52,14 +48,12 @@ class DivisorWitness(NamedTuple):
 
 
 class ExponentResult(NamedTuple):
-    """An Artin exponent, computed from the Weyl congruences.
+    """An Artin exponent, read off the Weyl rows of the family classes.
 
-    ``divisor_witnesses`` gives its certificate from the same rows of the
-    lattice. ``method`` is the label that the JSON output prints,
-    "marks+dress"; it stays so, though the marks are not read, because
-    acceptance criterion 4 (``tests/test_acceptance.py``) reads it. A
-    named tuple: it equals the plain tuple
-    (exponent, family, family_classes, method).
+    ``method`` is the label that the JSON output prints, "marks+dress";
+    it stays so, though the marks are not read, because acceptance
+    criterion 4 (``tests/test_acceptance.py``) reads it. A named tuple:
+    it equals the plain tuple (exponent, family, family_classes, method).
     """
 
     exponent: int
@@ -78,23 +72,59 @@ def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostV
 
 def _family_rows(lattice: SubgroupLattice, family: SubgroupFamily) -> tuple:
     """(family classes, exponent, violated rows): the Weyl rows that the
-    family's indicator violates, as (u_class, v_class, w_U, s_U) in row
-    order, and their ``least_multiplier``. s_U counts the cosets of the
-    row's terms whose class lies in the family. A row whose U lies outside
-    the family is passed over, as its every term does too."""
+    family's indicator violates, as (u_class, v_class, w_U, s_U) in class
+    order, and their ``least_multiplier``.
+
+    For each family class U, w_U = |G| / (|class| * |U|), and a class of
+    w_U = 1 gives no row. s_U counts the cosets of the rows of a walked
+    member's walk over N(U) whose class lies in the family; conjugates
+    give the same row. A walk whose coset counts do not sum to w_U raises
+    RuntimeError. v_class, the class of N(U), is looked up for the
+    violated rows alone."""
     selected = select_family(lattice, family)
     inside = [c in selected for c in range(lattice.class_count)]
+    order = lattice.group.order
+    walks = lattice.walks
     rows = []
-    for u_class, v_class, index, terms in weyl_congruences(lattice):
+    for cls in lattice.classes:
+        u_class = cls.class_index
         if not inside[u_class]:
             continue
-        total = 0
-        for c, count in terms:
+        index = order // (len(cls.members) * cls.order)
+        if index == 1:
+            continue
+        member = next((m for m in cls.members if m.mask in walks), cls.representative)
+        total = cosets = 0
+        for _, c, count in lattice.walk(member):
+            cosets += count
             if inside[c]:
                 total += count
+        if cosets != index:
+            raise RuntimeError(f"class {u_class}'s walk counts {cosets} of {index} cosets")
         if total % index:
+            v_class = lattice._class_by_mask[lattice.normalizer(member).mask]
             rows.append((u_class, v_class, index, total))
     return selected, least_multiplier((total, index) for _, _, index, total in rows), rows
+
+
+def _certified(
+    lattice: SubgroupLattice, family: SubgroupFamily
+) -> tuple[ExponentResult, tuple[DivisorWitness, ...]]:
+    """The exponent and its certificate, from one ``_family_rows`` pass.
+
+    For each proper divisor d of the exponent, in ascending order, the
+    witness is the first violated row that d times the indicator still
+    violates: the row of a class U, with v_class the class of N(U). The
+    exponent is the lcm of the rows' quotients w_U / gcd(s_U, w_U), so
+    each proper divisor misses one of them and has a witness.
+    """
+    selected, exponent, rows = _family_rows(lattice, family)
+    witnesses = []
+    for d in divisors(exponent)[:-1]:
+        u_class, v_class, index, total = next(r for r in rows if d * r[3] % r[2])
+        violation = CongruenceViolation(u_class, v_class, index, d * total, d * total % index)
+        witnesses.append(DivisorWitness(d, violation))
+    return ExponentResult(exponent, family, selected, "marks+dress"), tuple(witnesses)
 
 
 def artin_exponent(
@@ -103,40 +133,14 @@ def artin_exponent(
 ) -> ExponentResult:
     """Least n with n times the family indicator inside the Burnside ring.
 
-    By Dress's characterisation it is the ``least_multiplier`` of the Weyl
-    rows that the indicator violates: the lcm of w_U / gcd(s_U, w_U) over
+    By Dress's characterisation it is the lcm of w_U / gcd(s_U, w_U) over
     the family classes U, with w_U = |N(U) : U| and s_U the cosets gU in
-    N(U)/U with <g, U> in the family. A row outside the family sums to 0,
-    as each family is closed under subgroups. ``divisor_witnesses`` reads
-    the same rows for the certificate.
+    N(U)/U with <g, U> in the family (``_family_rows``); the Weyl row of a
+    class outside the family sums to 0, as each family is closed under
+    subgroups. The ``exponent --certify`` command takes this result and
+    its witnesses from the same pass.
     """
-    selected, exponent, _ = _family_rows(lattice, family)
-    return ExponentResult(exponent, family, selected, "marks+dress")
-
-
-def divisor_witnesses(
-    lattice: SubgroupLattice, result: ExponentResult
-) -> tuple[DivisorWitness, ...]:
-    """The certificate of an exponent that ``artin_exponent`` computed on
-    this lattice, read from the same Weyl rows in one pass.
-
-    For each proper divisor d of the exponent, in ascending order, the
-    witness is the first row that d times the indicator violates: the row
-    of a class U, with v_class the class of N(U). The exponent is the lcm
-    of the rows' quotients w_U / gcd(s_U, w_U), so each proper divisor
-    misses one of them and has a witness. A result whose family classes
-    or exponent are not the ones that pass reads raises ValueError.
-    """
-    selected, exponent, rows = _family_rows(lattice, result.family)
-    if result.family_classes != selected or result.exponent != exponent:
-        raise ValueError("the exponent was not computed on this lattice")
-    witnesses = []
-    for d in divisors(exponent)[:-1]:
-        # the check above leaves a row whose quotient d misses
-        u_class, v_class, index, total = next(r for r in rows if d * r[3] % r[2])
-        violation = CongruenceViolation(u_class, v_class, index, d * total, d * total % index)
-        witnesses.append(DivisorWitness(d, violation))
-    return tuple(witnesses)
+    return _certified(lattice, family)[0]
 
 
 def abelian_closed_form_exponent(group: FiniteGroup) -> int:
@@ -216,7 +220,7 @@ def verify_main_theorem(
 
     Every catalog group of prime-power order up to ``max_order`` gets a
     row with the exponent that ``artin_exponent`` reads off the Weyl
-    congruences, and the closed-form prediction. Disagreements are
+    rows, and the closed-form prediction. Disagreements are
     reported, never suppressed.
     """
     specs = standard_catalog(max_order)

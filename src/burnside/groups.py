@@ -8,12 +8,11 @@ built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
 is not immutable: on first use it fills one lazy cache (table of marks,
-pair and Weyl congruences, the plan that sums the pair congruences) and
-walks of the subgroups that enumeration did not walk over their
-normalizers. The
-only other cache is a ghost vector's first marks solve; an
-``ExponentResult`` keeps no lattice, and ``divisor_witnesses`` reads the
-lattice's Weyl congruences. A lattice copies and pickles with its cache,
+pair congruences, the plan that sums them) and walks of the subgroups
+that enumeration did not walk over their normalizers. The only other
+cache is a ghost vector's first marks solve; an ``ExponentResult`` keeps
+no lattice, and the exponent and its certificate are read off the kept
+walks, with nothing cached. A lattice copies and pickles with its cache,
 a vector without. The values are deterministic, so threads sharing a
 lattice or a vector see the same results, but concurrent first calls
 may each compute them. Enumeration and the lattice's builders pause the

@@ -15,11 +15,11 @@ of N(H)/H, each the union of the cosets v^k H, with no closure. Only the
 double cosets HgH outside N(H) are joined by closure (``_coset_join``),
 and in a group whose order makes it solvable not even those. The walks
 are the lattice's cyclic data: kept as plain rows in class order on the
-lattice, they give the Weyl and pair congruences their terms, and a
-conjugate that was not walked is walked on demand. Each subgroup is one
-``Subgroup``, built once with its bitmask when its class is found and
-shared by the classes and the lattice; every member's normalizer is a
-reference to the lattice's own ``Subgroup``.
+lattice, they give the pair congruences their terms and the Artin
+exponent its Weyl rows, and a conjugate that was not walked is walked on
+demand. Each subgroup is one ``Subgroup``, built once with its bitmask
+when its class is found and shared by the classes and the lattice; every
+member's normalizer is a reference to the lattice's own ``Subgroup``.
 
 Enumeration and every builder of the lattice's derived data
 (``lattice_cached``) run with CPython's cyclic garbage collector paused
@@ -107,10 +107,10 @@ class SubgroupLattice:
     all of its covers. The constructor takes a dict of walks as (mask,
     count) rows, resolves and sorts them in place and keeps the dict;
     ``walk`` reads one, walking a subgroup whose walk is not kept yet.
-    Data derived from the whole lattice (the table of marks, the pair and
-    the Weyl congruences, the down-sets the first two share) is built on
-    first use and kept in one cache, filled only through
-    ``lattice_cached``. Nothing the lattice keeps refers back to it, so
+    Data derived from the whole lattice (the table of marks, the pair
+    congruences, the down-sets both share, the plan that sums the pair
+    congruences) is built on first use and kept in one cache, filled only
+    through ``lattice_cached``. Nothing the lattice keeps refers back to it, so
     reference counting frees it.
     """
 

@@ -17,8 +17,11 @@ walks, which filters U's whole walk by V's mask and tests the index for
 every pair. Normalizers are found by conjugating a subgroup by every
 group element, and the Weyl-group congruences and each subgroup's walk
 over its normalizer (``closure_walk``) are built from them, one closure
-per coset. The cyclic
-census is counted by walking the powers of every group element.
+per coset. ``weyl_congruences`` is the package's earlier Weyl route,
+which keeps one ``Congruence`` record per class, read off the lattice's
+walks, where the package sums the family classes' rows straight off the
+walks for the exponent alone. The cyclic census is counted by walking
+the powers of every group element.
 Subgroups generated by a seed are closed by a word search
 (``generated_subgroup``), a second closure beside the library's
 coset-wise joins, and associativity is checked exhaustively or by
@@ -46,8 +49,9 @@ cell with its own f-string, where the library formats each distinct
 mark once.
 ``family_rows`` counts each family class's Weyl row (w_U, s_U) from the
 multiplication table by a rule for each family, where the library sums
-the walks, and ``family_witnesses`` reads the exponent's certificate off
-those rows.
+the walks; ``family_violated_rows`` keeps the rows that the indicator
+violates, with the class of N(U) found by ``normalizer``, and
+``family_witnesses`` reads the exponent's certificate off them.
 """
 
 from __future__ import annotations
@@ -707,24 +711,33 @@ def family_rows(
     return tuple(rows)
 
 
+def family_violated_rows(
+    lattice: SubgroupLattice, family: SubgroupFamily
+) -> tuple[tuple[int, int, int, int], ...]:
+    """(class of U, class of N(U), w_U, s_U) for every row of
+    ``family_rows`` with s_U not divisible by w_U, in class order. N(U) is
+    found by conjugating U by every element (``normalizer``), and its
+    class looked up by its elements."""
+    group = lattice.group
+    return tuple(
+        (u, class_index_of(lattice, normalizer(group, lattice.classes[u].representative)), w, s)
+        for u, w, s in family_rows(lattice, family)
+        if s % w
+    )
+
+
 def family_witnesses(
     lattice: SubgroupLattice, family: SubgroupFamily
 ) -> tuple[DivisorWitness, ...]:
-    """The certificate from the rows of ``family_rows``: for each proper
-    divisor d of the lcm of their quotients w_U / gcd(s_U, w_U), the first
-    row in class order with d*s_U not divisible by w_U, as the violation
-    (U, class of N(U), w_U, d*s_U, d*s_U mod w_U). N(U) is found by
-    conjugating U by every element (``normalizer``), and its class looked
-    up by its elements."""
-    group = lattice.group
-    rows = family_rows(lattice, family)
+    """The certificate from the rows of ``family_violated_rows``: for each
+    proper divisor d of the lcm of their quotients w_U / gcd(s_U, w_U), the
+    first row in class order with d*s_U not divisible by w_U, as the
+    violation (U, class of N(U), w_U, d*s_U, d*s_U mod w_U)."""
+    rows = family_violated_rows(lattice, family)
     witnesses = []
-    for d in divisors(lcm(*(w // gcd(s, w) for _, w, s in rows)))[:-1]:
-        u_class, w, s = next(row for row in rows if d * row[2] % row[1])
-        norm = normalizer(group, lattice.classes[u_class].representative)
-        violation = CongruenceViolation(
-            u_class, class_index_of(lattice, norm), w, d * s, d * s % w
-        )
+    for d in divisors(lcm(*(w // gcd(s, w) for _, _, w, s in rows)))[:-1]:
+        u_class, v_class, w, s = next(row for row in rows if d * row[3] % row[2])
+        violation = CongruenceViolation(u_class, v_class, w, d * s, d * s % w)
         witnesses.append(DivisorWitness(d, violation))
     return tuple(witnesses)
 
@@ -1035,3 +1048,33 @@ def closure_weyl_congruences(
             (cls.class_index, class_index_of(lattice, norm), index, tuple(sorted(counts.items())))
         )
     return tuple(out)
+
+
+def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
+    """Dress's characterisation by Weyl groups, one congruence per class.
+
+    x is in the Burnside ring iff, for every class U, sum over gU in
+    N(U)/U of x(<g, U>) is 0 mod |N(U) : U|: the congruence of the pair
+    (U, N(U)), with v_class the class of N(U), summing a member's whole
+    walk (``SubgroupLattice.walks``) by class. Conjugates give the same
+    row, so a member already walked is read, else the representative.
+    The index is |G| / (|class| * |U|); classes of index 1 give no row.
+    A walk whose coset counts do not sum to the index raises RuntimeError.
+    Nothing is cached on the lattice.
+    """
+    order = lattice.group.order
+    walks = lattice.walks
+    rows = []
+    for cls in lattice.classes:
+        index = order // (len(cls.members) * cls.order)
+        if index == 1:
+            continue
+        member = next((m for m in cls.members if m.mask in walks), cls.representative)
+        counts: dict[int, int] = {}
+        for _, joined_class, count in lattice.walk(member):
+            counts[joined_class] = counts.get(joined_class, 0) + count
+        if (cosets := sum(counts.values())) != index:
+            raise RuntimeError(f"class {cls.class_index}'s walk counts {cosets} of {index} cosets")
+        norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
+        rows.append(Congruence(cls.class_index, norm_class, index, tuple(counts.items())))
+    return tuple(rows)

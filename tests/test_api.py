@@ -43,7 +43,6 @@ EXPORTS = [
     "classify_maximal_cyclic_2group",
     "closed_form_exponent",
     "direct_product",
-    "divisor_witnesses",
     "dress_congruences",
     "dress_membership",
     "enumerate_subgroups",
@@ -61,7 +60,6 @@ EXPORTS = [
     "standard_catalog",
     "table_of_marks",
     "verify_main_theorem",
-    "weyl_congruences",
 ]
 
 

@@ -15,7 +15,6 @@ from burnside import (
     artin_exponent,
     build_group,
     closed_form_exponent,
-    divisor_witnesses,
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
@@ -25,11 +24,11 @@ from burnside import (
     standard_catalog,
     table_of_marks,
     verify_main_theorem,
-    weyl_congruences,
 )
-from burnside import exponent
+from burnside import cli, exponent
 from burnside.arith import prime_power
 from burnside.burnside_ring import _down_sets, _dress_plan
+from burnside.exponent import _certified
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
 BENCH_S5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "s5.perm"
@@ -104,23 +103,13 @@ def test_exponent_divides_group_order(lattice_of):
 
 def test_certificate_covers_proper_divisors(lattice_of):
     lattice = lattice_of("Q8")
-    certificate = divisor_witnesses(lattice, artin_exponent(lattice, EA))
+    result, certificate = _certified(lattice, EA)
+    assert result == artin_exponent(lattice, EA)
     assert [w.divisor for w in certificate] == [1, 2]
     for witness in certificate:
         assert witness.violation.residue != 0
     trivial = lattice_of("EA(2,2)")
-    assert divisor_witnesses(trivial, artin_exponent(trivial, EA)) == ()
-
-
-def test_certificate_refuses_a_result_of_another_lattice(lattice_of):
-    """D(8) and Q(8) both have exponent 4; a Q(8) result must not pass for
-    a D(8) one, whose elementary abelian classes differ."""
-    d8, q8 = lattice_of("D8"), lattice_of("Q8")
-    with pytest.raises(ValueError, match="not computed on this lattice"):
-        divisor_witnesses(d8, artin_exponent(q8, EA))
-    with pytest.raises(ValueError, match="not computed on this lattice"):
-        divisor_witnesses(q8, artin_exponent(d8, EA))
-    assert divisor_witnesses(d8, artin_exponent(d8, EA))
+    assert _certified(trivial, EA) == (artin_exponent(trivial, EA), ())
 
 
 def test_result_equality_hash_and_repr_leave_the_lattice_out(lattice_of):
@@ -147,12 +136,11 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
     derived = (
         table_of_marks(lattice).rows,
         dress_congruences(lattice),
-        weyl_congruences(lattice),
         dress_membership(lattice, GhostVector(lattice, indicator)),
     )
     # the table of marks and the pair congruences share the down-sets, and
     # the pair congruences are summed through a plan made on first use
-    kernels = {table_of_marks, dress_congruences, weyl_congruences, _down_sets, _dress_plan}
+    kernels = {table_of_marks, dress_congruences, _down_sets, _dress_plan}
     # the class and marks records are named tuples, equal to their plain tuples
     records = (*lattice.classes, table_of_marks(lattice))
     plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]
@@ -169,20 +157,19 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
         rows = (
             table_of_marks(clone).rows,
             dress_congruences(clone),
-            weyl_congruences(clone),
             dress_membership(clone, GhostVector(clone, indicator)),
         )
         assert rows == derived
-        assert divisor_witnesses(clone, result) == divisor_witnesses(lattice, result)
+        assert _certified(clone, EA) == _certified(lattice, EA)
 
 
 @pytest.mark.parametrize("family", list(SubgroupFamily), ids=lambda f: f.name.lower())
 def test_one_pass_exponent_matches_divisor_search(family, lattice_of):
     for spec in standard_catalog(64):
         lattice = lattice_of(spec.text())
-        result = artin_exponent(lattice, family)
+        result, certificate = _certified(lattice, family)
+        assert result == artin_exponent(lattice, family), spec.text()
         assert result.exponent == divisor_search_exponent(lattice, family), spec.text()
-        certificate = divisor_witnesses(lattice, result)
         assert certificate == family_witnesses(lattice, family), spec.text()
 
 
@@ -322,23 +309,18 @@ def test_indicator_vector_values_are_zero_one(lattice_of):
 @pytest.mark.parametrize(
     "text", ["Q(16)", "C8xC8xC2", f"perm:{BENCH_S5}"], ids=["Q(16)", "C8xC8xC2", "s5.perm"]
 )
-def test_the_exponent_and_its_witnesses_cache_only_the_weyl_rows(text):
-    """Every family's exponent and certificate sum the Weyl rows as they
-    stand: a fresh lattice keeps those rows, and nothing built from them."""
+def test_the_exponent_and_its_witnesses_cache_nothing(text, monkeypatch, capsys):
+    """Every family's exponent and certificate are summed straight off the
+    walks: on a fresh lattice, neither they nor the ``exponent --certify``
+    command leave anything in the lattice's cache."""
     lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
+    monkeypatch.setattr(cli, "_lattice_for", lambda spec: lattice)
     for family in SubgroupFamily:
-        divisor_witnesses(lattice, artin_exponent(lattice, family))
-    assert set(lattice._derived) == {weyl_congruences}
-
-
-def test_certificate_refuses_an_exponent_its_rows_do_not_give(lattice_of):
-    """The Weyl rows of Q(8) give 4; a result claiming 8 on the same family
-    classes is not this lattice's, and never gets a certificate."""
-    lattice = lattice_of("Q8")
-    result = artin_exponent(lattice, EA)
-    with pytest.raises(ValueError, match="not computed on this lattice"):
-        divisor_witnesses(lattice, result._replace(exponent=8))
-    assert [w.divisor for w in divisor_witnesses(lattice, result)] == [1, 2]
+        artin_exponent(lattice, family)
+        _certified(lattice, family)
+        assert cli.run(["exponent", text, "--family", family.value, "--certify"]) == 0
+        assert lattice._derived == {}
+    assert "d = " in capsys.readouterr().out
 
 
 # Observed cyclic-family exponents by spec kind; every other catalog

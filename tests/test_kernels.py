@@ -14,12 +14,14 @@ per-congruence loops, and the plans of positions it reads the same
 violations as the earlier loop over the records, on members, perturbed
 members, negative vectors and vectors of 10^40 in size. Every
 normalizer the enumeration records must be the brute-force
-{g : gUg^-1 = U}, the Weyl rows must equal those built
-from such normalizers, and the three membership routes (Weyl rows, pair
+{g : gUg^-1 = U}, the Weyl rows read off the walks
+(``_oracles.weyl_congruences``) must equal those built from such
+normalizers, and the three membership routes (Weyl rows, pair
 congruences, marks solve) must agree on every vector tried. For every
 family, the Weyl rows of the family's classes must equal the rows counted
-from the multiplication table alone, and the Artin exponent the marks
-solve's and those rows' multiplier. Every walk of a subgroup over its
+from the multiplication table alone, the Artin exponent the marks
+solve's and those rows' multiplier, and the rows the exponent finds
+violated, with the class of N(U), those of the counted rows. Every walk of a subgroup over its
 normalizer, kept by enumeration or made on demand, must equal one closed
 from scratch, and a lattice must be freed by reference counting alone.
 The whole pipeline, from listing the catalog to the exponent's witnesses,
@@ -48,6 +50,7 @@ from _oracles import (
     closure_weyl_congruences,
     element_walk_census,
     family_rows,
+    family_violated_rows,
     family_witnesses,
     ghost_of,
     loop_dress_exponent,
@@ -57,6 +60,7 @@ from _oracles import (
     record_violation_rows,
     scan_dress_congruences,
     scan_table_of_marks,
+    weyl_congruences,
 )
 from burnside import (
     CapExceededError,
@@ -66,7 +70,6 @@ from burnside import (
     SubgroupFamily,
     artin_exponent,
     build_group,
-    divisor_witnesses,
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
@@ -79,11 +82,11 @@ from burnside import (
     select_family,
     standard_catalog,
     table_of_marks,
-    weyl_congruences,
 )
 from burnside import lattice as lattice_module
 from burnside.arith import divisors, is_prime
 from burnside.burnside_ring import _down_sets, _dress_plan
+from burnside.exponent import _certified, _family_rows
 from burnside.groups import parse_permutation_file
 from burnside.lattice import lattice_cached
 
@@ -330,18 +333,18 @@ def test_an_inexact_mark_raises():
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
 def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
-    """No Weyl row walks a subgroup: each class reads a member already
-    walked, by enumeration or for the pair congruences, and gives the same
-    row as on a fresh lattice. The pair system walks only U's of pairs of
-    index other than a prime. After it, every class of index > 1 with
-    several members has its representative's walk dropped for another
-    member's, so a Weyl row that walked the representative would add a
-    walk."""
+    """The exponent's Weyl rows walk no subgroup: each family class reads a
+    member already walked, by enumeration or for the pair congruences, and
+    gives the same violated rows as on a fresh lattice. The pair system
+    walks only U's of pairs of index other than a prime. After it, every
+    class of index > 1 with several members has its representative's walk
+    dropped for another member's, so a row that walked the representative
+    would add a walk."""
     group = _perm_file_group(name, tmp_path)
     lattice = enumerate_subgroups(group)
     walked = lattice.walks
     before = set(walked)
-    fresh = weyl_congruences(lattice)
+    fresh = [_family_rows(lattice, family) for family in SubgroupFamily]
     assert set(walked) == before
     lattice = enumerate_subgroups(group)
     dress_congruences(lattice)
@@ -357,19 +360,23 @@ def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
             dropped += 1
     assert dropped > 1
     before = set(walked)
-    assert weyl_congruences(lattice) == fresh
+    assert [_family_rows(lattice, family) for family in SubgroupFamily] == fresh
     assert set(walked) == before
 
 
 def test_weyl_rows_raise_on_a_walk_that_misses_cosets():
-    """A Weyl row's coset counts must sum to its index |G| / (|class| |U|):
-    the walk of U = 1 in Q(8) counts 1 + 1 + 2 + 2 + 2 cosets, and without
-    its last row it counts 6 of 8."""
+    """The coset counts of each Weyl row that the exponent sums must sum to
+    its index |G| / (|class| |U|): the walk of U = 1 in Q(8) counts
+    1 + 1 + 2 + 2 + 2 cosets, and without its last row it counts 6 of 8.
+    U = 1 is in every family, so every family's exponent raises, and so
+    does its certificate."""
     lattice = enumerate_subgroups(build_group(parse_group_spec("Q8")))
     u_mask = lattice.classes[0].representative.mask
     lattice.walks[u_mask] = lattice.walks[u_mask][:-1]
-    with pytest.raises(RuntimeError, match="class 0's walk counts 6 of 8 cosets"):
-        weyl_congruences(lattice)
+    for family in SubgroupFamily:
+        for read in (artin_exponent, _certified):
+            with pytest.raises(RuntimeError, match="class 0's walk counts 6 of 8 cosets"):
+                read(lattice, family)
 
 
 def _assert_walks_match_scratch_walks(lattice):
@@ -410,7 +417,6 @@ def test_lattices_are_freed_by_reference_counting():
         lattice = enumerate_subgroups(group)
         artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN)
         dress_congruences(lattice)
-        weyl_congruences(lattice)
         ref = weakref.ref(lattice)
         del lattice
         assert ref() is None
@@ -443,14 +449,13 @@ def test_the_pipeline_leaves_no_cycle_for_the_collector():
         for lattice in _pipeline_lattices():
             table_of_marks(lattice)
             dress_congruences(lattice)
-            weyl_congruences(lattice)
             _dress_plan(lattice)
             for family in SubgroupFamily:
                 vector = indicator_vector(lattice, family)
                 dress_membership(lattice, vector)
                 marks_membership(lattice, vector)
                 minimal_multiplier(lattice, vector)
-                divisor_witnesses(lattice, artin_exponent(lattice, family))
+                _certified(lattice, family)
         del lattice, vector
         assert gc.collect() == 0
     finally:
@@ -481,7 +486,7 @@ def test_builders_restore_the_collector_state(monkeypatch):
         return real_walk(*args)
 
     monkeypatch.setattr(lattice_module, "_walk", walk)
-    builders = (_down_sets, table_of_marks, dress_congruences, weyl_congruences, _dress_plan)
+    builders = (_down_sets, table_of_marks, dress_congruences, _dress_plan)
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -565,9 +570,9 @@ def _assert_dress_route_matches_loops(lattice, vectors):
             map(_fields, oracle.violations)
         )
     for family in SubgroupFamily:
-        result = artin_exponent(lattice, family)
+        result, certificate = _certified(lattice, family)
+        assert result == artin_exponent(lattice, family)
         assert result.exponent == loop_dress_exponent(lattice, family)
-        certificate = divisor_witnesses(lattice, result)
         assert [(w.divisor, _fields(w.violation)) for w in certificate] == [
             (w.divisor, _fields(w.violation)) for w in family_witnesses(lattice, family)
         ]
@@ -634,8 +639,8 @@ def _plan_vectors(lattice, rng):
 def _assert_plans_sum_as_the_records(lattice, vectors):
     """The pair plan gives the violations that the record loop gives: every
     field, in order (``dress_membership``), and the Artin exponent and its
-    witnesses are those read from the record loop's Weyl violations of each
-    family indicator."""
+    witnesses are those read from the record loop's violations of the Weyl
+    records (``_oracles.weyl_congruences``) by each family indicator."""
     pairs, weyl = dress_congruences(lattice), weyl_congruences(lattice)
     for vector in vectors:
         violations = dress_membership(lattice, vector).violations
@@ -643,13 +648,13 @@ def _assert_plans_sum_as_the_records(lattice, vectors):
         assert all(type(v) is CongruenceViolation for v in violations)
     for family in SubgroupFamily:
         rows = record_violation_rows(weyl, indicator_vector(lattice, family).values)
-        result = artin_exponent(lattice, family)
+        result, certificate = _certified(lattice, family)
         assert result.exponent == lcm(*(q // gcd(s, q) for _, _, q, s, _ in rows))
         witnesses = []
         for d in divisors(result.exponent)[:-1]:
             u, v, q, s, _ = next(r for r in rows if d * r[3] % r[2])
             witnesses.append((d, (u, v, q, d * s, d * s % q)))
-        assert list(divisor_witnesses(lattice, result)) == witnesses
+        assert list(certificate) == witnesses
 
 
 @pytest.mark.parametrize("text", [*CATALOG_UP_TO_128, "D(8)xC3xQ(8)"])
@@ -731,7 +736,10 @@ def _assert_family_rows_match_the_weyl_rows(lattice):
     """For each family, the Weyl rows of the family's classes, as (class,
     index, indicator sum), are the walk-free counts of ``family_rows`` of
     index above 1, and the Artin exponent equals the marks route's
-    ``minimal_multiplier`` of the indicator and the lcm of those counts."""
+    ``minimal_multiplier`` of the indicator and the lcm of those counts.
+    The rows the exponent finds violated, with the class of N(U), are
+    those of the counts, with N(U) found by conjugating U by every
+    element (``family_violated_rows``)."""
     rows = weyl_congruences(lattice)
     for family in SubgroupFamily:
         counted = family_rows(lattice, family)
@@ -745,11 +753,13 @@ def _assert_family_rows_match_the_weyl_rows(lattice):
         ]
         assert weyl == [row for row in counted if row[1] > 1]
         exponent = artin_exponent(lattice, family).exponent
+        _, _, violated = _family_rows(lattice, family)
+        assert violated == list(family_violated_rows(lattice, family))
         assert exponent == minimal_multiplier(lattice, b)
         assert exponent == lcm(*(w // gcd(s, w) for _, w, s in counted))
 
 
-@pytest.mark.parametrize("text", CATALOG_UP_TO_128)
+@pytest.mark.parametrize("text", [*CATALOG_UP_TO_128, "D(8)xC3xQ(8)"])
 def test_catalog_family_rows_match_the_weyl_rows(text, lattice_of):
     _assert_family_rows_match_the_weyl_rows(lattice_of(text))
 
@@ -770,3 +780,4 @@ def test_random_two_generator_group_family_rows_match_the_weyl_rows(seed):
 def test_random_degree_six_group_family_rows_match_the_weyl_rows(seed):
     lattice = enumerate_subgroups(_random_degree_six_group(seed))
     _assert_family_rows_match_the_weyl_rows(lattice)
+

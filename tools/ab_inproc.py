@@ -26,9 +26,12 @@ Stages:
              query already, as the benchmark's passes after its first
   sweep      build, enumerate and the ea-family Artin exponent over
              standard_catalog(128), as verify-main-theorem runs them
-  exponent   artin_exponent then divisor_witnesses for each family on a
-             fresh lattice of each --groups spec, whose Weyl congruences
-             are built before the timer starts
+  exponent   the exponent --certify query (the Artin exponent and its
+             divisor witnesses) for each family on a fresh lattice of each
+             --groups spec; a tree with ``divisor_witnesses`` runs
+             ``artin_exponent`` then that, a tree without it the one pass
+             ``exponent._certified``, and the two compare by exponent,
+             family name, family classes and witnesses
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
            [--stages perm,enumerate,marks,pairs,setup,build,sweep,queries,exponent]
@@ -127,15 +130,10 @@ def stage(B, which: str, groups: list[str]):
     if which == "queries":
         return lambda: query_stream(B, lattices()), lambda qs: [decide(B, l, x) for l, x in qs], same
     if which == "exponent":
-        def with_rows():
-            ls = lattices()
-            for lattice in ls:
-                B.weyl_congruences(lattice)
-            return ls
         timed = lambda ls: [certify(B, l, f) for l in ls for f in B.SubgroupFamily]
         # the family enums of two trees are not equal: compare by name
         key = lambda out: [(r.exponent, r.family.name, r.family_classes, w) for r, w in out]
-        return with_rows, timed, key
+        return lattices, timed, key
     raise SystemExit(f"unknown stage {which!r}; known: {', '.join(STAGES)}")
 
 
@@ -177,9 +175,12 @@ def decide(B, lattice, vector) -> tuple:
 
 
 def certify(B, lattice, family) -> tuple:
-    """The exponent --certify query: the exponent, then its witnesses."""
-    result = B.artin_exponent(lattice, family)
-    return result, B.divisor_witnesses(lattice, result)
+    """The exponent --certify query: (the exponent, its witnesses), as the
+    tree's ``exponent`` command takes them."""
+    if hasattr(B, "divisor_witnesses"):  # a tree that reads them in two passes
+        result = B.artin_exponent(lattice, family)
+        return result, B.divisor_witnesses(lattice, result)
+    return B.exponent._certified(lattice, family)
 
 
 def sample(prepare, timed, key) -> tuple[float, object]:
