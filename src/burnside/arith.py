@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 from math import isqrt, log
 
@@ -77,6 +78,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
             k += 1
         out.append((p, k))
     return out
+
+
+@cache  # enumeration asks once per cyclic class, for few distinct orders
+def totient(n: int) -> int:
+    """Euler's phi of n >= 1: the k in [1, n] prime to n, which are the
+    generators of a cyclic group of order n."""
+    for p, _ in factorize(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def divisors(n: int) -> list[int]:

@@ -122,7 +122,11 @@ def test_powers_match_the_loop_oracle():
                 assert g.power(x, k) == loop_power(g, x, k), (g.name, x, k)
 
 
-@pytest.mark.parametrize("text", [*PERM_FILES.values(), "degree 1\n", "degree 1\n()\n"])
+@pytest.mark.parametrize(
+    "text",
+    [*PERM_FILES.values(), "degree 1\n", "degree 1\n()\n"],
+    ids=[*PERM_FILES, "trivial", "trivial-identity"],
+)
 def test_perm_tables_match_the_loop_oracle(text):
     """The columns gathered off the closure's Cayley graph give the table
     of composing the two permutations point by point, one point too."""

@@ -29,6 +29,8 @@ must leave nothing for the cyclic garbage collector, and enumeration and
 the cached builders must run with the collector paused, leave it in the
 state they found it, on return and on a raise, and leave no young pass
 for the allocations after them, unless the caller has frozen objects.
+So must the three membership queries, and a stream of random vectors
+through them must start no young collection.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from burnside import (
     standard_catalog,
     table_of_marks,
 )
+from burnside import burnside_ring as ring_module
 from burnside import lattice as lattice_module
 from burnside.arith import divisors, is_prime
 from burnside.burnside_ring import _down_sets, _dress_plan
@@ -528,6 +531,65 @@ def test_a_build_leaves_no_young_pass_behind():
         assert gc.get_freeze_count() == frozen > 0
     finally:
         gc.unfreeze()
+        gc.enable() if was else gc.disable()
+
+
+QUERIES = (dress_membership, marks_membership, minimal_multiplier)
+
+
+def test_queries_restore_the_collector_state(monkeypatch, lattice_of):
+    """The three membership queries run with the collector paused, and
+    leave it as they found it, on return and on a raise (a vector of
+    another lattice, the least multiplier of the zero vector): back on, or
+    still off when the caller had switched it off."""
+    lattice, other = lattice_of("D(16)"), lattice_of("D8")
+    vector = indicator_vector(lattice, SubgroupFamily.CYCLIC)
+    foreign = indicator_vector(other, SubgroupFamily.CYCLIC)
+    zero = GhostVector(lattice, [0] * lattice.class_count)
+    seen = []
+    real_check = ring_module._check_vector
+
+    def check(*args):
+        seen.append(gc.isenabled())
+        return real_check(*args)
+
+    monkeypatch.setattr(ring_module, "_check_vector", check)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for query in QUERIES:
+                seen.clear()
+                query(lattice, vector)
+                assert seen == [False] and gc.isenabled() is enabled, query
+                with pytest.raises(ValueError, match="does not match this lattice"):
+                    query(lattice, foreign)
+                assert seen == [False, False] and gc.isenabled() is enabled, query
+            with pytest.raises(ValueError, match="zero vector"):
+                minimal_multiplier(lattice, zero)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_query_stream_starts_no_young_collection(lattice_of):
+    """Random vectors break most pair congruences, and each broken one is
+    a record the collector tracks. A stream of them through the three
+    queries, its answers kept as a batch keeps them, starts no young
+    collection: each query's records are moved to the oldest generation
+    unscanned when it returns."""
+    lattice = lattice_of("EA(2,4)")
+    rng = random.Random(0)
+    n = lattice.class_count
+    vectors = [GhostVector(lattice, [rng.randint(-5, 5) for _ in range(n)]) for _ in range(100)]
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect(0)
+        young = gc.get_stats()[0]["collections"]
+        answers = [[query(lattice, vector) for query in QUERIES] for vector in vectors]
+        assert gc.get_stats()[0]["collections"] == young and len(answers) == 100
+    finally:
         gc.enable() if was else gc.disable()
 
 

@@ -344,15 +344,13 @@ def test_public_constructor_rejects_a_seeded_random_loop():
         FiniteGroup("loop", _random_loop(seed, order))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="the unchecked loop gives 8 'subgroups' in 4 classes and exponent 3 without an error",
-)
 def test_an_unchecked_random_loop_raises_in_enumeration_or_the_exponent():
-    """A table that skipped the public checks should fail an asserted
-    identity (Lagrange in enumeration, the Weyl-row sums in the exponent)
-    rather than give a lattice and an exponent; this seed gives both."""
+    """A table that skipped the public checks fails an asserted identity
+    (Lagrange or the cyclic subgroups' generators in enumeration, the
+    Weyl-row sums in the exponent) rather than give a lattice and an
+    exponent. This seed passes Lagrange and the Weyl rows, with 8
+    'subgroups' in 4 classes and exponent 3, and its cyclic classes have
+    9 generators for 6 elements."""
     order, seed = RANDOM_LOOP
     loop = FiniteGroup._from_valid_table("loop", _random_loop(seed, order))
     with pytest.raises(RuntimeError):

@@ -40,10 +40,14 @@ Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
 Group specs are separated by semicolons, as specs hold commas.
 
 Every sample starts with ``gc.collect()``, so no sample pays for the
-garbage of another. Enumeration and the lattice's cached builders pause
-the cyclic collector themselves (``lattice._collector_paused``); the
-``build`` stage times the whole set-up as the benchmark does, with the
-parsing, the group builds and the dense marks that run with it on.
+garbage of another. Enumeration, the lattice's cached builders and the
+three membership queries pause the cyclic collector themselves
+(``lattice._collector_paused``); the ``build`` stage times the whole
+set-up as the benchmark does, with the parsing, the group builds and the
+dense marks that run with it on. The ``queries`` stage also prints how
+many young, middle and full collections each tree started over its
+samples, counted through ``gc.callbacks`` while a sample is timed, so
+the tool's own ``gc.collect()`` before each sample is left out.
 
 A/B hygiene: this tool imports both trees into one process, so neither
 pays start-up in its stage times. An A/B that starts the CLI instead
@@ -183,12 +187,24 @@ def certify(B, lattice, family) -> tuple:
     return B.exponent._certified(lattice, family)
 
 
-def sample(prepare, timed, key) -> tuple[float, object]:
+def sample(prepare, timed, key, collections: list[int]) -> tuple[float, object]:
+    """Time one sample, adding to ``collections`` the collections the
+    collector starts in each generation while it runs."""
     inputs = prepare()
     gc.collect()
-    start = time.perf_counter()
-    out = timed(inputs)
-    return time.perf_counter() - start, key(out)
+
+    def count(phase, info):
+        if phase == "start":
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        start = time.perf_counter()
+        out = timed(inputs)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(count)
+    return elapsed, key(out)
 
 
 def main(argv=None) -> int:
@@ -206,10 +222,11 @@ def main(argv=None) -> int:
     for which in args.stages.split(","):
         stages = [stage(B, which, groups) for B in trees]
         times: tuple[list[float], list[float]] = ([], [])
+        collections = ([0, 0, 0], [0, 0, 0])  # young, middle, full
         for p in range(args.pairs):
             outs = [None, None]
             for side in (0, 1) if p % 2 == 0 else (1, 0):
-                elapsed, outs[side] = sample(*stages[side])
+                elapsed, outs[side] = sample(*stages[side], collections[side])
                 times[side].append(elapsed)
             if outs[0] != outs[1]:
                 raise SystemExit(f"{which}: the trees disagree")
@@ -221,6 +238,9 @@ def main(argv=None) -> int:
             f"{min(b) * 1e3:9.3f} {statistics.median(b) * 1e3:9.3f} {ratio:7.3f} "
             f"{wins:>3}/{len(a)}"
         )
+        if which == "queries":
+            a, b = ("/".join(map(str, c)) for c in collections)
+            print(f"{'':<10} collections (young/middle/full) a {a}, b {b}")
     return 0
 
 
