@@ -1,8 +1,11 @@
-"""Small integer helpers used across the package."""
+"""Small integer helpers used across the package: primality, prime powers
+and factorization for the spec parser and the solvability test, the
+divisors of a group order or of an exponent, and the partitions that
+list the abelian catalog types. ``divisors`` and ``partitions`` follow
+their definitions, as their inputs are small."""
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import accumulate
 from math import isqrt, log
 
@@ -80,49 +83,31 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@cache  # enumeration asks once per cyclic class, for few distinct orders
-def totient(n: int) -> int:
-    """Euler's phi of n >= 1: the k in [1, n] prime to n, which are the
-    generators of a cyclic group of order n."""
-    for p, _ in factorize(n):
-        n = n // p * (p - 1)
-    return n
-
-
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order."""
+    """All positive divisors of n in ascending order, by trying every d up
+    to n: each caller passes a divisor of a group order, and the group's
+    multiplication table alone already holds n**2 entries."""
     if n < 1:
         raise ValueError(f"divisors of {n} undefined")
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as tuples in weakly decreasing order, the largest
-    first part first. A depth-first search on an explicit stack: a closure
-    that called itself would hold a reference to itself, a cycle that only
-    the cyclic garbage collector frees."""
+    first part first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out: list[tuple[int, ...]] = []
-    # (what is left to split, the largest part allowed, the parts so far)
-    stack = [(n, n, ())]
-    while stack:
-        remaining, largest, prefix = stack.pop()
-        if remaining == 0:
-            out.append(prefix)
-            continue
-        # pushed smallest part first, so the largest part is searched first
-        stack.extend(
-            (remaining - part, part, prefix + (part,))
-            for part in range(1, min(largest, remaining) + 1)
-        )
+    _extend_partitions(out, n, n, ())
     return out
+
+
+def _extend_partitions(
+    out: list[tuple[int, ...]], remaining: int, largest: int, prefix: tuple[int, ...]
+) -> None:
+    """Append to ``out`` every partition of ``remaining`` into parts of at
+    most ``largest``, each after ``prefix``, the largest first part first."""
+    if remaining == 0:
+        out.append(prefix)
+    for part in range(min(largest, remaining), 0, -1):
+        _extend_partitions(out, remaining - part, part, prefix + (part,))

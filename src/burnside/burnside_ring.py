@@ -6,7 +6,8 @@ G-set:
 
 * the pair congruences (``dress_congruences``): one per class of pairs
   U normal in V with prime-power index, summing x over the subgroups
-  <v, U> for the cosets vU in V/U, modulo |V : U|;
+  <v, U> for the cosets vU in V/U, modulo |V : U|; a U normal in G needs
+  no normality test and no orbit sweep, the same in every group;
 * the marks solve: the triangular table of marks is solved for the
   coefficients c, and membership read off from their integrality. Every
   entry of |G| times the inverse table of marks is an integer, so the
@@ -234,7 +235,7 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     sizes = [len(cls.members) for cls in classes]
     tails: list[list[tuple[int, int]]] = [[] for _ in classes]
     diagonal = []
-    for cls, down in zip(classes, _down_sets(lattice)):
+    for cls, down in zip(lattice.classes, _down_sets(lattice)):
         j, v_order = cls.class_index, len(cls.members[0].elements)
         diagonal.append(order // (sizes[j] * v_order))
         for i, conjugates in Counter(map(class_of, map(mask_of, down))).items():
@@ -259,13 +260,25 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     smaller subgroups contained in V (V's down-set, ``_down_sets``),
     deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
-    normal in V iff V lies in the normalizer N(U) the lattice recorded.
-    A pair of prime index p has the terms ((U, 1), (V, p - 1)); any other
-    pair's terms are the rows of U's walk over N(U) (``SubgroupLattice.walk``)
-    whose join lies in V, summed by class in the walk's class order.
+    normal in V iff V lies in the normalizer N(U) the lattice recorded. A
+    U whose class has one member is normal in G, so it is normal in V and
+    its own orbit under N(V): it needs neither the test nor the sweep of
+    its orbit, and in an abelian group no U does. The left-coset
+    representatives of V in N(V), which sweep the orbits of the other U,
+    are made when the first of them needs them.
+
+    A pair of prime index p has the terms ((U, 1), (V, p - 1)), with no
+    walk read. Kept for speed: with those terms read off the walk, as the
+    other pairs' are, the pair congruences took 14% longer to build on
+    EA(2,5), C8xC8xC2 and S5, and on ``standard_catalog(128)``
+    (``tools/ab_inproc.py --stages pairs``, median ratios 1.142 and
+    1.143 over 30 pairs; Python 3.11.7 on a 2-CPU x86-64 host). Any other
+    pair's terms are the rows of U's walk over N(U)
+    (``SubgroupLattice.walk``) whose join lies in V, summed by class in
+    the walk's class order.
     """
     group = lattice.group
-    abelian = group.is_abelian()
+    normal_in_g = [cls.is_normal for cls in lattice.classes]
     class_of = lattice._class_by_mask
     normalizer_of = lattice._normalizers
     record = partial(tuple.__new__, Congruence)
@@ -273,26 +286,25 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     out: list[Congruence] = []
     for cls, down in zip(lattice.classes, _down_sets(lattice)):
         v_rep = cls.representative
-        v_order = v_rep.order
-        if v_order == 1:
-            continue
-        v_mask = v_rep.mask
-        # g and gv conjugate a subgroup normal in V alike, so one g per
-        # left coset of V in N(V) sweeps each orbit
-        conjugators = () if abelian else [
-            g for g, _ in left_cosets(group, normalizer_of[v_mask].elements, v_rep.elements)
-        ]
+        v_order, v_mask = v_rep.order, v_rep.mask
+        conjugators = None
         seen_orbit: set[int] = set()
         for sub in down:
             index = v_order // len(sub.elements)
             u_mask = sub.mask
             if powers[index] is None or u_mask in seen_orbit:
                 continue
-            if not abelian and normalizer_of[u_mask].mask & v_mask != v_mask:
-                continue
-            for g in conjugators:
-                seen_orbit.add(conjugate_mask(group, sub.elements, g))
             u_class = class_of[u_mask]
+            if not normal_in_g[u_class]:
+                if normalizer_of[u_mask].mask & v_mask != v_mask:
+                    continue
+                # g and gv conjugate a subgroup normal in V alike, so one g
+                # per left coset of V in N(V) sweeps each orbit
+                if conjugators is None:
+                    cosets = left_cosets(group, normalizer_of[v_mask].elements, v_rep.elements)
+                    conjugators = [g for g, _ in cosets]
+                for g in conjugators:
+                    seen_orbit.add(conjugate_mask(group, sub.elements, g))
             if powers[index][1] == 1:
                 terms = ((u_class, 1), (cls.class_index, index - 1))
             else:
@@ -313,16 +325,19 @@ def _dress_plan(lattice: SubgroupLattice) -> tuple:
     and per congruence (u_class, v_class, index, positions). The positions
     index the n values followed by one copy of them times each scale: term
     (c, k) reads c when k = 1, else n * (s + 1) + c for k = scales[s].
-    Coset counts sum to the index, so a row with as many terms as its index
-    has every count 1 and reads its classes as they stand."""
+    A count-1 term keeps its class index c, an int the lattice already
+    holds: read as c + 0, a new int for each c above 256, the plan of
+    EA(2,5) took 137 KB more (tracemalloc) and membership-batch peak RSS
+    rose 0.14 MB, in 9 of 10 pairs. Each row is built as a list and then
+    made a tuple of its exact size; from a generator, C8xC8xC2's plan
+    took 226 KB against 171 KB."""
     n = lattice.class_count
     offsets = {1: 0}
     rows = []
     for u_class, v_class, index, terms in dress_congruences(lattice):
-        if len(terms) == index:
-            positions, _ = zip(*terms)
-        else:
-            positions = tuple(offsets.setdefault(k, n * len(offsets)) + c for c, k in terms)
+        positions = tuple([
+            c if k == 1 else offsets.setdefault(k, n * len(offsets)) + c for c, k in terms
+        ])
         rows.append((u_class, v_class, index, positions))
     return tuple(offsets)[1:], tuple(rows)
 

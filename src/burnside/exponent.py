@@ -75,10 +75,10 @@ def _family_rows(lattice: SubgroupLattice, family: SubgroupFamily) -> tuple:
     family's indicator violates, as (u_class, v_class, w_U, s_U) in class
     order, and their ``least_multiplier``.
 
-    For each family class U, w_U = |G| / (|class| * |U|), and a class of
-    w_U = 1 gives no row. s_U counts the cosets of the rows of a walked
-    member's walk over N(U) whose class lies in the family; conjugates
-    give the same row. A walk whose coset counts do not sum to w_U raises
+    For each family class U, w_U = |G| / (|class| * |U|); a class of
+    w_U = 1 walks one row of count 1, which is never violated. s_U counts
+    the cosets of the rows of a walked member's walk over N(U) whose class
+    lies in the family; conjugates give the same row. A walk whose coset counts do not sum to w_U raises
     RuntimeError. v_class, the class of N(U), is looked up for the
     violated rows alone."""
     selected = select_family(lattice, family)
@@ -91,8 +91,6 @@ def _family_rows(lattice: SubgroupLattice, family: SubgroupFamily) -> tuple:
         if not inside[u_class]:
             continue
         index = order // (len(cls.members) * cls.order)
-        if index == 1:
-            continue
         member = next((m for m in cls.members if m.mask in walks), cls.representative)
         total = cosets = 0
         for _, c, count in lattice.walk(member):

@@ -221,10 +221,6 @@ class Subgroup:
         return sub
 
     @property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    @property
     def order(self) -> int:
         return len(self.elements)
 

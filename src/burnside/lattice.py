@@ -17,9 +17,11 @@ and in a group whose order makes it solvable not even those. The walks
 are the lattice's cyclic data: kept as plain rows in class order on the
 lattice, they give the pair congruences their terms and the Artin
 exponent its Weyl rows, and a conjugate that was not walked is walked on
-demand. Each subgroup is one ``Subgroup``, built once with its bitmask
-when its class is found and shared by the classes and the lattice; every
-member's normalizer is a reference to the lattice's own ``Subgroup``.
+demand. The trivial subgroup's walk also counts, for each cyclic U, the
+phi(|U|) elements that generate it, so no totient is computed. Each
+subgroup is one ``Subgroup``, built once with its bitmask when its class
+is found and shared by the classes and the lattice; every member's
+normalizer is a reference to the lattice's own ``Subgroup``.
 
 Enumeration, every builder of the lattice's derived data
 (``lattice_cached``) and the three membership queries of
@@ -42,7 +44,7 @@ from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .arith import factorize, prime_power, totient
+from .arith import factorize, prime_power
 from .groups import (  # DEFAULT_ENUMERATION_CAP is re-exported
     DEFAULT_ENUMERATION_CAP,
     IDENTITY,
@@ -310,6 +312,12 @@ def _walk(
     generators: <v, U> is the union of the cosets v^k U up to the first
     power v^m inside U, and the phi(m) cosets v^k U with k prime to m all
     generate it, so they are counted in one row and never walked again.
+
+    A v of order 2 over U (v^2 in U) has the one coset vU for its row,
+    added with no list of powers. Kept for speed: with such a v sent
+    through the general path, enumerating ``standard_catalog(128)`` took
+    6.6% longer (``tools/ab_inproc.py --stages enumerate``, median ratio
+    over 30 pairs, slower in 25; Python 3.11.7 on a 2-CPU x86-64 host).
     """
     table = group.mul_table
     powers = group.powers
@@ -357,7 +365,10 @@ def enumerate_subgroups(
     group is abelian, and else when s h s^-1 is in H for every h in the
     generators H was found from and every s in one generator of each
     cyclic subgroup (read off the trivial subgroup's walk, below), which
-    together generate G.
+    together generate G. Kept for speed: with every H sent through the
+    orbit pass, enumerating ``standard_catalog(128)`` took 5.9% longer
+    (``tools/ab_inproc.py --stages enumerate``, median ratio over 30
+    pairs, slower in 23; Python 3.11.7 on a 2-CPU x86-64 host).
 
     The joins with g in N(H) are read off H's walk over N(H) (``_walk``),
     with no closure: <H, g> is the preimage of the cyclic subgroup <gH> of
@@ -377,7 +388,11 @@ def enumerate_subgroups(
     induction on |K| the walks alone find every class. Solvability is
     read off the order alone: an odd order (Feit-Thompson) or one with at
     most two prime factors (Burnside's p^a q^b theorem). A solvable group
-    of another order, such as S4 x C5, still joins. The dedupe key of
+    of another order, such as S4 x C5, still joins. Kept for speed:
+    with the double cosets tried in every group, enumeration took 8.7%
+    longer on ``standard_catalog(128)`` (slower in 26 of 30 pairs) and
+    11.5% on D(8)xC3xQ(8), Q(8)xQ(8)xC2, D(8)xC3 and D(128) (29 of 30),
+    measured as above. The dedupe key of
     the joins is the element set, kept only while the enumeration runs.
     Each joining member's walk is kept on the lattice
     (``SubgroupLattice.walks``), so every class has a walked member. N(H)
@@ -386,7 +401,9 @@ def enumerate_subgroups(
     set whose size does not divide |G| (Lagrange) raises RuntimeError, and
     so do cyclic classes whose generators, |class|*phi(|U|) summed, are
     not the |G| elements, each generating exactly one cyclic subgroup:
-    only a table that skipped the public checks breaks either.
+    only a table that skipped the public checks breaks either. phi(|U|)
+    is the count of U's row in the trivial subgroup's walk, the elements
+    of U that generate it.
     """
     check_enumeration_cap(group.order, cap)
     order = group.order
@@ -483,8 +500,9 @@ def enumerate_subgroups(
             if joined not in found:
                 find_class(joined, gens + (y,))
 
-    # the trivial subgroup's walk holds every cyclic subgroup
-    cyclic = {mask for mask, _ in walks[1]}
+    # the trivial subgroup's walk has one row per cyclic subgroup U, whose
+    # count is phi(|U|), the elements generating U
+    phi = dict(walks[1])
     # N(H) may be found after H; the first g giving each member gHg^-1
     # gives its normalizer g N(H) g^-1
     normalizers: dict[int, Subgroup] = {}
@@ -503,16 +521,16 @@ def enumerate_subgroups(
         normalizers[found[fs].mask] = norm
         members = tuple(sorted((found[m] for m in orbit), key=attrgetter("elements")))
         rep = members[0]
-        is_cyclic = found[fs].mask in cyclic  # cyclicity is invariant under conjugation
-        if is_cyclic:
-            generators += len(members) * totient(rep.order)
+        # 0 for a class that is not cyclic; cyclicity is invariant under conjugation
+        cyclic_generators = phi.get(found[fs].mask, 0)
+        generators += len(members) * cyclic_generators
         staged.append(
             (
                 rep.order,
                 -len(members),
                 rep.elements,
                 members,
-                is_cyclic,
+                cyclic_generators > 0,
                 is_elementary_abelian(group, rep),
             )
         )

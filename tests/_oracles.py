@@ -549,7 +549,7 @@ def fixed_coset_count(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int:
     """Number of cosets gV in G/V with U contained in g V g^-1, by direct scan."""
     table = group.mul_table
     inv = group.inv_table
-    uset = u.member_set
+    uset = frozenset(u.elements)
     seen = bytearray(group.order)
     count = 0
     for g in group.elements():
@@ -835,7 +835,7 @@ def closure_enumerate_subgroups(
             for cyc_set, cyc_gen in cyclics:
                 if cyc_set <= current:
                     continue
-                joined = generated_subgroup(group, base_gens + (cyc_gen,)).member_set
+                joined = frozenset(generated_subgroup(group, base_gens + (cyc_gen,)).elements)
                 if joined not in gens_of:
                     gens_of[joined] = base_gens + (cyc_gen,)
                     fresh.append(joined)
@@ -852,7 +852,7 @@ def closure_enumerate_subgroups(
         else:
             sub = Subgroup(fs)
             orbit = {
-                conjugate_subgroup(group, sub, g).member_set for g in group.elements()
+                frozenset(conjugate_subgroup(group, sub, g).elements) for g in group.elements()
             }
         remaining -= orbit
         orbits.append(sorted(orbit, key=sorted))
@@ -897,7 +897,7 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
         v_rep = cls.representative
         if v_rep.order == 1:
             continue
-        vset = v_rep.member_set
+        vset = frozenset(v_rep.elements)
         velems = v_rep.elements
         nv_elems = () if abelian else normalizer(group, v_rep).elements
         seen_orbit: set[frozenset[int]] = set()
@@ -906,7 +906,7 @@ def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...
                 continue
             if prime_power(v_rep.order // sub.order) is None:
                 continue
-            sset = sub.member_set
+            sset = frozenset(sub.elements)
             if not sset <= vset or sset in seen_orbit:
                 continue
             if not abelian:

@@ -252,10 +252,10 @@ def test_criterion_10_lattice_oracle(lattice_of):
         lattice = lattice_of(text)
         group = lattice.group
         expected_sets = subset_closure_subgroups(group)
-        actual_sets = {s.member_set for s in lattice.all_subgroups}
+        actual_sets = {frozenset(s.elements) for s in lattice.all_subgroups}
         expected_classes = conjugacy_partition(group, expected_sets)
         actual_classes = {
-            frozenset(m.member_set for m in cls.members) for cls in lattice.classes
+            frozenset(frozenset(m.elements) for m in cls.members) for cls in lattice.classes
         }
         if actual_sets != expected_sets or actual_classes != expected_classes:
             failures.append(text)

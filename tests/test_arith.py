@@ -5,19 +5,16 @@ search, and ``prime_power`` reads the exponent off the size of n, so the
 checks cover every n below 20000 and, for large k, the numbers p**k,
 p**k + 1 and p**k * q, where dividing out one factor at a time was slow.
 Primes below 3317044064679887385961981 are found by Miller-Rabin, so
-strong pseudoprimes to many of its bases are checked too. ``totient``,
-read off ``factorize``, is checked against counting the residues prime
-to n for every n below 2000.
+strong pseudoprimes to many of its bases are checked too.
 """
 
 from __future__ import annotations
 
 import time
-from math import gcd
 
 import pytest
 
-from burnside.arith import factorize, is_prime, prime_power, totient
+from burnside.arith import factorize, is_prime, prime_power
 from burnside.catalog import GroupSpec, SpecParseError, parse_group_spec
 
 
@@ -43,11 +40,6 @@ def test_small_numbers_match_brute_force():
         assert factorize(n) == factors
         assert is_prime(n) == (factors == [(n, 1)])
         assert prime_power(n) == (factors[0] if len(factors) == 1 else None)
-
-
-def test_totient_counts_the_residues_prime_to_n():
-    for n in range(1, 2000):
-        assert totient(n) == sum(gcd(k, n) == 1 for k in range(1, n + 1)), n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])

@@ -4,7 +4,9 @@ import copy
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 from pathlib import Path
 
@@ -471,3 +473,62 @@ def test_a_kept_solve_changes_no_identity_copy_or_pickle(lattice_of):
             got = (marks_membership(v.lattice, v), minimal_multiplier(v.lattice, v))
             assert got == result
     assert copy.copy(solved) == solved and hash(copy.copy(solved)) == hash(solved)
+
+
+def _coset_conjugates(lattice) -> list[list[int]]:
+    """Per class j, the masks of gU_jg^-1 for one g in each left coset gU_j
+    of the class representative U_j, from the multiplication table alone."""
+    group = lattice.group
+    table, inv = group.mul_table, group.inv_table
+    out = []
+    for cls in lattice.classes:
+        v = cls.representative.elements
+        seen: set[int] = set()
+        masks = []
+        for g in range(group.order):
+            if g not in seen:
+                seen.update(table[g][b] for b in v)
+                masks.append(sum(1 << table[table[g][b]][inv[g]] for b in v))
+        out.append(masks)
+    return out
+
+
+CATALOG_UP_TO_32 = [spec.text() for spec in standard_catalog(32)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*CATALOG_UP_TO_32, "D(8)xC3", f"perm:{BENCH_DATA / 's5.perm'}"],
+    ids=[*CATALOG_UP_TO_32, "D(8)xC3", "S5"],
+)
+def test_products_of_marks_columns_follow_mackey(text, lattice_of):
+    """Column j of the table of marks is the ghost of G/U_j, so the
+    pointwise product of columns i and j is the ghost of G/U_i x G/U_j.
+    By Mackey's formula that G-set is the sum over the double cosets
+    U_i g U_j of G/(U_i meet gU_jg^-1), so the product must equal
+    sum_k n_k (column k), with n_k the double cosets whose meet lies in
+    class k. U_i acts on the cosets gU_j with stabilizer U_i meet gU_jg^-1,
+    and a double coset is one orbit, of |U_i : stabilizer| cosets, so each
+    coset adds |stabilizer| / |U_i| to n_k. No fixed coset is counted, so
+    this is independent of ``_oracles.mark``; all pairs i <= j are tried."""
+    lattice = lattice_of(text)
+    class_of = lattice._class_by_mask
+    columns: list[dict[int, int]] = [{} for _ in lattice.classes]
+    for r, (diag, tail) in enumerate(table_of_marks(lattice).rows):
+        columns[r][r] = diag
+        for k, m in tail:
+            columns[k][r] = m
+    conjugates = _coset_conjugates(lattice)
+    for i, j in combinations_with_replacement(range(lattice.class_count), 2):
+        u = lattice.classes[i].representative
+        weights: Counter = Counter()
+        for conjugate in conjugates[j]:
+            meet = u.mask & conjugate
+            weights[class_of[meet]] += meet.bit_count()
+        expected: Counter = Counter()
+        for k, weight in weights.items():
+            assert weight % u.order == 0, (i, j, k)
+            for r, m in columns[k].items():
+                expected[r] += weight // u.order * m
+        product = {r: m * columns[j][r] for r, m in columns[i].items() if r in columns[j]}
+        assert product == expected, (i, j)

@@ -7,8 +7,10 @@ members, same flags) and the power-walk Dress system the same congruences
 scan that filters U's walk for every pair. Every stored mark must equal
 the count of fixed cosets and the earlier scan's mark, every permutation
 table the one that composes each entry's permutations, and the Weyl row
-for U = 1 the census counted by walking every element's powers. The shared
-congruence-sum loop must give the same membership certificates and
+for U = 1 the census counted by walking every element's powers. Each row
+of the trivial subgroup's walk must count phi(|U|), the k in [1, |U|]
+prime to |U|, as enumeration reads it. The shared congruence-sum loop
+must give the same membership certificates and
 Artin-exponent witnesses (every violation, in order, every field) as the
 per-congruence loops, and the plans of positions it reads the same
 violations as the earlier loop over the records, on members, perturbed
@@ -261,8 +263,11 @@ def test_random_degree_six_group_matches_closure_oracles(seed):
 # membership benchmark
 BENCH_S5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "s5.perm"
 S6 = Path(__file__).resolve().parent / "data" / "s6.perm"
+# D(8)xC3xQ(8): most subgroups are normal in G, and so skip the normality
+# test and the orbit sweep that the rest go through
 PAIR_SCAN_SPECS = CATALOG_UP_TO_128 + [
     "C8xC8xC2",
+    "D(8)xC3xQ(8)",
     f"perm:{BENCH_S5}",
 ]
 PAIR_SCAN_IDS = [*PAIR_SCAN_SPECS[:-1], "S5"]  # no checkout path in the id
@@ -307,6 +312,29 @@ def test_perm_tables_equal_the_composed_tables(name):
     assert group.mul_table == tuple(map(tuple, loop_perm_table(degree, gens)))
     assert group.columns == tuple(zip(*group.mul_table))
     assert all(type(column) is tuple for column in group.columns)
+
+
+def _assert_trivial_walk_counts_phi(lattice):
+    """Each row of the trivial subgroup's walk is a cyclic subgroup U, and
+    its count, which enumeration reads as phi(|U|), is the number of k in
+    [1, |U|] prime to |U|."""
+    rows = lattice.walk(lattice.classes[0].representative)
+    for mask, _, count in rows:
+        n = mask.bit_count()
+        assert count == sum(gcd(k, n) == 1 for k in range(1, n + 1)), mask
+    assert sum(count for _, _, count in rows) == lattice.group.order
+
+
+@pytest.mark.parametrize("text", CATALOG_UP_TO_128)
+def test_catalog_trivial_walk_counts_are_phi(text, lattice_of):
+    _assert_trivial_walk_counts_phi(lattice_of(text))
+
+
+@pytest.mark.parametrize("name", list(PERM_GENERATOR_SETS))
+def test_perm_group_trivial_walk_counts_are_phi(name):
+    degree, gens, cap = PERM_GENERATOR_SETS[name]
+    group = group_from_perm_generators(degree, gens, order_cap=cap)
+    _assert_trivial_walk_counts_phi(enumerate_subgroups(group, cap=cap))
 
 
 @pytest.mark.parametrize("text", [*CATALOG_UP_TO_128, "D(8)xC3xQ(8)"])

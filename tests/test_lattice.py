@@ -62,11 +62,11 @@ def test_enumeration_matches_subset_closure_oracle(text, lattice_of):
     lattice = lattice_of(text)
     group = lattice.group
     expected_sets = subset_closure_subgroups(group)
-    actual_sets = {s.member_set for s in lattice.all_subgroups}
+    actual_sets = {frozenset(s.elements) for s in lattice.all_subgroups}
     assert actual_sets == expected_sets
     expected_classes = conjugacy_partition(group, expected_sets)
     actual_classes = {
-        frozenset(m.member_set for m in cls.members) for cls in lattice.classes
+        frozenset(frozenset(m.elements) for m in cls.members) for cls in lattice.classes
     }
     assert actual_classes == expected_classes
 

@@ -27,11 +27,10 @@ Stages:
   sweep      build, enumerate and the ea-family Artin exponent over
              standard_catalog(128), as verify-main-theorem runs them
   exponent   the exponent --certify query (the Artin exponent and its
-             divisor witnesses) for each family on a fresh lattice of each
-             --groups spec; a tree with ``divisor_witnesses`` runs
-             ``artin_exponent`` then that, a tree without it the one pass
-             ``exponent._certified``, and the two compare by exponent,
-             family name, family classes and witnesses
+             divisor witnesses, from the one pass ``exponent._certified``)
+             for each family on a fresh lattice of each --groups spec,
+             compared by exponent, family name, family classes and
+             witnesses
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
            [--stages perm,enumerate,marks,pairs,setup,build,sweep,queries,exponent]
@@ -50,10 +49,14 @@ samples, counted through ``gc.callbacks`` while a sample is timed, so
 the tool's own ``gc.collect()`` before each sample is left out.
 
 A/B hygiene: this tool imports both trees into one process, so neither
-pays start-up in its stage times. An A/B that starts the CLI instead
-(``bench/run.py`` on two checkouts, or timed ``burnside`` commands)
-must first compile both trees, ``python -m compileall -q src`` in each:
-with ``PYTHONDONTWRITEBYTECODE=1`` set, a tree whose ``__pycache__`` is
+pays start-up in its stage times. On a noisy host a stage's medians move
+between sets run minutes apart (``sweep`` read 53 to 97 ms per sample on
+a 2-CPU x86-64 host), so before trusting a ratio within about 5% of 1,
+run an A/A set, the parent against a copy of itself, and compare. An A/B
+that starts the CLI instead (``bench/run.py`` on two checkouts, or timed
+``burnside`` commands) must first compile both trees, ``python -m
+compileall -q src`` in each: with ``PYTHONDONTWRITEBYTECODE=1`` set, a
+tree whose ``__pycache__`` is
 missing or stale recompiles the package on every start, which alone
 moved CLI start-up by about 28 ms (``verify-main-theorem --max-order
 4``, 115 against 87 ms on a 2-CPU x86-64 host, Python 3.11.7).
@@ -181,9 +184,6 @@ def decide(B, lattice, vector) -> tuple:
 def certify(B, lattice, family) -> tuple:
     """The exponent --certify query: (the exponent, its witnesses), as the
     tree's ``exponent`` command takes them."""
-    if hasattr(B, "divisor_witnesses"):  # a tree that reads them in two passes
-        result = B.artin_exponent(lattice, family)
-        return result, B.divisor_witnesses(lattice, result)
     return B.exponent._certified(lattice, family)
 
 
