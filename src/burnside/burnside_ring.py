@@ -43,6 +43,22 @@ down-sets (the subgroups inside each class representative) that the
 table and the pair congruences both read; a ghost vector keeps its own
 solve y, which ``marks_membership`` and ``minimal_multiplier`` both read.
 
+The small tuples that the table and the pair congruences keep are shared,
+one object per distinct value in a lattice: each pair term (class, coset
+count), taken from one list of terms per count, and each marks entry
+(j, mark), through one dict per column keyed by the mark. A shared tuple
+equals the one it replaces, so every value and order stays. On EA(2,6)
+the 456328 pair terms are 2825 tuples and the 92881 marks entries 2824,
+and ``member 'EA(2,6)'`` peaks at 51.7 MB RSS against 86.4 MB with a
+tuple each; the membership benchmark's three lattices, with their
+marks, pair congruences and pair plan, keep 3.31 MiB against 5.40 MiB
+(tracemalloc, after a full collection; EA(2,5) 2.03 against 3.54 MiB).
+The pair build reads each U's walk as (mask of <v, U>, shared term)
+rows, made once per U and filtered by V's mask, and that made it about
+7% faster (``tools/ab_inproc.py --stages pairs``, median ratios 0.921
+and 0.936 over two sets of 20 pairs; Python 3.11.7 on a 2-CPU x86-64
+host).
+
 The three queries, ``dress_membership``, ``marks_membership`` and
 ``minimal_multiplier``, run with the cyclic garbage collector paused
 (``lattice._collector_paused``), as the builders do. A random vector
@@ -64,7 +80,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from math import gcd, lcm
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -137,8 +153,9 @@ class TableOfMarks(NamedTuple):
     class order an entry survives only when i <= j; row 0 holds the
     indices |G : U_j| and the diagonal holds |N(U_j) : U_j|. ``rows[i]``
     is (diagonal mark, ((j, mark), ...)) with the nonzero marks right of
-    the diagonal in ascending j, the form the triangular solve reads. A
-    named tuple: it equals the plain tuple (rows,)."""
+    the diagonal in ascending j, the form the triangular solve reads; the
+    entries of equal j and mark are one tuple. A named tuple: it equals
+    the plain tuple (rows,)."""
 
     rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
@@ -226,7 +243,8 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     times |G| / (|class i| |V_j|). That division is asserted exact, and a
     remainder raises RuntimeError. The diagonal is |N(V_j) : V_j|. Columns
     are filled in ascending order, so every row's nonzero marks come out
-    sorted without a dense row ever existing.
+    sorted without a dense row ever existing. A column makes one entry
+    (j, mark) per distinct mark, which every row with that mark shares.
     """
     classes = lattice.classes
     order = lattice.group.order
@@ -238,11 +256,12 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     for cls, down in zip(lattice.classes, _down_sets(lattice)):
         j, v_order = cls.class_index, len(cls.members[0].elements)
         diagonal.append(order // (sizes[j] * v_order))
+        column: dict[int, tuple[int, int]] = {}  # mark -> its one entry (j, mark)
         for i, conjugates in Counter(map(class_of, map(mask_of, down))).items():
             mark, r = divmod(conjugates * order, sizes[i] * v_order)
             if r:
                 raise RuntimeError(f"inexact mark of class {i} in class {j}: remainder {r}")
-            tails[i].append((j, mark))
+            tails[i].append(column.get(mark) or column.setdefault(mark, (j, mark)))
     return TableOfMarks(tuple(zip(diagonal, map(tuple, tails))))
 
 
@@ -275,7 +294,12 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     1.143 over 30 pairs; Python 3.11.7 on a 2-CPU x86-64 host). Any other
     pair's terms are the rows of U's walk over N(U)
     (``SubgroupLattice.walk``) whose join lies in V, summed by class in
-    the walk's class order.
+    the walk's class order. Each U's walk is read once into (mask of
+    <v, U>, term) rows, kept while the build runs, and a pair picks the
+    rows inside V; only a walk in which a class has several rows (never
+    in an abelian group) sums the picked counts by class. Every term is
+    taken from the list of count k's terms, made for every class when k
+    is first met, so the records share one tuple per distinct term.
     """
     group = lattice.group
     normal_in_g = [cls.is_normal for cls in lattice.classes]
@@ -283,6 +307,12 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     normalizer_of = lattice._normalizers
     record = partial(tuple.__new__, Congruence)
     powers = {d: prime_power(d) for d in divisors(group.order)}
+    n = lattice.class_count
+    # coset count k -> the term (c, k) of every class c: one tuple per term
+    terms = cache(lambda k: [(c, k) for c in range(n)])
+    # U's mask -> its walk as (mask of <v, U>, term) rows, and whether a
+    # class has several rows, whose counts a pair then sums
+    term_rows: dict[int, tuple[list[tuple[int, tuple[int, int]]], bool]] = {}
     out: list[Congruence] = []
     for cls, down in zip(lattice.classes, _down_sets(lattice)):
         v_rep = cls.representative
@@ -306,15 +336,22 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                 for g in conjugators:
                     seen_orbit.add(conjugate_mask(group, sub.elements, g))
             if powers[index][1] == 1:
-                terms = ((u_class, 1), (cls.class_index, index - 1))
+                pair_terms = (terms(1)[u_class], terms(index - 1)[cls.class_index])
             else:
-                counts: dict[int, int] = {}
-                for joined, joined_class, count in lattice.walk(sub):
-                    if joined & v_mask == joined:
-                        counts[joined_class] = counts.get(joined_class, 0) + count
-                terms = tuple(counts.items())
+                if u_mask not in term_rows:
+                    walk = lattice.walk(sub)
+                    repeats = len({c for _, c, _ in walk}) < len(walk)
+                    term_rows[u_mask] = [(j, terms(k)[c]) for j, c, k in walk], repeats
+                rows, repeats = term_rows[u_mask]
+                picked = [t for joined, t in rows if joined & v_mask == joined]
+                if repeats:
+                    counts: dict[int, int] = {}
+                    for c, k in picked:
+                        counts[c] = counts.get(c, 0) + k
+                    picked = [terms(k)[c] for c, k in counts.items()]
+                pair_terms = tuple(picked)
             # made in the order the membership loop reads them, adjacent in memory
-            out.append(record((u_class, cls.class_index, index, terms)))
+            out.append(record((u_class, cls.class_index, index, pair_terms)))
     return tuple(out)
 
 

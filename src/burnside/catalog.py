@@ -403,10 +403,11 @@ def standard_catalog(max_order: int = 64) -> tuple[GroupSpec, ...]:
             order = p ** n
             if order > max_order:
                 break
-            for shape in partitions(n):
+            # above order 32 only the rank-two shapes (n - k, k), in the
+            # order partitions(n) lists them, largest first part first
+            shapes = partitions(n) if order <= 32 else [(n - k, k) for k in range(1, n // 2 + 1)]
+            for shape in shapes:
                 if len(shape) < 2:
-                    continue
-                if order > 32 and len(shape) > 2:
                     continue
                 if all(part == 1 for part in shape):
                     specs.append(GroupSpec("elementary_abelian", (p, n)))

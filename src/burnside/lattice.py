@@ -21,7 +21,12 @@ demand. The trivial subgroup's walk also counts, for each cyclic U, the
 phi(|U|) elements that generate it, so no totient is computed. Each
 subgroup is one ``Subgroup``, built once with its bitmask when its class
 is found and shared by the classes and the lattice; every member's
-normalizer is a reference to the lattice's own ``Subgroup``.
+normalizer is a reference to the lattice's own ``Subgroup``. A walk row
+of count 1, (mask, class, 1), depends on its subgroup alone, so the kept
+walks share one such tuple per subgroup: EA(2,6)'s 26387 kept rows are
+2825 tuples, and an enumerated EA(2,7) lattice keeps 21.1 MiB against
+43.0 MiB with a tuple per row (tracemalloc, after a full collection).
+The walks made on demand are not shared.
 
 Enumeration, every builder of the lattice's derived data
 (``lattice_cached``) and the three membership queries of
@@ -39,7 +44,7 @@ from __future__ import annotations
 import gc
 from enum import Enum
 from functools import wraps
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
@@ -110,8 +115,10 @@ class SubgroupLattice:
     rows of prime index over U are covers of U in the lattice, and in a
     p-group, where every maximal subgroup is normal of index p, they are
     all of its covers. The constructor takes a dict of walks as (mask,
-    count) rows, resolves and sorts them in place and keeps the dict;
-    ``walk`` reads one, walking a subgroup whose walk is not kept yet.
+    count) rows, resolves and sorts them in place and keeps the dict,
+    every row of count 1 one tuple per subgroup, shared by the walks that
+    hold it; ``walk`` reads one, walking a subgroup whose walk is not kept
+    yet.
     Data derived from the whole lattice (the table of marks, the pair
     congruences, the down-sets both share, the plan that sums the pair
     congruences) is built on first use and kept in one cache, filled only
@@ -135,7 +142,7 @@ class SubgroupLattice:
         group: FiniteGroup,
         classes: tuple[SubgroupClass, ...],
         normalizers: dict[int, Subgroup],
-        walks: dict[int, Iterable[tuple[int, int]]],
+        walks: dict[int, Sequence[tuple[int, int]]],
     ) -> None:
         self.group = group
         self.classes = classes
@@ -143,9 +150,12 @@ class SubgroupLattice:
         self.all_subgroups = tuple(sorted(subs, key=lambda s: (len(s.elements), s.elements)))
         self._class_by_mask = {m.mask: c.class_index for c in classes for m in c.members}
         self._normalizers = normalizers
-        # resolved in place, so each raw walk is dropped once it is resolved
+        # resolved in place, so each raw walk is dropped once it is resolved;
+        # the count-1 row of a subgroup is one tuple, shared by every walk
+        class_of = self._class_by_mask
+        ones = dict(zip(class_of, zip(class_of, class_of.values(), repeat(1))))
         for u_mask, rows in walks.items():
-            walks[u_mask] = self._resolved(rows)
+            walks[u_mask] = self._resolved(rows, ones)
         self.walks: dict[int, Walk] = walks
         self._derived: dict[Callable, object] = {}
 
@@ -163,7 +173,10 @@ class SubgroupLattice:
 
     def walk(self, sub: Subgroup) -> Walk:
         """U's walk over N(U) (see ``walks``): the kept one, else walked now
-        and kept, as for a conjugate of the member that enumeration joined."""
+        and kept, as for a conjugate of the member that enumeration joined.
+        A walk made here shares no row with the other walks, as sharing
+        would keep a map from every subgroup to its row on the lattice for
+        the few walks made on demand."""
         try:
             return self.walks[sub.mask]
         except KeyError:
@@ -174,12 +187,15 @@ class SubgroupLattice:
         )
         return walk
 
-    def _resolved(self, rows: Iterable[tuple[int, int]]) -> Walk:
+    def _resolved(self, rows: Sequence[tuple[int, int]], ones: dict | None = None) -> Walk:
         """Walk rows given as (mask of <v, U>, coset count), with the class of
         <v, U> put in between, sorted by class. The sort is stable, and U's
-        class is the least in its walk, so U stays first."""
+        class is the least in its walk, so U stays first. A row of count 1
+        is the one ``ones`` holds for its mask, made here when not given."""
         class_of = self._class_by_mask
-        walk = [(j, class_of[j], count) for j, count in rows]
+        if ones is None:
+            ones = {j: (j, class_of[j], 1) for j, _ in rows}
+        walk = [ones[j] if count == 1 else (j, class_of[j], count) for j, count in rows]
         walk.sort(key=itemgetter(1))
         return tuple(walk)
 

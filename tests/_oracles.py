@@ -52,6 +52,10 @@ multiplication table by a rule for each family, where the library sums
 the walks; ``family_violated_rows`` keeps the rows that the indicator
 violates, with the class of N(U) found by ``normalizer``, and
 ``family_witnesses`` reads the exponent's certificate off them.
+``partition_filter_catalog`` is the earlier ``standard_catalog``, which
+lists every partition of n for each p^n and filters out the shapes of
+more than two parts above order 32, where the library lists only the
+two-part shapes there.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ from burnside import (
     is_elementary_abelian,
     table_of_marks,
 )
-from burnside.arith import divisors, is_prime, prime_power
+from burnside.arith import divisors, is_prime, partitions, prime_power
 from burnside.groups import IDENTITY, subgroup_mask
 from burnside.lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -1078,3 +1082,40 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
         norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
         rows.append(Congruence(cls.class_index, norm_class, index, tuple(counts.items())))
     return tuple(rows)
+
+
+def partition_filter_catalog(max_order: int) -> tuple[GroupSpec, ...]:
+    """``standard_catalog`` as it was: every partition of n is listed for
+    each p^n up to ``max_order``, and shapes of more than two parts are
+    dropped above order 32."""
+    specs: list[GroupSpec] = []
+    if max_order >= 1:
+        specs.append(GroupSpec("cyclic", (2, 0)))
+    for p in (2, 3, 5):
+        n = 1
+        while p ** n <= max_order:
+            specs.append(GroupSpec("cyclic", (p, n)))
+            n += 1
+        for n in range(2, 64):
+            order = p ** n
+            if order > max_order:
+                break
+            for shape in partitions(n):
+                if len(shape) < 2:
+                    continue
+                if order > 32 and len(shape) > 2:
+                    continue
+                if all(part == 1 for part in shape):
+                    specs.append(GroupSpec("elementary_abelian", (p, n)))
+                else:
+                    specs.append(GroupSpec("abelian_product", tuple(p ** e for e in shape)))
+    for order in (8, 16, 32, 64, 128):
+        if order > max_order:
+            break
+        specs += [GroupSpec("dihedral", (order,)), GroupSpec("quaternion", (order,))]
+        if order >= 16:
+            specs += [GroupSpec("semidihedral", (order,)), GroupSpec("modular", (order,))]
+    for p in (3, 5):
+        if p ** 3 <= max_order:
+            specs += [GroupSpec("extraspecial_plus", (p,)), GroupSpec("extraspecial_minus", (p,))]
+    return tuple(sorted(specs, key=lambda s: (s.order(), s.text())))

@@ -11,6 +11,7 @@ from _oracles import (
     conjugate,
     loop_build_group,
     pairwise_is_abelian,
+    partition_filter_catalog,
     search_maximal_cyclic_2group,
     verify_group_axioms,
 )
@@ -24,6 +25,7 @@ from burnside import (
     parse_group_spec,
     standard_catalog,
 )
+import burnside.catalog
 
 
 def test_cyclic_build_has_full_order_element():
@@ -352,6 +354,25 @@ def test_catalog_contents():
         assert orders == sorted(orders)
         assert all(o is not None and o <= max_order for o in orders)
     assert standard_catalog(-1) == standard_catalog(0) == ()
+
+
+def test_catalog_lists_the_rank_two_shapes_without_partitions(monkeypatch):
+    """Above order 32 the catalog makes the two-part shapes (n - k, k)
+    itself: the specs, and their order, equal the earlier filter over
+    every partition of n, and partitions are listed only for p^n <= 32."""
+    for max_order in (1, 31, 32, 33, 64, 81, 125, 3**7, 5**5, 5**8, 2**20):
+        assert standard_catalog(max_order) == partition_filter_catalog(max_order)
+    partitions = burnside.catalog.partitions
+    listed = []
+
+    def spy(n):
+        listed.append(n)
+        return partitions(n)
+
+    monkeypatch.setattr(burnside.catalog, "partitions", spy)
+    specs = standard_catalog(2**45)
+    assert listed and max(listed) <= 5
+    assert max(s.order() for s in specs) == 2**45
 
 
 # Atoms of order <= 64 in every kind the grammar spells, plus the

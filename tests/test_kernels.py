@@ -292,6 +292,28 @@ def test_perm_file_pair_congruences_equal_the_reference_scan(name, tmp_path):
     _assert_pairs_equal_the_reference_scan(_perm_file_group(name, tmp_path))
 
 
+def _one_object_per_value(values) -> bool:
+    values = list(values)  # kept alive, so no two of them share an id
+    return len({id(v) for v in values}) == len(set(values))
+
+
+@pytest.mark.parametrize(
+    "text", ["EA(2,5)", "C8xC8xC2", f"perm:{BENCH_S5}"], ids=["EA(2,5)", "C8xC8xC2", "S5"]
+)
+def test_kept_tuples_are_one_object_per_value(text):
+    """A fresh lattice keeps one tuple per distinct count-1 walk row, and
+    its pair congruences and table of marks one per distinct term
+    (C8xC8xC2 and S5 have counts above 1) and per distinct (j, mark)
+    entry. The walks that ``SubgroupLattice.walk`` makes on demand, as the
+    pair congruences' build does for conjugates, share nothing, so the
+    kept walks are read before the pair build."""
+    lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
+    rows = [row for walk in lattice.walks.values() for row in walk if row[2] == 1]
+    assert _one_object_per_value(rows)
+    assert _one_object_per_value(t for c in dress_congruences(lattice) for t in c.terms)
+    assert _one_object_per_value(e for _, tail in table_of_marks(lattice).rows for e in tail)
+
+
 # (degree, generators, cap) of the permutation groups whose tables and
 # marks are compared with the earlier constructions
 PERM_GENERATOR_SETS = {

@@ -31,9 +31,18 @@ Stages:
              for each family on a fresh lattice of each --groups spec,
              compared by exponent, family name, family classes and
              witnesses
+  held       not timed: the bytes tracemalloc sees kept by each --groups
+             spec's lattice with its table_of_marks, dress_congruences
+             and _dress_plan filled, each read after a full collection
+             (which empties CPython's free lists), and the objects the
+             collector tracks (``len(gc.get_objects())``) right after
+             that set-up of every spec, less those before it. Each tree
+             runs it twice and the second run is printed, as the first
+             run in a process allocates a few KB once. Both numbers are
+             exact, so a memory change shows in one run.
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
-           [--stages perm,enumerate,marks,pairs,setup,build,sweep,queries,exponent]
+           [--stages perm,enumerate,marks,pairs,setup,build,sweep,queries,exponent,held]
            [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm']
 
 Group specs are separated by semicolons, as specs hold commas.
@@ -71,13 +80,14 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERM_FILES = ((ROOT / "bench" / "data" / "s5.perm", 256), (ROOT / "tests" / "data" / "s6.perm", 1000))
 GROUPS = f"EA(2,5);C8xC8xC2;perm:{ROOT / 'bench' / 'data' / 's5.perm'}"
 CAP = 1000  # the order cap of builds and enumerations, so that S6 (720) runs
-STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "build", "sweep", "queries", "exponent")
+STAGES = ("perm", "enumerate", "marks", "pairs", "setup", "build", "sweep", "queries", "exponent", "held")
 VECTORS_PER_KIND = 12  # per lattice of the queries stage
 
 
@@ -187,6 +197,49 @@ def certify(B, lattice, family) -> tuple:
     return B.exponent._certified(lattice, family)
 
 
+def held_setup(B, text: str):
+    """One --groups spec's lattice with its marks, pair congruences and
+    pair plan built, as the membership queries keep them."""
+    lattice = B.enumerate_subgroups(B.build_group(B.parse_group_spec(text), cap=CAP), cap=CAP)
+    B.table_of_marks(lattice)
+    B.dress_congruences(lattice)
+    B.burnside_ring._dress_plan(lattice)
+    return lattice
+
+
+def held(B, groups: list[str]) -> tuple[list[int], int]:
+    """(bytes kept per spec, objects tracked after the set-up of all specs)."""
+    kept = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lattices = []
+        for text in groups:
+            before = tracemalloc.get_traced_memory()[0]
+            lattices.append(held_setup(B, text))
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    del lattices
+    gc.collect()
+    before = len(gc.get_objects())
+    lattices = [held_setup(B, text) for text in groups]
+    return kept, len(gc.get_objects()) - before
+
+
+def print_held(trees, groups: list[str]) -> None:
+    """Both trees' ``held`` numbers, each from a second run, as the first
+    run in a process allocates a few KB once."""
+    for B in trees:
+        held(B, groups)
+    a, b = (held(B, groups) for B in trees)
+    names = [text.rsplit("/", 1)[-1] for text in groups] + ["total"]
+    for name, x, y in zip(names, a[0] + [sum(a[0])], b[0] + [sum(b[0])]):
+        print(f"{'held':<10} {name:<20} bytes a {x:>10} b {y:>10} b/a {y / x:6.3f}")
+    print(f"{'held':<10} {'tracked objects':<20} a {a[1]:>10} b {b[1]:>10} b/a {b[1] / a[1]:6.3f}")
+
+
 def sample(prepare, timed, key, collections: list[int]) -> tuple[float, object]:
     """Time one sample, adding to ``collections`` the collections the
     collector starts in each generation while it runs."""
@@ -220,6 +273,9 @@ def main(argv=None) -> int:
     print(f"a = {args.tree_a}\nb = {args.tree_b}\n{args.pairs} pairs, times in ms")
     print(f"{'stage':<10} {'a min':>9} {'a median':>9} {'b min':>9} {'b median':>9} {'b/a':>7} {'b wins':>7}")
     for which in args.stages.split(","):
+        if which == "held":
+            print_held(trees, groups)
+            continue
         stages = [stage(B, which, groups) for B in trees]
         times: tuple[list[float], list[float]] = ([], [])
         collections = ([0, 0, 0], [0, 0, 0])  # young, middle, full
