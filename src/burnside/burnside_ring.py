@@ -4,10 +4,12 @@ A ghost vector assigns one integer to each subgroup conjugacy class.
 Two independent routes decide whether it comes from an actual virtual
 G-set:
 
-* the pair congruences (``dress_congruences``): one per class of pairs
-  U normal in V with prime-power index, summing x over the subgroups
-  <v, U> for the cosets vU in V/U, modulo |V : U|; a U normal in G needs
-  no normality test and no orbit sweep, the same in every group;
+* the Weyl congruences of Dress's characterisation
+  (``dress_membership``): one row per class U, summing x over the
+  subgroups <g, U> for the cosets gU in N(U)/U, modulo |N(U) : U|, read
+  straight off the walk of U over N(U) that the lattice keeps for the
+  class (``SubgroupLattice.walks``). The row for U = 1 is the
+  Cauchy-Frobenius-Burnside relation, which ``cfb_check`` sums;
 * the marks solve: the triangular table of marks is solved for the
   coefficients c, and membership read off from their integrality. Every
   entry of |G| times the inverse table of marks is an integer, so the
@@ -15,62 +17,53 @@ G-set:
   be exact; x is a member exactly when |G| divides every y_i.
 
 Both are expected to agree on every input, and with a third route that
-the tests keep, the Weyl congruences of Dress's characterisation (one
-per class U, over N(U)/U, modulo |N(U) : U|; the row for U = 1 is the
-Cauchy-Frobenius-Burnside relation, which ``cfb_check`` sums). The
-Artin exponent (``exponent``) sums the Weyl rows of the family classes
-straight off the walks; the marks solve serves the ``marks`` and
-``member`` commands. The pair congruences are ``Congruence`` records,
-read off the walks of subgroups U over N(U) that the lattice keeps
-(``SubgroupLattice.walk``: enumeration walked one member of every class,
-and any other member is walked on demand); ``least_multiplier`` turns
-sums into the least multiplier that satisfies them, for the congruences
-and the solve alike. ``dress_membership``, which membership queries
-repeat, reads the pair congruences through a plan of positions
-(``_dress_plan``): the values are extended once by their multiples by
-each coset count above 1, so that every term is one list read, with no
-pair to unpack and no multiply. The plan is made on the first query
-that reads it, not with the records, so a lattice never queried holds
-none: for the 5395 pair congruences of EA(2,5) it takes about 3 ms
-(Python 3.11 on x86-64), one and a half passes of the record loop it
-replaces, and 0.8 MB.
+the tests keep, the pair congruences (``dress_congruences``): one per
+class of pairs U normal in V with prime-power index, summing x over the
+subgroups <v, U> for the cosets vU in V/U, modulo |V : U|. On EA(2,6)
+they are 92881 records against 2825 Weyl rows. They are ``Congruence``
+records, read off the walks of subgroups U over N(U)
+(``SubgroupLattice.walk``: the kept walk of a class's walked member,
+else a walk made on demand and not kept); the package exports them and
+the membership benchmark builds them, but no command reads them. The
+Artin exponent (``exponent``) reads the Weyl rows through the same loop
+as ``dress_membership`` (``_weyl_violations``), with the family
+indicator as the vector. ``least_multiplier`` turns sums into the least
+multiplier that satisfies them, for the rows and the solve alike.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
 ``marks`` command). The table and the pair congruences are cached on the
-lattice through ``lattice_cached``, and so are the pair plan and the
-down-sets (the subgroups inside each class representative) that the
-table and the pair congruences both read; a ghost vector keeps its own
-solve y, which ``marks_membership`` and ``minimal_multiplier`` both read.
+lattice through ``lattice_cached``, and so are the down-sets (the
+subgroups inside each class representative) that both read; a ghost
+vector keeps its own solve y, which ``marks_membership`` and
+``minimal_multiplier`` both read. A Weyl-row query caches nothing.
 
 The small tuples that the table and the pair congruences keep are shared,
 one object per distinct value in a lattice: each pair term (class, coset
 count), taken from one list of terms per count, and each marks entry
 (j, mark), through one dict per column keyed by the mark. A shared tuple
 equals the one it replaces, so every value and order stays. On EA(2,6)
-the 456328 pair terms are 2825 tuples and the 92881 marks entries 2824,
-and ``member 'EA(2,6)'`` peaks at 51.7 MB RSS against 86.4 MB with a
-tuple each; the membership benchmark's three lattices, with their
-marks, pair congruences and pair plan, keep 3.31 MiB against 5.40 MiB
-(tracemalloc, after a full collection; EA(2,5) 2.03 against 3.54 MiB).
-The pair build reads each U's walk as (mask of <v, U>, shared term)
-rows, made once per U and filtered by V's mask, and that made it about
-7% faster (``tools/ab_inproc.py --stages pairs``, median ratios 0.921
-and 0.936 over two sets of 20 pairs; Python 3.11.7 on a 2-CPU x86-64
-host).
+the 456328 pair terms are 2825 tuples and the 92881 marks entries 2824.
+The membership benchmark's three lattices, with their marks and pair
+congruences and one query answered, keep 2.18 MiB (tracemalloc, after a
+full collection; EA(2,5) 1.23 MiB). The pair build reads each U's walk
+as (mask of <v, U>, shared term) rows, made once per U and filtered by
+V's mask, and that made it about 7% faster (``tools/ab_inproc.py
+--stages pairs``, median ratios 0.921 and 0.936 over two sets of 20
+pairs; Python 3.11.7 on a 2-CPU x86-64 host).
 
 The three queries, ``dress_membership``, ``marks_membership`` and
 ``minimal_multiplier``, run with the cyclic garbage collector paused
 (``lattice._collector_paused``), as the builders do. A random vector
-breaks most pair congruences (about 3600 of EA(2,5)'s 5395), and each
-broken one is a record the collector tracks, so with it on a stream of
-queries whose answers are kept starts nearly one young collection per
-query and a full one about every 200, each freeing nothing, as the
-queries make no reference cycles. The pause costs about 0.1 us per call,
-and the caller's young objects move to the oldest generation with the
-query's. With no full collection during a stream of queries, CPython's
-free lists, which it empties, stay full (about 1 MB more peak memory in
-the membership benchmark).
+breaks most Weyl rows (at most one per class, 374 on EA(2,5)), and each
+broken one is a record the collector tracks, as are the marks solve's
+coefficients, so with it on a stream of queries whose answers are kept
+starts young collections that free nothing, as the queries make no
+reference cycles; the pause makes such a stream about 3% faster (see
+``_collector_paused`` for the figures). The caller's young objects move
+to the oldest generation with the query's. With no full collection during a stream of
+queries, CPython's free lists, which it empties, stay full (about 1 MB
+more peak memory in the membership benchmark).
 
 All arithmetic is exact (Python ints, with fractions only to present the
 coefficients); nothing here uses floating point.
@@ -83,7 +76,7 @@ from collections import Counter
 from functools import cache, partial
 from math import gcd, lcm
 from operator import attrgetter, index
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .arith import divisors, prime_power
 from .groups import Subgroup
@@ -176,7 +169,10 @@ class TableOfMarks(NamedTuple):
 class CongruenceViolation(NamedTuple):
     """One failed Dress congruence: the coset sum for (U, V) misses divisibility.
 
-    A named tuple: it equals the plain tuple
+    In the Weyl rows that ``dress_membership`` and the exponent's
+    witnesses report, V is N(U) and v_class its class; in a pair
+    congruence, V is any subgroup in which U is normal of prime-power
+    index. A named tuple: it equals the plain tuple
     (u_class, v_class, index, lhs_sum, residue).
     """
 
@@ -185,10 +181,6 @@ class CongruenceViolation(NamedTuple):
     index: int
     lhs_sum: int
     residue: int
-
-
-# builds a violation from a plain 5-tuple without a Python-level call
-_violation_from_row = partial(tuple.__new__, CongruenceViolation)
 
 
 class CongruenceCertificate(NamedTuple):
@@ -274,10 +266,12 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
 def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """All Dress congruences for the lattice, one per conjugacy class of pairs.
 
-    Pairs (U, V) with U normal in V and (V : U) a prime power above 1 are
-    enumerated with V running over class representatives and U over the
-    smaller subgroups contained in V (V's down-set, ``_down_sets``),
-    deduplicated by conjugacy under the normalizer of V;
+    The pair system is the cross-check of the Weyl rows that membership
+    queries and the exponent read (``dress_membership``); no command
+    builds it. Pairs (U, V) with U normal in V and (V : U) a prime power
+    above 1 are enumerated with V running over class representatives and
+    U over the smaller subgroups contained in V (V's down-set,
+    ``_down_sets``), deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
     normal in V iff V lies in the normalizer N(U) the lattice recorded. A
     U whose class has one member is normal in G, so it is normal in V and
@@ -293,8 +287,9 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     (``tools/ab_inproc.py --stages pairs``, median ratios 1.142 and
     1.143 over 30 pairs; Python 3.11.7 on a 2-CPU x86-64 host). Any other
     pair's terms are the rows of U's walk over N(U)
-    (``SubgroupLattice.walk``) whose join lies in V, summed by class in
-    the walk's class order. Each U's walk is read once into (mask of
+    (``SubgroupLattice.walk``, which walks a U that is not its class's
+    walked member anew) whose join lies in V, summed by class in the
+    walk's class order. Each U's walk is read once into (mask of
     <v, U>, term) rows, kept while the build runs, and a pair picks the
     rows inside V; only a walk in which a class has several rows (never
     in an abelian group) sums the picked counts by class. Every term is
@@ -350,33 +345,9 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                         counts[c] = counts.get(c, 0) + k
                     picked = [terms(k)[c] for c, k in counts.items()]
                 pair_terms = tuple(picked)
-            # made in the order the membership loop reads them, adjacent in memory
+            # made in the order a loop over the records reads them, adjacent in memory
             out.append(record((u_class, cls.class_index, index, pair_terms)))
     return tuple(out)
-
-
-@lattice_cached
-def _dress_plan(lattice: SubgroupLattice) -> tuple:
-    """The pair congruences as ``dress_membership`` sums them, made on first
-    use: (scales, rows), the coset counts above 1 in the order first met,
-    and per congruence (u_class, v_class, index, positions). The positions
-    index the n values followed by one copy of them times each scale: term
-    (c, k) reads c when k = 1, else n * (s + 1) + c for k = scales[s].
-    A count-1 term keeps its class index c, an int the lattice already
-    holds: read as c + 0, a new int for each c above 256, the plan of
-    EA(2,5) took 137 KB more (tracemalloc) and membership-batch peak RSS
-    rose 0.14 MB, in 9 of 10 pairs. Each row is built as a list and then
-    made a tuple of its exact size; from a generator, C8xC8xC2's plan
-    took 226 KB against 171 KB."""
-    n = lattice.class_count
-    offsets = {1: 0}
-    rows = []
-    for u_class, v_class, index, terms in dress_congruences(lattice):
-        positions = tuple([
-            c if k == 1 else offsets.setdefault(k, n * len(offsets)) + c for c, k in terms
-        ])
-        rows.append((u_class, v_class, index, positions))
-    return tuple(offsets)[1:], tuple(rows)
 
 
 def least_multiplier(pairs: Iterable[tuple[int, int]]) -> int:
@@ -388,32 +359,42 @@ def least_multiplier(pairs: Iterable[tuple[int, int]]) -> int:
     return lcm(*(q // gcd(s, q) for s, q in pairs))
 
 
+def _weyl_violations(
+    lattice: SubgroupLattice, values: Sequence[int]
+) -> list[CongruenceViolation]:
+    """The Weyl rows that the values violate, in class order: for each
+    class U, the sum of count * x(class of <v, U>) over the rows of the
+    kept walk of U over N(U) (``SubgroupLattice.walks``), modulo the index
+    |N(U) : U| = |G| / (|class| * |U|), as a ``CongruenceViolation`` with
+    v_class the class of N(U) when the residue is nonzero. A walk whose
+    coset counts do not sum to the index raises RuntimeError."""
+    order = lattice.group.order
+    violations = []
+    for cls, walk in zip(lattice.classes, lattice.walks):
+        index = order // (len(cls.members) * cls.order)
+        total = cosets = 0
+        for _, c, count in walk:
+            cosets += count
+            total += count * values[c]
+        if cosets != index:
+            raise RuntimeError(f"class {cls.class_index}'s walk counts {cosets} of {index} cosets")
+        if residue := total % index:
+            v_class = lattice._class_by_mask[lattice.normalizer(cls.representative).mask]
+            violations.append(CongruenceViolation(cls.class_index, v_class, index, total, residue))
+    return violations
+
+
 @_collector_paused
 def dress_membership(lattice: SubgroupLattice, x: GhostVector) -> CongruenceCertificate:
-    """Decide membership by checking every Dress congruence.
+    """Decide membership by Dress's Weyl congruences, one per class U.
 
-    The certificate lists every violated congruence in the deterministic
-    enumeration order, each with its sum and nonzero residue = sum % index;
-    it holds exactly when the list is empty. The congruences are read
-    through their plan (``_dress_plan``): the values are extended once by
-    their multiples by each scale, and each term is one list read.
+    The certificate lists every violated Weyl row (``_weyl_violations``)
+    in class order, each with its sum and nonzero residue = sum % index;
+    it holds exactly when the list is empty.
     """
     _check_vector(lattice, x)
-    scales, rows = _dress_plan(lattice)
-    values = x.values
-    extended = list(values)
-    for k in scales:
-        extended += map(k.__mul__, values)
-    violations = []
-    append = violations.append
-    for u_class, v_class, index, positions in rows:
-        total = 0
-        for at in positions:
-            total += extended[at]
-        residue = total % index
-        if residue:
-            append(_violation_from_row((u_class, v_class, index, total, residue)))
-    return CongruenceCertificate(holds=not violations, violations=tuple(violations))
+    violations = tuple(_weyl_violations(lattice, x.values))
+    return CongruenceCertificate(holds=not violations, violations=violations)
 
 
 def _scaled_solve(lattice: SubgroupLattice, x: GhostVector) -> tuple[int, ...]:
@@ -476,8 +457,7 @@ def cfb_check(lattice: SubgroupLattice, x: GhostVector) -> bool:
     elements g must vanish mod |G|. It sums the walk of U = 1 alone.
     Necessary for membership, not sufficient."""
     _check_vector(lattice, x)
-    rows = lattice.walk(lattice.classes[0].representative)
-    return sum(count * x.values[cls] for _, cls, count in rows) % lattice.group.order == 0
+    return sum(count * x.values[c] for _, c, count in lattice.walks[0]) % lattice.group.order == 0
 
 
 @_collector_paused

@@ -3,10 +3,11 @@
 The exponent of a group relative to a family is the least positive n for
 which n times the family's indicator ghost vector is an actual Burnside
 ring element. Dress's characterisation gives it with no marks solve and
-no pair congruences: for each family class U, the Weyl row of U over
-N(U) is summed straight off a walked member's kept walk
-(``SubgroupLattice.walks``), and the same pass gives the divisor
-witnesses of its certificate. No congruence record is built and nothing
+no pair congruences: the Weyl row of each class U over N(U) is summed
+straight off the class's kept walk (``SubgroupLattice.walks``) by the
+loop that membership queries read (``burnside_ring._weyl_violations``),
+with the family indicator as the vector, and the same pass gives the
+divisor witnesses of its certificate. No pair record is built and nothing
 is cached on the lattice; the tests check the rows against a Weyl-row
 oracle, the pair route and a count from the multiplication table. A
 closed-form table (abelian index formula, the quaternion/dihedral/
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import divisors, prime_power
-from .burnside_ring import CongruenceViolation, GhostVector, least_multiplier
+from .burnside_ring import CongruenceViolation, GhostVector, _weyl_violations, least_multiplier
 from .catalog import (
     MaximalCyclicType,
     build_group,
@@ -70,56 +71,24 @@ def indicator_vector(lattice: SubgroupLattice, family: SubgroupFamily) -> GhostV
     )
 
 
-def _family_rows(lattice: SubgroupLattice, family: SubgroupFamily) -> tuple:
-    """(family classes, exponent, violated rows): the Weyl rows that the
-    family's indicator violates, as (u_class, v_class, w_U, s_U) in class
-    order, and their ``least_multiplier``.
-
-    For each family class U, w_U = |G| / (|class| * |U|); a class of
-    w_U = 1 walks one row of count 1, which is never violated. s_U counts
-    the cosets of the rows of a walked member's walk over N(U) whose class
-    lies in the family; conjugates give the same row. A walk whose coset counts do not sum to w_U raises
-    RuntimeError. v_class, the class of N(U), is looked up for the
-    violated rows alone."""
-    selected = select_family(lattice, family)
-    inside = [c in selected for c in range(lattice.class_count)]
-    order = lattice.group.order
-    walks = lattice.walks
-    rows = []
-    for cls in lattice.classes:
-        u_class = cls.class_index
-        if not inside[u_class]:
-            continue
-        index = order // (len(cls.members) * cls.order)
-        member = next((m for m in cls.members if m.mask in walks), cls.representative)
-        total = cosets = 0
-        for _, c, count in lattice.walk(member):
-            cosets += count
-            if inside[c]:
-                total += count
-        if cosets != index:
-            raise RuntimeError(f"class {u_class}'s walk counts {cosets} of {index} cosets")
-        if total % index:
-            v_class = lattice._class_by_mask[lattice.normalizer(member).mask]
-            rows.append((u_class, v_class, index, total))
-    return selected, least_multiplier((total, index) for _, _, index, total in rows), rows
-
-
 def _certified(
     lattice: SubgroupLattice, family: SubgroupFamily
 ) -> tuple[ExponentResult, tuple[DivisorWitness, ...]]:
-    """The exponent and its certificate, from one ``_family_rows`` pass.
+    """The exponent and its certificate, from one pass over the Weyl rows.
 
-    For each proper divisor d of the exponent, in ascending order, the
-    witness is the first violated row that d times the indicator still
-    violates: the row of a class U, with v_class the class of N(U). The
-    exponent is the lcm of the rows' quotients w_U / gcd(s_U, w_U), so
-    each proper divisor misses one of them and has a witness.
+    The rows are those the family's indicator violates
+    (``burnside_ring._weyl_violations``), each of a class U with v_class
+    the class of N(U), index w_U and sum s_U. The exponent is the lcm of
+    their quotients w_U / gcd(s_U, w_U), so each proper divisor d of it
+    misses one of them; in ascending order, d's witness is the first row
+    that d times the indicator still violates.
     """
-    selected, exponent, rows = _family_rows(lattice, family)
+    selected = select_family(lattice, family)
+    rows = _weyl_violations(lattice, [c in selected for c in range(lattice.class_count)])
+    exponent = least_multiplier((total, index) for _, _, index, total, _ in rows)
     witnesses = []
     for d in divisors(exponent)[:-1]:
-        u_class, v_class, index, total = next(r for r in rows if d * r[3] % r[2])
+        u_class, v_class, index, total, _ = next(r for r in rows if d * r.lhs_sum % r.index)
         violation = CongruenceViolation(u_class, v_class, index, d * total, d * total % index)
         witnesses.append(DivisorWitness(d, violation))
     return ExponentResult(exponent, family, selected, "marks+dress"), tuple(witnesses)
@@ -133,7 +102,7 @@ def artin_exponent(
 
     By Dress's characterisation it is the lcm of w_U / gcd(s_U, w_U) over
     the family classes U, with w_U = |N(U) : U| and s_U the cosets gU in
-    N(U)/U with <g, U> in the family (``_family_rows``); the Weyl row of a
+    N(U)/U with <g, U> in the family (``_certified``); the Weyl row of a
     class outside the family sums to 0, as each family is closed under
     subgroups. The ``exponent --certify`` command takes this result and
     its witnesses from the same pass.

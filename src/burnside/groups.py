@@ -7,12 +7,14 @@ check. A group records the powers of each element once, when it is
 built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
-is not immutable: on first use it fills one lazy cache (table of marks,
-pair congruences, the plan that sums them) and walks of the subgroups
-that enumeration did not walk over their normalizers. The only other
-cache is a ghost vector's first marks solve; an ``ExponentResult`` keeps
-no lattice, and the exponent and its certificate are read off the kept
-walks, with nothing cached. A lattice copies and pickles with its cache,
+is not immutable, but it fills only its one lazy cache (table of marks,
+pair congruences, and the down-sets both read) on first use; the walks
+it keeps, one per class, come from enumeration and are never extended,
+as a walk of another member is made anew each time it is asked for. The
+only other cache is a ghost vector's first marks solve; an
+``ExponentResult`` keeps no lattice, and the exponent, its certificate
+and a membership query's Weyl rows are read off the kept walks, with
+nothing cached. A lattice copies and pickles with its cache,
 a vector without. The values are deterministic, so threads sharing a
 lattice or a vector see the same results, but concurrent first calls
 may each compute them. Enumeration and the lattice's builders pause the
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import re
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, compress
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Sequence
 
 # default order cap of subgroup enumeration and of permutation closure, one
@@ -271,7 +273,11 @@ def parse_permutation(text: str, degree: int) -> tuple[int, ...]:
     perm = list(range(degree))
     used: set[int] = set()
     for m in _CYCLE_RE.finditer(stripped):
-        points = [int(tok) for tok in m.group(1).split()]
+        try:  # ``point`` is left at the token that int() refused
+            points = [int(point := tok) for tok in m.group(1).split()]
+        except ValueError:
+            message = f"point {point!r} is not an integer in permutation {stripped!r}"
+            raise ValueError(message) from None
         if not points:
             continue
         for p in points:
@@ -312,19 +318,29 @@ def group_from_perm_generators(
     Element ids follow the breadth-first closure order from the
     generators in input order, with the identity first, so tables are
     reproducible. Raises CapExceededError if the closure would exceed
-    ``order_cap``. The closure composes each element with each generator
-    once; the table is read off the Cayley graph it finds, with no
-    further composing or hashing of permutations.
+    ``order_cap``. A generator is a bijection when it has ``degree``
+    entries and maps the points it moves onto themselves. Every element
+    fixes the points no generator moves, so the closure acts on the moved
+    points alone, relabelled 0, 1, ...; relabelling keeps every product,
+    so the table is the same. The closure composes each element with each
+    generator once; the table is read off the Cayley graph it finds, with
+    no further composing or hashing of permutations.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    gens: list[tuple[int, ...]] = []
+    points = range(degree)
+    given: list[tuple[int, ...]] = []
+    moved: set[int] = set()
     for k, g in enumerate(generators):
-        perm = tuple(int(x) for x in g)
-        if len(perm) != degree or sorted(perm) != list(range(degree)):
+        perm = tuple(map(int, g))
+        own = list(compress(points, map(ne, perm, points)))
+        if len(perm) != degree or set(map(perm.__getitem__, own)) != set(own):
             raise ValueError(f"generator {k} is not a bijection on 0..{degree - 1}")
-        gens.append(perm)
-    identity = tuple(range(degree))
+        given.append(perm)
+        moved.update(own)
+    label = {p: i for i, p in enumerate(moved)}
+    gens = [tuple(label[perm[p]] for p in label) for perm in given]
+    identity = tuple(range(len(label)))
     perms: list[tuple[int, ...]] = [identity]
     index: dict[tuple[int, ...], int] = {identity: 0}
     # moves[i][k]: the id of element k times generator i; parents[q - 1]:

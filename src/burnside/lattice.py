@@ -14,10 +14,11 @@ elements of N(H) by walking it (``_walk``): one row per cyclic subgroup
 of N(H)/H, each the union of the cosets v^k H, with no closure. Only the
 double cosets HgH outside N(H) are joined by closure (``_coset_join``),
 and in a group whose order makes it solvable not even those. The walks
-are the lattice's cyclic data: kept as plain rows in class order on the
-lattice, they give the pair congruences their terms and the Artin
-exponent its Weyl rows, and a conjugate that was not walked is walked on
-demand. The trivial subgroup's walk also counts, for each cyclic U, the
+are the lattice's cyclic data: kept as one tuple, one walk per class in
+class order, of plain rows in class order, they give the membership
+queries and the Artin exponent their Weyl rows and the pair congruences
+their terms; a conjugate that was not walked is walked on demand and not
+kept. The trivial subgroup's walk also counts, for each cyclic U, the
 phi(|U|) elements that generate it, so no totient is computed. Each
 subgroup is one ``Subgroup``, built once with its bitmask when its class
 is found and shared by the classes and the lattice; every member's
@@ -32,7 +33,7 @@ Enumeration, every builder of the lattice's derived data
 (``lattice_cached``) and the three membership queries of
 ``burnside_ring`` run with CPython's cyclic garbage collector paused
 (``_collector_paused``). The builders allocate tens of thousands of
-long-lived objects, and a query one record per broken congruence; none
+long-lived objects, and a query one record per broken Weyl row; none
 makes a reference cycle, so the collector's passes over them would free
 nothing. Reference counting frees all they drop, and what they keep (and
 the caller's young objects with it) goes to the oldest generation
@@ -108,22 +109,22 @@ class SubgroupLattice:
     subgroup's mask to its normalizer, one of the classes' own Subgroup
     objects.
 
-    ``walks`` maps the mask of a subgroup U to its walk over N(U): one row
-    (mask of <v, U>, class of <v, U>, coset count) per cyclic subgroup
-    <vU> of N(U)/U, the count being the cosets that generate it, in class
-    order with U itself first (rows of one class stay in walk order). The
-    rows of prime index over U are covers of U in the lattice, and in a
-    p-group, where every maximal subgroup is normal of index p, they are
-    all of its covers. The constructor takes a dict of walks as (mask,
-    count) rows, resolves and sorts them in place and keeps the dict,
-    every row of count 1 one tuple per subgroup, shared by the walks that
-    hold it; ``walk`` reads one, walking a subgroup whose walk is not kept
-    yet.
+    ``walks`` holds, per class in class order, the walk of one member U
+    (the one enumeration joined) over N(U): one row (mask of <v, U>, class
+    of <v, U>, coset count) per cyclic subgroup <vU> of N(U)/U, the count
+    being the cosets that generate it, in class order with U's own row
+    (mask of U, class of U, 1) first (rows of one class stay in walk
+    order). The rows of prime index over U are covers of U in the
+    lattice, and in a p-group, where every maximal subgroup is normal of
+    index p, they are all of its covers. The constructor takes the walks
+    in class order as (mask, count) rows, resolves and sorts them in
+    place and keeps them as a tuple, never extended, every row of count 1
+    one tuple per subgroup, shared by the walks that hold it; ``walk``
+    reads one, or walks another member anew.
     Data derived from the whole lattice (the table of marks, the pair
-    congruences, the down-sets both share, the plan that sums the pair
-    congruences) is built on first use and kept in one cache, filled only
-    through ``lattice_cached``. Nothing the lattice keeps refers back to it, so
-    reference counting frees it.
+    congruences and the down-sets both share) is built on first use and
+    kept in one cache, filled only through ``lattice_cached``. Nothing the
+    lattice keeps refers back to it, so reference counting frees it.
     """
 
     __slots__ = (
@@ -142,7 +143,7 @@ class SubgroupLattice:
         group: FiniteGroup,
         classes: tuple[SubgroupClass, ...],
         normalizers: dict[int, Subgroup],
-        walks: dict[int, Sequence[tuple[int, int]]],
+        walks: list[Sequence[tuple[int, int]]],
     ) -> None:
         self.group = group
         self.classes = classes
@@ -154,9 +155,9 @@ class SubgroupLattice:
         # the count-1 row of a subgroup is one tuple, shared by every walk
         class_of = self._class_by_mask
         ones = dict(zip(class_of, zip(class_of, class_of.values(), repeat(1))))
-        for u_mask, rows in walks.items():
-            walks[u_mask] = self._resolved(rows, ones)
-        self.walks: dict[int, Walk] = walks
+        for c, rows in enumerate(walks):
+            walks[c] = self._resolved(rows, ones)
+        self.walks: tuple[Walk, ...] = tuple(walks)
         self._derived: dict[Callable, object] = {}
 
     @property
@@ -172,20 +173,16 @@ class SubgroupLattice:
             raise ValueError("subgroup does not belong to this lattice") from None
 
     def walk(self, sub: Subgroup) -> Walk:
-        """U's walk over N(U) (see ``walks``): the kept one, else walked now
-        and kept, as for a conjugate of the member that enumeration joined.
-        A walk made here shares no row with the other walks, as sharing
-        would keep a map from every subgroup to its row on the lattice for
-        the few walks made on demand."""
-        try:
-            return self.walks[sub.mask]
-        except KeyError:
-            pass
-        rows = _walk(self.group, sub.elements, self.normalizer(sub).elements)
-        walk = self.walks[sub.mask] = self._resolved(
-            [(subgroup_mask(j), count) for j, count, _ in rows]
-        )
-        return walk
+        """U's walk over N(U) (see ``walks``): the kept one of U's class when
+        U is its walked member, else walked now and not kept, as for a
+        conjugate of the member that enumeration joined. A walk made here
+        shares no row with the kept walks."""
+        norm = self.normalizer(sub)
+        walk = self.walks[self._class_by_mask[sub.mask]]
+        if walk[0][0] == sub.mask:
+            return walk
+        rows = _walk(self.group, sub.elements, norm.elements)
+        return self._resolved([(subgroup_mask(j), count) for j, count, _ in rows])
 
     def _resolved(self, rows: Sequence[tuple[int, int]], ones: dict | None = None) -> Walk:
         """Walk rows given as (mask of <v, U>, coset count), with the class of
@@ -211,8 +208,8 @@ def _collector_paused(build: Callable[..., T]) -> Callable[..., T]:
     garbage collector paused.
 
     The builders allocate tens of thousands of long-lived tuples, sets and
-    records, and a query one record per broken congruence (about 3600 of
-    the 5395 pair congruences of EA(2,5) on a random vector). Every few
+    records, and a query one record per broken Weyl row (at most one per
+    class, 374 on EA(2,5)) and a fraction per coefficient. Every few
     hundred allocations the collector would rescan them, and about every
     200 queries whose answers are kept it would rescan all the lattices
     hold, freeing nothing. That is safe to skip: the package makes no
@@ -233,11 +230,21 @@ def _collector_paused(build: Callable[..., T]) -> Callable[..., T]:
     the next full collection rather than a young one; and as a full
     collection also empties CPython's free lists, those stay full through
     a run of queries (about 1 MB of peak memory in the membership
-    benchmark). When the caller has
-    frozen objects (``gc.get_freeze_count()``) the move is skipped, as
-    ``gc.unfreeze()`` would release them. A call costs about 0.1 us more
-    than the function it wraps (Python 3.11 on x86-64), so about 0.35 us
-    per query of the three routes, which take about 1 ms together.
+    benchmark). When the caller has frozen objects
+    (``gc.get_freeze_count()``) the move is skipped, as ``gc.unfreeze()``
+    would release them. A call costs about 0.1 us more than the function
+    it wraps (Python 3.11 on x86-64), so about 0.35 us per query of the
+    three routes, which take about 0.4 ms together.
+
+    Both steps pay (``tools/ab_inproc.py`` on the membership benchmark's
+    lattices, 16 pairs each; Python 3.11.7 on a 2-CPU x86-64 host).
+    Without the pause on the three queries, a stream of them took 1.030
+    times as long, with 176 young and 16 middle collections against none
+    (slower in 15 of 16 pairs). Without the freeze step, the queries took
+    1.024 times as long, with 176 young collections (14 of 16), and the
+    benchmark's set-up (``--stages build``) 1.046 times (16 of 16); the
+    bytes kept were equal, and the objects tracked after the set-up 18385
+    against 22282.
 
     The state is per interpreter, not per thread: if another thread calls
     ``gc.disable()`` while a build runs, the build's exit switches the
@@ -476,8 +483,9 @@ def enumerate_subgroups(
     # prime factors (Burnside's p^a q^b theorem) makes the group solvable
     solvable = order % 2 == 1 or len(factorize(order)) <= 2
     find_class(frozenset((IDENTITY,)), ())
-    # joining member's mask -> its walk, as (mask of <v, H>, coset count)
-    walks: dict[int, list[tuple[int, int]]] = {}
+    # per class, in ``orbits`` order: its joining member's walk, as (mask
+    # of <v, H>, coset count)
+    walks: list[list[tuple[int, int]]] = []
     for fs, _, within, gens in orbits:  # grows as the joins find classes
         sub = found[fs]
         rows = _walk(group, sub.elements, within)
@@ -486,7 +494,7 @@ def enumerate_subgroups(
             conjugators = [
                 (table[s].__getitem__, columns[inv[s]].__getitem__) for s in candidates
             ]
-        walk = walks[sub.mask] = []
+        walks.append(walk := [])
         for joined, count, v in rows:
             known = found.get(joined)
             if known is None:
@@ -518,7 +526,7 @@ def enumerate_subgroups(
 
     # the trivial subgroup's walk has one row per cyclic subgroup U, whose
     # count is phi(|U|), the elements generating U
-    phi = dict(walks[1])
+    phi = dict(walks[0])
     # N(H) may be found after H; the first g giving each member gHg^-1
     # gives its normalizer g N(H) g^-1
     normalizers: dict[int, Subgroup] = {}
@@ -527,7 +535,7 @@ def enumerate_subgroups(
     # phi(|U|) generators, so these sum to |G| over the cyclic classes
     generators = 0
     whole = found[frozenset(everything)]
-    for fs, orbit, fixing, _ in orbits:
+    for (fs, orbit, fixing, _), walk in zip(orbits, walks):
         norm = whole if len(fixing) == order else found[frozenset(fixing)]
         for conj, g in orbit.items():
             if g:  # g = 0, the first coset's representative, gives H
@@ -548,6 +556,7 @@ def enumerate_subgroups(
                 members,
                 cyclic_generators > 0,
                 is_elementary_abelian(group, rep),
+                walk,
             )
         )
     if generators != order:
@@ -556,16 +565,13 @@ def enumerate_subgroups(
         )
     staged.sort(key=lambda item: item[:3])
     classes = tuple(
-        SubgroupClass(
-            idx,
-            members,
-            is_cyclic=is_cyc,
-            is_elementary_abelian=is_ea,
-        )
-        for idx, (_, _, _, members, is_cyc, is_ea) in enumerate(staged)
+        SubgroupClass(idx, members, is_cyc, is_ea)
+        for idx, (_, _, _, members, is_cyc, is_ea, _) in enumerate(staged)
     )
     if classes[0].order != 1 or classes[-1].order != group.order:
         raise RuntimeError("subgroup enumeration lost the trivial subgroup or the group")
+    walks = [item[-1] for item in staged]
+    del staged, walk  # the lattice resolves each walk in place and drops it
     return SubgroupLattice(group, classes, normalizers, walks)
 
 

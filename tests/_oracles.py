@@ -4,14 +4,14 @@ These deliberately avoid the library's own algorithms: subgroups are
 found by testing every subset of suitable size for closure, class
 structure by conjugating whole element sets, the marks solve by rational
 back-substitution, Artin exponents by an ascending divisor search
-through the Dress congruences, and marks by counting fixed cosets one at
+through the pair congruences, and marks by counting fixed cosets one at
 a time. The closure-based lattice enumeration and Dress congruence
 system below are the library's earlier implementations, which rebuild
 every join from its generators from scratch; the per-congruence loops
 are the earlier Dress route, which reads each congruence's fields and
 builds every violation record by keyword; ``record_violation_rows`` is
-the earlier shared loop, which multiplies each term of a record by its
-coset count where the library reads a plan of positions; and
+the earlier shared loop over ``Congruence`` records, which the tests run
+over the pair records and over the Weyl records; and
 ``scan_dress_congruences`` is the earlier pair system over the lattice's
 walks, which filters U's whole walk by V's mask and tests the index for
 every pair. Normalizers are found by conjugating a subgroup by every
@@ -19,8 +19,10 @@ group element, and the Weyl-group congruences and each subgroup's walk
 over its normalizer (``closure_walk``) are built from them, one closure
 per coset. ``weyl_congruences`` is the package's earlier Weyl route,
 which keeps one ``Congruence`` record per class, read off the lattice's
-walks, where the package sums the family classes' rows straight off the
-walks for the exponent alone. The cyclic census is counted by walking
+walks, where the package sums each class's row straight off its kept
+walk, for membership and the exponent alike, with no record. The
+lattice of ``closure_enumerate_subgroups`` keeps walks closed the same
+way (``_closure_joins``). The cyclic census is counted by walking
 the powers of every group element.
 Subgroups generated by a seed are closed by a word search
 (``generated_subgroup``), a second closure beside the library's
@@ -83,7 +85,6 @@ from burnside import (
     artin_exponent,
     build_group,
     dress_congruences,
-    dress_membership,
     indicator_vector,
     is_elementary_abelian,
     table_of_marks,
@@ -638,10 +639,11 @@ def fraction_minimal_multiplier(lattice: SubgroupLattice, x: GhostVector) -> int
 
 def divisor_search_exponent(lattice: SubgroupLattice, family: SubgroupFamily) -> int:
     """Artin exponent by trying the divisors d of |G| in turn: the first d
-    for which d times the family indicator passes every Dress congruence."""
+    for which d times the family indicator passes every pair congruence
+    (``loop_dress_membership``)."""
     b = indicator_vector(lattice, family)
     for d in divisors(lattice.group.order):
-        if dress_membership(lattice, d * b).holds:
+        if loop_dress_membership(lattice, d * b).holds:
             return d
     raise AssertionError("|G| times any indicator is a Burnside ring element")
 
@@ -885,7 +887,8 @@ def closure_enumerate_subgroups(
     normalizers = {
         m.mask: by_elements[normalizer(group, m).elements] for m in by_elements.values()
     }
-    return SubgroupLattice(group, classes, normalizers, {})
+    walks = [_closure_joins(group, cls.representative) for cls in classes]
+    return SubgroupLattice(group, classes, normalizers, walks)
 
 
 def closure_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
@@ -1006,23 +1009,29 @@ def scan_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     return tuple(out)
 
 
-def closure_walk(lattice: SubgroupLattice, sub: Subgroup) -> tuple[tuple[int, int, int], ...]:
-    """U's walk over its brute-force normalizer N(U), from scratch: every
-    coset gU of N(U)/U is counted in the class of <U, g>, closed from U's
-    elements and g. Distinct cyclic subgroups <gU> of N(U)/U give distinct
-    joins, so the rows are (mask of <U, g>, its class, coset count), one
-    per join, sorted."""
-    group = lattice.group
-    rows: dict[int, list[int]] = {}
+def _closure_joins(group: FiniteGroup, sub: Subgroup) -> list[tuple[int, int]]:
+    """(mask of <U, g>, coset count) per join, sorted: every coset gU of
+    N(U)/U, with N(U) brute-force, counted at <U, g> closed from U's
+    elements and g. Distinct cyclic subgroups <gU> of N(U)/U give
+    distinct joins. U's own mask, a subset of every join's, comes first."""
+    counts: dict[int, int] = {}
     covered: set[int] = set()
     for g in normalizer(group, sub).elements:
         if g in covered:
             continue
         covered.update(group.mul_table[g][u] for u in sub.elements)
-        joined = generated_subgroup(group, sub.elements + (g,))
-        row = rows.setdefault(joined.mask, [joined.mask, class_index_of(lattice, joined), 0])
-        row[2] += 1
-    return tuple(sorted(map(tuple, rows.values())))
+        mask = generated_subgroup(group, sub.elements + (g,)).mask
+        counts[mask] = counts.get(mask, 0) + 1
+    return sorted(counts.items())
+
+
+def closure_walk(lattice: SubgroupLattice, sub: Subgroup) -> tuple[tuple[int, int, int], ...]:
+    """U's walk over its brute-force normalizer N(U), from scratch, as
+    sorted rows (mask of <U, g>, its class, coset count) (``_closure_joins``)."""
+    return tuple(
+        (mask, lattice._class_by_mask[mask], count)
+        for mask, count in _closure_joins(lattice.group, sub)
+    )
 
 
 def closure_weyl_congruences(
@@ -1059,27 +1068,24 @@ def weyl_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
 
     x is in the Burnside ring iff, for every class U, sum over gU in
     N(U)/U of x(<g, U>) is 0 mod |N(U) : U|: the congruence of the pair
-    (U, N(U)), with v_class the class of N(U), summing a member's whole
-    walk (``SubgroupLattice.walks``) by class. Conjugates give the same
-    row, so a member already walked is read, else the representative.
-    The index is |G| / (|class| * |U|); classes of index 1 give no row.
-    A walk whose coset counts do not sum to the index raises RuntimeError.
-    Nothing is cached on the lattice.
+    (U, N(U)), with v_class the class of N(U), summing the kept walk of
+    the class's walked member (``SubgroupLattice.walks``) by class.
+    Conjugates give the same row. The index is |G| / (|class| * |U|);
+    classes of index 1 give no row. A walk whose coset counts do not sum
+    to the index raises RuntimeError. Nothing is cached on the lattice.
     """
     order = lattice.group.order
-    walks = lattice.walks
     rows = []
-    for cls in lattice.classes:
+    for cls, walk in zip(lattice.classes, lattice.walks):
         index = order // (len(cls.members) * cls.order)
         if index == 1:
             continue
-        member = next((m for m in cls.members if m.mask in walks), cls.representative)
         counts: dict[int, int] = {}
-        for _, joined_class, count in lattice.walk(member):
+        for _, joined_class, count in walk:
             counts[joined_class] = counts.get(joined_class, 0) + count
         if (cosets := sum(counts.values())) != index:
             raise RuntimeError(f"class {cls.class_index}'s walk counts {cosets} of {index} cosets")
-        norm_class = lattice._class_by_mask[lattice.normalizer(member).mask]
+        norm_class = lattice._class_by_mask[lattice._normalizers[walk[0][0]].mask]
         rows.append(Congruence(cls.class_index, norm_class, index, tuple(counts.items())))
     return tuple(rows)
 

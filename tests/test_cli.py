@@ -161,6 +161,22 @@ def test_the_exponent_path_never_builds_the_pair_system(monkeypatch, capsys):
             assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_member_never_builds_the_pair_system(monkeypatch, capsys):
+    """``member`` decides on the Weyl rows read off the kept walks: with
+    the pair congruences refused, every ``member`` golden run prints its
+    golden output, members and non-members alike."""
+    def refuse(lattice):
+        raise AssertionError("the pair congruences were built")
+
+    monkeypatch.setattr(burnside_ring, "dress_congruences", refuse)
+    runs = [run for run in GOLDEN_RUNS if run[0][0] == "member"]
+    assert any("nonmember" in name for _, name, _ in runs)
+    for argv, name, exit_code in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (exit_code, "")
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("text", [spec.text() for spec in standard_catalog(32)])
 def test_marks_text_equals_the_per_cell_renderer(text, capsys, lattice_of):
     code, out, err = run_cli(capsys, "marks", text)

@@ -27,7 +27,7 @@ from burnside import (
 )
 from burnside import cli, exponent
 from burnside.arith import prime_power
-from burnside.burnside_ring import _down_sets, _dress_plan
+from burnside.burnside_ring import _down_sets
 from burnside.exponent import _certified
 
 EA = SubgroupFamily.ELEMENTARY_ABELIAN
@@ -138,9 +138,8 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
         dress_congruences(lattice),
         dress_membership(lattice, GhostVector(lattice, indicator)),
     )
-    # the table of marks and the pair congruences share the down-sets, and
-    # the pair congruences are summed through a plan made on first use
-    kernels = {table_of_marks, dress_congruences, _down_sets, _dress_plan}
+    # the table of marks and the pair congruences share the down-sets
+    kernels = {table_of_marks, dress_congruences, _down_sets}
     # the class and marks records are named tuples, equal to their plain tuples
     records = (*lattice.classes, table_of_marks(lattice))
     plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from math import prod
 from pathlib import Path
 
@@ -70,6 +71,40 @@ def test_identity_is_element_zero():
 def test_rejects_non_bijective_generator():
     with pytest.raises(ValueError):
         group_from_perm_generators(3, [(0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "generator", [(0, 0, 1), (1, 1, 2), (0, 2, 3), (-1, 1, 0), (0, 1), (0, 1, 2, 3), (2, 0, 0)]
+)
+def test_rejects_each_kind_of_non_bijection(generator):
+    """Too short, too long, a repeated point, or a moved point sent
+    outside 0..degree-1 or off the moved points: each is named by its
+    position among the generators."""
+    with pytest.raises(ValueError, match="generator 1 is not a bijection on 0..2"):
+        group_from_perm_generators(3, [(1, 0, 2), generator])
+
+
+@pytest.mark.parametrize(
+    "large, small",
+    [
+        (["(0 1)", "(2 3 4)"], ["(0 1)", "(2 3 4)"]),
+        (["(0 1 2 3 4)", "(0 1)"], ["(0 1 2 3 4)", "(0 1)"]),
+        (["(999999 3)", "(5 7 999998)"], ["(4 0)", "(1 2 3)"]),
+    ],
+    ids=["C2xC3", "S5", "far-points"],
+)
+def test_a_large_degree_closes_on_the_moved_points(large, small, tmp_path):
+    """Every element fixes the points no generator moves, so generators of
+    degree 10^6 give the table of their twins on the moved points alone,
+    relabelled: the same elements in the same order.
+    A closure on full-length permutations would compose S5's 120
+    elements with each generator as tuples of 10^6 points."""
+    tables = []
+    for degree, lines in ((10**6, large), (5, small)):
+        path = tmp_path / f"degree-{degree}.perm"
+        path.write_text("\n".join([f"degree {degree}", *lines, ""]), encoding="utf-8")
+        tables.append(build_group(parse_group_spec(f"perm:{path}")).mul_table)
+    assert tables[0] == tables[1]
 
 
 def test_rejects_closure_beyond_cap():
@@ -307,6 +342,16 @@ def test_parse_permutation_cycles():
         parse_permutation("(0 5)", 3)
     with pytest.raises(ValueError):
         parse_permutation("0 1 2", 3)
+
+
+def test_parse_permutation_names_a_point_that_is_not_an_integer(tmp_path):
+    message = "point 'x' is not an integer in permutation '(0 1 x)'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_permutation(" (0 1 x) ", 3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_permutation_file("degree 3\n(0 1)\n(0 1 x)\n")
+    with pytest.raises(ValueError, match="point -1 out of range for degree 3"):
+        parse_permutation("(0 -1)", 3)
 
 
 def test_parse_permutation_file(tmp_path):

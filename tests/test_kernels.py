@@ -9,12 +9,12 @@ the count of fixed cosets and the earlier scan's mark, every permutation
 table the one that composes each entry's permutations, and the Weyl row
 for U = 1 the census counted by walking every element's powers. Each row
 of the trivial subgroup's walk must count phi(|U|), the k in [1, |U|]
-prime to |U|, as enumeration reads it. The shared congruence-sum loop
-must give the same membership certificates and
-Artin-exponent witnesses (every violation, in order, every field) as the
-per-congruence loops, and the plans of positions it reads the same
-violations as the earlier loop over the records, on members, perturbed
-members, negative vectors and vectors of 10^40 in size. Every
+prime to |U|, as enumeration reads it. The Weyl-row loop that
+membership and the exponent share must give the certificates (every
+violation, in order, every field) of the loop over the Weyl records,
+read off the walks and built from brute-force normalizers, on members,
+perturbed members, negative vectors and vectors of 10^40 in size, and
+the pair loop the violations of the loop over the pair records. Every
 normalizer the enumeration records must be the brute-force
 {g : gUg^-1 = U}, the Weyl rows read off the walks
 (``_oracles.weyl_congruences``) must equal those built from such
@@ -22,10 +22,12 @@ normalizers, and the three membership routes (Weyl rows, pair
 congruences, marks solve) must agree on every vector tried. For every
 family, the Weyl rows of the family's classes must equal the rows counted
 from the multiplication table alone, the Artin exponent the marks
-solve's and those rows' multiplier, and the rows the exponent finds
-violated, with the class of N(U), those of the counted rows. Every walk of a subgroup over its
-normalizer, kept by enumeration or made on demand, must equal one closed
-from scratch, and a lattice must be freed by reference counting alone.
+solve's and those rows' multiplier, and the rows the indicator
+violates, with the class of N(U), those of the counted rows. Every walk
+of a subgroup over its normalizer, kept by enumeration or made on
+demand, must equal one closed from scratch; the kept walks are one
+tuple, one per class, that no reader extends; and a lattice must be
+freed by reference counting alone.
 The whole pipeline, from listing the catalog to the exponent's witnesses,
 must leave nothing for the cyclic garbage collector, and enumeration and
 the cached builders must run with the collector paused, leave it in the
@@ -74,6 +76,7 @@ from burnside import (
     SubgroupFamily,
     artin_exponent,
     build_group,
+    cfb_check,
     dress_congruences,
     dress_membership,
     enumerate_subgroups,
@@ -90,8 +93,8 @@ from burnside import (
 from burnside import burnside_ring as ring_module
 from burnside import lattice as lattice_module
 from burnside.arith import divisors, is_prime
-from burnside.burnside_ring import _down_sets, _dress_plan
-from burnside.exponent import _certified, _family_rows
+from burnside.burnside_ring import _down_sets
+from burnside.exponent import _certified
 from burnside.groups import parse_permutation_file
 from burnside.lattice import lattice_cached
 
@@ -149,12 +152,11 @@ def _assert_matches_oracles(group):
     # every walk, kept by enumeration or made on demand, is in class order
     # with U's own row first
     for sub in lattice.all_subgroups:
-        lattice.walk(sub)
-    assert len(lattice.walks) == len(lattice.all_subgroups)
-    for u_mask, walk in lattice.walks.items():
+        walk = lattice.walk(sub)
         classes = [c for _, c, _ in walk]
-        assert walk[0] == (u_mask, lattice._class_by_mask[u_mask], 1)
+        assert walk[0] == (sub.mask, lattice._class_by_mask[sub.mask], 1)
         assert classes == sorted(classes)
+    assert len(lattice.walks) == lattice.class_count
 
 
 def _census_row(lattice):
@@ -305,10 +307,10 @@ def test_kept_tuples_are_one_object_per_value(text):
     its pair congruences and table of marks one per distinct term
     (C8xC8xC2 and S5 have counts above 1) and per distinct (j, mark)
     entry. The walks that ``SubgroupLattice.walk`` makes on demand, as the
-    pair congruences' build does for conjugates, share nothing, so the
-    kept walks are read before the pair build."""
+    pair congruences' build does for conjugates, share nothing and are
+    not kept."""
     lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
-    rows = [row for walk in lattice.walks.values() for row in walk if row[2] == 1]
+    rows = [row for walk in lattice.walks for row in walk if row[2] == 1]
     assert _one_object_per_value(rows)
     assert _one_object_per_value(t for c in dress_congruences(lattice) for t in c.terms)
     assert _one_object_per_value(e for _, tail in table_of_marks(lattice).rows for e in tail)
@@ -385,36 +387,34 @@ def test_an_inexact_mark_raises():
 
 
 @pytest.mark.parametrize("name", ["S4", "S5"])
-def test_weyl_rows_reuse_the_pair_walks(name, tmp_path):
-    """The exponent's Weyl rows walk no subgroup: each family class reads a
-    member already walked, by enumeration or for the pair congruences, and
-    gives the same violated rows as on a fresh lattice. The pair system
-    walks only U's of pairs of index other than a prime. After it, every
-    class of index > 1 with several members has its representative's walk
-    dropped for another member's, so a row that walked the representative
-    would add a walk."""
+def test_weyl_rows_reuse_the_pair_walks(name, tmp_path, monkeypatch):
+    """The Weyl rows, of the exponent and of a membership query, walk no
+    subgroup: each class reads the walk enumeration kept for it, and the
+    rows are the same on a fresh lattice and after the pair congruences.
+    The pair system walks only the U's of pairs of index other than a
+    prime that are not their class's walked member, and keeps none of
+    those walks."""
     group = _perm_file_group(name, tmp_path)
     lattice = enumerate_subgroups(group)
-    walked = lattice.walks
-    before = set(walked)
-    fresh = [_family_rows(lattice, family) for family in SubgroupFamily]
-    assert set(walked) == before
-    lattice = enumerate_subgroups(group)
-    dress_congruences(lattice)
-    walked = lattice.walks
-    assert {lattice._class_by_mask[u] for u in walked.keys() - before} <= {
-        c.u_class for c in dress_congruences(lattice) if not is_prime(c.index)
+    walked = []
+    real_walk = lattice_module._walk
+    monkeypatch.setattr(
+        lattice_module, "_walk", lambda *args: walked.append(args[1]) or real_walk(*args)
+    )
+    vector = indicator_vector(lattice, SubgroupFamily.CYCLIC)
+    fresh = [_certified(lattice, family) for family in SubgroupFamily]
+    violations = dress_membership(lattice, vector)
+    assert not walked
+    kept = lattice.walks
+    pairs = dress_congruences(lattice)
+    assert lattice.walks is kept
+    assert {class_index_of(lattice, u) for u in walked} <= {
+        c.u_class for c in pairs if not is_prime(c.index)
     }
-    dropped = 0
-    for cls in lattice.classes:
-        if len(cls.members) > 1 and group.order // (len(cls.members) * cls.order) > 1:
-            lattice.walk(cls.members[-1])
-            walked.pop(cls.representative.mask, None)
-            dropped += 1
-    assert dropped > 1
-    before = set(walked)
-    assert [_family_rows(lattice, family) for family in SubgroupFamily] == fresh
-    assert set(walked) == before
+    walked.clear()
+    assert [_certified(lattice, family) for family in SubgroupFamily] == fresh
+    assert dress_membership(lattice, vector) == violations
+    assert not walked
 
 
 def test_weyl_rows_raise_on_a_walk_that_misses_cosets():
@@ -422,32 +422,33 @@ def test_weyl_rows_raise_on_a_walk_that_misses_cosets():
     its index |G| / (|class| |U|): the walk of U = 1 in Q(8) counts
     1 + 1 + 2 + 2 + 2 cosets, and without its last row it counts 6 of 8.
     U = 1 is in every family, so every family's exponent raises, and so
-    does its certificate."""
+    do its certificate and a membership query, which reads the same rows."""
     lattice = enumerate_subgroups(build_group(parse_group_spec("Q8")))
-    u_mask = lattice.classes[0].representative.mask
-    lattice.walks[u_mask] = lattice.walks[u_mask][:-1]
+    lattice.walks = (lattice.walks[0][:-1], *lattice.walks[1:])
     for family in SubgroupFamily:
         for read in (artin_exponent, _certified):
             with pytest.raises(RuntimeError, match="class 0's walk counts 6 of 8 cosets"):
                 read(lattice, family)
+        with pytest.raises(RuntimeError, match="class 0's walk counts 6 of 8 cosets"):
+            dress_membership(lattice, indicator_vector(lattice, family))
 
 
 def _assert_walks_match_scratch_walks(lattice):
-    """Enumeration keeps one walk per class, of the member that joined,
-    and each equals U's walk over N(U) closed from scratch; so does the
-    walk of every other member, walked on demand."""
+    """Enumeration keeps one walk per class, in class order, of the member
+    that joined, and each equals U's walk over N(U) closed from scratch;
+    so does the walk of every other member, walked on demand and not
+    kept."""
     by_mask = {sub.mask: sub for sub in lattice.all_subgroups}
-    recorded = dict(lattice.walks)
-    assert sorted(class_index_of(lattice, by_mask[u]) for u in recorded) == list(
-        range(lattice.class_count)
-    )
-    for u_mask, walk in recorded.items():
-        sub = by_mask[u_mask]
-        assert walk[0] == (u_mask, class_index_of(lattice, sub), 1)
+    kept = lattice.walks
+    assert type(kept) is tuple and len(kept) == lattice.class_count
+    for cls, walk in zip(lattice.classes, kept):
+        sub = by_mask[walk[0][0]]
+        assert sub in cls.members
+        assert walk[0] == (sub.mask, cls.class_index, 1)
         assert tuple(sorted(walk)) == closure_walk(lattice, sub)
     for sub in lattice.all_subgroups:
         assert tuple(sorted(lattice.walk(sub))) == closure_walk(lattice, sub)
-    assert lattice.walks.keys() == by_mask.keys()
+    assert lattice.walks is kept
 
 
 @pytest.mark.parametrize("text", CATALOG_UP_TO_64)
@@ -458,6 +459,37 @@ def test_catalog_walks_match_scratch_walks(text):
 @pytest.mark.parametrize("name", sorted(PERM_FILES))
 def test_perm_file_walks_match_scratch_walks(name, tmp_path):
     _assert_walks_match_scratch_walks(enumerate_subgroups(_perm_file_group(name, tmp_path)))
+
+
+@pytest.mark.parametrize(
+    "text", ["D(16)", "ES+(3)", f"perm:{BENCH_S5}"], ids=["D(16)", "ES+(3)", "S5"]
+)
+def test_no_reader_extends_the_kept_walks(text):
+    """The kept walks are one tuple, one walk per class in class order,
+    each led by its walked member's own count-1 row. The table of marks,
+    the pair congruences, every family's exponent and certificate,
+    ``cfb_check``, a stream of queries and the walk of every subgroup
+    leave the same tuple in place."""
+    lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
+    kept = lattice.walks
+    table_of_marks(lattice)
+    dress_congruences(lattice)
+    for family in SubgroupFamily:
+        _certified(lattice, family)
+    rng = random.Random(12)
+    n = lattice.class_count
+    for _ in range(20):
+        vector = GhostVector(lattice, [rng.randint(-5, 5) for _ in range(n)])
+        cfb_check(lattice, vector)
+        for query in (dress_membership, marks_membership, minimal_multiplier):
+            query(lattice, vector)
+    for sub in lattice.all_subgroups:
+        lattice.walk(sub)
+    assert lattice.walks is kept and type(kept) is tuple and len(kept) == n
+    members = {m.mask: cls.class_index for cls in lattice.classes for m in cls.members}
+    for c, walk in enumerate(kept):
+        u_mask = walk[0][0]
+        assert members[u_mask] == c and walk[0] == (u_mask, c, 1)
 
 
 def test_lattices_are_freed_by_reference_counting():
@@ -502,7 +534,6 @@ def test_the_pipeline_leaves_no_cycle_for_the_collector():
         for lattice in _pipeline_lattices():
             table_of_marks(lattice)
             dress_congruences(lattice)
-            _dress_plan(lattice)
             for family in SubgroupFamily:
                 vector = indicator_vector(lattice, family)
                 dress_membership(lattice, vector)
@@ -539,7 +570,7 @@ def test_builders_restore_the_collector_state(monkeypatch):
         return real_walk(*args)
 
     monkeypatch.setattr(lattice_module, "_walk", walk)
-    builders = (_down_sets, table_of_marks, dress_congruences, _dress_plan)
+    builders = (_down_sets, table_of_marks, dress_congruences)
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -623,8 +654,8 @@ def test_queries_restore_the_collector_state(monkeypatch, lattice_of):
 
 
 def test_a_query_stream_starts_no_young_collection(lattice_of):
-    """Random vectors break most pair congruences, and each broken one is
-    a record the collector tracks. A stream of them through the three
+    """Random vectors break most Weyl rows, and each broken one is a
+    record the collector tracks. A stream of them through the three
     queries, its answers kept as a batch keeps them, starts no young
     collection: each query's records are moved to the oldest generation
     unscanned when it returns."""
@@ -673,14 +704,27 @@ def _seeded_vectors(lattice, rng, count):
 
 
 def _assert_dress_route_matches_loops(lattice, vectors):
+    """The pair loop checks every pair congruence on its own and builds
+    each violation by keyword; it gives the violations that the record
+    loop gives over the pair records, and the verdict of
+    ``dress_membership``. The certificate of ``dress_membership`` is the
+    record loop over the Weyl records read off the walks
+    (``_oracles.weyl_congruences``) and over those built from brute-force
+    normalizers (``closure_weyl_congruences``), row for row in class
+    order. The exponent and its certificate match the pair loop's
+    exponent and the witnesses counted from the multiplication table."""
+    pairs = dress_congruences(lattice)
+    weyl, closure = weyl_congruences(lattice), closure_weyl_congruences(lattice)
     for vector in vectors:
         certificate = dress_membership(lattice, vector)
         oracle = loop_dress_membership(lattice, vector)
         assert certificate.holds == oracle.holds
+        assert list(map(_fields, oracle.violations)) == record_violation_rows(pairs, vector.values)
         assert all(type(v) is CongruenceViolation for v in certificate.violations)
-        assert list(map(_fields, certificate.violations)) == list(
-            map(_fields, oracle.violations)
+        assert list(map(_fields, certificate.violations)) == record_violation_rows(
+            weyl, vector.values
         )
+        assert record_violation_rows(closure, vector.values) == list(certificate.violations)
     for family in SubgroupFamily:
         result, certificate = _certified(lattice, family)
         assert result == artin_exponent(lattice, family)
@@ -724,7 +768,7 @@ def test_random_vectors_with_thousands_of_violations_match_loops(lattice_of):
     rng = random.Random(7)
     n = lattice.class_count
     vectors = [GhostVector(lattice, [rng.randint(-5, 5) for _ in range(n)]) for _ in range(4)]
-    assert all(len(dress_membership(lattice, v).violations) > 2000 for v in vectors)
+    assert all(len(loop_dress_membership(lattice, v).violations) > 2000 for v in vectors)
     _assert_dress_route_matches_loops(lattice, vectors)
 
 
@@ -749,15 +793,20 @@ def _plan_vectors(lattice, rng):
 
 
 def _assert_plans_sum_as_the_records(lattice, vectors):
-    """The pair plan gives the violations that the record loop gives: every
-    field, in order (``dress_membership``), and the Artin exponent and its
-    witnesses are those read from the record loop's violations of the Weyl
-    records (``_oracles.weyl_congruences``) by each family indicator."""
-    pairs, weyl = dress_congruences(lattice), weyl_congruences(lattice)
+    """The Weyl-row loop that ``dress_membership`` and the exponent share
+    sums as the record loop does over the Weyl records
+    (``_oracles.weyl_congruences``): every violation, every field, in
+    order, on negative vectors and vectors of 10^40 in size, the ones the
+    pair plan of positions was once checked on (hence the test names),
+    with the verdict of the pair loop. The Artin exponent and its
+    witnesses are those read from the record loop's violations of the
+    Weyl records by each family indicator."""
+    weyl = weyl_congruences(lattice)
     for vector in vectors:
-        violations = dress_membership(lattice, vector).violations
-        assert violations == tuple(record_violation_rows(pairs, vector.values))
-        assert all(type(v) is CongruenceViolation for v in violations)
+        certificate = dress_membership(lattice, vector)
+        assert certificate.violations == tuple(record_violation_rows(weyl, vector.values))
+        assert all(type(v) is CongruenceViolation for v in certificate.violations)
+        assert certificate.holds == loop_dress_membership(lattice, vector).holds
     for family in SubgroupFamily:
         rows = record_violation_rows(weyl, indicator_vector(lattice, family).values)
         result, certificate = _certified(lattice, family)
@@ -780,24 +829,6 @@ def test_perm_group_plans_sum_as_the_records(name):
     degree, gens, cap = PERM_GENERATOR_SETS[name]
     lattice = enumerate_subgroups(group_from_perm_generators(degree, gens, order_cap=cap), cap=cap)
     _assert_plans_sum_as_the_records(lattice, _plan_vectors(lattice, random.Random(11)))
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["C(5^3)", "D(128)", f"perm:{BENCH_S5}", "ES+(5)"],
-    ids=["C(5^3)", "D(128)", "S5", "ES+(5)"],
-)
-def test_plans_scale_the_counts_above_one(text, lattice_of):
-    """Where coset counts above 1 occur, the pair plan lists them, each
-    once, and reads such a term from its scaled copy of the values."""
-    lattice = lattice_of(text)
-    scales, rows = _dress_plan(lattice)
-    assert scales and len(set(scales)) == len(scales) and 1 not in scales
-    n = lattice.class_count
-    for (u, v, q, positions), congruence in zip(rows, dress_congruences(lattice), strict=True):
-        assert (u, v, q) == congruence[:3]
-        read = [(at % n, scales[at // n - 1] if at >= n else 1) for at in positions]
-        assert read == list(congruence.terms)
 
 
 def _assert_three_routes_agree(lattice, vectors):
@@ -849,7 +880,8 @@ def _assert_family_rows_match_the_weyl_rows(lattice):
     index, indicator sum), are the walk-free counts of ``family_rows`` of
     index above 1, and the Artin exponent equals the marks route's
     ``minimal_multiplier`` of the indicator and the lcm of those counts.
-    The rows the exponent finds violated, with the class of N(U), are
+    The rows that the indicator violates, as ``dress_membership`` reports
+    them from the loop the exponent reads, with the class of N(U), are
     those of the counts, with N(U) found by conjugating U by every
     element (``family_violated_rows``)."""
     rows = weyl_congruences(lattice)
@@ -865,7 +897,7 @@ def _assert_family_rows_match_the_weyl_rows(lattice):
         ]
         assert weyl == [row for row in counted if row[1] > 1]
         exponent = artin_exponent(lattice, family).exponent
-        _, _, violated = _family_rows(lattice, family)
+        violated = [v[:4] for v in dress_membership(lattice, b).violations]
         assert violated == list(family_violated_rows(lattice, family))
         assert exponent == minimal_multiplier(lattice, b)
         assert exponent == lcm(*(w // gcd(s, w) for _, w, s in counted))

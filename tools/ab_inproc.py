@@ -23,7 +23,10 @@ Stages:
   queries    a seeded stream of member, perturbed and random vectors of
              each --groups spec through dress_membership, marks_membership
              and minimal_multiplier, on lattices that have answered one
-             query already, as the benchmark's passes after its first
+             query already, as the benchmark's passes after its first;
+             compared by verdicts, coefficients and multipliers, not by
+             the congruence certificates, which name the violated pair
+             congruences on a tree that decides on those
   sweep      build, enumerate and the ea-family Artin exponent over
              standard_catalog(128), as verify-main-theorem runs them
   exponent   the exponent --certify query (the Artin exponent and its
@@ -32,8 +35,9 @@ Stages:
              compared by exponent, family name, family classes and
              witnesses
   held       not timed: the bytes tracemalloc sees kept by each --groups
-             spec's lattice with its table_of_marks, dress_congruences
-             and _dress_plan filled, each read after a full collection
+             spec's lattice with its table_of_marks and dress_congruences
+             filled and one query answered (so whatever a query caches
+             on the lattice is kept), each read after a full collection
              (which empties CPython's free lists), and the objects the
              collector tracks (``len(gc.get_objects())``) right after
              that set-up of every spec, less those before it. Each tree
@@ -145,7 +149,8 @@ def stage(B, which: str, groups: list[str]):
         ]
         return lambda: specs, timed, same
     if which == "queries":
-        return lambda: query_stream(B, lattices()), lambda qs: [decide(B, l, x) for l, x in qs], same
+        key = lambda out: [(d.holds, m, n) for d, m, n in out]
+        return lambda: query_stream(B, lattices()), lambda qs: [decide(B, l, x) for l, x in qs], key
     if which == "exponent":
         timed = lambda ls: [certify(B, l, f) for l in ls for f in B.SubgroupFamily]
         # the family enums of two trees are not equal: compare by name
@@ -198,12 +203,13 @@ def certify(B, lattice, family) -> tuple:
 
 
 def held_setup(B, text: str):
-    """One --groups spec's lattice with its marks, pair congruences and
-    pair plan built, as the membership queries keep them."""
+    """One --groups spec's lattice with its marks and pair congruences
+    built, as the membership benchmark's set-up keeps them, and one query
+    answered, so that what a query caches on the lattice is kept too."""
     lattice = B.enumerate_subgroups(B.build_group(B.parse_group_spec(text), cap=CAP), cap=CAP)
     B.table_of_marks(lattice)
     B.dress_congruences(lattice)
-    B.burnside_ring._dress_plan(lattice)
+    decide(B, lattice, B.GhostVector(lattice, [1] + [0] * (lattice.class_count - 1)))
     return lattice
 
 
