@@ -1,11 +1,12 @@
 """Burnside rings of finite groups.
 
 Concrete multiplication-table groups, full subgroup lattices, tables of
-marks, exact membership tests for the ghost ring (Dress congruences over
-pairs, and triangular marks inversion), and Artin exponents relative to
-a family of subgroups, read off Dress's congruences over Weyl groups,
+marks, exact membership tests for the ghost ring (Dress's congruences
+over Weyl groups, and triangular marks inversion), and Artin exponents
+relative to a family of subgroups, read off the same Weyl congruences,
 together with a brute-force comparison harness for the closed-form
-exponent table.
+exponent table. Dress's congruences over pairs (``dress_congruences``)
+are exported as a cross-check that no membership test or command reads.
 """
 
 __version__ = "0.1.0"

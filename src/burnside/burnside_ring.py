@@ -21,36 +21,39 @@ the tests keep, the pair congruences (``dress_congruences``): one per
 class of pairs U normal in V with prime-power index, summing x over the
 subgroups <v, U> for the cosets vU in V/U, modulo |V : U|. On EA(2,6)
 they are 92881 records against 2825 Weyl rows. They are ``Congruence``
-records, read off the walks of subgroups U over N(U)
-(``SubgroupLattice.walk``: the kept walk of a class's walked member,
-else a walk made on demand and not kept); the package exports them and
-the membership benchmark builds them, but no command reads them. The
-Artin exponent (``exponent``) reads the Weyl rows through the same loop
-as ``dress_membership`` (``_weyl_violations``), with the family
+records, read off the kept walks of the classes' walked members
+(``SubgroupLattice.walks``), or for another member U off a walk of U
+over V made for the pair and not kept; they are built anew on each call
+and not cached. The package exports them and the membership benchmark
+builds them, but no command or query reads them. The Artin exponent
+(``exponent``) reads the Weyl rows through the same loop as
+``dress_membership`` (``_weyl_violations``), with the family
 indicator as the vector. ``least_multiplier`` turns sums into the least
 multiplier that satisfies them, for the rows and the solve alike.
 
 The table of marks is stored once per lattice as sparse rows, which the
 solve reads directly; the dense matrix is only built when asked for (the
-``marks`` command). The table and the pair congruences are cached on the
-lattice through ``lattice_cached``, and so are the down-sets (the
-subgroups inside each class representative) that both read; a ghost
+``marks`` command). The table is cached on the lattice through
+``lattice_cached``, and so are the down-sets (the subgroups inside each
+class representative) that it and the pair congruences read; a ghost
 vector keeps its own solve y, which ``marks_membership`` and
 ``minimal_multiplier`` both read. A Weyl-row query caches nothing.
 
-The small tuples that the table and the pair congruences keep are shared,
+The small tuples that the table and the pair congruences hold are shared,
 one object per distinct value in a lattice: each pair term (class, coset
 count), taken from one list of terms per count, and each marks entry
 (j, mark), through one dict per column keyed by the mark. A shared tuple
 equals the one it replaces, so every value and order stays. On EA(2,6)
 the 456328 pair terms are 2825 tuples and the 92881 marks entries 2824.
-The membership benchmark's three lattices, with their marks and pair
-congruences and one query answered, keep 2.18 MiB (tracemalloc, after a
-full collection; EA(2,5) 1.23 MiB). The pair build reads each U's walk
-as (mask of <v, U>, shared term) rows, made once per U and filtered by
-V's mask, and that made it about 7% faster (``tools/ab_inproc.py
---stages pairs``, median ratios 0.921 and 0.936 over two sets of 20
-pairs; Python 3.11.7 on a 2-CPU x86-64 host).
+The membership benchmark's three lattices, after its set-up (which
+builds and drops the pair congruences) and one query answered, keep
+1.02 MiB (tracemalloc, after a full collection; EA(2,5) 0.39 MiB),
+against 2.18 MiB when the lattice cached the pair records. The pair
+build reads each walked member's kept walk as (mask of <v, U>, shared
+term) rows, made once per class and filtered by V's mask, and that made
+it about 7% faster (``tools/ab_inproc.py --stages pairs``, median ratios
+0.921 and 0.936 over two sets of 20 pairs; Python 3.11.7 on a 2-CPU
+x86-64 host).
 
 The three queries, ``dress_membership``, ``marks_membership`` and
 ``minimal_multiplier``, run with the cyclic garbage collector paused
@@ -79,10 +82,11 @@ from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .arith import divisors, prime_power
-from .groups import Subgroup
+from .groups import Subgroup, subgroup_mask
 from .lattice import (
     SubgroupLattice,
     _collector_paused,
+    _walk,
     conjugate_mask,
     lattice_cached,
     left_cosets,
@@ -262,23 +266,24 @@ def _check_vector(lattice: SubgroupLattice, x: GhostVector) -> None:
         raise ValueError("ghost vector does not match this lattice")
 
 
-@lattice_cached
+@_collector_paused
 def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     """All Dress congruences for the lattice, one per conjugacy class of pairs.
 
     The pair system is the cross-check of the Weyl rows that membership
-    queries and the exponent read (``dress_membership``); no command
-    builds it. Pairs (U, V) with U normal in V and (V : U) a prime power
-    above 1 are enumerated with V running over class representatives and
-    U over the smaller subgroups contained in V (V's down-set,
-    ``_down_sets``), deduplicated by conjugacy under the normalizer of V;
-    simultaneously conjugate pairs yield identical congruences. U is
-    normal in V iff V lies in the normalizer N(U) the lattice recorded. A
-    U whose class has one member is normal in G, so it is normal in V and
-    its own orbit under N(V): it needs neither the test nor the sweep of
-    its orbit, and in an abelian group no U does. The left-coset
-    representatives of V in N(V), which sweep the orbits of the other U,
-    are made when the first of them needs them.
+    queries and the exponent read (``dress_membership``); no command builds
+    it, and it is built anew on each call, with the cyclic collector paused,
+    and not cached on the lattice. Pairs (U, V) with U normal in V and
+    (V : U) a prime power above 1 are enumerated with V running over class
+    representatives and U over the smaller subgroups contained in V (V's
+    down-set, ``_down_sets``), deduplicated by conjugacy under the
+    normalizer of V; simultaneously conjugate pairs yield identical
+    congruences. U is normal in V iff V lies in the normalizer N(U) the
+    lattice recorded. A U whose class has one member is normal in G, so it
+    is normal in V and its own orbit under N(V): it needs neither the test
+    nor the sweep of its orbit, and in an abelian group no U does. The
+    left-coset representatives of V in N(V), which sweep the orbits of the
+    other U, are made when the first of them needs them.
 
     A pair of prime index p has the terms ((U, 1), (V, p - 1)), with no
     walk read. Kept for speed: with those terms read off the walk, as the
@@ -286,15 +291,17 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     EA(2,5), C8xC8xC2 and S5, and on ``standard_catalog(128)``
     (``tools/ab_inproc.py --stages pairs``, median ratios 1.142 and
     1.143 over 30 pairs; Python 3.11.7 on a 2-CPU x86-64 host). Any other
-    pair's terms are the rows of U's walk over N(U)
-    (``SubgroupLattice.walk``, which walks a U that is not its class's
-    walked member anew) whose join lies in V, summed by class in the
-    walk's class order. Each U's walk is read once into (mask of
-    <v, U>, term) rows, kept while the build runs, and a pair picks the
-    rows inside V; only a walk in which a class has several rows (never
-    in an abelian group) sums the picked counts by class. Every term is
-    taken from the list of count k's terms, made for every class when k
-    is first met, so the records share one tuple per distinct term.
+    pair's terms are the rows of U's walk over N(U) whose join lies in V,
+    summed by class in class order. For the class's walked member that
+    walk is the kept one (``SubgroupLattice.walks``), read once into
+    (mask of <v, U>, term) rows, kept while the build runs, and a pair
+    picks the rows inside V; only a walk in which a class has several
+    rows (never in an abelian group) sums the picked counts by class.
+    Another member U is walked over V itself (``_walk``), whose rows are
+    the same ones, and the walk is dropped with the pair (2 walks on S5,
+    none on the catalog to 128). Every term is taken from the list of
+    count k's terms, made for every class when k is first met, so the
+    records share one tuple per distinct term.
     """
     group = lattice.group
     normal_in_g = [cls.is_normal for cls in lattice.classes]
@@ -305,8 +312,8 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     n = lattice.class_count
     # coset count k -> the term (c, k) of every class c: one tuple per term
     terms = cache(lambda k: [(c, k) for c in range(n)])
-    # U's mask -> its walk as (mask of <v, U>, term) rows, and whether a
-    # class has several rows, whose counts a pair then sums
+    # U's class -> its walked member's kept walk as (mask of <v, U>, term)
+    # rows, and whether a class has several rows, whose counts a pair sums
     term_rows: dict[int, tuple[list[tuple[int, tuple[int, int]]], bool]] = {}
     out: list[Congruence] = []
     for cls, down in zip(lattice.classes, _down_sets(lattice)):
@@ -333,12 +340,17 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
             if powers[index][1] == 1:
                 pair_terms = (terms(1)[u_class], terms(index - 1)[cls.class_index])
             else:
-                if u_mask not in term_rows:
-                    walk = lattice.walk(sub)
-                    repeats = len({c for _, c, _ in walk}) < len(walk)
-                    term_rows[u_mask] = [(j, terms(k)[c]) for j, c, k in walk], repeats
-                rows, repeats = term_rows[u_mask]
-                picked = [t for joined, t in rows if joined & v_mask == joined]
+                if lattice.walks[u_class][0][0] != u_mask:  # not the walked member
+                    walked = _walk(group, sub.elements, v_rep.elements)  # U over V
+                    picked = sorted((class_of[subgroup_mask(j)], k) for j, k, _ in walked)
+                    repeats = True
+                else:
+                    if u_class not in term_rows:
+                        walk = lattice.walks[u_class]
+                        repeats = len({c for _, c, _ in walk}) < len(walk)
+                        term_rows[u_class] = [(j, terms(k)[c]) for j, c, k in walk], repeats
+                    rows, repeats = term_rows[u_class]
+                    picked = [t for joined, t in rows if joined & v_mask == joined]
                 if repeats:
                     counts: dict[int, int] = {}
                     for c, k in picked:

@@ -21,6 +21,7 @@ import re
 from enum import Enum
 from functools import reduce
 from math import prod
+from numbers import Number
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -64,8 +65,12 @@ class GroupSpec(_SpecFields):
         if entry is None:
             raise SpecParseError(f"unknown group kind {kind!r}")
         # A check's signature is its kind's arity, so a wrong parameter
-        # count (or type) fails here as a TypeError.
+        # count (or type) fails here as a TypeError, as does a number that
+        # is not an int: 3.0 or True would pass the check and end up in the
+        # text, as in C(2^3.0).
         try:
+            if any(isinstance(x, Number) and type(x) is not int for x in params):
+                raise TypeError
             problem = entry.check(*params)
         except TypeError:
             problem = f"{kind} spec cannot take parameters {params!r}"

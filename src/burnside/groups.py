@@ -1,26 +1,29 @@
 """Concrete finite groups backed by full multiplication tables.
 
 Elements are integer ids in ``range(order)`` and id 0 is always the
-identity. The public ``FiniteGroup`` constructor validates its table;
-package builders hand over tables valid by construction, which tests
-check. A group records the powers of each element once, when it is
+identity. The public constructors (``FiniteGroup``, ``Subgroup`` and
+``group_from_perm_generators``) take an entry that is not an int only
+when it equals its int, and raise ValueError on 1.5 or '1'
+(``_exact_ints``). The public ``FiniteGroup`` constructor validates its
+table; package builders hand over tables valid by construction, which
+tests check. A group records the powers of each element once, when it is
 built, and element orders and powers are read off them. A ``Subgroup``
 is its sorted element ids and their bitmask. Groups and subgroups do
 not change after construction. A ``SubgroupLattice`` built from a group
-is not immutable, but it fills only its one lazy cache (table of marks,
-pair congruences, and the down-sets both read) on first use; the walks
-it keeps, one per class, come from enumeration and are never extended,
-as a walk of another member is made anew each time it is asked for. The
-only other cache is a ghost vector's first marks solve; an
-``ExponentResult`` keeps no lattice, and the exponent, its certificate
-and a membership query's Weyl rows are read off the kept walks, with
-nothing cached. A lattice copies and pickles with its cache,
-a vector without. The values are deterministic, so threads sharing a
-lattice or a vector see the same results, but concurrent first calls
-may each compute them. Enumeration and the lattice's builders pause the
-cyclic garbage collector, whose switch all threads share: a build that
-found it on switches it back on as it ends, even if another thread
-switched it off while the build ran (see ``lattice._collector_paused``).
+is not immutable, but it fills only its one lazy cache (the table of
+marks and the down-sets it is read from) on first use; the walks it
+keeps, one per class, come from enumeration and are never extended, and
+the pair congruences are built anew on each call. The only other cache
+is a ghost vector's first marks solve; an ``ExponentResult`` keeps no
+lattice, and the exponent, its certificate and a membership query's
+Weyl rows are read off the kept walks, with nothing cached. A lattice
+copies and pickles with its cache, a vector without. The values are
+deterministic, so threads sharing a lattice or a vector see the same
+results, but concurrent first calls may each compute them. Enumeration
+and the lattice's builders pause the cyclic garbage collector, whose
+switch all threads share: a build that found it on switches it back on
+as it ends, even if another thread switched it off while the build ran
+(see ``lattice._collector_paused``).
 """
 
 from __future__ import annotations
@@ -66,16 +69,32 @@ def check_enumeration_cap(
         raise CapExceededError(f"group order {text} exceeds the enumeration cap {limit}")
 
 
+def _exact_ints(entries: Iterable) -> tuple[int, ...]:
+    """The entries as a tuple of ints: as given when all are ints, else each
+    copied through ``int`` if it equals its int, as a bool, an integral
+    float or a whole fraction does; any other entry, such as 1.5, '1' or
+    Fraction(3, 2), raises a ValueError naming it."""
+    entries = tuple(entries)
+    if set(map(type, entries)) <= {int}:
+        return entries
+    for x in entries:
+        try:
+            exact = int(x) == x
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"entry {x!r} is not an integer")
+    return tuple(map(int, entries))
+
+
 def _validated_table(mul_table: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
-    """The table as int tuples and its columns, once checked; a ValueError
-    names the first fault."""
+    """The table as int tuples (``_exact_ints``, so rows of int tuples are
+    kept) and its columns, once checked; a ValueError names the first
+    fault."""
     order = len(mul_table)
     if order == 0:
         raise ValueError("multiplication table is empty")
-    if set(map(type, chain.from_iterable(mul_table))) <= {int}:
-        table = tuple(map(tuple, mul_table))
-    else:  # bools, integral floats and other entries are copied through int
-        table = tuple(tuple(map(int, row)) for row in mul_table)
+    table = tuple(map(_exact_ints, mul_table))
     full = frozenset(range(order))
     for i, row in enumerate(table):
         if len(row) != order:
@@ -126,10 +145,11 @@ class FiniteGroup:
     The public constructor validates the table for shape, identity behaviour,
     cancellation (each row and column is a permutation), two-sided inverses
     and associativity (Light's test). Entries are kept as given when they
-    are all ints, else copied through ``int``. Package builders pass int
-    tables valid by construction to ``_from_valid_table``, which checks
-    nothing. Tests run the public checks on each catalog table up to order
-    256 and on sample perm closures and products. ``columns`` is the
+    are all ints, else copied through ``int`` when each equals its int
+    (``_exact_ints``). Package builders pass int tables valid by
+    construction to ``_from_valid_table``, which checks nothing. Tests run
+    the public checks on each catalog table up to order 256 and on sample
+    perm closures and products. ``columns`` is the
     transposed table, kept for enumeration's right cosets and conjugates;
     the group is abelian iff it equals the table, and then it is the table
     object itself. ``powers[x]`` is the tuple (1, x, x^2, ...) of the
@@ -204,12 +224,13 @@ def entries_at(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int,
 
 class Subgroup:
     """A subgroup stored as its sorted element ids and their bitmask (bit x
-    set iff x is a member), so that containment is one integer AND."""
+    set iff x is a member), so that containment is one integer AND. The
+    constructor takes ids that equal ints (``_exact_ints``)."""
 
     __slots__ = ("elements", "mask")
 
     def __init__(self, elements: Iterable[int]) -> None:
-        members = {int(x) for x in elements}
+        members = set(_exact_ints(elements))
         self.mask = subgroup_mask(members)
         self.elements = tuple(sorted(members))
 
@@ -318,7 +339,8 @@ def group_from_perm_generators(
     Element ids follow the breadth-first closure order from the
     generators in input order, with the identity first, so tables are
     reproducible. Raises CapExceededError if the closure would exceed
-    ``order_cap``. A generator is a bijection when it has ``degree``
+    ``order_cap``. A generator's entries must equal ints
+    (``_exact_ints``), and it is a bijection when it has ``degree``
     entries and maps the points it moves onto themselves. Every element
     fixes the points no generator moves, so the closure acts on the moved
     points alone, relabelled 0, 1, ...; relabelling keeps every product,
@@ -332,7 +354,7 @@ def group_from_perm_generators(
     given: list[tuple[int, ...]] = []
     moved: set[int] = set()
     for k, g in enumerate(generators):
-        perm = tuple(map(int, g))
+        perm = _exact_ints(g)
         own = list(compress(points, map(ne, perm, points)))
         if len(perm) != degree or set(map(perm.__getitem__, own)) != set(own):
             raise ValueError(f"generator {k} is not a bijection on 0..{degree - 1}")

@@ -16,28 +16,27 @@ double cosets HgH outside N(H) are joined by closure (``_coset_join``),
 and in a group whose order makes it solvable not even those. The walks
 are the lattice's cyclic data: kept as one tuple, one walk per class in
 class order, of plain rows in class order, they give the membership
-queries and the Artin exponent their Weyl rows and the pair congruences
-their terms; a conjugate that was not walked is walked on demand and not
-kept. The trivial subgroup's walk also counts, for each cyclic U, the
-phi(|U|) elements that generate it, so no totient is computed. Each
-subgroup is one ``Subgroup``, built once with its bitmask when its class
-is found and shared by the classes and the lattice; every member's
-normalizer is a reference to the lattice's own ``Subgroup``. A walk row
-of count 1, (mask, class, 1), depends on its subgroup alone, so the kept
-walks share one such tuple per subgroup: EA(2,6)'s 26387 kept rows are
-2825 tuples, and an enumerated EA(2,7) lattice keeps 21.1 MiB against
-43.0 MiB with a tuple per row (tracemalloc, after a full collection).
-The walks made on demand are not shared.
+queries and the Artin exponent their Weyl rows and most pair congruences
+their terms; the lattice keeps no other walk. The trivial subgroup's
+walk also counts, for each cyclic U, the phi(|U|) elements that generate
+it, so no totient is computed. Each subgroup is one ``Subgroup``, built
+once with its bitmask when its class is found and shared by the classes
+and the lattice; every member's normalizer is a reference to the
+lattice's own ``Subgroup``. A walk row of count 1, (mask, class, 1),
+depends on its subgroup alone, so the kept walks share one such tuple
+per subgroup: EA(2,6)'s 26387 kept rows are 2825 tuples, and an
+enumerated EA(2,7) lattice keeps 21.1 MiB against 43.0 MiB with a tuple
+per row (tracemalloc, after a full collection).
 
 Enumeration, every builder of the lattice's derived data
-(``lattice_cached``) and the three membership queries of
-``burnside_ring`` run with CPython's cyclic garbage collector paused
-(``_collector_paused``). The builders allocate tens of thousands of
-long-lived objects, and a query one record per broken Weyl row; none
-makes a reference cycle, so the collector's passes over them would free
-nothing. Reference counting frees all they drop, and what they keep (and
-the caller's young objects with it) goes to the oldest generation
-unscanned; the pause costs about 0.1 us per call.
+(``lattice_cached``), the pair congruences' build and the three
+membership queries of ``burnside_ring`` run with CPython's cyclic
+garbage collector paused (``_collector_paused``). The builders allocate
+tens of thousands of long-lived objects, and a query one record per
+broken Weyl row; none makes a reference cycle, so the collector's passes
+over them would free nothing. Reference counting frees all they drop,
+and what they keep (and the caller's young objects with it) goes to the
+oldest generation unscanned; the pause costs about 0.1 us per call.
 """
 
 from __future__ import annotations
@@ -119,12 +118,14 @@ class SubgroupLattice:
     index p, they are all of its covers. The constructor takes the walks
     in class order as (mask, count) rows, resolves and sorts them in
     place and keeps them as a tuple, never extended, every row of count 1
-    one tuple per subgroup, shared by the walks that hold it; ``walk``
-    reads one, or walks another member anew.
-    Data derived from the whole lattice (the table of marks, the pair
-    congruences and the down-sets both share) is built on first use and
-    kept in one cache, filled only through ``lattice_cached``. Nothing the
-    lattice keeps refers back to it, so reference counting frees it.
+    one tuple per subgroup, shared by the walks that hold it. No other
+    member's walk is kept or made here.
+    Data derived from the whole lattice that a query reads (the table of
+    marks, and the down-sets it is read from) is built on first use and
+    kept in one cache, filled only through ``lattice_cached``; the pair
+    congruences, which no query reads, are built anew on each call.
+    Nothing the lattice keeps refers back to it, so reference counting
+    frees it.
     """
 
     __slots__ = (
@@ -151,12 +152,16 @@ class SubgroupLattice:
         self.all_subgroups = tuple(sorted(subs, key=lambda s: (len(s.elements), s.elements)))
         self._class_by_mask = {m.mask: c.class_index for c in classes for m in c.members}
         self._normalizers = normalizers
-        # resolved in place, so each raw walk is dropped once it is resolved;
-        # the count-1 row of a subgroup is one tuple, shared by every walk
+        # resolved in place, so each raw walk is dropped once it is resolved:
+        # the class of <v, U> put in between, sorted by class (stably, and
+        # U's class is the least in its walk, so U stays first); the count-1
+        # row of a subgroup is one tuple, shared by every walk
         class_of = self._class_by_mask
         ones = dict(zip(class_of, zip(class_of, class_of.values(), repeat(1))))
         for c, rows in enumerate(walks):
-            walks[c] = self._resolved(rows, ones)
+            walk = [ones[j] if count == 1 else (j, class_of[j], count) for j, count in rows]
+            walk.sort(key=itemgetter(1))
+            walks[c] = tuple(walk)
         self.walks: tuple[Walk, ...] = tuple(walks)
         self._derived: dict[Callable, object] = {}
 
@@ -171,30 +176,6 @@ class SubgroupLattice:
             return self._normalizers[sub.mask]
         except KeyError:
             raise ValueError("subgroup does not belong to this lattice") from None
-
-    def walk(self, sub: Subgroup) -> Walk:
-        """U's walk over N(U) (see ``walks``): the kept one of U's class when
-        U is its walked member, else walked now and not kept, as for a
-        conjugate of the member that enumeration joined. A walk made here
-        shares no row with the kept walks."""
-        norm = self.normalizer(sub)
-        walk = self.walks[self._class_by_mask[sub.mask]]
-        if walk[0][0] == sub.mask:
-            return walk
-        rows = _walk(self.group, sub.elements, norm.elements)
-        return self._resolved([(subgroup_mask(j), count) for j, count, _ in rows])
-
-    def _resolved(self, rows: Sequence[tuple[int, int]], ones: dict | None = None) -> Walk:
-        """Walk rows given as (mask of <v, U>, coset count), with the class of
-        <v, U> put in between, sorted by class. The sort is stable, and U's
-        class is the least in its walk, so U stays first. A row of count 1
-        is the one ``ones`` holds for its mask, made here when not given."""
-        class_of = self._class_by_mask
-        if ones is None:
-            ones = {j: (j, class_of[j], 1) for j, _ in rows}
-        walk = [ones[j] if count == 1 else (j, class_of[j], count) for j, count in rows]
-        walk.sort(key=itemgetter(1))
-        return tuple(walk)
 
     def __repr__(self) -> str:
         return (
@@ -274,7 +255,8 @@ def lattice_cached(
     """Make a function of a lattice alone compute once per lattice: its
     value is kept in the lattice's cache, keyed by the decorated function,
     the one its module exports, so a lattice with a filled cache pickles.
-    The value is built with the cyclic collector paused
+    Only what the queries read is cached this way: the down-sets and the
+    table of marks. The value is built with the cyclic collector paused
     (``_collector_paused``); a cache hit does not touch the collector."""
     build = _collector_paused(build)
 

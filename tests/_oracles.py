@@ -58,6 +58,13 @@ violates, with the class of N(U) found by ``normalizer``, and
 lists every partition of n for each p^n and filters out the shapes of
 more than two parts above order 32, where the library lists only the
 two-part shapes there.
+``ea_class_search`` finds the elementary abelian classes and their rows
+(w_U, s_U) from the multiplication table alone, extending each class by
+elements of order p in its centralizer, with no enumeration read.
+``pair_congruences`` keeps each lattice's pair records for the oracles
+that sum them per vector, as the lattice itself does not cache them, and
+``member_walk`` walks any member over its normalizer with the package's
+``_walk``, as the lattice keeps only one walked member's walk per class.
 """
 
 from __future__ import annotations
@@ -67,7 +74,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from burnside import (
     CapExceededError,
@@ -95,6 +104,7 @@ from burnside.lattice import (
     DEFAULT_ENUMERATION_CAP,
     SubgroupClass,
     Walk,
+    _walk,
     conjugate_mask,
     left_cosets,
 )
@@ -412,6 +422,32 @@ def ghost_of(lattice: SubgroupLattice, element: BurnsideElement) -> GhostVector:
     )
 
 
+# lattice -> its pair congruences, dropped with the lattice
+_PAIRS: WeakKeyDictionary[SubgroupLattice, tuple[Congruence, ...]] = WeakKeyDictionary()
+
+
+def pair_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
+    """``dress_congruences``, built once per lattice: the oracles that sum
+    the pair records for every vector or divisor read them from here. The
+    memo holds the lattice weakly, so it keeps no lattice alive."""
+    pairs = _PAIRS.get(lattice)
+    if pairs is None:
+        pairs = _PAIRS[lattice] = dress_congruences(lattice)
+    return pairs
+
+
+def member_walk(lattice: SubgroupLattice, sub: Subgroup) -> Walk:
+    """The walk of any member U over N(U), walked now by the package's
+    ``_walk`` over the normalizer the lattice recorded, as rows (mask of
+    <v, U>, its class, coset count) sorted by class, U's own row first:
+    the form the lattice keeps for each class's walked member
+    (``SubgroupLattice.walks``)."""
+    class_of = lattice._class_by_mask
+    rows = _walk(lattice.group, sub.elements, lattice.normalizer(sub).elements)
+    masks = [(subgroup_mask(joined), count) for joined, count, _ in rows]
+    return tuple(sorted(((m, class_of[m], count) for m, count in masks), key=itemgetter(1)))
+
+
 def check_family_closure(lattice: SubgroupLattice, family: SubgroupFamily) -> bool:
     """When the exponent is 1, family membership must be constant across every
     normal pair of prime-power index; returns True vacuously otherwise."""
@@ -421,7 +457,7 @@ def check_family_closure(lattice: SubgroupLattice, family: SubgroupFamily) -> bo
     selected = result.family_classes
     return all(
         (c.u_class in selected) == (c.v_class in selected)
-        for c in dress_congruences(lattice)
+        for c in pair_congruences(lattice)
     )
 
 
@@ -717,6 +753,64 @@ def family_rows(
     return tuple(rows)
 
 
+def ea_class_search(group: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
+    """(|U|, w_U, s_U) for every class of elementary abelian subgroups U,
+    found from the multiplication table alone, with no enumeration read.
+
+    The row of U = 1 is read directly; the search starts from the cyclic
+    subgroups of prime order p, and extends each class's first member U by
+    every element g of order p in C(U) outside U: <U, g> is U times the
+    powers of g, again elementary abelian. Each new subgroup's orbit under
+    conjugation is one class; every elementary abelian V > 1 of rank k + 1
+    contains a conjugate of a class member of rank k, so extending one
+    member per class finds every class. w_U = |N(U) : U| counts the g with
+    gUg^-1 = U, and s_U is #{g in C(U) : g^p = 1} / |U|, with, for U = 1,
+    the elements of order 1 or of any prime. The exponent induced from the
+    family is the lcm of w_U / gcd(s_U, w_U) over the rows.
+    """
+    table = group.mul_table
+    inv = group.inv_table
+    elements = group.elements()
+    order_of = [loop_element_order(group, g) for g in elements]
+    abelian = pairwise_is_abelian(group)
+    found: set[frozenset[int]] = set()
+    classes: list[tuple[frozenset[int], tuple[int, ...]]] = []  # (U, generators)
+
+    def add_class(sub: frozenset[int], gens: tuple[int, ...]) -> None:
+        if abelian:  # every orbit is {U}
+            found.add(sub)
+        else:
+            found.update(frozenset(table[table[g][u]][inv[g]] for u in sub) for g in elements)
+        classes.append((sub, gens))
+
+    for g in elements:
+        if is_prime(order_of[g]):
+            cyclic = frozenset(loop_power(group, g, k) for k in range(order_of[g]))
+            if cyclic not in found:
+                add_class(cyclic, (g,))
+    rows = [(1, len(elements), sum(k == 1 or is_prime(k) for k in order_of))]  # U = 1
+    for sub, gens in classes:  # grows as the extensions find classes
+        w = sum(
+            all(table[table[g][u]][inv[g]] in sub for u in gens) for g in elements
+        ) // len(sub)
+        p = order_of[gens[0]]
+        exact = [  # g in C(U) with g^p = 1
+            g for g in elements
+            if p % order_of[g] == 0 and all(table[g][u] == table[u][g] for u in gens)
+        ]
+        rows.append((len(sub), w, len(exact) // len(sub)))
+        covered = set(sub)
+        for g in exact:
+            if g not in covered:
+                joined = frozenset(
+                    table[u][loop_power(group, g, k)] for u in sub for k in range(p)
+                )
+                covered.update(joined)
+                if joined not in found:
+                    add_class(joined, gens + (g,))
+    return tuple(rows)
+
+
 def family_violated_rows(
     lattice: SubgroupLattice, family: SubgroupFamily
 ) -> tuple[tuple[int, int, int, int], ...]:
@@ -755,7 +849,7 @@ def loop_dress_membership(
     keyword-built record per violated congruence."""
     values = x.values
     violations = []
-    for cong in dress_congruences(lattice):
+    for cong in pair_congruences(lattice):
         total = 0
         for cls, count in cong.terms:
             total += count * values[cls]
@@ -797,7 +891,7 @@ def loop_dress_exponent(lattice: SubgroupLattice, family: SubgroupFamily) -> int
     divide the exponent, which is the lcm of those needs."""
     values = indicator_vector(lattice, family).values
     confirmed = 1
-    for cong in dress_congruences(lattice):
+    for cong in pair_congruences(lattice):
         total = 0
         for cls, count in cong.terms:
             total += count * values[cls]
@@ -964,7 +1058,8 @@ def _terms_within(rows: Walk, v_mask: int) -> tuple[tuple[int, int], ...]:
 
 
 def scan_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
-    """The reference scan for ``dress_congruences``: every pair walks U.
+    """The reference scan for ``dress_congruences``: every pair reads a walk
+    of U made here, not the lattice's kept one.
 
     Pairs (U, V) with U normal in V and (V : U) a prime power above 1 are
     enumerated with V running over class representatives and U over the
@@ -972,8 +1067,8 @@ def scan_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     subgroup list), deduplicated by conjugacy under the normalizer of V;
     simultaneously conjugate pairs yield identical congruences. U is
     normal in V iff V lies in the normalizer N(U) the lattice recorded,
-    and the terms are the rows of U's walk over N(U)
-    (``SubgroupLattice.walk``) whose join lies in V.
+    and the terms are the rows of U's walk over N(U) whose join lies in V:
+    each U is walked once per scan (``member_walk``), walked member or not.
     """
     group = lattice.group
     abelian = group.is_abelian()
@@ -981,6 +1076,7 @@ def scan_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     class_of = lattice._class_by_mask
     normalizer_of = lattice._normalizers
     sub_orders = [sub.order for sub in subgroups]
+    walks: dict[int, Walk] = {}  # U's mask -> its walk, made at its first pair
     out: list[Congruence] = []
     for cls in lattice.classes:
         v_rep = cls.representative
@@ -1004,7 +1100,9 @@ def scan_dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                 continue
             for g in conjugators:
                 seen_orbit.add(conjugate_mask(group, sub.elements, g))
-            terms = _terms_within(lattice.walk(sub), v_mask)
+            if u_mask not in walks:
+                walks[u_mask] = member_walk(lattice, sub)
+            terms = _terms_within(walks[u_mask], v_mask)
             out.append(Congruence(class_of[u_mask], cls.class_index, index, terms))
     return tuple(out)
 

@@ -9,7 +9,8 @@ from burnside import build_group, enumerate_subgroups, parse_group_spec
 def lattice_of():
     """Session-wide lattice cache keyed by group-spec text.
 
-    Lattices carry their own derived caches (marks, congruence system),
+    Lattices carry their own derived caches (down-sets and marks), and
+    the oracles keep their pair congruences (``_oracles.pair_congruences``),
     so sharing them across tests saves most of the suite's runtime.
     """
     cache = {}

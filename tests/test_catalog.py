@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,37 @@ def test_every_spec_constructor_checks_its_parameters():
         assert str(err.value) == message
     with pytest.raises(SpecParseError, match="unknown group kind 'bogus'"):
         c2._replace(kind="bogus")
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("cyclic", (2, 3.0)),
+        ("cyclic", (2.0, 3)),
+        ("cyclic", (2, True)),
+        ("elementary_abelian", (2, 3.0)),
+        ("abelian_product", (4.0, 2)),
+        ("abelian_product", (4, Fraction(2))),
+        ("dihedral", (16.0,)),
+        ("extraspecial_minus", (3.0,)),
+        ("extraspecial_plus", (Fraction(3),)),
+    ],
+)
+def test_spec_parameters_that_are_not_ints_raise(kind, params):
+    """A float or a bool equal to a valid parameter would pass the kind's
+    check and print as C(2^3.0) or C(2^True); every parameter of a number
+    kind must be an int."""
+    with pytest.raises(SpecParseError, match=rf"^{kind} spec cannot take parameters "):
+        GroupSpec(kind, params)
+    assert GroupSpec(kind, tuple(map(int, params))).order() > 1
+
+
+def test_a_perm_spec_takes_a_path_object(tmp_path):
+    """Only number parameters must be ints: a perm spec's file may be
+    named by a path object as well as by a string."""
+    path = tmp_path / "c3.perm"
+    path.write_text("degree 3\n(0 1 2)\n", encoding="utf-8")
+    assert build_group(GroupSpec("perm", (path,))).order == 3
 
 
 @pytest.mark.parametrize(

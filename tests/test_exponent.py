@@ -138,8 +138,9 @@ def test_results_reports_and_cached_lattices_survive_copy_and_pickle():
         dress_congruences(lattice),
         dress_membership(lattice, GhostVector(lattice, indicator)),
     )
-    # the table of marks and the pair congruences share the down-sets
-    kernels = {table_of_marks, dress_congruences, _down_sets}
+    # the table of marks and the pair congruences share the down-sets; the
+    # pair congruences themselves are not cached
+    kernels = {table_of_marks, _down_sets}
     # the class and marks records are named tuples, equal to their plain tuples
     records = (*lattice.classes, table_of_marks(lattice))
     plain = [(c.class_index, c.members, c.is_cyclic, c.is_elementary_abelian) for c in records[:-1]]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -198,6 +199,44 @@ def test_tables_of_bools_and_integral_floats_give_the_int_group():
         assert group.is_abelian() == expected.is_abelian()
     # rows that are already int tuples are kept, not copied
     assert all(a is b for a, b in zip(FiniteGroup("q8", q8).mul_table, q8))
+
+
+INEXACT_ENTRIES = [1.5, Fraction(3, 2), "1", float("nan"), float("inf"), None]
+
+
+@pytest.mark.parametrize("bad", INEXACT_ENTRIES, ids=repr)
+def test_a_table_entry_that_is_no_integer_raises(bad):
+    """A table entry is copied through int only when it equals its int:
+    [[0, 1.5], [1.5, 0]] would otherwise build C2, as would the table of
+    strings '0' and '1'; the error names the entry."""
+    with pytest.raises(ValueError, match=rf"^entry {re.escape(repr(bad))} is not an integer$"):
+        FiniteGroup("t", [[0, bad], [bad, 0]])
+    with pytest.raises(ValueError, match="entry '0' is not an integer"):
+        FiniteGroup("t", [["0", "1"], ["1", "0"]])
+    whole = FiniteGroup("t", [[0, Fraction(1)], [1.0, False]])
+    assert whole.mul_table == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("bad", INEXACT_ENTRIES, ids=repr)
+def test_a_subgroup_id_that_is_no_integer_raises(bad):
+    """Subgroup([0, 1.7, '2']) would otherwise have elements (0, 1, 2)."""
+    with pytest.raises(ValueError, match=rf"^entry {re.escape(repr(bad))} is not an integer$"):
+        Subgroup([0, bad, 2])
+    with pytest.raises(ValueError, match="entry 1.7 is not an integer"):
+        Subgroup([0, 1.7, "2"])
+    assert Subgroup([0, 1.0, True, Fraction(2)]).elements == (0, 1, 2)
+
+
+@pytest.mark.parametrize("bad", INEXACT_ENTRIES, ids=repr)
+def test_a_permutation_entry_that_is_no_integer_raises(bad):
+    """group_from_perm_generators(3, [[1.9, 0, '2']]) would otherwise close
+    a group of order 2."""
+    with pytest.raises(ValueError, match=rf"^entry {re.escape(repr(bad))} is not an integer$"):
+        group_from_perm_generators(3, [[1, 0, bad]])
+    with pytest.raises(ValueError, match="entry 1.9 is not an integer"):
+        group_from_perm_generators(3, [[1.9, 0, "2"]])
+    group = group_from_perm_generators(3, [(1, 2, 0), [1.0, False, Fraction(2)]])
+    assert group.mul_table == group_from_perm_generators(3, S3_GENS).mul_table
 
 
 def test_order_of_product_is_symmetric():

@@ -24,15 +24,16 @@ family, the Weyl rows of the family's classes must equal the rows counted
 from the multiplication table alone, the Artin exponent the marks
 solve's and those rows' multiplier, and the rows the indicator
 violates, with the class of N(U), those of the counted rows. Every walk
-of a subgroup over its normalizer, kept by enumeration or made on
-demand, must equal one closed from scratch; the kept walks are one
+of a subgroup over its normalizer, kept by enumeration or walked for any
+member, must equal one closed from scratch; the kept walks are one
 tuple, one per class, that no reader extends; and a lattice must be
 freed by reference counting alone.
 The whole pipeline, from listing the catalog to the exponent's witnesses,
 must leave nothing for the cyclic garbage collector, and enumeration and
-the cached builders must run with the collector paused, leave it in the
-state they found it, on return and on a raise, and leave no young pass
-for the allocations after them, unless the caller has frozen objects.
+the builders (the cached ones and the pair congruences') must run with
+the collector paused, leave it in the state they found it, on return and
+on a raise, and leave no young pass for the allocations after them,
+unless the caller has frozen objects.
 So must the three membership queries, and a stream of random vectors
 through them must start no young collection.
 """
@@ -41,7 +42,9 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 import weakref
+from collections import Counter
 from math import gcd, lcm
 from pathlib import Path
 
@@ -54,6 +57,7 @@ from _oracles import (
     closure_enumerate_subgroups,
     closure_walk,
     closure_weyl_congruences,
+    ea_class_search,
     element_walk_census,
     family_rows,
     family_violated_rows,
@@ -63,6 +67,8 @@ from _oracles import (
     loop_dress_membership,
     loop_perm_table,
     mark,
+    member_walk,
+    pair_congruences,
     record_violation_rows,
     scan_dress_congruences,
     scan_table_of_marks,
@@ -95,7 +101,7 @@ from burnside import lattice as lattice_module
 from burnside.arith import divisors, is_prime
 from burnside.burnside_ring import _down_sets
 from burnside.exponent import _certified
-from burnside.groups import parse_permutation_file
+from burnside.groups import parse_permutation_file, subgroup_mask
 from burnside.lattice import lattice_cached
 
 CATALOG_UP_TO_128 = [spec.text() for spec in standard_catalog(128)]
@@ -149,12 +155,13 @@ def _assert_matches_oracles(group):
             for sub in cls.members:
                 assert sub.mask == sum(1 << x for x in sub.elements)
                 assert class_index_of(lat, sub) == cls.class_index
-    # every walk, kept by enumeration or made on demand, is in class order
-    # with U's own row first
-    for sub in lattice.all_subgroups:
-        walk = lattice.walk(sub)
+    # every walk, kept by enumeration or walked now for any member, is in
+    # class order with U's own row first
+    walks = [(walk[0][0], walk) for walk in lattice.walks]
+    walks += [(sub.mask, member_walk(lattice, sub)) for sub in lattice.all_subgroups]
+    for mask, walk in walks:
         classes = [c for _, c, _ in walk]
-        assert walk[0] == (sub.mask, lattice._class_by_mask[sub.mask], 1)
+        assert walk[0] == (mask, lattice._class_by_mask[mask], 1)
         assert classes == sorted(classes)
     assert len(lattice.walks) == lattice.class_count
 
@@ -306,9 +313,8 @@ def test_kept_tuples_are_one_object_per_value(text):
     """A fresh lattice keeps one tuple per distinct count-1 walk row, and
     its pair congruences and table of marks one per distinct term
     (C8xC8xC2 and S5 have counts above 1) and per distinct (j, mark)
-    entry. The walks that ``SubgroupLattice.walk`` makes on demand, as the
-    pair congruences' build does for conjugates, share nothing and are
-    not kept."""
+    entry. The walks that the pair congruences' build makes for the
+    conjugates of walked members share nothing and are not kept."""
     lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
     rows = [row for walk in lattice.walks for row in walk if row[2] == 1]
     assert _one_object_per_value(rows)
@@ -342,7 +348,7 @@ def _assert_trivial_walk_counts_phi(lattice):
     """Each row of the trivial subgroup's walk is a cyclic subgroup U, and
     its count, which enumeration reads as phi(|U|), is the number of k in
     [1, |U|] prime to |U|."""
-    rows = lattice.walk(lattice.classes[0].representative)
+    rows = lattice.walks[0]
     for mask, _, count in rows:
         n = mask.bit_count()
         assert count == sum(gcd(k, n) == 1 for k in range(1, n + 1)), mask
@@ -398,9 +404,10 @@ def test_weyl_rows_reuse_the_pair_walks(name, tmp_path, monkeypatch):
     lattice = enumerate_subgroups(group)
     walked = []
     real_walk = lattice_module._walk
-    monkeypatch.setattr(
-        lattice_module, "_walk", lambda *args: walked.append(args[1]) or real_walk(*args)
-    )
+    for module in (lattice_module, ring_module):
+        monkeypatch.setattr(
+            module, "_walk", lambda *args: walked.append(args[1]) or real_walk(*args)
+        )
     vector = indicator_vector(lattice, SubgroupFamily.CYCLIC)
     fresh = [_certified(lattice, family) for family in SubgroupFamily]
     violations = dress_membership(lattice, vector)
@@ -411,6 +418,7 @@ def test_weyl_rows_reuse_the_pair_walks(name, tmp_path, monkeypatch):
     assert {class_index_of(lattice, u) for u in walked} <= {
         c.u_class for c in pairs if not is_prime(c.index)
     }
+    assert not {subgroup_mask(u) for u in walked} & {w[0][0] for w in kept}
     walked.clear()
     assert [_certified(lattice, family) for family in SubgroupFamily] == fresh
     assert dress_membership(lattice, vector) == violations
@@ -436,8 +444,8 @@ def test_weyl_rows_raise_on_a_walk_that_misses_cosets():
 def _assert_walks_match_scratch_walks(lattice):
     """Enumeration keeps one walk per class, in class order, of the member
     that joined, and each equals U's walk over N(U) closed from scratch;
-    so does the walk of every other member, walked on demand and not
-    kept."""
+    so does the walk of every member walked now (``member_walk``), and
+    the kept walks stay in place."""
     by_mask = {sub.mask: sub for sub in lattice.all_subgroups}
     kept = lattice.walks
     assert type(kept) is tuple and len(kept) == lattice.class_count
@@ -447,7 +455,7 @@ def _assert_walks_match_scratch_walks(lattice):
         assert walk[0] == (sub.mask, cls.class_index, 1)
         assert tuple(sorted(walk)) == closure_walk(lattice, sub)
     for sub in lattice.all_subgroups:
-        assert tuple(sorted(lattice.walk(sub))) == closure_walk(lattice, sub)
+        assert tuple(sorted(member_walk(lattice, sub))) == closure_walk(lattice, sub)
     assert lattice.walks is kept
 
 
@@ -484,7 +492,7 @@ def test_no_reader_extends_the_kept_walks(text):
         for query in (dress_membership, marks_membership, minimal_multiplier):
             query(lattice, vector)
     for sub in lattice.all_subgroups:
-        lattice.walk(sub)
+        member_walk(lattice, sub)
     assert lattice.walks is kept and type(kept) is tuple and len(kept) == n
     members = {m.mask: cls.class_index for cls in lattice.classes for m in cls.members}
     for c, walk in enumerate(kept):
@@ -493,15 +501,18 @@ def test_no_reader_extends_the_kept_walks(text):
 
 
 def test_lattices_are_freed_by_reference_counting():
-    """Nothing a lattice keeps, walks and cached congruences included,
-    refers back to it, so it goes with its last reference and no cycle
-    waits for the garbage collector."""
+    """Nothing a lattice keeps, walks, down-sets and table of marks
+    included, refers back to it, so it goes with its last reference and
+    no cycle waits for the garbage collector; neither does the memo of
+    its pair congruences that the oracles keep."""
     group = build_group(parse_group_spec("D(16)"))
     gc.disable()
     try:
         lattice = enumerate_subgroups(group)
         artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN)
-        dress_congruences(lattice)
+        table_of_marks(lattice)
+        pairs = pair_congruences(lattice)
+        assert pair_congruences(lattice) is pairs == dress_congruences(lattice)
         ref = weakref.ref(lattice)
         del lattice
         assert ref() is None
@@ -558,10 +569,11 @@ def _failing_build(lattice):
 
 
 def test_builders_restore_the_collector_state(monkeypatch):
-    """Enumeration and the cached builders run with the collector paused,
-    and leave it as they found it, on return and on a raise: back on, or
-    still off when the caller had switched it off."""
-    group = build_group(parse_group_spec("D(16)"))
+    """Enumeration, the cached builders and the pair congruences' build run
+    with the collector paused, and leave it as they found it, on return
+    and on a raise: back on, or still off when the caller had switched it
+    off. On S5 the pair build walks two members itself."""
+    group = build_group(parse_group_spec(f"perm:{BENCH_S5}"))
     seen = []
     real_walk = lattice_module._walk
 
@@ -569,7 +581,8 @@ def test_builders_restore_the_collector_state(monkeypatch):
         seen.append(gc.isenabled())
         return real_walk(*args)
 
-    monkeypatch.setattr(lattice_module, "_walk", walk)
+    for module in (lattice_module, ring_module):
+        monkeypatch.setattr(module, "_walk", walk)
     builders = (_down_sets, table_of_marks, dress_congruences)
     was = gc.isenabled()
     try:
@@ -578,9 +591,11 @@ def test_builders_restore_the_collector_state(monkeypatch):
             lattice = enumerate_subgroups(group)
             assert seen and not any(seen) and gc.isenabled() is enabled
             assert _collector_state(lattice) is False
+            walks = len(seen)
             for build in builders:
                 build(lattice)
                 assert gc.isenabled() is enabled
+            assert len(seen) == walks + 2 and not any(seen)
             with pytest.raises(CapExceededError):
                 enumerate_subgroups(group, cap=8)
             assert gc.isenabled() is enabled
@@ -713,7 +728,7 @@ def _assert_dress_route_matches_loops(lattice, vectors):
     normalizers (``closure_weyl_congruences``), row for row in class
     order. The exponent and its certificate match the pair loop's
     exponent and the witnesses counted from the multiplication table."""
-    pairs = dress_congruences(lattice)
+    pairs = pair_congruences(lattice)
     weyl, closure = weyl_congruences(lattice), closure_weyl_congruences(lattice)
     for vector in vectors:
         certificate = dress_membership(lattice, vector)
@@ -925,3 +940,29 @@ def test_random_degree_six_group_family_rows_match_the_weyl_rows(seed):
     lattice = enumerate_subgroups(_random_degree_six_group(seed))
     _assert_family_rows_match_the_weyl_rows(lattice)
 
+
+def _ea_search_groups():
+    """The catalog up to 64, S5 and the seeded two-generator groups."""
+    for text in CATALOG_UP_TO_64:
+        yield text, build_group(parse_group_spec(text))
+    yield "S5", build_group(parse_group_spec(f"perm:{BENCH_S5}"))
+    for seed in range(12):
+        yield f"random-{seed}", _random_two_generator_group(seed)
+
+
+def test_the_ea_class_search_finds_the_lattice_classes_and_exponent(lattice_of):
+    """A search that reads no enumeration (``_oracles.ea_class_search``)
+    finds as many elementary abelian classes of each order as the lattice
+    has, and the lcm of its rows' w_U / gcd(s_U, w_U) is the Artin
+    exponent: a class that enumeration lost or merged would show here,
+    where every route that loops over the lattice's classes would agree
+    on the wrong exponent."""
+    start = time.perf_counter()
+    for name, group in _ea_search_groups():
+        rows = ea_class_search(group)
+        lattice = lattice_of(name) if name in CATALOG_UP_TO_64 else enumerate_subgroups(group)
+        ea = [c.order for c in lattice.classes if c.is_elementary_abelian]
+        assert Counter(order for order, _, _ in rows) == Counter(ea), name
+        exponent = lcm(*(w // gcd(s, w) for _, w, s in rows))
+        assert exponent == artin_exponent(lattice, SubgroupFamily.ELEMENTARY_ABELIAN).exponent, name
+    assert time.perf_counter() - start < 2.0

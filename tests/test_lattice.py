@@ -9,6 +9,7 @@ from _oracles import (
     class_index_of,
     conjugacy_partition,
     generated_subgroup,
+    member_walk,
     subset_closure_subgroups,
 )
 from burnside import (
@@ -373,9 +374,10 @@ def test_enumeration_does_not_read_the_generators(text, generators, lattice_of):
         m.mask for c in built.classes for m in c.members
     ]
     assert lattice.all_subgroups == built.all_subgroups
+    assert lattice.walks == built.walks
     for sub in built.all_subgroups:
         assert lattice.normalizer(sub) == built.normalizer(sub)
-        assert lattice.walk(sub) == built.walk(sub)
+        assert member_walk(lattice, sub) == member_walk(built, sub)
 
 
 def test_subgroup_masks_and_class_lookup(lattice_of):

@@ -62,14 +62,27 @@ Stages:
              PYTHONPATH=TREE/src, run in TREE and carry an RLIMIT_AS that
              this process does not. Both trees are compiled first
              (``compileall``), so stale bytecode cannot skew start-up.
+  bench      run only when named: each tree's own ``bench/run.py
+             --workload W --seed S --seconds N`` for each workload W of
+             BENCHMARK.json at its run_seconds N, as a child started as
+             the cli stage starts its commands (compiled trees, the
+             benchmark's ``child_env``, RLIMIT_AS), all pairs of one
+             workload before the next; per end-to-end metric of
+             BENCHMARK.json, both medians, the median of b/a over pairs,
+             the pairs b wins (better in the metric's direction) and a's
+             quartile distance. A run that is not
+             ``correct`` or has a failed operation stops the tool.
 
 Usage: python tools/ab_inproc.py TREE_A TREE_B [--pairs 20]
            [--stages perm,enumerate,marks,pairs,build,sweep,queries,exponent,held,cli]
-           [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm']
+           [--groups 'EA(2,5);C8xC8xC2;perm:bench/data/s5.perm'] [--seed 1]
 
+``--stages bench`` runs the benchmark itself: per pair and workload, two
+runs of BENCHMARK.json's run_seconds.
 Group specs are separated by semicolons, as specs hold commas. The
 ``build``, ``queries`` and ``held`` stages build under the default
-caps, as the benchmark does.
+caps, as the benchmark does. Only ``bench`` reads --seed; ``queries``
+always reads the seed-1 stream.
 
 Every sample starts with ``gc.collect()``, so no sample pays for the
 garbage of another. Enumeration, the lattice's cached builders and the
@@ -89,6 +102,7 @@ import compileall
 import gc
 import importlib.util
 import itertools
+import json
 import statistics
 import subprocess
 import sys
@@ -105,6 +119,8 @@ PERM_FILES = ((ROOT / "bench" / "data" / "s5.perm", 256), (ROOT / "tests" / "dat
 CAP = 1000  # the order cap of the stages the benchmark does not run, so that S6 (720) runs
 STAGES = ("perm", "enumerate", "marks", "pairs", "build", "sweep", "queries", "exponent", "held", "cli")
 SEED = 1  # the benchmark's default seed
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 OFF = bench.Tracer(False)
 CLI = (  # the benchmark's catalog-sweep command, then fast rows of ROADMAP's state table
     bench.SWEEP_ARGS, ("verify-main-theorem", "--max-order", "256"), ("exponent", "EA(2,6)"),
@@ -114,12 +130,13 @@ CLI = (  # the benchmark's catalog-sweep command, then fast rows of ROADMAP's st
 CHILD_AS = 1 << 31  # bytes of address space a cli child may map
 # A child started by this process would start its peak RSS at this
 # process's size, as Linux keeps the high-water mark across exec, so each
-# command is started and reaped by a fresh, small interpreter, which
-# limits its own address space for the child to inherit.
+# child (a CLI command or a benchmark run) is started and reaped by a
+# fresh, small interpreter, which limits its own address space for the
+# child to inherit.
 SPAWN = """import os, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
 start = time.perf_counter()
-pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "burnside.cli", *sys.argv[2:]], os.environ)
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]], os.environ)
 _, status, usage = os.wait4(pid, 0)
 print(f"\\n{time.perf_counter() - start} {usage.ru_maxrss} {os.waitstatus_to_exitcode(status)}", file=sys.stderr)
 """
@@ -181,7 +198,7 @@ def stage(B, which: str, groups: list[str]):
         # the family enums of two trees are not equal: compare by name
         key = lambda out: [(r.exponent, r.family.name, r.family_classes, w) for r, w in out]
         return lattices, timed, key
-    raise SystemExit(f"unknown stage {which!r}; known: {', '.join(STAGES)}")
+    raise SystemExit(f"unknown stage {which!r}; known: {', '.join(STAGES)}, bench")
 
 
 def answered(B, text: str):
@@ -247,7 +264,7 @@ def sample(prepare, timed, key, collections: list[int]) -> tuple[float, object]:
 
 
 def child(tree: Path, args: tuple[str, ...], rss: list[int]) -> tuple[float, tuple[int, bytes]]:
-    """Run the tree's CLI on ``args`` through SPAWN: (wall seconds, (exit
+    """Run ``python args`` in the tree through SPAWN: (wall seconds, (exit
     code, stdout)). Appends the child's peak RSS in KiB to ``rss``."""
     env = {**bench.child_env(), "PYTHONPATH": str(tree / "src")}
     command = [sys.executable, "-c", SPAWN, str(CHILD_AS), *args]
@@ -255,6 +272,14 @@ def child(tree: Path, args: tuple[str, ...], rss: list[int]) -> tuple[float, tup
     wall, kib, code = proc.stderr.split()[-3:]
     rss.append(int(kib))
     return float(wall), (int(code), proc.stdout)
+
+
+def compare(a: list[float], b: list[float], lower: bool = True) -> tuple[float, int, float]:
+    """The median over pairs of b/a, the pairs b wins (lower, or higher
+    when not ``lower``) and the distance between a's quartiles."""
+    q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive") if len(a) > 1 else a * 3
+    wins = sum(y < x if lower else y > x for x, y in zip(a, b))
+    return statistics.median(y / x for x, y in zip(a, b)), wins, q3 - q1
 
 
 def alternate(which: str, pairs: int, run) -> None:
@@ -272,11 +297,9 @@ def alternate(which: str, pairs: int, run) -> None:
         if outs[0] != outs[1]:
             raise SystemExit(f"{which}: the trees disagree")
     a, b = times
-    q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive") if pairs > 1 else a * 3
-    ratio = statistics.median(y / x for x, y in zip(a, b))
-    wins = sum(y < x for x, y in zip(a, b))
+    ratio, wins, spread = compare(a, b)
     ms = " ".join(f"{t * 1e3:9.3f}" for t in (min(a), statistics.median(a), min(b), statistics.median(b)))
-    print(f"{which:<10} {ms} {ratio:7.3f} {wins:>3}/{len(a)} {(q3 - q1) * 1e3:9.3f}")
+    print(f"{which:<10} {ms} {ratio:7.3f} {wins:>3}/{len(a)} {spread * 1e3:9.3f}")
 
 
 def cli(trees: list[Path], pairs: int) -> None:
@@ -285,9 +308,40 @@ def cli(trees: list[Path], pairs: int) -> None:
         compileall.compile_dir(tree / "src", quiet=1)
     for args in CLI:
         rss: tuple[list[int], list[int]] = ([], [])
-        alternate("cli", pairs, lambda side: child(trees[side], args, rss[side]))
+        alternate("cli", pairs, lambda side: child(trees[side], ("-m", "burnside.cli", *args), rss[side]))
         a, b = (statistics.median(side) / 1024 for side in rss)
         print(f"{'':<10} peak RSS a {a:.1f} b {b:.1f} MB: {' '.join(args)}")
+
+
+def bench_run(tree: Path, args: tuple[str, ...]) -> dict[str, float]:
+    """One run of the tree's ``bench/run.py`` on ``args``: the values of
+    its metrics, read off the JSON object on its last line of stdout. A
+    run that fails or is not correct stops the tool."""
+    code, out = child(tree, ("bench/run.py", *args), [])[1]
+    result = json.loads(out.splitlines()[-1]) if code == 0 and out else {}
+    if not result.get("correct") or result.get("failed"):
+        raise SystemExit(f"bench: {tree} {' '.join(args)}: exit {code}, not correct")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def bench_stage(trees: list[Path], seed: int, pairs: int) -> None:
+    """The ``bench`` stage: both trees' benchmark runs of each workload,
+    alternating which goes first, and a row per end-to-end metric."""
+    for tree in trees:
+        compileall.compile_dir(tree / "src", quiet=1)
+    for workload in WORKLOADS:
+        args = ("--workload", workload, "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]))
+        runs: tuple[list[dict], list[dict]] = ([], [])
+        for p in range(pairs):
+            for side in (0, 1) if p % 2 == 0 else (1, 0):
+                runs[side].append(bench_run(trees[side], args))
+        for metric in BENCHMARK["end_to_end"]:
+            name = metric["name"]
+            a, b = ([run[name] for run in side] for side in runs)
+            ratio, wins, spread = compare(a, b, metric["better"] == "lower")
+            print(f"{'bench':<10} {workload:<16} {name:<13} a {statistics.median(a):>10.4g} "
+                  f"b {statistics.median(b):>10.4g} b/a {ratio:6.3f} b wins {wins:>2}/{pairs} "
+                  f"a q3-q1 {spread:.3g} {metric['unit']}")
 
 
 def main(argv=None) -> int:
@@ -297,10 +351,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--stages", default=",".join(STAGES))
     parser.add_argument("--groups", default=";".join(bench.MEMBERSHIP_SPECS))
+    parser.add_argument("--seed", type=int, default=SEED, help="the bench stage's seed; no other stage reads it")
     args = parser.parse_args(argv)
     bench.pin_to_one_cpu()
     trees = (load_tree(args.tree_a, "burnside_a"), load_tree(args.tree_b, "burnside_b"))
     groups = args.groups.split(";")
+    paths = [Path(args.tree_a).resolve(), Path(args.tree_b).resolve()]
     print(f"a = {args.tree_a}\nb = {args.tree_b}\n{args.pairs} pairs, times in ms")
     columns = ("a min", "a median", "b min", "b median")
     print(f"{'stage':<10} {' '.join(f'{c:>9}' for c in columns)} {'b/a':>7} {'b wins':>7} {'a q3-q1':>9}")
@@ -309,7 +365,10 @@ def main(argv=None) -> int:
             print_held(trees, groups)
             continue
         if which == "cli":
-            cli([Path(args.tree_a).resolve(), Path(args.tree_b).resolve()], args.pairs)
+            cli(paths, args.pairs)
+            continue
+        if which == "bench":
+            bench_stage(paths, args.seed, args.pairs)
             continue
         stages = [stage(B, which, groups) for B in trees]
         collections = ([0, 0, 0], [0, 0, 0])  # young, middle, full
