@@ -39,21 +39,22 @@ class representative) that it and the pair congruences read; a ghost
 vector keeps its own solve y, which ``marks_membership`` and
 ``minimal_multiplier`` both read. A Weyl-row query caches nothing.
 
-The small tuples that the table and the pair congruences hold are shared,
-one object per distinct value in a lattice: each pair term (class, coset
-count), taken from one list of terms per count, and each marks entry
-(j, mark), through one dict per column keyed by the mark. A shared tuple
-equals the one it replaces, so every value and order stays. On EA(2,6)
-the 456328 pair terms are 2825 tuples and the 92881 marks entries 2824.
-The membership benchmark's three lattices, after its set-up (which
-builds and drops the pair congruences) and one query answered, keep
-1.02 MiB (tracemalloc, after a full collection; EA(2,5) 0.39 MiB),
-against 2.18 MiB when the lattice cached the pair records. The pair
-build reads each walked member's kept walk as (mask of <v, U>, shared
-term) rows, made once per class and filtered by V's mask, and that made
-it about 7% faster (``tools/ab_inproc.py --stages pairs``, median ratios
-0.921 and 0.936 over two sets of 20 pairs; Python 3.11.7 on a 2-CPU
-x86-64 host).
+The small tuples that the table keeps are shared, one object per
+distinct value in a lattice: each marks entry (j, mark) is made through
+one dict per column keyed by the mark. A shared tuple equals the one it
+replaces, so every value and order stays. On EA(2,6) the 92881 marks
+entries are 2824 tuples. The pair congruences are not kept, so their
+terms (class, coset count) are plain tuples, one per term: while they
+are built, EA(2,5)'s 5395 records take 1.23 MB instead of the 0.89 MB
+that shared terms took (tracemalloc, after a full collection). The
+membership benchmark's three lattices, after its set-up (which builds
+and drops the pair congruences) and one query answered, keep 1.02 MiB
+(tracemalloc, after a full collection; EA(2,5) 0.39 MiB), against
+2.18 MiB when the lattice cached the pair records. The pair build reads
+each walked member's kept walk as (mask of <v, U>, term) rows, made once
+per class and filtered by V's mask, and that made it about 7% faster
+(``tools/ab_inproc.py --stages pairs``, median ratios 0.921 and 0.936
+over two sets of 20 pairs; Python 3.11.7 on a 2-CPU x86-64 host).
 
 The three queries, ``dress_membership``, ``marks_membership`` and
 ``minimal_multiplier``, run with the cyclic garbage collector paused
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from functools import cache, partial
+from functools import partial
 from math import gcd, lcm
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -236,8 +237,9 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     g^-1 U_i g lies in V_j, and each conjugate of U_i is g^-1 U_i g for
     |N(U_i)| = |G| / |class i| elements g, so the mark is the number of
     members of class i inside V_j, read off V_j's down-set (``_down_sets``),
-    times |G| / (|class i| |V_j|). That division is asserted exact, and a
-    remainder raises RuntimeError. The diagonal is |N(V_j) : V_j|. Columns
+    times |G| / (|class i| |V_j|). The diagonal is |N(V_j) : V_j| =
+    |G| / (|class j| |V_j|). Both divisions are asserted exact, and a
+    remainder raises RuntimeError. Columns
     are filled in ascending order, so every row's nonzero marks come out
     sorted without a dense row ever existing. A column makes one entry
     (j, mark) per distinct mark, which every row with that mark shares.
@@ -251,7 +253,10 @@ def table_of_marks(lattice: SubgroupLattice) -> TableOfMarks:
     diagonal = []
     for cls, down in zip(lattice.classes, _down_sets(lattice)):
         j, v_order = cls.class_index, len(cls.members[0].elements)
-        diagonal.append(order // (sizes[j] * v_order))
+        diag, r = divmod(order, sizes[j] * v_order)
+        if r:
+            raise RuntimeError(f"inexact diagonal mark of class {j}: remainder {r}")
+        diagonal.append(diag)
         column: dict[int, tuple[int, int]] = {}  # mark -> its one entry (j, mark)
         for i, conjugates in Counter(map(class_of, map(mask_of, down))).items():
             mark, r = divmod(conjugates * order, sizes[i] * v_order)
@@ -299,9 +304,9 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     rows (never in an abelian group) sums the picked counts by class.
     Another member U is walked over V itself (``_walk``), whose rows are
     the same ones, and the walk is dropped with the pair (2 walks on S5,
-    none on the catalog to 128). Every term is taken from the list of
-    count k's terms, made for every class when k is first met, so the
-    records share one tuple per distinct term.
+    none on the catalog to 128). The terms are plain (class, count)
+    tuples, shared by no two records: nothing keeps the records, so
+    sharing their terms would save no kept memory.
     """
     group = lattice.group
     normal_in_g = [cls.is_normal for cls in lattice.classes]
@@ -309,9 +314,6 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
     normalizer_of = lattice._normalizers
     record = partial(tuple.__new__, Congruence)
     powers = {d: prime_power(d) for d in divisors(group.order)}
-    n = lattice.class_count
-    # coset count k -> the term (c, k) of every class c: one tuple per term
-    terms = cache(lambda k: [(c, k) for c in range(n)])
     # U's class -> its walked member's kept walk as (mask of <v, U>, term)
     # rows, and whether a class has several rows, whose counts a pair sums
     term_rows: dict[int, tuple[list[tuple[int, tuple[int, int]]], bool]] = {}
@@ -338,7 +340,7 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                 for g in conjugators:
                     seen_orbit.add(conjugate_mask(group, sub.elements, g))
             if powers[index][1] == 1:
-                pair_terms = (terms(1)[u_class], terms(index - 1)[cls.class_index])
+                pair_terms = ((u_class, 1), (cls.class_index, index - 1))
             else:
                 if lattice.walks[u_class][0][0] != u_mask:  # not the walked member
                     walked = _walk(group, sub.elements, v_rep.elements)  # U over V
@@ -348,16 +350,17 @@ def dress_congruences(lattice: SubgroupLattice) -> tuple[Congruence, ...]:
                     if u_class not in term_rows:
                         walk = lattice.walks[u_class]
                         repeats = len({c for _, c, _ in walk}) < len(walk)
-                        term_rows[u_class] = [(j, terms(k)[c]) for j, c, k in walk], repeats
+                        term_rows[u_class] = [(j, (c, k)) for j, c, k in walk], repeats
                     rows, repeats = term_rows[u_class]
                     picked = [t for joined, t in rows if joined & v_mask == joined]
                 if repeats:
                     counts: dict[int, int] = {}
                     for c, k in picked:
                         counts[c] = counts.get(c, 0) + k
-                    picked = [terms(k)[c] for c, k in counts.items()]
+                    picked = counts.items()
                 pair_terms = tuple(picked)
-            # made in the order a loop over the records reads them, adjacent in memory
+            # tuple.__new__ skips the Python-level Congruence.__new__: built
+            # with Congruence(...), the records took 1.04-1.06x as long
             out.append(record((u_class, cls.class_index, index, pair_terms)))
     return tuple(out)
 

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, partitions, prime_power
 from .groups import (
-    DEFAULT_ENUMERATION_CAP,
     IDENTITY,
     FiniteGroup,
     check_enumeration_cap,
@@ -133,22 +132,6 @@ def _cyclic_extension(
     return table
 
 
-def _extraspecial_plus_group(p: int, name: str) -> FiniteGroup:
-    # Upper unitriangular 3x3 matrices (x, y, z) over F_p, exponent p for odd
-    # p: N = {(0, y, z)} = C_p x C_p with id y*p + z, extended by h = (1, 0, 0),
-    # which sends (y, z) to (y, z + y).
-    twist = tuple(y * p + (z + y) % p for y in range(p) for z in range(p))
-    table = _cyclic_extension(product_table(_cyclic_table(p), _cyclic_table(p)), p, twist)
-    return FiniteGroup._from_valid_table(name, table)
-
-
-def _extraspecial_minus_group(p: int, name: str) -> FiniteGroup:
-    # <g> = C_(p^2) extended by h of order p with h g h^-1 = g^(1+p)
-    twist = tuple(c * (1 + p) % (p * p) for c in range(p * p))
-    table = _cyclic_extension(_cyclic_table(p * p), p, twist)
-    return FiniteGroup._from_valid_table(name, table)
-
-
 class _Kind(NamedTuple):
     """One kind of spec. Each callable takes the spec's params unpacked;
     ``build`` takes the group's name and the perm order cap first."""
@@ -186,8 +169,15 @@ def _two_generator_kind(
     )
 
 
-def _extraspecial_kind(sign: str, builder: Callable[[int, str], FiniteGroup]) -> _Kind:
-    """ES+ or ES-: order p^3 for an odd prime p, spelled ``ES±(p)``."""
+def _extraspecial_kind(sign: str, normal: Callable, twist: Callable) -> _Kind:
+    """ES+ or ES-: order p^3 for an odd prime p, spelled ``ES±(p)``; the
+    abelian group N of order p^2 with table normal(p), extended by h of
+    order p with h n h^-1 = twist(p, n)."""
+
+    def build(name: str, cap: int, p: int) -> FiniteGroup:
+        table = _cyclic_extension(normal(p), p, tuple(twist(p, n) for n in range(p * p)))
+        return FiniteGroup._from_valid_table(name, table)
+
     return _Kind(
         lambda p: None
         if is_prime(p) and p != 2
@@ -198,7 +188,7 @@ def _extraspecial_kind(sign: str, builder: Callable[[int, str], FiniteGroup]) ->
         lambda p: ((p, 3),),
         lambda p: f"ES{sign}({p})",
         lambda p: False,
-        lambda name, cap, p: builder(p, name),
+        build,
     )
 
 
@@ -238,8 +228,18 @@ _KINDS: dict[str, _Kind] = {
     "quaternion": _two_generator_kind("quaternion", "Q", 3, lambda m: m - 1, quaternion=True),
     "semidihedral": _two_generator_kind("semidihedral", "SD", 4, lambda m: m // 2 - 1),
     "modular": _two_generator_kind("modular", "M", 4, lambda m: m // 2 + 1),
-    "extraspecial_plus": _extraspecial_kind("+", _extraspecial_plus_group),
-    "extraspecial_minus": _extraspecial_kind("-", _extraspecial_minus_group),
+    # Upper unitriangular 3x3 matrices (x, y, z) over F_p, exponent p for odd
+    # p: N = {(0, y, z)} = C_p x C_p with id n = y*p + z, extended by
+    # h = (1, 0, 0), which sends (y, z) to (y, z + y).
+    "extraspecial_plus": _extraspecial_kind(
+        "+",
+        lambda p: product_table(_cyclic_table(p), _cyclic_table(p)),
+        lambda p, n: n // p * p + (n + n // p) % p,
+    ),
+    # <g> = C_(p^2) extended by h of order p with h g h^-1 = g^(1+p)
+    "extraspecial_minus": _extraspecial_kind(
+        "-", lambda p: _cyclic_table(p * p), lambda p, n: n * (1 + p) % (p * p)
+    ),
     "direct_product": _Kind(
         lambda a, b: None
         if isinstance(a, GroupSpec) and isinstance(b, GroupSpec)
@@ -269,8 +269,7 @@ def build_group(spec: GroupSpec, *, cap: int | None = None) -> FiniteGroup:
     before any table is built; a perm closure, whose order is known only
     once closed, stops at the cap."""
     kind = _KINDS[spec.kind]
-    check_enumeration_cap(kind.powers(*spec.params), cap)
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    limit = check_enumeration_cap(kind.powers(*spec.params), cap)
     return kind.build(spec.text(), limit, *spec.params)
 
 
@@ -391,30 +390,28 @@ def standard_catalog(max_order: int = 64) -> tuple[GroupSpec, ...]:
     """Concrete witnesses of prime-power order up to ``max_order``.
 
     Contains the trivial group, cyclic p-groups for p in {2, 3, 5}, every
-    abelian type up to order 32, rank-two abelian types above that, the
-    dihedral, quaternion, semidihedral, and modular 2-groups, and both
-    extraspecial groups of order p^3 for odd p. The abelian cut-off keeps
-    subgroup lattices at a size where full enumeration stays fast.
+    abelian type up to order 32, rank-two abelian types above that (those
+    of order p^n with n <= 63), the dihedral, quaternion, semidihedral, and
+    modular 2-groups, and both extraspecial groups of order p^3 for odd p.
+    The abelian cut-off keeps subgroup lattices at a size where full
+    enumeration stays fast.
     """
     specs: list[GroupSpec] = []
     if max_order >= 1:
         specs.append(GroupSpec("cyclic", (2, 0)))
     for p in (2, 3, 5):
-        n = 1
-        while p ** n <= max_order:
-            specs.append(GroupSpec("cyclic", (p, n)))
-            n += 1
-        for n in range(2, 64):
+        for n in range(1, max_order.bit_length() + 1):  # p^n > max_order above that
             order = p ** n
             if order > max_order:
                 break
-            # above order 32 only the rank-two shapes (n - k, k), in the
-            # order partitions(n) lists them, largest first part first
-            shapes = partitions(n) if order <= 32 else [(n - k, k) for k in range(1, n // 2 + 1)]
-            for shape in shapes:
-                if len(shape) < 2:
-                    continue
-                if all(part == 1 for part in shape):
+            # above order 32 only the cyclic shape (n,) and, up to n = 63, the
+            # rank-two shapes (n - k, k), in the order partitions(n) lists
+            # them, largest first part first
+            rank_two = [(n - k, k) for k in range(1, n // 2 + 1)] if n < 64 else []
+            for shape in partitions(n) if order <= 32 else [(n,), *rank_two]:
+                if len(shape) == 1:
+                    specs.append(GroupSpec("cyclic", (p, n)))
+                elif all(part == 1 for part in shape):
                     specs.append(GroupSpec("elementary_abelian", (p, n)))
                 else:
                     specs.append(GroupSpec("abelian_product", tuple(p ** e for e in shape)))

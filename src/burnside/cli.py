@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from . import __version__
@@ -72,7 +72,12 @@ def _emit(args: argparse.Namespace, command: str, group_spec: str | None, payloa
             "payload": payload,
             "tool_version": __version__,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        # json.dumps's own encoder, written in batches of chunks so that
+        # the whole document is never held: the same bytes
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(envelope)
+        for batch in iter(lambda: list(islice(chunks, 4096)), []):
+            sys.stdout.write("".join(batch))
+        sys.stdout.write("\n")
     else:
         for line in text(payload):
             print(line)

@@ -112,9 +112,8 @@ def artin_exponent(
 
 def abelian_closed_form_exponent(group: FiniteGroup) -> int:
     """Exponent of an abelian p-group: the index of its maximal elementary
-    abelian subgroup."""
-    if not group.is_abelian():
-        raise ValueError("closed form by subgroup index needs an abelian group")
+    abelian subgroup. A nonabelian group raises ValueError
+    (``maximal_elementary_abelian``)."""
     return group.order // maximal_elementary_abelian(group).order
 
 

@@ -48,14 +48,15 @@ class CapExceededError(ValueError):
 
 def check_enumeration_cap(
     order: int | Sequence[tuple[int, int]] | None, cap: int | None = None
-) -> None:
+) -> int:
     """Reject an order above the cap (default DEFAULT_ENUMERATION_CAP) before
-    any table is built; an unknown order (None) passes. Given as (base,
-    exponent) pairs, the order is not multiplied out once above the cap, and
-    one too long for decimal is named by its powers, as in 2^10000000."""
+    any table is built, and return the cap applied; an unknown order (None)
+    passes. Given as (base, exponent) pairs, the order is not multiplied out
+    once above the cap, and one too long for decimal is named by its powers,
+    as in 2^10000000."""
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if order is None or isinstance(order, int) and order <= limit:
-        return
+        return limit
     powers = ((order, 1),) if isinstance(order, int) else order
     # b**e > limit once b > limit or e >= limit.bit_length() (b >= 2), so
     # clamping both keeps the product's side of the cap and bounds its size
@@ -67,6 +68,7 @@ def check_enumeration_cap(
             with suppress(ValueError):
                 text = str(prod(b**e for b, e in powers))
         raise CapExceededError(f"group order {text} exceeds the enumeration cap {limit}")
+    return limit
 
 
 def _exact_ints(entries: Iterable) -> tuple[int, ...]:

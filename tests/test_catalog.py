@@ -394,6 +394,11 @@ def test_catalog_lists_the_rank_two_shapes_without_partitions(monkeypatch):
     every partition of n, and partitions are listed only for p^n <= 32."""
     for max_order in (1, 31, 32, 33, 64, 81, 125, 3**7, 5**5, 5**8, 2**20):
         assert standard_catalog(max_order) == partition_filter_catalog(max_order)
+    # the cyclic shape goes on to the bound, the rank-two shapes stop at n = 63
+    texts = {s.text() for s in standard_catalog(2**70)}
+    assert {f"C(2^{n})" for n in range(60, 71)} <= texts and "C(2^71)" not in texts
+    assert GroupSpec("abelian_product", (2**62, 2)).text() in texts  # order 2^63
+    assert GroupSpec("abelian_product", (2**63, 2)).text() not in texts
     partitions = burnside.catalog.partitions
     listed = []
 

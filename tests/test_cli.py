@@ -5,18 +5,24 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
 from _oracles import per_cell_marks_text
+import burnside
 from burnside import (
     SubgroupFamily,
     artin_exponent,
+    build_group,
     burnside_ring,
     catalog,
     cli,
+    enumerate_subgroups,
     groups,
+    parse_group_spec,
     standard_catalog,
     table_of_marks,
     verify_main_theorem,
@@ -513,6 +519,70 @@ def test_closed_output_pipe_exits_quietly():
         os.close(write_fd)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_output_pipe_closed_mid_document_exits_quietly():
+    # EA(2,5)'s marks document is megabytes, far more than a pipe holds, so
+    # the child is still writing it when the reader goes away
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "burnside.cli", "marks", "EA(2,5)", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    head = proc.stdout.read(4096)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b'{\n  "command": "marks"')
+    assert err == b""
+
+
+class _CountingSink:
+    """A stdout that keeps nothing: it counts the characters written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_json_output_is_written_without_holding_the_document(monkeypatch):
+    """``--json`` writes the envelope in batches of encoder chunks: on
+    EA(2,5)'s marks payload (374 x 374 marks, over 1 MB of JSON) the
+    writing allocates under 1 MB at its peak, and writes json.dumps's
+    characters and a newline."""
+    lattice = enumerate_subgroups(build_group(parse_group_spec("EA(2,5)")))
+    payload = {
+        "group": lattice.group.name,
+        "class_orders": [c.order for c in lattice.classes],
+        "matrix": table_of_marks(lattice).entries,
+    }
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._emit(Namespace(json=True), "marks", "EA(2,5)", payload, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    envelope = {
+        "command": "marks",
+        "group_spec": "EA(2,5)",
+        "payload": payload,
+        "tool_version": burnside.__version__,
+    }
+    size = len(json.dumps(envelope, sort_keys=True, indent=2))
+    assert sink.written == size + 1
+    assert size > 1 << 20
+    assert peak < 1 << 20
 
 
 def test_start_up_imports_only_what_commands_run():

@@ -330,13 +330,55 @@ CYCLIC_FAMILY_EXPONENT = {"cyclic": 1, "dihedral": 2, "quaternion": 2, "semidihe
 
 def test_cyclic_family_exponents_over_the_catalog(lattice_of):
     """The Artin exponent from cyclic subgroups (the family of T.Y. Lam's
-    results) pinned on every catalog group up to order 128, as an
+    results) pinned on every catalog group up to order 256, as an
     observation of this package's output rather than a closed form."""
-    specs = standard_catalog(128)
-    assert len(specs) == 63
+    specs = standard_catalog(256)
+    assert len(specs) == 71
     for spec in specs:
         lattice = lattice_of(spec.text())
         order = lattice.group.order
         expected = CYCLIC_FAMILY_EXPONENT.get(spec.kind) or order // prime_power(order)[0]
         got = artin_exponent(lattice, SubgroupFamily.CYCLIC).exponent
         assert got == expected, spec.text()
+
+
+# Observed elementary abelian exponents of the nonabelian catalog kinds,
+# as a function of (order, p)
+NONABELIAN_EA_EXPONENT = {
+    "dihedral": lambda order, p: order // 2,
+    "quaternion": lambda order, p: order // 2,
+    "semidihedral": lambda order, p: order // 2,
+    "modular": lambda order, p: order // 4,
+    "extraspecial_plus": lambda order, p: p,
+    "extraspecial_minus": lambda order, p: p,
+}
+
+
+def test_elementary_abelian_exponents_of_the_nonabelian_catalog_rows(lattice_of):
+    """The elementary abelian exponent pinned on the 22 nonabelian catalog
+    groups up to order 256, as an observation of this package's output:
+    |G|/2 for D, Q and SD(2^n), |G|/4 for M(2^n) and p for ES+-(p)."""
+    specs = [spec for spec in standard_catalog(256) if not spec.is_abelian()]
+    assert len(specs) == 22
+    for spec in specs:
+        lattice = lattice_of(spec.text())
+        order = lattice.group.order
+        expected = NONABELIAN_EA_EXPONENT[spec.kind](order, prime_power(order)[0])
+        assert artin_exponent(lattice, EA).exponent == expected, spec.text()
+
+
+def test_the_closed_form_splits_between_the_two_families(lattice_of):
+    """Over ``standard_catalog(256)`` the closed-form table equals the
+    cyclic-family exponent on the 22 nonabelian groups and the elementary
+    abelian exponent on the 49 abelian ones; the two agree with it at
+    once only on C1, C2, C3 and C5, where both are 1."""
+    both = []
+    for spec in standard_catalog(256):
+        lattice = lattice_of(spec.text())
+        closed = closed_form_exponent(lattice.group)[0]
+        cyclic = artin_exponent(lattice, SubgroupFamily.CYCLIC).exponent
+        elementary = artin_exponent(lattice, EA).exponent
+        assert closed == (elementary if spec.is_abelian() else cyclic), spec.text()
+        if cyclic == elementary == closed:
+            both.append(spec.text())
+    assert both == ["C1", "C(2^1)", "C(3^1)", "C(5^1)"]

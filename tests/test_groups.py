@@ -435,7 +435,8 @@ def test_invalid_table_messages(table, message):
 
 def test_cap_check_on_powers_matches_the_multiplied_order():
     """An order given as powers is judged as the product would be, and the
-    message names that product in decimal."""
+    message names that product in decimal; an order that passes returns
+    the cap applied, the default when none is given."""
     for cap in (1, 2, 7, 8, 255, 256, 1000):
         for base in (*range(12), 255, 257, 2**70 + 1):
             for exponent in range(12):
@@ -443,14 +444,15 @@ def test_cap_check_on_powers_matches_the_multiplied_order():
                     powers = ((base, exponent), *rest)
                     order = prod(b**e for b, e in powers)
                     if order <= cap:
-                        check_enumeration_cap(powers, cap)
+                        assert check_enumeration_cap(powers, cap) == cap
                         continue
                     with pytest.raises(CapExceededError) as err:
                         check_enumeration_cap(powers, cap)
                     assert str(err.value) == (
                         f"group order {order} exceeds the enumeration cap {cap}"
                     )
-    check_enumeration_cap(None, 1)
+    assert check_enumeration_cap(None, 1) == 1
+    assert check_enumeration_cap(None) == check_enumeration_cap(256) == 256
     with pytest.raises(CapExceededError, match="^group order 257 exceeds the enumeration cap 256$"):
         check_enumeration_cap(257)
 

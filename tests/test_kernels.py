@@ -311,14 +311,10 @@ def _one_object_per_value(values) -> bool:
 )
 def test_kept_tuples_are_one_object_per_value(text):
     """A fresh lattice keeps one tuple per distinct count-1 walk row, and
-    its pair congruences and table of marks one per distinct term
-    (C8xC8xC2 and S5 have counts above 1) and per distinct (j, mark)
-    entry. The walks that the pair congruences' build makes for the
-    conjugates of walked members share nothing and are not kept."""
+    its table of marks one per distinct (j, mark) entry."""
     lattice = enumerate_subgroups(build_group(parse_group_spec(text)))
     rows = [row for walk in lattice.walks for row in walk if row[2] == 1]
     assert _one_object_per_value(rows)
-    assert _one_object_per_value(t for c in dress_congruences(lattice) for t in c.terms)
     assert _one_object_per_value(e for _, tail in table_of_marks(lattice).rows for e in tail)
 
 
@@ -389,6 +385,20 @@ def test_an_inexact_mark_raises():
     down[-1] = down[-1][:1] + down[-1][2:]  # the first is the trivial subgroup
     lattice._derived[_down_sets] = tuple(down)
     with pytest.raises(RuntimeError, match="inexact mark of class 1 in class 3: remainder 12"):
+        table_of_marks(lattice)
+
+
+def test_an_inexact_diagonal_mark_raises():
+    """The diagonal mark |G| / (|class j| |V_j|) is a checked division too:
+    listing a reflection of D(8) twice in its class of 2 makes the class 3
+    members of order 2, and 3 * 2 does not divide 8."""
+    lattice = enumerate_subgroups(build_group(parse_group_spec("D(8)")))
+    j = next(c.class_index for c in lattice.classes if c.order == 2 and len(c.members) == 2)
+    classes = list(lattice.classes)
+    members = classes[j].members
+    classes[j] = classes[j]._replace(members=members + members[:1])
+    lattice.classes = tuple(classes)
+    with pytest.raises(RuntimeError, match=f"inexact diagonal mark of class {j}: remainder 2"):
         table_of_marks(lattice)
 
 

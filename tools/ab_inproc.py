@@ -54,7 +54,7 @@ Stages:
              allocates a few KB once. The numbers are exact, so a memory
              change shows in one run.
   cli        each command of CLI (the benchmark's catalog-sweep command,
-             then fast rows of ROADMAP's state table) as a child of each
+             fast rows of ROADMAP's state table, and marks --json) as a child of each
              tree, all pairs of one command before the next: its wall
              time, and its peak RSS from ``os.wait4`` on the line after,
              with the command; exit codes and stdout bytes must be equal.
@@ -122,10 +122,10 @@ SEED = 1  # the benchmark's default seed
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 OFF = bench.Tracer(False)
-CLI = (  # the benchmark's catalog-sweep command, then fast rows of ROADMAP's state table
+CLI = (  # the catalog-sweep command, fast rows of ROADMAP's state table, and marks --json
     bench.SWEEP_ARGS, ("verify-main-theorem", "--max-order", "256"), ("exponent", "EA(2,6)"),
     ("exponent", "EA(2,6)", "--certify"), ("exponent", "D(8)xC3xQ(8)"), ("marks", "EA(2,5)"),
-    ("lattice", "perm:bench/data/s5.perm"),
+    ("marks", "EA(2,5)", "--json"), ("lattice", "perm:bench/data/s5.perm"),
 )
 CHILD_AS = 1 << 31  # bytes of address space a cli child may map
 # A child started by this process would start its peak RSS at this
